@@ -77,7 +77,7 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
 
     points = data["points"]
     names: Optional[list[str]] = None
-    if isinstance(points, int):
+    if isinstance(points, int) and not isinstance(points, bool):
         size = points
     elif isinstance(points, list):
         if not all(isinstance(p, str) for p in points):
@@ -116,7 +116,7 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
                 if value not in index:
                     raise FormatError(f"field 'maps'[{i}][{x}]: unknown point name {value!r}")
                 row.append(index[value])
-            elif isinstance(value, int):
+            elif isinstance(value, int) and not isinstance(value, bool):
                 if not (0 <= value < size):
                     raise FormatError(
                         f"field 'maps'[{i}][{x}]: image {value} out of range 0..{size - 1}"

@@ -10,20 +10,43 @@ Three nested notions are decided here, each with a verifiable witness:
   in addition saturated under preimages on both sides, i.e. points with
   a common image under a map must agree on that map's recolouring.
 
-All searches are exhaustive and deterministic: bijections are tried in
-lexicographic one-line-notation order, colour permutations pointwise in
-lexicographic order, so the first witness found is the lexicographically
-least one.  Candidate bijections in the partition search are pre-filtered
-by per-point entry signatures (:func:`dynalg.quotient.local_signature`),
-a sound prune: a partition witness forces matching signatures at every
-pair of corresponding points.
+All three deciders share one deterministic depth-first search.  It
+assigns gamma(0), gamma(1), ... in turn and tries values in increasing
+order, so bijections are met in lexicographic one-line-notation order.
+Every witness of every notion makes gamma an isomorphism of the
+out-multigraphs with map colours forgotten: gamma maps the multiset
+{sigma_i(x)} onto {tau_j(gamma x)} at every point.  The search uses
+that fact twice.
+
+* Colour refinement: the points of both systems are refined jointly
+  (1-dimensional Weisfeiler-Leman on the disjoint union), keyed by a
+  point's colour and the colour multisets of its images and preimages.
+  Point x may only be sent to a point of the same refined colour, and
+  differing colour multisets refute the pair without any search.  The
+  partition decider seeds the refinement with the per-point entry
+  signature (:func:`dynalg.quotient.local_signature`), which every
+  partition witness preserves; the other two start from one colour.
+* Forward checking: after each assignment, every assigned point whose
+  image multiset gained an assigned member must still map into the
+  target's image multiset.  The conjugacy search also carries the
+  global recolourings still consistent with the branch.
+
+Both only remove branches that contain no witness, so the first leaf
+accepted is the lexicographically least witness, exactly as a plain walk
+over all n! bijections would find.  The leaf completes the witness:
+colour permutations pointwise in lexicographic order (piecewise), the
+least preimage-saturated colour field (partition, which may fail and
+backtrack), or the least surviving recolouring (conjugacy).  The worst
+case is still exponential: on highly symmetric systems refinement
+separates nothing and many branches survive to the leaves.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 from .dynsys import FiniteSystem
 from .matching import lex_least_injective
@@ -82,15 +105,126 @@ def _check_compatible(a: FiniteSystem, b: FiniteSystem) -> None:
         )
 
 
-def _bijections(size: int) -> Iterator[Permutation]:
-    return itertools.permutations(range(size))
-
-
 def _invert(perm: Permutation) -> Permutation:
     inv = [0] * len(perm)
     for i, j in enumerate(perm):
         inv[j] = i
     return tuple(inv)
+
+
+def _refined_colours(
+    a: FiniteSystem, b: FiniteSystem, seeds: Sequence[Hashable]
+) -> Optional[tuple[list[int], list[int]]]:
+    """Joint colour refinement of the points of ``a`` and ``b``.
+
+    The points form one disjoint union (those of ``b`` shifted by
+    ``a.size``) with starting colours ``seeds``, so colour ids are
+    comparable across the systems.  Each round keys a point by its
+    colour and the sorted colours of its images and of its preimages,
+    counted with multiplicity; it stops when the number of classes stops
+    growing.  Returns the colours of each side, or None as soon as the
+    two colour multisets differ.
+    """
+    n = a.size
+    out = [[t[x] for t in a.tables] for x in range(n)]
+    out += [[t[x] + n for t in b.tables] for x in range(n)]
+    into: list[list[int]] = [[] for _ in range(2 * n)]
+    for u, targets in enumerate(out):
+        for v in targets:
+            into[v].append(u)
+
+    keys: Sequence[Hashable] = seeds
+    classes = 0
+    while True:
+        palette = {key: k for k, key in enumerate(sorted(set(keys)))}
+        if len(palette) == classes:
+            return colour[:n], colour[n:]
+        classes = len(palette)
+        colour = [palette[key] for key in keys]
+        if sorted(colour[:n]) != sorted(colour[n:]):
+            return None
+        keys = [
+            (
+                colour[u],
+                tuple(sorted(colour[v] for v in out[u])),
+                tuple(sorted(colour[v] for v in into[u])),
+            )
+            for u in range(2 * n)
+        ]
+
+
+W = TypeVar("W")
+
+
+def _lex_search(
+    a: FiniteSystem,
+    b: FiniteSystem,
+    seeds: Sequence[Hashable],
+    leaf: Callable[[Permutation, list[Permutation]], Optional[W]],
+    recolourings: Sequence[Permutation] = (),
+) -> Optional[W]:
+    """Depth-first search for the least gamma whose leaf yields a witness.
+
+    ``seeds`` are the starting colours of the points of ``a`` followed
+    by those of ``b``.  With ``recolourings``, a branch dies once no
+    global recolouring beta is left with gamma(sigma_i(p)) =
+    tau_{beta(i)}(gamma(p)) on its assigned edges; ``leaf`` receives the
+    survivors in their given order.  Only branches without a witness are
+    pruned, so the first witness returned is the least one.
+    """
+    colours = _refined_colours(a, b, seeds)
+    if colours is None:
+        return None
+    ca, cb = colours
+    n = a.size
+    candidates = [[v for v in range(n) if cb[v] == ca[x]] for x in range(n)]
+    out_a = [tuple(t[x] for t in a.tables) for x in range(n)]
+    out_b = [Counter(t[v] for t in b.tables) for v in range(n)]
+    # Assigning x completes edges out of x and out of its earlier preimages.
+    touched = [[x] + [p for p in range(x) if x in out_a[p]] for x in range(n)]
+    new_edges = [
+        [(p, i) for p in touched[x] for i, y in enumerate(out_a[p]) if y <= x]
+        for x in range(n)
+    ]
+    gamma = [-1] * n
+    used = [False] * n
+
+    def fits(p: int) -> bool:
+        room = out_b[gamma[p]].copy()
+        for y in out_a[p]:
+            gy = gamma[y]
+            if gy >= 0:
+                if not room[gy]:
+                    return False
+                room[gy] -= 1
+        return True
+
+    def extend(x: int, live: list[Permutation]) -> Optional[W]:
+        if x == n:
+            return leaf(tuple(gamma), live)
+        for v in candidates[x]:
+            if used[v]:
+                continue
+            gamma[x] = v
+            if all(fits(p) for p in touched[x]):
+                survivors = [
+                    beta
+                    for beta in live
+                    if all(
+                        gamma[out_a[p][i]] == b.tables[beta[i]][gamma[p]]
+                        for p, i in new_edges[x]
+                    )
+                ]
+                if survivors or not recolourings:
+                    used[v] = True
+                    found = extend(x + 1, survivors)
+                    used[v] = False
+                    if found is not None:
+                        return found
+        gamma[x] = -1
+        return None
+
+    return extend(0, list(recolourings))
 
 
 def decide_conjugate(
@@ -103,22 +237,19 @@ def decide_conjugate(
     lexicographically least witness (gamma first, then beta) or None.
     """
     _check_compatible(a, b)
-    recolourings: list[Optional[Permutation]]
     if allow_recolor:
         recolourings = list(itertools.permutations(range(a.arity)))
     else:
-        recolourings = [None]
-    for gamma in _bijections(a.size):
-        for beta in recolourings:
-            ok = True
-            for i in range(a.arity):
-                ti = i if beta is None else beta[i]
-                if any(gamma[a.tables[i][x]] != b.tables[ti][gamma[x]] for x in range(a.size)):
-                    ok = False
-                    break
-            if ok:
-                return ConjugacyWitness(gamma=gamma, recolor=beta)
-    return None
+        recolourings = [tuple(range(a.arity))]
+    return _lex_search(
+        a,
+        b,
+        [0] * (2 * a.size),
+        lambda gamma, live: ConjugacyWitness(
+            gamma=gamma, recolor=live[0] if allow_recolor else None
+        ),
+        recolourings,
+    )
 
 
 def _pointwise_options(
@@ -138,26 +269,22 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     At every point x the colour permutation alpha_x must satisfy
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) for all i.  In a
     finite discrete space that pointwise condition is the whole of
-    piecewise matching.  Returns the lexicographically least witness.
+    piecewise matching, and forward checking has already established it
+    at every leaf, so the leaf only picks each alpha_x.  Returns the
+    lexicographically least witness.
     """
     _check_compatible(a, b)
-    for gamma in _bijections(a.size):
-        alphas: list[Permutation] = []
-        feasible = True
-        for x in range(a.size):
-            perm = lex_least_injective(_pointwise_options(a, b, gamma, x))
-            if perm is None:
-                feasible = False
-                break
-            alphas.append(perm)
-        if feasible:
-            return PiecewiseWitness(gamma=gamma, alpha=tuple(alphas))
-    return None
-
-
-def _signature_prune(a: FiniteSystem, b: FiniteSystem, gamma: Permutation) -> bool:
-    return all(
-        local_signature(a, x) == local_signature(b, gamma[x]) for x in range(a.size)
+    return _lex_search(
+        a,
+        b,
+        [0] * (2 * a.size),
+        lambda gamma, _: PiecewiseWitness(
+            gamma=gamma,
+            alpha=tuple(
+                lex_least_injective(_pointwise_options(a, b, gamma, x))
+                for x in range(a.size)
+            ),
+        ),
     )
 
 
@@ -211,18 +338,21 @@ def _partition_alpha_field(
 def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitness]:
     """Search for a preimage-saturated pointwise witness.
 
-    Equivalent to exhausting every (gamma, alpha) pair; bijections that
-    mismatch some local entry signature are skipped, which cannot drop
-    a witness.  Returns the lexicographically least witness or None.
+    A partition witness sends every point to one with the same local
+    entry signature, so the signatures (2n calls in all) seed the colour
+    refinement.  Each bijection that survives the search is completed by
+    the least preimage-saturated colour field, if one exists.  Returns
+    the lexicographically least witness (gamma first, then alpha) or None.
     """
     _check_compatible(a, b)
-    for gamma in _bijections(a.size):
-        if not _signature_prune(a, b, gamma):
-            continue
+
+    def leaf(gamma: Permutation, _: list[Permutation]) -> Optional[PartitionWitness]:
         field = _partition_alpha_field(a, b, gamma)
-        if field is not None:
-            return PartitionWitness(gamma=gamma, alpha=field)
-    return None
+        return None if field is None else PartitionWitness(gamma=gamma, alpha=field)
+
+    seeds = [local_signature(a, x) for x in range(a.size)]
+    seeds += [local_signature(b, v) for v in range(b.size)]
+    return _lex_search(a, b, seeds, leaf)
 
 
 def _validate_witness_shape(

@@ -24,6 +24,11 @@ Word = tuple[int, ...]
 Edge = tuple[int, int, int]  # (source, target, colour)
 
 
+def _is_int(value: object) -> bool:
+    """An integer proper; bool is an int subclass but never a count or a point."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """A finite point set with ``arity`` total self-maps.
@@ -37,6 +42,8 @@ class FiniteSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
+        if not _is_int(self.size):
+            raise ValueError(f"size {self.size!r} is not an integer")
         if self.size < 1:
             raise ValueError("a system needs at least one point")
         if len(self.tables) < 1:
@@ -47,6 +54,8 @@ class FiniteSystem:
                     f"map {i} has {len(table)} entries, expected {self.size}"
                 )
             for x, y in enumerate(table):
+                if not _is_int(y):
+                    raise ValueError(f"map {i} sends {x} to {y!r}, which is not a point")
                 if not (0 <= y < self.size):
                     raise ValueError(f"map {i} sends {x} to {y}, outside 0..{self.size - 1}")
 
@@ -79,9 +88,6 @@ class SubSystem:
 
     def index_of(self, x: int) -> int:
         return self.points.index(x)
-
-    def defined(self, colour: int, x: int) -> bool:
-        return self.partial_tables[colour][self.index_of(x)] is not None
 
     def image(self, colour: int, x: int) -> Optional[int]:
         return self.partial_tables[colour][self.index_of(x)]

@@ -11,9 +11,9 @@ compressed elements track exactly which edge words survive.
 The `entry signature` of a subset is the multiset of in-degrees per
 (colour, target vertex) of its transition graph.  Equal signatures are
 necessary for the compressions of two systems to correspond under any
-partition-style matching of points, which is what makes the signature a
-sound pruning filter for the conjugacy search and a cheap separating
-invariant in its own right.
+partition-style matching of points, which is what makes the per-point
+signature a sound starting colour for the partition search's colour
+refinement and a cheap separating invariant in its own right.
 """
 
 from __future__ import annotations

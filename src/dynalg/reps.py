@@ -120,8 +120,9 @@ def nest_rep_exists(
     """Assign pairwise distinct colours sending each listed point to the base.
 
     Returns the lexicographically least assignment (one colour per
-    listed point) or None; a maximum bipartite matching between slots
-    and colours decides existence.
+    listed point) or None, found by backtracking over the admissible
+    colours in increasing order (exponential in the number of listed
+    points in the worst case).
     """
     if not (0 <= base < sys.size):
         raise ValueError(f"base point {base} outside 0..{sys.size - 1}")

@@ -104,6 +104,10 @@ class SemicrossedElement:
     system: FiniteSystem
     terms: dict[Word, FunctionCoeff]
 
+    def __hash__(self) -> int:
+        # The generated hash would hash the dict; this one agrees with __eq__.
+        return hash((self.system, frozenset(self.terms.items())))
+
     @staticmethod
     def make(system: FiniteSystem, terms: dict[Word, FunctionCoeff]) -> "SemicrossedElement":
         clean: dict[Word, FunctionCoeff] = {}

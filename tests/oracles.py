@@ -57,23 +57,35 @@ def brute_force_partition(a, b) -> Optional[tuple[tuple, tuple]]:
     return None
 
 
-def brute_force_piecewise(a, b) -> bool:
+def brute_force_piecewise(a, b) -> Optional[tuple[tuple, tuple]]:
+    """First witness in lexicographic (gamma, alpha-field) order, or None.
+
+    The pointwise conditions are independent, so the first field in
+    product order takes the first fitting permutation at every point.
+    """
     perms = list(itertools.permutations(range(a.arity)))
     for gamma in itertools.permutations(range(a.size)):
-        ok = True
+        alpha = []
         for x in range(a.size):
-            if not any(
-                all(gamma[a.tables[i][x]] == b.tables[p[i]][gamma[x]] for i in range(a.arity))
+            fitting = [
+                p
                 for p in perms
-            ):
-                ok = False
+                if all(gamma[a.tables[i][x]] == b.tables[p[i]][gamma[x]] for i in range(a.arity))
+            ]
+            if not fitting:
                 break
-        if ok:
-            return True
-    return False
+            alpha.append(fitting[0])
+        else:
+            return gamma, tuple(alpha)
+    return None
 
 
-def brute_force_conjugate(a, b, allow_recolor=False) -> bool:
+def brute_force_conjugate(a, b, allow_recolor=False) -> Optional[tuple[tuple, Optional[tuple]]]:
+    """First (gamma, recolor) in lexicographic order, or None.
+
+    Without ``allow_recolor`` only the identity recolouring is tried and
+    the witness reports it as None.
+    """
     if allow_recolor:
         recolourings = list(itertools.permutations(range(a.arity)))
     else:
@@ -85,8 +97,8 @@ def brute_force_conjugate(a, b, allow_recolor=False) -> bool:
                 for i in range(a.arity)
                 for x in range(a.size)
             ):
-                return True
-    return False
+                return gamma, beta if allow_recolor else None
+    return None
 
 
 # ---- random generators -----------------------------------------------------

@@ -58,6 +58,15 @@ def test_parse_system_examples():
         parse_system('{"points":2}')
 
 
+def test_parse_system_rejects_booleans():
+    with pytest.raises(FormatError, match="count or a list"):
+        parse_system_record('{"points": true, "maps": [[false]]}')
+    with pytest.raises(FormatError, match="not a point"):
+        parse_system_record('{"points": 1, "maps": [[false]]}')
+    with pytest.raises(FormatError, match="not a point"):
+        parse_system('{"points": 2, "maps": [[0, true]]}')
+
+
 def test_parse_system_names_and_labels():
     from dynalg.dynsys import FiniteSystem
 

@@ -155,8 +155,127 @@ def test_implication_chain_random():
         if part is not None:
             assert piece is not None
         # cross-check the ends of the chain against the naive searches
-        assert (piece is not None) == brute_force_piecewise(a, b)
-        assert (conj is not None) == brute_force_conjugate(a, b)
+        assert (piece is not None) == (brute_force_piecewise(a, b) is not None)
+        assert (conj is not None) == (brute_force_conjugate(a, b) is not None)
+
+
+def _small_pair(rng, trial):
+    size, arity = rng.randint(1, 5), rng.randint(1, 3)
+    if trial % 3 == 0:
+        return random_system(rng, size, arity), random_system(rng, size, arity)
+    return scrambled_pair(rng, size, arity, constant_recolor=(trial % 3 == 2))
+
+
+def test_piecewise_witness_is_the_oracles_first():
+    rng = random.Random(211)
+    found = 0
+    for trial in range(150):
+        a, b = _small_pair(rng, trial)
+        witness = decide_piecewise(a, b)
+        got = None if witness is None else (witness.gamma, witness.alpha)
+        assert got == brute_force_piecewise(a, b)
+        found += got is not None
+    assert found > 50
+
+
+def test_conjugate_witness_is_the_oracles_first():
+    rng = random.Random(223)
+    found = {False: 0, True: 0}
+    for trial in range(150):
+        a, b = _small_pair(rng, trial)
+        for allow in (False, True):
+            witness = decide_conjugate(a, b, allow_recolor=allow)
+            got = None if witness is None else (witness.gamma, witness.recolor)
+            assert got == brute_force_conjugate(a, b, allow_recolor=allow)
+            found[allow] += got is not None
+    assert found[False] > 10 and found[True] > 30
+
+
+# ---- sizes the oracles cannot reach -------------------------------------------
+
+
+def _relabel(system, perm, recolor=None):
+    """The system read through the point bijection perm (and a global recolouring)."""
+    recolor = recolor or tuple(range(system.arity))
+    tables = [[0] * system.size for _ in range(system.arity)]
+    for i, table in enumerate(system.tables):
+        for x, y in enumerate(table):
+            tables[recolor[i]][perm[x]] = perm[y]
+    return FiniteSystem(size=system.size, tables=tuple(map(tuple, tables)))
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    rng.shuffle(items)
+    return tuple(items)
+
+
+def _verdicts(a, b):
+    return (
+        decide_piecewise(a, b) is not None,
+        decide_partition(a, b) is not None,
+        decide_conjugate(a, b) is not None,
+        decide_conjugate(a, b, allow_recolor=True) is not None,
+    )
+
+
+def _large_pairs(seed):
+    rng = random.Random(seed)
+    for trial in range(36):
+        size, arity = rng.randint(10, 24), 1 + trial % 3
+        kind = trial % 4
+        if kind == 0:
+            a, b = random_system(rng, size, arity), random_system(rng, size, arity)
+        elif kind == 1:
+            a, b = scrambled_pair(rng, size, arity)
+        else:
+            a = random_system(rng, size, arity)
+            b = _relabel(a, _shuffled(rng, range(size)), _shuffled(rng, range(arity)))
+        yield rng, a, b
+
+
+def test_large_scrambled_pairs_are_piecewise_matched():
+    rng = random.Random(307)
+    for _ in range(20):
+        a, b = scrambled_pair(rng, rng.randint(10, 24), rng.randint(1, 3))
+        witness = decide_piecewise(a, b)
+        assert witness is not None
+        gamma, alpha = witness.gamma, witness.alpha
+        for x in range(a.size):
+            for i in range(a.arity):
+                assert gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]
+
+
+def test_large_recoloured_copies_are_conjugate():
+    rng = random.Random(311)
+    for trial in range(20):
+        size, arity = rng.randint(10, 24), 1 + trial % 3
+        a = random_system(rng, size, arity)
+        b = _relabel(a, _shuffled(rng, range(size)), _shuffled(rng, range(arity)))
+        witness = decide_conjugate(a, b, allow_recolor=True)
+        assert witness is not None
+        gamma, beta = witness.gamma, witness.recolor
+        for i in range(arity):
+            for x in range(size):
+                assert gamma[a.tables[i][x]] == b.tables[beta[i]][gamma[x]]
+
+
+def test_large_verdicts_survive_relabelling():
+    for rng, a, b in _large_pairs(317):
+        expected = _verdicts(a, b)
+        a2 = _relabel(a, _shuffled(rng, range(a.size)))
+        b2 = _relabel(b, _shuffled(rng, range(b.size)))
+        assert _verdicts(a2, b2) == expected
+
+
+def test_large_partition_witnesses_verify():
+    found = 0
+    for _, a, b in _large_pairs(331):
+        witness = decide_partition(a, b)
+        if witness is not None:
+            found += 1
+            assert verify_partition_witness(a, b, witness).passed
+    assert found >= 18
 
 
 def test_single_class_partition_implies_recoloured_conjugacy():

@@ -34,6 +34,17 @@ def test_system_validation():
         FiniteSystem(size=2, tables=())
 
 
+def test_system_validation_rejects_non_integers():
+    with pytest.raises(ValueError, match="not a point"):
+        FiniteSystem(2, ((0.0, 1.0), (1, 0)))
+    with pytest.raises(ValueError, match="not a point"):
+        FiniteSystem(size=1, tables=((False,),))
+    with pytest.raises(ValueError, match="not an integer"):
+        FiniteSystem(size=True, tables=((0,),))
+    with pytest.raises(ValueError, match="not an integer"):
+        FiniteSystem(size=2.0, tables=((0, 1),))
+
+
 def test_evaluate_word_examples():
     assert evaluate_word(TWO_POINT_MIXED, (), 1) == 1
     assert evaluate_word(TWO_POINT_MIXED, (1, 1), 0) == 0

@@ -40,6 +40,18 @@ def test_pullback_examples():
     assert pullback(const, (0, 1, 1), TWO_POINT_MIXED) == const
 
 
+def test_elements_hash_consistently_with_equality():
+    rng = random.Random(3)
+    a = random_element(rng, TWO_POINT_MIXED, 3)
+    copy = SemicrossedElement.make(TWO_POINT_MIXED, dict(reversed(list(a.terms.items()))))
+    unit = SemicrossedElement.unit(TWO_POINT_MIXED)
+    assert copy == a and hash(copy) == hash(a)
+    assert hash(sc_multiply(unit, a)) == hash(a)
+    members = {a, copy, unit, SemicrossedElement.unit(TWO_POINT_MIXED)}
+    assert members == {a, unit} and len(members) == 2
+    assert SemicrossedElement.unit(TWO_POINT_CONSTANT) not in members
+
+
 def test_covariance_relation_example():
     # chi_{0} s_1 = s_1 chi_{1} on the two-point mixed system
     f = SemicrossedElement.from_function(TWO_POINT_MIXED, chi(2, {0}))
