@@ -76,12 +76,11 @@ from .semicrossed import (
     FunctionCoeff,
     SemicrossedElement,
     apply_hom,
-    cesaro_mean,
     covariance_defects,
-    fourier_component,
     gauge,
     identity_hom,
     partition_isomorphism,
     pullback,
     sc_multiply,
 )
+from .wordpoly import cesaro_mean, fourier_component

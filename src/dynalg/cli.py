@@ -19,6 +19,7 @@ The SEED environment variable (default 7) fixes the sampling used by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -151,21 +152,28 @@ def parse_u1n(text: str) -> U1nMatrix:
         raise FormatError("fields 'n' and 'matrix' are required")
     n = data["n"]
     rows = data["matrix"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError("field 'n' must be a positive count")
-    try:
-        matrix = np.array(
-            [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError):
-        raise FormatError("field 'matrix' must hold [re, im] pairs") from None
-    if matrix.shape != (n + 1, n + 1):
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n + 1
+        and all(isinstance(row, list) and len(row) == n + 1 for row in rows)
+    ):
         raise FormatError(f"field 'matrix' must be {n + 1}x{n + 1}")
+    if not all(_is_pair(entry) for row in rows for entry in row):
+        raise FormatError("field 'matrix' must hold [re, im] pairs of numbers")
     try:
-        return U1nMatrix(n=n, matrix=matrix)
-    except ValueError as exc:
+        return U1nMatrix(n=n, matrix=np.array([[complex(*e) for e in row] for row in rows]))
+    except (ValueError, OverflowError) as exc:
         raise FormatError(str(exc)) from None
+
+
+def _is_pair(entry: Any) -> bool:
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+    )
 
 
 def dump_u1n(x: U1nMatrix) -> str:
@@ -314,10 +322,8 @@ def _cmd_lift(args) -> tuple[bool, Any]:
     report = lift_dual_check(x, args.degree, points)
     certified = report.deviation <= report.certified_tail + 1e-10
     return certified, {
-        "variant": report.variant,
         "deviation": report.deviation,
         "certified_tail": report.certified_tail,
-        "per_variant": report.per_variant,
         "samples": args.samples,
     }
 
@@ -402,6 +408,7 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynalg", description="finite dynamical system toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

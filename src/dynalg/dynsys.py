@@ -63,12 +63,6 @@ class FiniteSystem:
     def arity(self) -> int:
         return len(self.tables)
 
-    def image(self, colour: int, x: int) -> int:
-        return self.tables[colour][x]
-
-    def points(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class SubSystem:
@@ -85,12 +79,6 @@ class SubSystem:
     @property
     def arity(self) -> int:
         return self.parent.arity
-
-    def index_of(self, x: int) -> int:
-        return self.points.index(x)
-
-    def image(self, colour: int, x: int) -> Optional[int]:
-        return self.partial_tables[colour][self.index_of(x)]
 
 
 @dataclass(frozen=True)

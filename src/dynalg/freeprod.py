@@ -7,7 +7,8 @@ are the point evaluations at tuples of vectors drawn from the closed
 unit balls, one per block; evaluating a word multiplies the coordinates
 of its letters.  Abelianizing collapses each word to its commutative
 multidegree, and a polynomial evaluates to zero at every such point
-exactly when its abelianization vanishes.
+exactly when its abelianization vanishes.  Sums, products and the degree
+calculus come from the shared kernel in :mod:`dynalg.wordpoly`.
 
 The second half implements automorphisms of the unit ball as fractional
 linear maps.  A ball automorphism factors as a vector Moebius involution
@@ -29,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .wordpoly import WordPoly, reweight_letters
 
 BlockSignature = tuple[int, ...]
 Symbol = tuple[int, int]  # (block, index within block)
@@ -49,11 +51,13 @@ def _validate_signature(signature: Sequence[int]) -> BlockSignature:
 
 
 @dataclass(frozen=True)
-class FPPoly:
+class FPPoly(WordPoly):
     """Finitely supported complex polynomial in block free generators."""
 
     signature: BlockSignature
     terms: dict[FPWord, complex]
+
+    __hash__ = WordPoly.__hash__
 
     @staticmethod
     def make(signature: Sequence[int], terms: Mapping[FPWord, complex]) -> "FPPoly":
@@ -68,6 +72,9 @@ class FPPoly:
                 clean[tuple(word)] = c
         return FPPoly(signature=sig, terms=clean)
 
+    def _like(self, terms: Mapping[FPWord, complex]) -> "FPPoly":
+        return FPPoly.make(self.signature, terms)
+
     @staticmethod
     def zero(signature: Sequence[int]) -> "FPPoly":
         return FPPoly.make(signature, {})
@@ -80,48 +87,13 @@ class FPPoly:
     def generator(signature: Sequence[int], block: int, index: int) -> "FPPoly":
         return FPPoly.make(signature, {((block, index),): 1.0})
 
-    def __add__(self, other: "FPPoly") -> "FPPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0.0) + c
-        return FPPoly.make(self.signature, out)
-
-    def __sub__(self, other: "FPPoly") -> "FPPoly":
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other: "FPPoly") -> "FPPoly":
-        return fp_multiply(self, other)
-
-    def scale(self, value: complex) -> "FPPoly":
-        return FPPoly.make(self.signature, {w: c * value for w, c in self.terms.items()})
-
-    def _check(self, other: "FPPoly") -> None:
-        if self.signature != other.signature:
-            raise ValueError(
-                f"signature mismatch: {self.signature} vs {other.signature}"
-            )
-
-    @property
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_coeff(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
 
 def fp_multiply(p: FPPoly, q: FPPoly) -> FPPoly:
     """Bilinear extension of word concatenation."""
-    p._check(q)
-    out: dict[FPWord, complex] = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            w = w1 + w2
-            out[w] = out.get(w, 0.0) + c1 * c2
-    return FPPoly.make(p.signature, out)
+    return p * q
 
 
 def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
@@ -131,30 +103,7 @@ def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
     for block, (size, zrow) in enumerate(zip(p.signature, zs)):
         if len(zrow) != size:
             raise ValueError(f"block {block} needs {size} gauge values")
-    out: dict[FPWord, complex] = {}
-    for word, coeff in p.terms.items():
-        factor = 1.0 + 0.0j
-        for block, index in word:
-            factor *= zs[block][index]
-        out[word] = coeff * factor
-    return FPPoly.make(p.signature, out)
-
-
-def fp_fourier_component(p: FPPoly, k: int) -> FPPoly:
-    """The part supported on words of length exactly k."""
-    if k < 0:
-        raise ValueError("component degree must be nonnegative")
-    return FPPoly.make(p.signature, {w: c for w, c in p.terms.items() if len(w) == k})
-
-
-def fp_cesaro_mean(p: FPPoly, k: int) -> FPPoly:
-    """Fejer-weighted partial sum of the degree components."""
-    if k < 1:
-        raise ValueError("Cesaro order must be at least 1")
-    return FPPoly.make(
-        p.signature,
-        {w: c * (1 - Fraction(len(w), k)) for w, c in p.terms.items() if len(w) < k},
-    )
+    return reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]])
 
 
 @dataclass(frozen=True)
@@ -169,7 +118,7 @@ class PolyballPoint:
         )
         for i, block in enumerate(self.blocks):
             norm = math.sqrt(sum(abs(v) ** 2 for v in block))
-            if norm > 1 + 1e-9:
+            if not norm <= 1 + 1e-9:  # also rejects NaN
                 raise ValueError(f"block {i} has norm {norm:.6f} > 1")
 
     @property
@@ -178,9 +127,6 @@ class PolyballPoint:
 
     def coordinate(self, block: int, index: int) -> complex:
         return self.blocks[block][index]
-
-    def block_norm(self, block: int) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.blocks[block]))
 
 
 def eval_character(p: FPPoly, point: PolyballPoint) -> complex:
@@ -276,6 +222,8 @@ class BallMobius:
         u = np.asarray(self.unitary, dtype=complex)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "unitary", u)
+        if not (np.isfinite(a).all() and np.isfinite(u).all()):
+            raise ValueError("centre and unitary must have finite entries")
         if np.linalg.norm(a) >= 1:
             raise ValueError(f"centre has norm {np.linalg.norm(a):.6f}, needs < 1")
         n = a.shape[0]
@@ -357,6 +305,8 @@ class U1nMatrix:
         object.__setattr__(self, "matrix", x)
         if x.shape != (self.n + 1, self.n + 1):
             raise ValueError(f"matrix must be {self.n + 1}x{self.n + 1}, got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("matrix entries must be finite")
         j = _indefinite_form(self.n)
         if np.linalg.norm(x.conj().T @ j @ x - j) > _STRUCT_TOL:
             raise ValueError("matrix does not satisfy X*JX = J to 1e-12")
@@ -535,48 +485,22 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     return tuple(series)
 
 
-_VARIANTS = ("identity", "conjugate", "transpose", "adjoint")
-
-
-def _variant_matrix(x: U1nMatrix, variant: str) -> U1nMatrix:
-    m = x.matrix
-    if variant == "identity":
-        out = m
-    elif variant == "conjugate":
-        out = m.conj()
-    elif variant == "transpose":
-        out = m.T
-    elif variant == "adjoint":
-        out = m.conj().T
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return U1nMatrix(n=x.n, matrix=out)
-
-
 @dataclass(frozen=True)
 class LiftDualReport:
-    variant: str
     deviation: float
     certified_tail: float
-    per_variant: dict[str, float]
 
 
 def lift_dual_check(
     x: U1nMatrix, order: int, samples: Iterable[Sequence[complex]]
 ) -> LiftDualReport:
-    """Evaluate the lifted series at sample points and match a boundary map.
+    """Evaluate the lifted series at sample points and match its boundary map.
 
-    Each sample lambda (open ball, norm at most 0.9) is pushed through
-    the truncated series coordinatewise; the resulting point is compared
-    with the fractional linear action of the four conjugation variants
-    of the matrix.  The best variant and its worst coordinate deviation
-    come back, along with the series' certified tail: for the variant
-    realising the boundary map the deviation cannot exceed the tail.
-
-    A matrix mixing a nontrivial unitary part with a nontrivial centre
-    generally matches none of the four variants exactly (its boundary
-    action corresponds to the J-conjugate of the adjoint); pure
-    involutions and pure rotations always certify.
+    The lift of X realises the fractional linear action of
+    X^-1 = J X* J.  Each sample lambda (open ball, norm at most 0.9) is
+    pushed through the truncated series coordinatewise and compared
+    with that action; the worst coordinate deviation comes back with the
+    series' certified tail, which bounds it up to rounding.
     """
     series = voiculescu_lift(x, order)
     tail = max(s.certified_tail for s in series)
@@ -585,25 +509,13 @@ def lift_dual_check(
         norm = math.sqrt(sum(abs(v) ** 2 for v in p))
         if norm > 0.9 + 1e-12:
             raise ValueError(f"sample has norm {norm:.4f} > 0.9")
-    deviations: dict[str, float] = {}
-    images = [
-        np.array([s.evaluate(PolyballPoint((p,))) for s in series], dtype=complex)
-        for p in points
-    ]
-    for variant in _VARIANTS:
-        vx = _variant_matrix(x, variant)
-        worst = 0.0
-        for p, mu in zip(points, images):
-            nu = frac_linear(vx, p)
-            worst = max(worst, float(np.max(np.abs(mu - nu))) if len(mu) else 0.0)
-        deviations[variant] = worst
-    best = min(_VARIANTS, key=lambda v: deviations[v])
-    return LiftDualReport(
-        variant=best,
-        deviation=deviations[best],
-        certified_tail=tail,
-        per_variant=deviations,
-    )
+    j = _indefinite_form(x.n)
+    inverse = U1nMatrix(n=x.n, matrix=j @ x.matrix.conj().T @ j)
+    deviation = 0.0
+    for p in points:
+        mu = np.array([s.evaluate(PolyballPoint((p,))) for s in series], dtype=complex)
+        deviation = max(deviation, float(np.max(np.abs(mu - frac_linear(inverse, p)))))
+    return LiftDualReport(deviation=deviation, certified_tail=tail)
 
 
 def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> list[tuple[complex, ...]]:

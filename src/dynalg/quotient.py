@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .dynsys import FiniteSystem, SubSystem, colored_graph, restrict
-from .scalars import ONE, ZERO, RationalComplex
+from .scalars import ONE, RationalComplex
+from .wordpoly import WordPoly
 
 
 class EdgeGenerator(NamedTuple):
@@ -37,14 +38,19 @@ EdgeWord = tuple[EdgeGenerator, ...]
 
 
 @dataclass(frozen=True)
-class FreeEdgePoly:
+class FreeEdgePoly(WordPoly):
     """Finitely supported map from edge words to exact scalars."""
 
     terms: dict[EdgeWord, RationalComplex]
 
+    __hash__ = WordPoly.__hash__
+
     @staticmethod
     def make(terms: dict[EdgeWord, RationalComplex]) -> "FreeEdgePoly":
         return FreeEdgePoly({w: c for w, c in terms.items() if not c.is_zero()})
+
+    def _like(self, terms: dict[EdgeWord, RationalComplex]) -> "FreeEdgePoly":
+        return FreeEdgePoly.make(terms)
 
     @staticmethod
     def zero() -> "FreeEdgePoly":
@@ -57,26 +63,6 @@ class FreeEdgePoly:
     @staticmethod
     def generator(edge: EdgeGenerator) -> "FreeEdgePoly":
         return FreeEdgePoly({(edge,): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FreeEdgePoly") -> "FreeEdgePoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) + c
-        return FreeEdgePoly.make(out)
-
-    def __mul__(self, other: "FreeEdgePoly") -> "FreeEdgePoly":
-        out: dict[EdgeWord, RationalComplex] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, ZERO) + c1 * c2
-        return FreeEdgePoly.make(out)
-
-    def scale(self, value: RationalComplex) -> "FreeEdgePoly":
-        return FreeEdgePoly.make({w: c * value for w, c in self.terms.items()})
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,14 @@ Equality of elements is literal equality of their term maps; no norms
 or adjoints are defined at this level (they belong to the concrete
 matrix representations in :mod:`dynalg.reps`).
 
-The degree-k component map and its Cesaro means are computed by exact
-combinatorial selection of the words of length k.  The circle-average
-description of those projections motivates the definitions but plays no
-computational role here; everything below is exact rational arithmetic.
+The sum, product and degree calculus are the shared word-polynomial
+kernel of :mod:`dynalg.wordpoly`; this module adds the function
+coefficients and the covariance rule, which enters the product only
+through :func:`pullback`.  The degree-k component map and its Cesaro
+means (re-exported here) are computed by exact combinatorial selection
+of the words of length k.  The circle-average description of those
+projections motivates the definitions but plays no computational role
+here; everything below is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Iterable, Sequence
 
 from .dynsys import FiniteSystem, Word, evaluate_word, validate_word
 from .scalars import ONE, ZERO, RationalComplex
+from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,10 @@ class FunctionCoeff:
     def __sub__(self, other: "FunctionCoeff") -> "FunctionCoeff":
         return FunctionCoeff(tuple(a - b for a, b in zip(self.values, other.values, strict=True)))
 
-    def __mul__(self, other: "FunctionCoeff") -> "FunctionCoeff":
+    def __mul__(self, other: "FunctionCoeff | RationalComplex | int | Fraction") -> "FunctionCoeff":
+        """Pointwise product; a scalar multiplies every value."""
+        if not isinstance(other, FunctionCoeff):
+            return self.scale(other)
         return FunctionCoeff(tuple(a * b for a, b in zip(self.values, other.values, strict=True)))
 
     def __neg__(self) -> "FunctionCoeff":
@@ -94,7 +102,7 @@ def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> Functi
 
 
 @dataclass(frozen=True, eq=True)
-class SemicrossedElement:
+class SemicrossedElement(WordPoly):
     """A normal-form polynomial sum_w s_w f_w over a finite system.
 
     ``terms`` never stores a zero coefficient, so two elements are
@@ -104,9 +112,7 @@ class SemicrossedElement:
     system: FiniteSystem
     terms: dict[Word, FunctionCoeff]
 
-    def __hash__(self) -> int:
-        # The generated hash would hash the dict; this one agrees with __eq__.
-        return hash((self.system, frozenset(self.terms.items())))
+    __hash__ = WordPoly.__hash__
 
     @staticmethod
     def make(system: FiniteSystem, terms: dict[Word, FunctionCoeff]) -> "SemicrossedElement":
@@ -120,6 +126,12 @@ class SemicrossedElement:
             if not coeff.is_zero():
                 clean[w] = coeff
         return SemicrossedElement(system=system, terms=clean)
+
+    def _like(self, terms: dict[Word, FunctionCoeff]) -> "SemicrossedElement":
+        return SemicrossedElement.make(self.system, terms)
+
+    def _past(self, coeff: FunctionCoeff, word: Word) -> FunctionCoeff:
+        return pullback(coeff, word, self.system)
 
     @staticmethod
     def zero(system: FiniteSystem) -> "SemicrossedElement":
@@ -143,43 +155,6 @@ class SemicrossedElement:
     def monomial(system: FiniteSystem, word: Sequence[int], f: FunctionCoeff) -> "SemicrossedElement":
         return SemicrossedElement.make(system, {tuple(word): f})
 
-    # ---- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "SemicrossedElement") -> "SemicrossedElement":
-        self._check(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            out[word] = out[word] + coeff if word in out else coeff
-        return SemicrossedElement.make(self.system, out)
-
-    def __sub__(self, other: "SemicrossedElement") -> "SemicrossedElement":
-        return self + (-other)
-
-    def __neg__(self) -> "SemicrossedElement":
-        return SemicrossedElement.make(
-            self.system, {w: -c for w, c in self.terms.items()}
-        )
-
-    def scale(self, value: RationalComplex | int | Fraction) -> "SemicrossedElement":
-        return SemicrossedElement.make(
-            self.system, {w: c.scale(value) for w, c in self.terms.items()}
-        )
-
-    def __mul__(self, other: "SemicrossedElement") -> "SemicrossedElement":
-        return sc_multiply(self, other)
-
-    def _check(self, other: "SemicrossedElement") -> None:
-        if self.system != other.system:
-            raise ValueError("elements live over different systems")
-
-    @property
-    def degree(self) -> int:
-        """Length of the longest word with a surviving coefficient; 0 if empty."""
-        return max((len(w) for w in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "SemicrossedElement(0)"
@@ -193,15 +168,7 @@ class SemicrossedElement:
 
 def sc_multiply(a: SemicrossedElement, b: SemicrossedElement) -> SemicrossedElement:
     """Product in normal form: (s_v f)(s_w g) = s_{vw} (f o sigma_w) g."""
-    a._check(b)
-    sys = a.system
-    out: dict[Word, FunctionCoeff] = {}
-    for v, f in a.terms.items():
-        for w, g in b.terms.items():
-            word = v + w
-            coeff = pullback(f, w, sys) * g
-            out[word] = out[word] + coeff if word in out else coeff
-    return SemicrossedElement.make(sys, out)
+    return a * b
 
 
 def gauge(a: SemicrossedElement, zs: Sequence[RationalComplex]) -> SemicrossedElement:
@@ -218,35 +185,7 @@ def gauge(a: SemicrossedElement, zs: Sequence[RationalComplex]) -> SemicrossedEl
     for z in zs:
         if z.abs_sq() > 1:
             raise ValueError(f"gauge parameter {z} lies outside the closed unit disc")
-    out: dict[Word, FunctionCoeff] = {}
-    for word, coeff in a.terms.items():
-        factor = ONE
-        for letter in word:
-            factor = factor * zs[letter]
-        out[word] = coeff.scale(factor)
-    return SemicrossedElement.make(a.system, out)
-
-
-def fourier_component(a: SemicrossedElement, k: int) -> SemicrossedElement:
-    """The part of the element supported on words of length exactly k."""
-    if k < 0:
-        raise ValueError("component degree must be nonnegative")
-    return SemicrossedElement.make(
-        a.system, {w: c for w, c in a.terms.items() if len(w) == k}
-    )
-
-
-def cesaro_mean(a: SemicrossedElement, k: int) -> SemicrossedElement:
-    """Fejer-weighted partial sum: components of length i scaled by 1 - i/k."""
-    if k < 1:
-        raise ValueError("Cesaro order must be at least 1")
-    out: dict[Word, FunctionCoeff] = {}
-    for word, coeff in a.terms.items():
-        length = len(word)
-        if length >= k:
-            continue
-        out[word] = coeff.scale(Fraction(k - length, k))
-    return SemicrossedElement.make(a.system, out)
+    return reweight_letters(a, zs.__getitem__)
 
 
 @dataclass(frozen=True)

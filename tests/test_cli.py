@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynalg.cli import (
     FormatError,
@@ -16,6 +17,7 @@ from dynalg.cli import (
     witness_to_partition,
 )
 from dynalg.conjugacy import verify_partition_witness
+from dynalg.dynsys import FiniteSystem
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
     FOUR_POINT_SPLIT_A,
@@ -68,8 +70,6 @@ def test_parse_system_rejects_booleans():
 
 
 def test_parse_system_names_and_labels():
-    from dynalg.dynsys import FiniteSystem
-
     system, names = parse_system_record(
         '{"points":["p","q"],"maps":[["q","p"],["p","q"]]}'
     )
@@ -102,6 +102,60 @@ def test_u1n_round_trip():
     assert np.allclose(x.matrix, x2.matrix)
     with pytest.raises(FormatError):
         parse_u1n('{"n":1,"matrix":[[[1,0],[0,0]],[[0,0],[2,0]]]}')  # not in U(1,1)
+
+
+def test_parse_u1n_rejects_malformed():
+    ident = '[[[1,0],[0,0]],[[0,0],[1,0]]]'
+    assert np.array_equal(parse_u1n('{"n":1,"matrix":%s}' % ident).matrix, np.eye(2))
+    for text, message in [
+        ('{"n":true,"matrix":[[[1,0]]]}', "positive count"),
+        ('{"n":1,"matrix":[[[1,0,5],[0,0]],[[0,0],[1,0]]]}', "pairs"),
+        ('{"n":1,"matrix":[[[true,0],[0,0]],[[0,0],[1,0]]]}', "pairs"),
+        ('{"n":1,"matrix":[[["1",0],[0,0]],[[0,0],[1,0]]]}', "pairs"),
+        ('{"n":1,"matrix":[[[1,0],[0,0]],[[0,0]]]}', "2x2"),
+        ('{"n":1,"matrix":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}', "finite"),
+        ('{"n":1,"matrix":[[[1e999,0],[0,0]],[[0,0],[1,0]]]}', "finite"),
+        ('{"n":1,"matrix":[[[1%s,0],[0,0]],[[0,0],[1,0]]]}' % ("0" * 400), "too large"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_u1n(text)
+
+
+@st.composite
+def named_systems(draw):
+    size = draw(st.integers(1, 6))
+    point = st.integers(0, size - 1)
+    tables = draw(st.lists(st.lists(point, min_size=size, max_size=size), min_size=1, max_size=3))
+    names = draw(st.none() | st.lists(st.text(max_size=4), min_size=size, max_size=size, unique=True))
+    return FiniteSystem(size=size, tables=tuple(map(tuple, tables))), names
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(named_systems())
+def test_parse_system_inverts_dump(case):
+    system, names = case
+    text = dump_system(system, names)
+    assert parse_system(text) == system
+    assert parse_system_record(text) == (system, names)
+
+
+@st.composite
+def u1n_matrices(draw):
+    n = draw(st.integers(1, 3))
+    part = st.integers(-20, 20).map(lambda k: k / 64)
+    centre = [complex(draw(part), draw(part)) for _ in range(n)]
+    theta = draw(st.floats(0, 2 * math.pi))
+    unitary = np.diag([complex(math.cos(k * theta), math.sin(k * theta)) for k in range(1, n + 1)])
+    return mobius_to_u1n(BallMobius(a=np.array(centre), unitary=unitary))
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(u1n_matrices())
+def test_parse_u1n_inverts_dump(x):
+    text = dump_u1n(x)
+    parsed = parse_u1n(text)
+    assert parsed.n == x.n and np.array_equal(parsed.matrix, x.matrix)
+    assert dump_u1n(parsed) == text
 
 
 # ---- commands -------------------------------------------------------------------
@@ -188,8 +242,17 @@ def test_lift_command(files, tmp_path):
     )
     assert code == 0
     assert report["decision"] is True
-    assert report["witness"]["variant"] == "identity"
+    assert list(report["witness"]) == ["deviation", "certified_tail", "samples"]
     assert report["witness"]["deviation"] <= report["witness"]["certified_tail"] + 1e-10
+
+    mixed = BallMobius(a=np.array([0.5]), unitary=np.array([[complex(math.cos(0.7), math.sin(0.7))]]))
+    path.write_text(dump_u1n(mobius_to_u1n(mixed)))
+    report, code = run_command(["lift", "--u1n", str(path), "--degree", "25", "--samples", "30"])
+    assert code == 0 and report["decision"] is True
+
+    path.write_text('{"n":1,"matrix":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}')
+    report, code = run_command(["lift", "--u1n", str(path), "--degree", "25", "--samples", "30"])
+    assert code == 2 and "finite" in report["error"]
 
 
 def test_fock_command(files):

@@ -13,8 +13,6 @@ from dynalg.freeprod import (
     U1nMatrix,
     abelianize,
     eval_character,
-    fp_cesaro_mean,
-    fp_fourier_component,
     fp_gauge,
     fp_multiply,
     frac_linear,
@@ -27,6 +25,7 @@ from dynalg.freeprod import (
     sample_ball_points,
     voiculescu_lift,
 )
+from dynalg.wordpoly import cesaro_mean, fourier_component
 
 SIG = (2, 3)
 
@@ -186,11 +185,11 @@ def test_fp_gauge_and_components():
         p = random_poly(rng, max_degree=4)
         total = FPPoly.zero(SIG)
         for k in range(p.degree + 1):
-            total = total + fp_fourier_component(p, k)
+            total = total + fourier_component(p, k)
         assert total == p
         gauged = fp_gauge(p, zs)
         assert set(gauged.terms) == set(p.terms)  # all parameters nonzero
-        q = fp_cesaro_mean(p, 100)
+        q = cesaro_mean(p, 100)
         diff = p - q
         assert diff.max_coeff() <= p.degree / 100 * p.max_coeff() + 1e-12
 
@@ -338,15 +337,39 @@ def test_lift_dual_check_examples():
     rng = random.Random(24)
     report = lift_dual_check(ident, 5, sample_ball_points(rng, 2, 10, 0.9))
     assert report.deviation < 1e-14
-    assert all(v < 1e-14 for v in report.per_variant.values())
 
     rot = U1nMatrix(n=1, matrix=np.diag([1.0, cmath.exp(1j * math.pi / 2)]))
     report = lift_dual_check(rot, 5, [[0.3]])
     assert report.deviation < 1e-12
-    assert report.variant in ("conjugate", "adjoint")  # equal for diagonal matrices
 
     with pytest.raises(ValueError):
         lift_dual_check(ident, 5, [[0.95, 0.0]])
+
+
+def test_lift_dual_check_mixed_matrices_certify():
+    # A nontrivial centre together with a nontrivial unitary part; the lift
+    # realises the action of X^-1, so the deviation stays within the tail.
+    rng = random.Random(7)
+    for centre, angle in (((0.5,), 0.7), ((0.3, 0.2j), 0.9)):
+        n = len(centre)
+        c, s = math.cos(angle), math.sin(angle)
+        unitary = np.array([[c + 1j * s]]) if n == 1 else np.array([[c, -s], [s, c]])
+        x = mobius_to_u1n(BallMobius(a=np.array(centre), unitary=unitary))
+        report = lift_dual_check(x, 25, sample_ball_points(rng, n, 30, 0.9))
+        assert report.certified_tail < 1e-7
+        assert report.deviation <= report.certified_tail + 1e-10
+
+
+def test_non_finite_inputs_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        U1nMatrix(n=1, matrix=np.array([[nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        BallMobius(a=np.array([nan]), unitary=np.eye(1))
+    with pytest.raises(ValueError, match="finite"):
+        BallMobius(a=np.array([0.1]), unitary=np.array([[nan]]))
+    with pytest.raises(ValueError, match="norm"):
+        PolyballPoint(((nan, 0.0),))
 
 
 def test_lift_dual_check_involutions_certify():
@@ -358,4 +381,3 @@ def test_lift_dual_check_involutions_certify():
         report = lift_dual_check(x, 25, samples)
         assert report.certified_tail <= 1e-6
         assert report.deviation <= report.certified_tail + 1e-10
-        assert report.variant == "identity"

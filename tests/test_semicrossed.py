@@ -10,6 +10,8 @@ from dynalg.fixtures import (
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
+from dynalg.freeprod import FPPoly
+from dynalg.quotient import EdgeGenerator, FreeEdgePoly
 from dynalg.scalars import ONE, qc
 from dynalg.semicrossed import (
     FunctionCoeff,
@@ -25,7 +27,7 @@ from dynalg.semicrossed import (
     sc_multiply,
 )
 
-from oracles import direct_triple_product, random_element
+from oracles import direct_triple_product, random_dyadic_poly, random_element
 
 
 def chi(size, subset):
@@ -50,6 +52,18 @@ def test_elements_hash_consistently_with_equality():
     members = {a, copy, unit, SemicrossedElement.unit(TWO_POINT_MIXED)}
     assert members == {a, unit} and len(members) == 2
     assert SemicrossedElement.unit(TWO_POINT_CONSTANT) not in members
+
+    # The other word polynomials share the kernel's hash.
+    p = random_dyadic_poly(rng, (2, 1))
+    q = FPPoly.make((2, 1), dict(reversed(list(p.terms.items()))))
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    signed = FPPoly.make((1,), {(): complex(-0.0, 1.0)})
+    assert signed == FPPoly.make((1,), {(): 1j}) and hash(signed) == hash(FPPoly.make((1,), {(): 1j}))
+    e1 = FreeEdgePoly.generator(EdgeGenerator(0, 1, 0))
+    e2 = FreeEdgePoly.generator(EdgeGenerator(1, 0, 1))
+    assert e1 * e2 + e2 * e1 == e2 * e1 + e1 * e2
+    assert hash(e1 * e2 + e2 * e1) == hash(e2 * e1 + e1 * e2)
+    assert {e1, e1.scale(ONE), e2} == {e1, e2}
 
 
 def test_covariance_relation_example():
