@@ -330,11 +330,13 @@ def _cmd_lift(args) -> tuple[bool, Any]:
 
 def _cmd_fock(args) -> tuple[bool, Any]:
     system = parse_system(_read(args.system))
-    if args.subset:
-        try:
-            subset = [int(v) for v in args.subset.split(",")]
-        except ValueError:
-            raise FormatError("--subset must be a comma-separated list of points") from None
+    if args.subset is not None:
+        items = args.subset.split(",")
+        if not all(v.isascii() and v.isdigit() for v in items):
+            raise FormatError("--subset must be a comma-separated list of points")
+        subset = [int(v) for v in items]
+        if len(set(subset)) != len(subset):
+            raise FormatError("--subset lists a point twice")
     else:
         subset = list(range(system.size))
     if args.depth < 1:

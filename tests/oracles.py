@@ -12,7 +12,10 @@ import os
 import random
 from typing import Optional
 
+import numpy as np
+
 from dynalg.dynsys import FiniteSystem
+from dynalg.reps import CKReport, ColourDefect, FockPath
 from dynalg.semicrossed import SemicrossedElement, pullback
 
 # Randomized property tests honour the optional SEED environment variable;
@@ -199,3 +202,77 @@ def random_element(
         coeff = FunctionCoeff(values)
         out[word] = out[word] + coeff if word in out else coeff
     return SemicrossedElement.make(sys, out)
+
+
+# ---- path-space oracle ---------------------------------------------------------
+
+
+def dense_edge_operator(fam, edge) -> np.ndarray:
+    """S_e as a dense 0/1 matrix, built from the definition."""
+    positions = {p: k for k, p in enumerate(fam.basis)}
+    out = np.zeros((fam.dim, fam.dim), dtype=np.int64)
+    for k, p in enumerate(fam.basis):
+        if p.length < fam.depth and p.range_vertex == edge[0]:
+            out[positions[FockPath(p.vertex, (edge,) + p.edges)], k] = 1
+    return out
+
+
+def dense_ck_report(fam) -> CKReport:
+    """The path-space relations read off products of dense matrices.
+
+    Cubic in the dimension; meant for depth <= 3.
+    """
+    graph = fam.graph
+    sops = {e: dense_edge_operator(fam, e) for e in graph.edges}
+    pops = {
+        v: np.diag([1 if p.range_vertex == v else 0 for p in fam.basis]).astype(np.int64)
+        for v in graph.vertices
+    }
+    interior = [k for k, p in enumerate(fam.basis) if p.length < fam.depth]
+
+    initial_ok = True
+    for e in graph.edges:
+        gram = sops[e].T @ sops[e]
+        target = pops[e[0]]
+        if not np.array_equal(gram[np.ix_(interior, interior)], target[np.ix_(interior, interior)]):
+            initial_ok = False
+
+    orthogonality_ok = True
+    for e, f in itertools.combinations(graph.edges, 2):
+        if np.any(sops[e].T @ sops[f]):
+            orthogonality_ok = False
+
+    defects = []
+    structure_ok = True
+    monochrome_ok = True
+    for colour in range(graph.colours):
+        for v in graph.vertices:
+            in_edges = graph.in_edges(v, colour)
+            if not in_edges:
+                continue
+            defect = pops[v] - sum(sops[e] @ sops[e].T for e in in_edges)
+            vacua = []
+            off_colour = []
+            predicted = True
+            if np.any(defect != np.diag(np.diag(defect))) or np.any(np.diag(defect) < 0):
+                predicted = False
+            for k, p in enumerate(fam.basis):
+                if p.range_vertex != v:
+                    if defect[k, k] != 0:
+                        predicted = False
+                    continue
+                expected = 1 if (p.length == 0 or p.outer_colour != colour) else 0
+                if defect[k, k] != expected:
+                    predicted = False
+                if defect[k, k] == 1:
+                    (vacua if p.length == 0 else off_colour).append(k)
+            mono = [
+                k
+                for k, p in enumerate(fam.basis)
+                if p.length >= 1 and p.range_vertex == v and all(e[2] == colour for e in p.edges)
+            ]
+            if np.any(defect[np.ix_(mono, mono)]):
+                monochrome_ok = False
+            structure_ok = structure_ok and predicted
+            defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), predicted))
+    return CKReport(initial_ok, orthogonality_ok, tuple(defects), structure_ok, monochrome_ok)

@@ -265,6 +265,26 @@ def test_fock_command(files):
     assert code == 0
 
 
+def test_fock_reaches_depth_8(tmp_path):
+    path = tmp_path / "rotation.json"
+    path.write_text('{"points":4,"maps":[[1,2,3,0],[3,0,1,2]]}')
+    report, code = run_command(["fock", str(path), "--depth", "8"])
+    assert code == 0
+    assert report["witness"]["dimension"] == 2044
+    assert list(report["witness"]["relations"].values()) == [True] * 4
+
+
+def test_fock_rejects_malformed_subset(files):
+    for subset in ("", "1,", "1_0", "+1", " 1"):
+        report, code = run_command(["fock", files["overlap"], "--subset", subset, "--depth", "2"])
+        assert code == 2 and "comma-separated" in report["error"], subset
+
+
+def test_fock_rejects_repeated_subset_points(files):
+    report, code = run_command(["fock", files["overlap"], "--subset", "1,1", "--depth", "2"])
+    assert code == 2 and "twice" in report["error"]
+
+
 def test_selftest_command():
     report, code = run_command(["selftest"])
     assert code == 0

@@ -12,6 +12,7 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.reps import (
+    CKFamily,
     InvalidSlotError,
     build_colour_rep,
     build_truncated_fock,
@@ -25,7 +26,7 @@ from dynalg.reps import (
 from dynalg.scalars import qc
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
-from oracles import random_element, random_system
+from oracles import dense_ck_report, dense_edge_operator, random_element, random_system
 
 LOOP_GRAPH = EdgeColoredGraph(vertices=(0,), edges=((0, 0, 0),), colours=1)
 
@@ -280,6 +281,63 @@ def test_fock_relations_on_random_graphs():
         report = check_ck_relations(fam)
         assert report.passed_exact_relations
         assert report.defect_structure_ok
+
+
+def _random_families(rng, count):
+    for _ in range(count):
+        sys = random_system(rng, rng.randint(1, 4), rng.randint(1, 3))
+        subset = rng.sample(range(sys.size), rng.randint(1, sys.size))
+        yield build_truncated_fock(colored_graph(restrict(sys, subset)), rng.randint(1, 3))
+
+
+def test_ck_report_matches_dense_oracle_on_random_graphs():
+    for fam in _random_families(random.Random(61), 60):
+        assert check_ck_relations(fam) == dense_ck_report(fam)
+        for e in fam.graph.edges:
+            assert np.array_equal(fam.edge_operator(e), dense_edge_operator(fam, e))
+
+
+def test_ck_report_matches_dense_oracle_on_perturbed_families():
+    rng = random.Random(62)
+    failed = {"initial": 0, "orthogonality": 0, "structure": 0, "monochrome": 0}
+    for fam in _random_families(rng, 60):
+        basis = list(fam.basis)
+        rng.shuffle(basis)
+        shuffled = CKFamily(fam.graph, fam.depth, tuple(basis))
+        # positions move but the relations still hold
+        report = check_ck_relations(shuffled)
+        assert report == dense_ck_report(shuffled)
+        assert report.passed_exact_relations and report.defect_structure_ok
+        perturbed = [
+            # the longest paths are no longer reached by any edge
+            CKFamily(fam.graph, fam.depth - 1, fam.basis),
+            # a repeated vacuum is sent twice onto the same path
+            CKFamily(fam.graph, fam.depth, fam.basis + fam.basis[:1]),
+        ]
+        if fam.graph.edges:
+            # a repeated edge overlaps its own image
+            graph = EdgeColoredGraph(
+                fam.graph.vertices, fam.graph.edges + fam.graph.edges[:1], fam.graph.colours
+            )
+            perturbed.append(CKFamily(graph, fam.depth, fam.basis))
+        for other in perturbed:
+            report = check_ck_relations(other)
+            assert report == dense_ck_report(other)
+            failed["initial"] += not report.initial_projections_ok
+            failed["orthogonality"] += not report.orthogonality_ok
+            failed["structure"] += not report.defect_structure_ok
+            failed["monochrome"] += not report.monochrome_cuntz_ok
+    assert all(failed.values()), failed
+
+
+def test_incomplete_basis_is_rejected():
+    fam = build_truncated_fock(colored_graph(full_subsystem(TWO_POINT_MIXED)), 2)
+    deeper = CKFamily(fam.graph, fam.depth + 1, fam.basis)
+    edge = fam.graph.edges[0]
+    for call in (lambda: deeper.edge_map(edge), lambda: deeper.edge_operator(edge),
+                 lambda: check_ck_relations(deeper)):
+        with pytest.raises(ValueError, match="lacks the path"):
+            call()
 
 
 def test_projections_resolve_identity():
