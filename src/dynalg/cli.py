@@ -19,6 +19,7 @@ The SEED environment variable (default 7) fixes the sampling used by
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -99,9 +100,11 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
             raise FormatError("give either named points or a labels list, not both")
         if not (isinstance(labels, list) and len(labels) == size):
             raise FormatError(f"field 'labels' must list {size} names")
+        if not all(isinstance(v, str) for v in labels):
+            raise FormatError("field 'labels': names must all be strings")
         if len(set(labels)) != len(labels):
             raise FormatError("field 'labels': duplicate names")
-        names = [str(v) for v in labels]
+        names = list(labels)
 
     maps = data["maps"]
     if not isinstance(maps, list) or not maps:
@@ -202,8 +205,15 @@ def _element_json(element: SemicrossedElement) -> list[list[Any]]:
     return out
 
 
-def _partition_witness_json(witness: PartitionWitness) -> dict[str, Any]:
-    return {"gamma": list(witness.gamma), "alpha": [list(p) for p in witness.alpha]}
+def _plain(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _witness_json(witness) -> dict[str, Any]:
+    """A decider's witness as a JSON object, one key per dataclass field."""
+    return {f.name: _plain(getattr(witness, f.name)) for f in dataclasses.fields(witness)}
 
 
 def witness_to_partition(data: dict[str, Any]) -> PartitionWitness:
@@ -229,24 +239,13 @@ def _cmd_check(args) -> tuple[bool, Any]:
     b = parse_system(_read(args.system_b))
     if args.mode == "conjugate":
         witness = decide_conjugate(a, b, allow_recolor=args.recolor)
-        if witness is None:
-            return False, None
-        return True, {
-            "gamma": list(witness.gamma),
-            "recolor": list(witness.recolor) if witness.recolor is not None else None,
-        }
-    if args.mode == "piecewise":
+    elif args.mode == "piecewise":
         witness = decide_piecewise(a, b)
-        if witness is None:
-            return False, None
-        return True, {
-            "gamma": list(witness.gamma),
-            "alpha": [list(p) for p in witness.alpha],
-        }
-    witness = decide_partition(a, b)
+    else:
+        witness = decide_partition(a, b)
     if witness is None:
         return False, None
-    return True, _partition_witness_json(witness)
+    return True, _witness_json(witness)
 
 
 def _cmd_signature(args) -> tuple[Optional[bool], Any]:
@@ -304,7 +303,7 @@ def _cmd_iso_build(args) -> tuple[bool, Any]:
         for i in range(a.arity)
     )
     return True, {
-        **_partition_witness_json(witness),
+        **_witness_json(witness),
         "forward_generators": [_element_json(e) for e in forward.generator_images],
         "reverse_generators": [_element_json(e) for e in reverse.generator_images],
         "round_trip_on_generators": round_trip_ok,

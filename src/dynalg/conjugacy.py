@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
 from .dynsys import FiniteSystem
-from .matching import lex_least_injective
 from .quotient import local_signature
 
 Permutation = tuple[int, ...]
@@ -83,6 +82,13 @@ class PartitionWitness:
     def index_set(self, i: int, j: int) -> frozenset[int]:
         """V_{i,j}: the points whose colour field sends i to j."""
         return frozenset(x for x, perm in enumerate(self.alpha) if perm[i] == j)
+
+    def inverse(self) -> "PartitionWitness":
+        """The witness from b back to a: gamma^-1, with alpha'_y = alpha_{gamma^-1 y}^-1."""
+        gamma_inv = _invert(self.gamma)
+        return PartitionWitness(
+            gamma=gamma_inv, alpha=tuple(_invert(self.alpha[x]) for x in gamma_inv)
+        )
 
 
 @dataclass(frozen=True)
@@ -252,14 +258,22 @@ def decide_conjugate(
     )
 
 
-def _pointwise_options(
-    a: FiniteSystem, b: FiniteSystem, gamma: Permutation, x: int
-) -> list[list[int]]:
-    """For each colour i, the colours j with gamma(sigma_i(x)) = tau_j(gamma(x))."""
-    gx = gamma[x]
+def _alpha_options(
+    a: FiniteSystem, b: FiniteSystem, gamma: Permutation
+) -> list[list[Permutation]]:
+    """The admissible colour permutations at each point, in lexicographic order.
+
+    alpha_x is admissible when gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x))
+    for every colour i.
+    """
+    perms = list(itertools.permutations(range(a.arity)))
     return [
-        [j for j in range(a.arity) if gamma[a.tables[i][x]] == b.tables[j][gx]]
-        for i in range(a.arity)
+        [
+            p
+            for p in perms
+            if all(gamma[a.tables[i][x]] == b.tables[j][gamma[x]] for i, j in enumerate(p))
+        ]
+        for x in range(a.size)
     ]
 
 
@@ -279,11 +293,7 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
         b,
         [0] * (2 * a.size),
         lambda gamma, _: PiecewiseWitness(
-            gamma=gamma,
-            alpha=tuple(
-                lex_least_injective(_pointwise_options(a, b, gamma, x))
-                for x in range(a.size)
-            ),
+            gamma=gamma, alpha=tuple(ok[0] for ok in _alpha_options(a, b, gamma))
         ),
     )
 
@@ -293,16 +303,11 @@ def _partition_alpha_field(
 ) -> Optional[tuple[Permutation, ...]]:
     """Backtracking over alpha fields satisfying the preimage conditions."""
     n = a.arity
-    all_perms = list(itertools.permutations(range(n)))
-    options: list[list[Permutation]] = []
-    for x in range(a.size):
-        compat = _pointwise_options(a, b, gamma, x)
-        ok = [p for p in all_perms if all(p[i] in compat[i] for i in range(n))]
-        if not ok:
-            return None
-        options.append(ok)
+    options = _alpha_options(a, b, gamma)
+    if not all(options):
+        return None
 
-    inverses = {p: _invert(p) for p in all_perms}
+    inverses = {p: _invert(p) for ok in options for p in ok}
     chosen: list[Permutation] = []
 
     def consistent(x: int, perm: Permutation) -> bool:

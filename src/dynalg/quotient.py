@@ -1,12 +1,17 @@
 """Finite matrix quotients of symbolic elements and entry signatures.
 
 Compressing a symbolic element to a finite subset of points yields a
-square matrix indexed by the subset.  A function coefficient lands on
-the diagonal; a colour generator lands as a matrix of free abstract
-generators, one per edge of the subset's transition graph, with zero
-columns wherever the map leaves the subset.  Matrix entries are
-noncommutative polynomials in these edge generators, so products of
-compressed elements track exactly which edge words survive.
+square matrix indexed by the subset, with rows for targets and columns
+for sources.  Matrix entries are noncommutative polynomials in free
+abstract generators, one per edge (x, colour) -> y of the subset's
+transition graph.  A term s_w f is compressed by walking w from each
+source x, rightmost letter first: if the walk stays inside the subset
+it adds f(x) at (end, x) on the word of edges it took, and if it leaves
+the subset the term contributes nothing at x.  So a function
+coefficient lands on the diagonal, a colour generator lands on the
+edges with zero columns wherever the map leaves the subset, and
+compression is multiplicative: the edge words record exactly which
+paths survive.
 
 The `entry signature` of a subset is the multiset of in-degrees per
 (colour, target vertex) of its transition graph.  Equal signatures are
@@ -76,27 +81,6 @@ class QuotientMatrix:
     points: tuple[int, ...]
     entries: tuple[tuple[FreeEdgePoly, ...], ...]
 
-    @staticmethod
-    def zero(points: tuple[int, ...]) -> "QuotientMatrix":
-        n = len(points)
-        return QuotientMatrix(
-            points, tuple(tuple(FreeEdgePoly.zero() for _ in range(n)) for _ in range(n))
-        )
-
-    @staticmethod
-    def diagonal(points: tuple[int, ...], values: Iterable[RationalComplex]) -> "QuotientMatrix":
-        vals = list(values)
-        n = len(points)
-        rows = []
-        for yi in range(n):
-            rows.append(
-                tuple(
-                    FreeEdgePoly.scalar(vals[yi]) if yi == xi else FreeEdgePoly.zero()
-                    for xi in range(n)
-                )
-            )
-        return QuotientMatrix(points, tuple(rows))
-
     def entry(self, target: int, source: int) -> FreeEdgePoly:
         return self.entries[self.points.index(target)][self.points.index(source)]
 
@@ -136,43 +120,43 @@ class QuotientMatrix:
         return all(row[xi].is_zero() for row in self.entries)
 
 
-def generator_matrix(sub: SubSystem, colour: int) -> QuotientMatrix:
-    """Image of the colour generator: one edge generator per defined entry."""
-    if not (0 <= colour < sub.arity):
-        raise ValueError(f"colour {colour} outside 0..{sub.arity - 1}")
-    n = len(sub.points)
-    rows = [[FreeEdgePoly.zero() for _ in range(n)] for _ in range(n)]
-    for xi, x in enumerate(sub.points):
-        y = sub.partial_tables[colour][xi]
-        if y is not None:
-            yi = sub.points.index(y)
-            rows[yi][xi] = FreeEdgePoly.generator(EdgeGenerator(x, y, colour))
-    return QuotientMatrix(sub.points, tuple(tuple(row) for row in rows))
-
-
-def function_matrix(sub: SubSystem, values: Iterable[RationalComplex]) -> QuotientMatrix:
-    """Image of a function coefficient: its values on the subset, diagonally."""
-    vals = list(values)
-    return QuotientMatrix.diagonal(sub.points, (vals[x] for x in sub.points))
-
-
 def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
     """Compress a symbolic element to the subset.
 
     ``element`` is a normal-form polynomial over ``sub.parent`` (see
-    :mod:`dynalg.semicrossed`); the compression is the multiplicative
-    linear extension of the generator and function images above.
+    :mod:`dynalg.semicrossed`).  Each term s_w f is walked from every
+    source x of the subset with f(x) != 0, rightmost letter first; a
+    walk that stays inside the subset adds f(x) at (end, x) on the edge
+    word of its steps, outermost edge first.
     """
     if element.system != sub.parent:
         raise ValueError("element lives over a different system")
-    gens = [generator_matrix(sub, i) for i in range(sub.arity)]
-    acc = QuotientMatrix.zero(sub.points)
+    tables = sub.parent.tables
+    inside = set(sub.points)
+    cells: dict[tuple[int, int], dict[EdgeWord, RationalComplex]] = {}
     for word, coeff in element.terms.items():
-        m = function_matrix(sub, coeff.values)
-        for letter in reversed(word):
-            m = gens[letter] @ m
-        acc = acc + m
-    return acc
+        for x in sub.points:
+            value = coeff.values[x]
+            if value.is_zero():
+                continue
+            y, edges = x, []
+            for letter in reversed(word):
+                z = tables[letter][y]
+                if z not in inside:
+                    break
+                edges.append(EdgeGenerator(y, z, letter))
+                y = z
+            else:
+                # The edge word fixes both the letters and the source, so
+                # no two (term, source) pairs land on the same word.
+                cells.setdefault((y, x), {})[tuple(reversed(edges))] = value
+    return QuotientMatrix(
+        sub.points,
+        tuple(
+            tuple(FreeEdgePoly.make(cells.get((y, x), {})) for x in sub.points)
+            for y in sub.points
+        ),
+    )
 
 
 EntrySignature = tuple[int, ...]

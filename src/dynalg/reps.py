@@ -261,8 +261,17 @@ class CKFamily:
         return out
 
 
+# Largest basis built, each path counted as 1 + its length (what it stores):
+# two bijections of 4 points fit depth 14, a single loop depth 2,046.
+MAX_FOCK_SIZE = 1 << 21
+
+
 def build_truncated_fock(graph: EdgeColoredGraph, depth: int) -> CKFamily:
-    """Enumerate composable paths of length <= depth plus one vacuum per vertex."""
+    """Enumerate composable paths of length <= depth plus one vacuum per vertex.
+
+    Stops early once no path extends; raises ValueError before the basis
+    would pass MAX_FOCK_SIZE.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     by_source: dict[int, list[Edge]] = {}
@@ -270,13 +279,22 @@ def build_truncated_fock(graph: EdgeColoredGraph, depth: int) -> CKFamily:
         by_source.setdefault(e[0], []).append(e)
     paths: list[FockPath] = [FockPath(v, ()) for v in graph.vertices]
     frontier = list(paths)
-    for _ in range(depth):
-        extended = []
-        for p in frontier:
-            for e in by_source.get(p.range_vertex, []):
-                extended.append(FockPath(p.vertex, (e,) + p.edges))
-        paths.extend(extended)
-        frontier = extended
+    size = len(paths)
+    for length in range(1, depth + 1):
+        if not frontier:
+            break
+        size += (1 + length) * sum(len(by_source.get(p.range_vertex, ())) for p in frontier)
+        if size > MAX_FOCK_SIZE:
+            raise ValueError(
+                f"the paths of length <= {length} pass the basis limit"
+                f" ({MAX_FOCK_SIZE} path entries); use a smaller depth"
+            )
+        frontier = [
+            FockPath(p.vertex, (e,) + p.edges)
+            for p in frontier
+            for e in by_source.get(p.range_vertex, [])
+        ]
+        paths.extend(frontier)
     paths.sort(key=lambda p: (p.length, p.edges, p.vertex))
     return CKFamily(graph=graph, depth=depth, basis=tuple(paths))
 

@@ -264,8 +264,9 @@ def partition_isomorphism(a: FiniteSystem, b: FiniteSystem, witness) -> tuple[Co
 
     With index sets V_{i,j} = {x : alpha_x(i) = j} the forward map sends
     f to f o gamma^-1 and s_i to sum_j t_j chi_{gamma(V_{i,j})}; the
-    reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}}.
-    The witness is re-verified first; an invalid one is rejected.
+    reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}},
+    which is the forward map of the inverse witness.  The witness is
+    re-verified first; an invalid one is rejected.
     """
     from .conjugacy import PartitionWitness, verify_partition_witness
 
@@ -275,44 +276,25 @@ def partition_isomorphism(a: FiniteSystem, b: FiniteSystem, witness) -> tuple[Co
     if not report.passed:
         conditions = ", ".join(sorted({f.condition for f in report.failures}))
         raise ValueError(f"witness fails verification: {conditions}")
+    return _forward(a, b, witness), _forward(b, a, witness.inverse())
 
+
+def _forward(a: FiniteSystem, b: FiniteSystem, witness) -> CovariantHom:
+    """The hom a -> b: f to f o gamma^-1, s_i to sum_j t_j chi_{gamma(V_{i,j})}."""
     gamma = witness.gamma
-    n = a.arity
-
-    forward_gens = []
-    for i in range(n):
+    gens = []
+    for i in range(a.arity):
         terms: dict[Word, FunctionCoeff] = {}
-        for j in range(n):
+        for j in range(a.arity):
             v = witness.index_set(i, j)
             if v:
                 terms[(j,)] = FunctionCoeff.indicator(b.size, {gamma[x] for x in v})
-        forward_gens.append(SemicrossedElement.make(b, terms))
-    forward = CovariantHom(
+        gens.append(SemicrossedElement.make(b, terms))
+    return CovariantHom(
         source=a,
         target=b,
         point_mass_images=tuple(
             FunctionCoeff.indicator(b.size, {gamma[x]}) for x in range(a.size)
         ),
-        generator_images=tuple(forward_gens),
+        generator_images=tuple(gens),
     )
-
-    gamma_inv = [0] * len(gamma)
-    for x, y in enumerate(gamma):
-        gamma_inv[y] = x
-    reverse_gens = []
-    for j in range(n):
-        terms = {}
-        for i in range(n):
-            v = witness.index_set(i, j)
-            if v:
-                terms[(i,)] = FunctionCoeff.indicator(a.size, v)
-        reverse_gens.append(SemicrossedElement.make(a, terms))
-    reverse = CovariantHom(
-        source=b,
-        target=a,
-        point_mass_images=tuple(
-            FunctionCoeff.indicator(a.size, {gamma_inv[y]}) for y in range(b.size)
-        ),
-        generator_images=tuple(reverse_gens),
-    )
-    return forward, reverse

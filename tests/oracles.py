@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from dynalg.dynsys import FiniteSystem
+from dynalg.dynsys import FiniteSystem, SubSystem
+from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix
 from dynalg.reps import CKReport, ColourDefect, FockPath
 from dynalg.semicrossed import SemicrossedElement, pullback
 
@@ -202,6 +203,45 @@ def random_element(
         coeff = FunctionCoeff(values)
         out[word] = out[word] + coeff if word in out else coeff
     return SemicrossedElement.make(sys, out)
+
+
+# ---- quotient oracle ---------------------------------------------------------
+
+
+def matrix_product_quotient(sub: SubSystem, element: SemicrossedElement) -> QuotientMatrix:
+    """The compression as a product of matrices, one letter at a time.
+
+    Each colour generator becomes the matrix with one edge generator per
+    defined entry of the subset's partial map, each function coefficient
+    becomes the diagonal of its values on the subset, and s_w f maps to
+    the product of these matrices in the order of the word.
+    """
+    n = len(sub.points)
+    zero = FreeEdgePoly.zero()
+
+    def matrix(cells: dict[tuple[int, int], FreeEdgePoly]) -> QuotientMatrix:
+        return QuotientMatrix(
+            sub.points,
+            tuple(tuple(cells.get((y, x), zero) for x in range(n)) for y in range(n)),
+        )
+
+    gens = []
+    for colour in range(sub.arity):
+        cells = {}
+        for xi, x in enumerate(sub.points):
+            y = sub.partial_tables[colour][xi]
+            if y is not None:
+                edge = EdgeGenerator(x, y, colour)
+                cells[(sub.points.index(y), xi)] = FreeEdgePoly.generator(edge)
+        gens.append(matrix(cells))
+    acc = matrix({})
+    for word, coeff in element.terms.items():
+        diagonal = {(k, k): FreeEdgePoly.scalar(coeff.values[x]) for k, x in enumerate(sub.points)}
+        m = matrix(diagonal)
+        for letter in reversed(word):
+            m = gens[letter] @ m
+        acc = acc + m
+    return acc
 
 
 # ---- path-space oracle ---------------------------------------------------------

@@ -85,6 +85,19 @@ def test_parse_system_names_and_labels():
         parse_system('{"points":["p","q"],"maps":[["r","p"]]}')
 
 
+def test_labels_that_are_lists_exit_2(tmp_path):
+    path = tmp_path / "labels.json"
+    path.write_text('{"points": 2, "labels": [[1], [2]], "maps": [[0, 1]]}')
+    report, code = run_command(["signature", str(path)])
+    assert code == 2 and "strings" in report["error"]
+
+
+def test_labels_that_are_numbers_are_rejected():
+    # 1 and "1" are distinct JSON values but would print as the same name
+    with pytest.raises(FormatError, match="strings"):
+        parse_system_record('{"points": 2, "labels": [1, "1"], "maps": [[0, 1]]}')
+
+
 def test_round_trip_bit_exact():
     for system in (TWO_POINT_MIXED, FOUR_POINT_OVERLAP, FOUR_POINT_SPLIT_B):
         text = dump_system(system)
@@ -159,6 +172,21 @@ def test_parse_u1n_inverts_dump(x):
 
 
 # ---- commands -------------------------------------------------------------------
+
+
+def test_witnesses_list_their_fields_in_order(files):
+    report, _ = run_command(["check", "--mode", "conjugate", files["mixed"], files["mixed"]])
+    assert list(report["witness"].items()) == [("gamma", [0, 1]), ("recolor", None)]
+    report, _ = run_command(
+        ["check", "--mode", "conjugate", "--recolor", files["mixed"], files["mixed"]]
+    )
+    assert list(report["witness"].items()) == [("gamma", [0, 1]), ("recolor", [0, 1])]
+    for mode in ("piecewise", "partition"):
+        report, _ = run_command(["check", "--mode", mode, files["split_a"], files["split_b"]])
+        assert list(report["witness"]) == ["gamma", "alpha"]
+        assert all(isinstance(p, list) for p in report["witness"]["alpha"])
+    report, _ = run_command(["iso-build", files["split_a"], files["split_b"]])
+    assert list(report["witness"])[:2] == ["gamma", "alpha"]
 
 
 def test_check_partition_negative(files):
@@ -272,6 +300,24 @@ def test_fock_reaches_depth_8(tmp_path):
     assert code == 0
     assert report["witness"]["dimension"] == 2044
     assert list(report["witness"]["relations"].values()) == [True] * 4
+
+
+def test_fock_stops_once_no_path_extends(tmp_path):
+    # on {0, 1} the only edge is 0 -> 1, so no path is longer than 1
+    path = tmp_path / "acyclic.json"
+    path.write_text('{"points": 3, "maps": [[1, 2, 2]]}')
+    report, code = run_command(["fock", str(path), "--subset", "0,1", "--depth", str(10**9)])
+    assert code == 0
+    assert report["witness"]["dimension"] == 3
+    assert report["timing_ms"] < 1000
+
+
+def test_fock_rejects_depth_past_basis_limit(tmp_path):
+    path = tmp_path / "rotation.json"
+    path.write_text('{"points":4,"maps":[[1,2,3,0],[3,0,1,2]]}')
+    report, code = run_command(["fock", str(path), "--depth", "20"])
+    assert code == 2 and "smaller depth" in report["error"]
+    assert report["timing_ms"] < 10000
 
 
 def test_fock_rejects_malformed_subset(files):

@@ -278,6 +278,23 @@ def test_large_partition_witnesses_verify():
     assert found >= 18
 
 
+def test_inverse_witness_verifies_backwards():
+    found = 0
+    for _, a, b in _large_pairs(332):
+        witness = decide_partition(a, b)
+        if witness is None:
+            continue
+        found += 1
+        inverse = witness.inverse()
+        assert verify_partition_witness(b, a, inverse).passed
+        assert inverse.inverse() == witness
+        for i in range(a.arity):
+            for j in range(a.arity):
+                image = {witness.gamma[x] for x in witness.index_set(i, j)}
+                assert inverse.index_set(j, i) == image
+    assert found >= 18
+
+
 def test_single_class_partition_implies_recoloured_conjugacy():
     rng = random.Random(53)
     checked = 0

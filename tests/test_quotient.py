@@ -19,7 +19,7 @@ from dynalg.quotient import (
 from dynalg.scalars import ONE, qc
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
-from oracles import random_element, random_system, scrambled_pair
+from oracles import matrix_product_quotient, random_element, random_system, scrambled_pair
 
 
 def test_quotient_of_generator_places_edge_generators():
@@ -61,6 +61,80 @@ def test_quotient_multiplicativity_against_matrix_product():
         a = random_element(rng, sys, 2, terms=3)
         b = random_element(rng, sys, 2, terms=3)
         assert quotient_map(sub, sc_multiply(a, b)) == quotient_map(sub, a) @ quotient_map(sub, b)
+
+
+def test_quotient_map_matches_matrix_product_oracle_on_random_systems():
+    rng = random.Random(22)
+    for _ in range(150):
+        sys = random_system(rng, rng.randint(1, 6), rng.randint(1, 3))
+        sub = restrict(sys, rng.sample(range(sys.size), rng.randint(1, sys.size)))
+        element = random_element(rng, sys, 4, terms=rng.randint(1, 6))
+        assert quotient_map(sub, element) == matrix_product_quotient(sub, element)
+
+
+def test_walks_that_leave_the_subset_contribute_nothing():
+    # the 3-cycle 0 -> 1 -> 2 -> 0 on the subset {0, 2}: s_0 s_0 walks 0 -> 1 -> 2,
+    # leaving the subset and coming back, and 2 -> 0 -> 1 ends outside
+    cycle = FiniteSystem(size=3, tables=((1, 2, 0),))
+    sub = restrict(cycle, {0, 2})
+    one = FunctionCoeff.one(3)
+    twice = SemicrossedElement.monomial(cycle, (0, 0), one)
+    assert all(entry.is_zero() for row in quotient_map(sub, twice).entries for entry in row)
+    thrice = quotient_map(sub, SemicrossedElement.monomial(cycle, (0, 0, 0), one))
+    assert thrice.entry(0, 0).is_zero() and thrice.entry(2, 2).is_zero()
+    once = quotient_map(sub, SemicrossedElement.monomial(cycle, (0,), one))
+    assert once.entry(0, 2) == FreeEdgePoly.generator(EdgeGenerator(2, 0, 0))
+
+    rng = random.Random(23)
+    reentered = 0
+    for _ in range(150):
+        sys = random_system(rng, rng.randint(3, 6), rng.randint(1, 3))
+        subset = rng.sample(range(sys.size), rng.randint(2, sys.size - 1))
+        sub = restrict(sys, subset)
+        word = tuple(rng.randrange(sys.arity) for _ in range(rng.randint(1, 4)))
+        element = SemicrossedElement.monomial(sys, word, FunctionCoeff.one(sys.size))
+        mat = quotient_map(sub, element)
+        assert mat == matrix_product_quotient(sub, element)
+        for x in subset:
+            visited = [x]
+            for letter in reversed(word):
+                visited.append(sys.tables[letter][visited[-1]])
+            stays = set(visited) <= set(subset)
+            reentered += not stays and visited[-1] in subset
+            assert mat.column_is_zero(x) != stays
+            if stays:
+                steps = [
+                    EdgeGenerator(visited[k], visited[k + 1], letter)
+                    for k, letter in enumerate(reversed(word))
+                ]
+                edge_word = tuple(reversed(steps))
+                assert mat.entry(visited[-1], x) == FreeEdgePoly.make({edge_word: ONE})
+    assert reentered > 0
+
+
+def test_quotient_map_matches_oracle_when_terms_cancel():
+    rng = random.Random(24)
+    for _ in range(60):
+        sys = random_system(rng, rng.randint(2, 5), rng.randint(1, 3))
+        sub = restrict(sys, rng.sample(range(sys.size), rng.randint(1, sys.size)))
+        p = random_element(rng, sys, 3, terms=4)
+        r = random_element(rng, sys, 3, terms=3)
+        # the terms of p cancel in (r - p) + p
+        total = (r - p) + p
+        assert total == r
+        assert quotient_map(sub, total) == quotient_map(sub, r) == matrix_product_quotient(sub, r)
+        zero = quotient_map(sub, p - p)
+        assert zero == matrix_product_quotient(sub, p - p)
+        assert all(entry.is_zero() for row in zero.entries for entry in row)
+        # a coefficient vanishing at a point zeroes that point's column
+        kept = rng.sample(range(sys.size), rng.randint(0, sys.size))
+        mask = FunctionCoeff.indicator(sys.size, kept)
+        masked = p * SemicrossedElement.from_function(sys, mask)
+        compressed = quotient_map(sub, masked)
+        assert compressed == matrix_product_quotient(sub, masked)
+        for x in sub.points:
+            if mask.values[x].is_zero():
+                assert compressed.column_is_zero(x)
 
 
 def test_quotient_covariance_identity():

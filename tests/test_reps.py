@@ -13,6 +13,7 @@ from dynalg.fixtures import (
 )
 from dynalg.reps import (
     CKFamily,
+    MAX_FOCK_SIZE,
     InvalidSlotError,
     build_colour_rep,
     build_truncated_fock,
@@ -243,6 +244,16 @@ def test_build_truncated_fock_counts():
     assert report.passed_exact_relations and report.defect_structure_ok
     with pytest.raises(ValueError):
         build_truncated_fock(LOOP_GRAPH, 0)
+
+
+def test_fock_basis_is_bounded():
+    # the loop's paths have lengths 0..depth, so its basis stores
+    # (depth + 1)(depth + 2) / 2 path entries
+    fam = build_truncated_fock(LOOP_GRAPH, 2046)
+    assert sum(1 + p.length for p in fam.basis) <= MAX_FOCK_SIZE
+    for depth in (2047, 10**9):
+        with pytest.raises(ValueError, match="smaller depth"):
+            build_truncated_fock(LOOP_GRAPH, depth)
 
 
 def test_loop_family_shift_structure():

@@ -27,7 +27,7 @@ from dynalg.semicrossed import (
     sc_multiply,
 )
 
-from oracles import direct_triple_product, random_dyadic_poly, random_element
+from oracles import direct_triple_product, random_dyadic_poly, random_element, scrambled_pair
 
 
 def chi(size, subset):
@@ -245,3 +245,25 @@ def test_partition_isomorphism_round_trip_exactly():
         assert apply_hom(reverse, apply_hom(forward, a)) == a
         b = random_element(rng, FOUR_POINT_SPLIT_B, 3)
         assert apply_hom(forward, apply_hom(reverse, b)) == b
+
+
+def test_reverse_hom_pulls_back_along_gamma():
+    # the reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}}
+    rng = random.Random(10)
+    checked = 0
+    for _ in range(80):
+        a, b = scrambled_pair(rng, rng.randint(2, 6), rng.randint(1, 3))
+        witness = decide_partition(a, b)
+        if witness is None:
+            continue
+        checked += 1
+        _, reverse = partition_isomorphism(a, b, witness)
+        for x in range(a.size):
+            assert reverse.point_mass_images[witness.gamma[x]] == chi(a.size, {x})
+        for j in range(a.arity):
+            expected = SemicrossedElement.make(
+                a, {(i,): chi(a.size, witness.index_set(i, j)) for i in range(a.arity)}
+            )
+            assert reverse.generator_images[j] == expected
+        assert covariance_defects(reverse) == []
+    assert checked > 20
