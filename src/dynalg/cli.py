@@ -12,8 +12,7 @@ timing_ms, version); two runs on identical inputs differ at most in the
 timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
 2 usage or validation error.
 
-The SEED environment variable (default 7) fixes the sampling used by
-``lift`` and ``selftest``.
+The SEED environment variable (default 7) fixes the sampling of ``lift``.
 """
 
 from __future__ import annotations
@@ -235,6 +234,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(args) -> tuple[bool, Any]:
+    if args.recolor and args.mode != "conjugate":
+        raise FormatError("--recolor applies only to --mode conjugate")
     a = parse_system(_read(args.system_a))
     b = parse_system(_read(args.system_b))
     if args.mode == "conjugate":
@@ -417,7 +418,7 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", help="decide a conjugacy notion between two systems")
     check.add_argument("--mode", choices=["conjugate", "piecewise", "partition"], required=True)
     check.add_argument("--recolor", action="store_true",
-                       help="allow one global colour permutation (conjugate mode)")
+                       help="allow one global colour permutation (conjugate mode only)")
     check.add_argument("system_a")
     check.add_argument("system_b")
     check.set_defaults(func=_cmd_check)

@@ -24,6 +24,10 @@ means (re-exported here) are computed by exact combinatorial selection
 of the words of length k.  The circle-average description of those
 projections motivates the definitions but plays no computational role
 here; everything below is exact rational arithmetic.
+
+A homomorphism between two such algebras is its partition witness:
+:class:`CovariantHom` holds (gamma, alpha), and :func:`apply_hom` reads
+each term's image off a walk of its word, multiplying nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .dynsys import FiniteSystem, Word, evaluate_word, validate_word
+from .conjugacy import PartitionWitness, verify_partition_witness
+from .dynsys import FiniteSystem, Word, validate_word
 from .scalars import ONE, ZERO, RationalComplex
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
@@ -56,10 +61,6 @@ class FunctionCoeff:
     def indicator(size: int, subset: Iterable[int]) -> "FunctionCoeff":
         inside = set(subset)
         return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(size)))
-
-    @staticmethod
-    def zero(size: int) -> "FunctionCoeff":
-        return FunctionCoeff.constant(size, ZERO)
 
     @staticmethod
     def one(size: int) -> "FunctionCoeff":
@@ -97,8 +98,11 @@ class FunctionCoeff:
 
 def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> FunctionCoeff:
     """f o sigma_w, the composition with the word's map (rightmost letter first)."""
-    w = validate_word(sys, word)
-    return FunctionCoeff(tuple(f.values[evaluate_word(sys, w, x)] for x in range(sys.size)))
+    ends: Sequence[int] = range(sys.size)
+    for letter in reversed(validate_word(sys, word)):
+        table = sys.tables[letter]
+        ends = [table[y] for y in ends]
+    return FunctionCoeff(tuple(f.values[y] for y in ends))
 
 
 @dataclass(frozen=True, eq=True)
@@ -190,111 +194,103 @@ def gauge(a: SemicrossedElement, zs: Sequence[RationalComplex]) -> SemicrossedEl
 
 @dataclass(frozen=True)
 class CovariantHom:
-    """A homomorphism determined by its images of point masses and generators.
+    """The homomorphism carried by a partition witness: the hom is its witness.
 
-    ``point_mass_images[x]`` is the image of the indicator of x (this
-    pins down the map on all function coefficients by linearity);
-    ``generator_images[i]`` is the image of s_i.  A valid instance
-    satisfies h(f) h(s_i) = h(s_i) h(f o sigma_i) for every indicator f,
-    which :func:`covariance_defects` checks.
+    With V_{i,j} = {x : alpha_x(i) = j} it sends f to f o gamma^-1 and
+    s_i to sum_j t_j chi_{gamma(V_{i,j})}.  :func:`apply_hom` reads
+    images off walks, which match the multiplicative extension only for
+    an intertwining witness, so the witness is verified on construction.
+    The images of point masses and generators are derived views, which
+    :func:`covariance_defects` checks independently.
     """
 
     source: FiniteSystem
     target: FiniteSystem
-    point_mass_images: tuple[FunctionCoeff, ...]
-    generator_images: tuple[SemicrossedElement, ...]
+    witness: PartitionWitness
+
+    def __post_init__(self) -> None:
+        report = verify_partition_witness(self.source, self.target, self.witness)
+        if not report.passed:
+            conditions = ", ".join(sorted({f.condition for f in report.failures}))
+            raise ValueError(f"witness fails verification: {conditions}")
+
+    @property
+    def point_mass_images(self) -> tuple[FunctionCoeff, ...]:
+        return tuple(FunctionCoeff.indicator(self.target.size, {y}) for y in self.witness.gamma)
+
+    @property
+    def generator_images(self) -> tuple[SemicrossedElement, ...]:
+        w, size, arity = self.witness, self.target.size, self.source.arity
+        return tuple(
+            SemicrossedElement.make(self.target, {
+                (j,): FunctionCoeff.indicator(size, {w.gamma[x] for x in w.index_set(i, j)})
+                for j in range(arity)
+            })
+            for i in range(arity)
+        )
 
     def function_image(self, f: FunctionCoeff) -> FunctionCoeff:
-        out = FunctionCoeff.zero(self.target.size)
-        for x, value in enumerate(f.values):
-            if not value.is_zero():
-                out = out + self.point_mass_images[x].scale(value)
-        return out
+        """f o gamma^-1."""
+        return FunctionCoeff(tuple(f.values[x] for x in self.witness.inverse().gamma))
 
 
 def identity_hom(system: FiniteSystem) -> CovariantHom:
-    return CovariantHom(
-        source=system,
-        target=system,
-        point_mass_images=tuple(
-            FunctionCoeff.indicator(system.size, {x}) for x in range(system.size)
-        ),
-        generator_images=tuple(
-            SemicrossedElement.generator(system, i) for i in range(system.arity)
-        ),
-    )
+    identity = tuple(range(system.arity))
+    witness = PartitionWitness(gamma=tuple(range(system.size)), alpha=(identity,) * system.size)
+    return CovariantHom(system, system, witness)
 
 
 def apply_hom(hom: CovariantHom, a: SemicrossedElement) -> SemicrossedElement:
-    """Extend the generator and function images multiplicatively and linearly."""
+    """Read the image of each term off a walk through the witness.
+
+    Each term s_w f is walked from every x with f(x) != 0, rightmost
+    letter first; at each point y passed, letter i becomes alpha_y(i),
+    and the term adds f(x) at gamma(x) on the resulting word.
+    """
     if a.system != hom.source:
         raise ValueError("element lives over a different system than the hom's source")
-    acc = SemicrossedElement.zero(hom.target)
+    tables = hom.source.tables
+    gamma, alpha = hom.witness.gamma, hom.witness.alpha
+    cells: dict[Word, list[RationalComplex]] = {}
     for word, coeff in a.terms.items():
-        term = SemicrossedElement.from_function(hom.target, hom.function_image(coeff))
-        for letter in reversed(word):
-            term = sc_multiply(hom.generator_images[letter], term)
-        acc = acc + term
-    return acc
+        for x, value in enumerate(coeff.values):
+            if value.is_zero():
+                continue
+            y, letters = x, []
+            for letter in reversed(word):
+                letters.append(alpha[y][letter])
+                y = tables[letter][y]
+            # gamma(x) fixes x and each alpha_y is a permutation, so no two
+            # (term, point) pairs land on the same word at the same point.
+            values = cells.setdefault(tuple(reversed(letters)), [ZERO] * hom.target.size)
+            values[gamma[x]] = value
+    return SemicrossedElement.make(
+        hom.target, {word: FunctionCoeff(tuple(values)) for word, values in cells.items()}
+    )
 
 
 def covariance_defects(hom: CovariantHom) -> list[tuple[int, int]]:
     """All (colour, point) pairs where the covariance relation fails."""
+
+    def image(f: FunctionCoeff) -> SemicrossedElement:
+        return SemicrossedElement.from_function(hom.target, hom.function_image(f))
+
     defects = []
-    for i in range(hom.source.arity):
-        hi = hom.generator_images[i]
+    for i, hi in enumerate(hom.generator_images):
         for x in range(hom.source.size):
             chi = FunctionCoeff.indicator(hom.source.size, {x})
-            lhs = sc_multiply(
-                SemicrossedElement.from_function(hom.target, hom.function_image(chi)), hi
-            )
-            rhs = sc_multiply(
-                hi,
-                SemicrossedElement.from_function(
-                    hom.target, hom.function_image(pullback(chi, (i,), hom.source))
-                ),
-            )
-            if lhs != rhs:
+            lhs = sc_multiply(image(chi), hi)
+            if lhs != sc_multiply(hi, image(pullback(chi, (i,), hom.source))):
                 defects.append((i, x))
     return defects
 
 
-def partition_isomorphism(a: FiniteSystem, b: FiniteSystem, witness) -> tuple[CovariantHom, CovariantHom]:
-    """The mutually inverse homomorphism pair carried by a partition witness.
+def partition_isomorphism(
+    a: FiniteSystem, b: FiniteSystem, witness: PartitionWitness
+) -> tuple[CovariantHom, CovariantHom]:
+    """The mutually inverse hom pair of a witness and of its inverse.
 
-    With index sets V_{i,j} = {x : alpha_x(i) = j} the forward map sends
-    f to f o gamma^-1 and s_i to sum_j t_j chi_{gamma(V_{i,j})}; the
-    reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}},
-    which is the forward map of the inverse witness.  The witness is
-    re-verified first; an invalid one is rejected.
+    The reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}}.
+    An invalid witness raises ``ValueError``.
     """
-    from .conjugacy import PartitionWitness, verify_partition_witness
-
-    if not isinstance(witness, PartitionWitness):
-        witness = PartitionWitness(gamma=tuple(witness.gamma), alpha=tuple(witness.alpha))
-    report = verify_partition_witness(a, b, witness)
-    if not report.passed:
-        conditions = ", ".join(sorted({f.condition for f in report.failures}))
-        raise ValueError(f"witness fails verification: {conditions}")
-    return _forward(a, b, witness), _forward(b, a, witness.inverse())
-
-
-def _forward(a: FiniteSystem, b: FiniteSystem, witness) -> CovariantHom:
-    """The hom a -> b: f to f o gamma^-1, s_i to sum_j t_j chi_{gamma(V_{i,j})}."""
-    gamma = witness.gamma
-    gens = []
-    for i in range(a.arity):
-        terms: dict[Word, FunctionCoeff] = {}
-        for j in range(a.arity):
-            v = witness.index_set(i, j)
-            if v:
-                terms[(j,)] = FunctionCoeff.indicator(b.size, {gamma[x] for x in v})
-        gens.append(SemicrossedElement.make(b, terms))
-    return CovariantHom(
-        source=a,
-        target=b,
-        point_mass_images=tuple(
-            FunctionCoeff.indicator(b.size, {gamma[x]}) for x in range(a.size)
-        ),
-        generator_images=tuple(gens),
-    )
+    return CovariantHom(a, b, witness), CovariantHom(b, a, witness.inverse())

@@ -17,7 +17,7 @@ import numpy as np
 from dynalg.dynsys import FiniteSystem, SubSystem
 from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix
 from dynalg.reps import CKReport, ColourDefect, FockPath
-from dynalg.semicrossed import SemicrossedElement, pullback
+from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
 # Randomized property tests honour the optional SEED environment variable;
 # the default keeps every run identical.
@@ -203,6 +203,27 @@ def random_element(
         coeff = FunctionCoeff(values)
         out[word] = out[word] + coeff if word in out else coeff
     return SemicrossedElement.make(sys, out)
+
+
+def multiplicative_hom_image(hom, element: SemicrossedElement) -> SemicrossedElement:
+    """A hom's image of an element as a product of images, one letter at a time.
+
+    Each function coefficient maps to the sum of its values times the
+    point-mass images, each generator to its generator image, and s_w f
+    to the product of these images in the order of the word.
+    """
+    gens = hom.generator_images
+    acc = SemicrossedElement.zero(hom.target)
+    for word, coeff in element.terms.items():
+        image = FunctionCoeff.constant(hom.target.size, 0)
+        for x, value in enumerate(coeff.values):
+            if not value.is_zero():
+                image = image + hom.point_mass_images[x].scale(value)
+        term = SemicrossedElement.from_function(hom.target, image)
+        for letter in reversed(word):
+            term = sc_multiply(gens[letter], term)
+        acc = acc + term
+    return acc
 
 
 # ---- quotient oracle ---------------------------------------------------------

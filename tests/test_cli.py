@@ -214,6 +214,14 @@ def test_check_conjugate_modes(files):
     assert code == 0 and report["witness"]["gamma"] == [0, 1]
 
 
+def test_recolor_is_rejected_outside_conjugate_mode(files):
+    for mode in ("partition", "piecewise"):
+        report, code = run_command(
+            ["check", "--mode", mode, "--recolor", files["mixed"], files["const"]]
+        )
+        assert code == 2 and "--recolor" in report["error"], mode
+
+
 def test_partition_witness_replays(files):
     report, code = run_command(
         ["check", "--mode", "partition", files["split_a"], files["split_b"]]

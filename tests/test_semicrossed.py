@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from dynalg.conjugacy import decide_partition
+from dynalg.conjugacy import PartitionWitness, decide_partition
+from dynalg.dynsys import evaluate_word
 from dynalg.fixtures import (
     FOUR_POINT_SPLIT_A,
     FOUR_POINT_SPLIT_B,
@@ -14,6 +16,7 @@ from dynalg.freeprod import FPPoly
 from dynalg.quotient import EdgeGenerator, FreeEdgePoly
 from dynalg.scalars import ONE, qc
 from dynalg.semicrossed import (
+    CovariantHom,
     FunctionCoeff,
     SemicrossedElement,
     apply_hom,
@@ -27,7 +30,14 @@ from dynalg.semicrossed import (
     sc_multiply,
 )
 
-from oracles import direct_triple_product, random_dyadic_poly, random_element, scrambled_pair
+from oracles import (
+    direct_triple_product,
+    multiplicative_hom_image,
+    random_dyadic_poly,
+    random_element,
+    random_system,
+    scrambled_pair,
+)
 
 
 def chi(size, subset):
@@ -40,6 +50,18 @@ def test_pullback_examples():
     assert pullback(chi0, (), TWO_POINT_MIXED) == chi0
     const = FunctionCoeff.constant(2, qc(5))
     assert pullback(const, (0, 1, 1), TWO_POINT_MIXED) == const
+
+
+def test_pullback_matches_evaluate_word():
+    rng = random.Random(13)
+    for _ in range(100):
+        sys = random_system(rng, rng.randint(1, 6), rng.randint(1, 3))
+        f = FunctionCoeff(tuple(rng.randint(-5, 5) for _ in range(sys.size)))
+        word = tuple(rng.randrange(sys.arity) for _ in range(rng.randint(0, 5)))
+        expected = tuple(f.values[evaluate_word(sys, word, x)] for x in range(sys.size))
+        assert pullback(f, word, sys).values == expected
+    with pytest.raises(ValueError):
+        pullback(FunctionCoeff.one(2), (2,), TWO_POINT_MIXED)
 
 
 def test_elements_hash_consistently_with_equality():
@@ -267,3 +289,48 @@ def test_reverse_hom_pulls_back_along_gamma():
             assert reverse.generator_images[j] == expected
         assert covariance_defects(reverse) == []
     assert checked > 20
+
+
+def _partition_homs(rng, pairs):
+    """The hom pairs of the partition-matchable scrambled pairs among ``pairs`` draws."""
+    homs = []
+    for _ in range(pairs):
+        a, b = scrambled_pair(rng, rng.randint(2, 6), rng.randint(1, 3))
+        witness = decide_partition(a, b)
+        if witness is not None:
+            homs.append(partition_isomorphism(a, b, witness))
+    return homs
+
+
+def test_apply_hom_matches_multiplicative_oracle():
+    rng = random.Random(11)
+    pairs = _partition_homs(rng, 80)
+    assert len(pairs) > 20
+    for forward, reverse in pairs:
+        for hom in (forward, reverse, identity_hom(forward.source)):
+            for _ in range(2):
+                element = random_element(rng, hom.source, 5)
+                assert apply_hom(hom, element) == multiplicative_hom_image(hom, element)
+
+
+def test_apply_hom_is_multiplicative_and_linear():
+    rng = random.Random(12)
+    pairs = _partition_homs(rng, 60)
+    assert len(pairs) > 15
+    for pair in pairs:
+        for hom in pair:
+            x = random_element(rng, hom.source, 3)
+            y = random_element(rng, hom.source, 3)
+            assert apply_hom(hom, x * y) == apply_hom(hom, x) * apply_hom(hom, y)
+            assert apply_hom(hom, x - y) == apply_hom(hom, x) - apply_hom(hom, y)
+
+
+def test_covariant_hom_is_its_verified_witness():
+    assert [f.name for f in dataclasses.fields(CovariantHom)] == ["source", "target", "witness"]
+    bad = PartitionWitness(gamma=(0, 1), alpha=((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="witness fails verification"):
+        CovariantHom(TWO_POINT_MIXED, TWO_POINT_CONSTANT, bad)
+    with pytest.raises(ValueError):
+        CovariantHom(TWO_POINT_MIXED, TWO_POINT_MIXED, PartitionWitness((0, 0), ((0, 1),) * 2))
+    witness = decide_partition(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B)
+    assert CovariantHom(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).witness == witness
