@@ -49,9 +49,9 @@ class FunctionCoeff:
     values: tuple[RationalComplex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", tuple(RationalComplex.coerce(v) for v in self.values)
-        )
+        values = self.values
+        if type(values) is not tuple or any(type(v) is not RationalComplex for v in values):
+            object.__setattr__(self, "values", tuple(RationalComplex.coerce(v) for v in values))
 
     @staticmethod
     def constant(size: int, value: RationalComplex | int | Fraction) -> "FunctionCoeff":

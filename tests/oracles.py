@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from typing import Optional
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,6 +28,109 @@ SEED_OFFSET = int(os.environ.get("SEED", "0"))
 
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed + SEED_OFFSET)
+
+
+# ---- scalar oracle -------------------------------------------------------------
+
+FractionPairLike = Union[int, Fraction, "FractionPairComplex"]
+
+
+@dataclass(frozen=True)
+class FractionPairComplex:
+    """re + im*i held as two Fractions: the exact scalar as it was first
+    written, kept as the reference for dynalg.scalars.RationalComplex."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", Fraction(self.re))
+        object.__setattr__(self, "im", Fraction(self.im))
+
+    @staticmethod
+    def coerce(value: FractionPairLike) -> "FractionPairComplex":
+        if isinstance(value, FractionPairComplex):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return FractionPairComplex(Fraction(value))
+        raise TypeError(f"cannot interpret {value!r} as an exact complex scalar")
+
+    # ---- field operations -------------------------------------------------
+
+    def __add__(self, other: FractionPairLike) -> "FractionPairComplex":
+        other = FractionPairComplex.coerce(other)
+        return FractionPairComplex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: FractionPairLike) -> "FractionPairComplex":
+        other = FractionPairComplex.coerce(other)
+        return FractionPairComplex(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other: FractionPairLike) -> "FractionPairComplex":
+        return FractionPairComplex.coerce(other) - self
+
+    def __mul__(self, other: FractionPairLike) -> "FractionPairComplex":
+        other = FractionPairComplex.coerce(other)
+        return FractionPairComplex(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: FractionPairLike) -> "FractionPairComplex":
+        other = FractionPairComplex.coerce(other)
+        denom = other.re * other.re + other.im * other.im
+        if denom == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        return FractionPairComplex(
+            (self.re * other.re + self.im * other.im) / denom,
+            (self.im * other.re - self.re * other.im) / denom,
+        )
+
+    def __rtruediv__(self, other: FractionPairLike) -> "FractionPairComplex":
+        return FractionPairComplex.coerce(other) / self
+
+    def __neg__(self) -> "FractionPairComplex":
+        return FractionPairComplex(-self.re, -self.im)
+
+    def __pow__(self, exponent: int) -> "FractionPairComplex":
+        if exponent < 0:
+            return FRACTION_PAIR_ONE / (self ** (-exponent))
+        out = FRACTION_PAIR_ONE
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    # ---- structure ---------------------------------------------------------
+
+    def conjugate(self) -> "FractionPairComplex":
+        return FractionPairComplex(self.re, -self.im)
+
+    def abs_sq(self) -> Fraction:
+        """|z|^2, exactly."""
+        return self.re * self.re + self.im * self.im
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self) -> str:
+        if self.im == 0:
+            return f"{self.re}"
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re}{sign}{abs(self.im)}i)"
+
+
+FRACTION_PAIR_ONE = FractionPairComplex(Fraction(1))
 
 
 # ---- partition / conjugacy oracles ----------------------------------------
@@ -184,10 +289,7 @@ def random_dyadic_poly(rng: random.Random, signature, max_degree=4, terms=4):
 def random_element(
     rng: random.Random, sys: FiniteSystem, max_degree: int, terms: int = 4
 ) -> SemicrossedElement:
-    from fractions import Fraction
-
     from dynalg.scalars import RationalComplex
-    from dynalg.semicrossed import FunctionCoeff
 
     out = {}
     for _ in range(terms):
