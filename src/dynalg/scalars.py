@@ -76,8 +76,6 @@ class RationalComplex:
         if type(other) is not RationalComplex:
             other = RationalComplex.coerce(other)
         d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
@@ -86,8 +84,6 @@ class RationalComplex:
         if type(other) is not RationalComplex:
             other = RationalComplex.coerce(other)
         d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
         return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other: RationalLike) -> "RationalComplex":
