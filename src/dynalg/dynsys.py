@@ -66,15 +66,15 @@ class FiniteSystem:
 
 @dataclass(frozen=True)
 class SubSystem:
-    """A subset of a system's points with the induced partial maps.
+    """A subset of a system's points, sorted; its maps are the parent's.
 
-    ``partial_tables[i][k]`` is the image of ``points[k]`` under map i
-    when that image lies in the subset, else None.
+    Map i is defined at a point x of the subset exactly when
+    ``parent.tables[i][x]`` lies in the subset too.  Build one with
+    :func:`restrict`, which validates and sorts the points.
     """
 
     parent: FiniteSystem
     points: tuple[int, ...]
-    partial_tables: tuple[tuple[Optional[int], ...], ...]
 
     @property
     def arity(self) -> int:
@@ -94,20 +94,30 @@ class EdgeColoredGraph:
     edges: tuple[Edge, ...]
     colours: int
 
-    def edges_of_colour(self, colour: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[2] == colour)
-
     def in_edges(self, vertex: int, colour: Optional[int] = None) -> tuple[Edge, ...]:
         return tuple(
             e for e in self.edges if e[1] == vertex and (colour is None or e[2] == colour)
         )
 
 
+def check_point(sys: FiniteSystem, x: object) -> int:
+    """x itself when it is an int (not a bool) naming a point; else ValueError."""
+    if not (_is_int(x) and 0 <= x < sys.size):
+        raise ValueError(f"point {x!r} outside 0..{sys.size - 1}")
+    return x
+
+
+def check_colour(sys: FiniteSystem, colour: object) -> int:
+    """colour itself when it is an int (not a bool) naming a map; else ValueError."""
+    if not (_is_int(colour) and 0 <= colour < sys.arity):
+        raise ValueError(f"colour {colour!r} outside 0..{sys.arity - 1}")
+    return colour
+
+
 def validate_word(sys: FiniteSystem, word: Sequence[int]) -> Word:
     w = tuple(word)
     for letter in w:
-        if not (0 <= letter < sys.arity):
-            raise ValueError(f"letter {letter} outside colour range 0..{sys.arity - 1}")
+        check_colour(sys, letter)
     return w
 
 
@@ -117,8 +127,7 @@ def evaluate_word(sys: FiniteSystem, word: Sequence[int], x: int) -> int:
     The empty word is the identity.
     """
     w = validate_word(sys, word)
-    if not (0 <= x < sys.size):
-        raise ValueError(f"point {x} outside 0..{sys.size - 1}")
+    check_point(sys, x)
     for letter in reversed(w):
         x = sys.tables[letter][x]
     return x
@@ -126,9 +135,7 @@ def evaluate_word(sys: FiniteSystem, word: Sequence[int], x: int) -> int:
 
 def map_range(sys: FiniteSystem, colour: int) -> frozenset[int]:
     """The set of values taken by map ``colour``."""
-    if not (0 <= colour < sys.arity):
-        raise ValueError(f"colour {colour} outside 0..{sys.arity - 1}")
-    return frozenset(sys.tables[colour])
+    return frozenset(sys.tables[check_colour(sys, colour)])
 
 
 def ranges_pairwise_disjoint(
@@ -185,18 +192,10 @@ def equivalence_classes(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
 
 def restrict(sys: FiniteSystem, subset: Iterable[int]) -> SubSystem:
     """Restrict the system to a subset, with maps defined where they stay inside."""
-    pts = tuple(sorted(set(subset)))
+    pts = tuple(sorted({check_point(sys, x) for x in subset}))
     if not pts:
         raise ValueError("cannot restrict to an empty subset")
-    for x in pts:
-        if not (0 <= x < sys.size):
-            raise ValueError(f"point {x} outside 0..{sys.size - 1}")
-    inside = set(pts)
-    partial = tuple(
-        tuple(sys.tables[i][x] if sys.tables[i][x] in inside else None for x in pts)
-        for i in range(sys.arity)
-    )
-    return SubSystem(parent=sys, points=pts, partial_tables=partial)
+    return SubSystem(parent=sys, points=pts)
 
 
 def full_subsystem(sys: FiniteSystem) -> SubSystem:
@@ -204,12 +203,15 @@ def full_subsystem(sys: FiniteSystem) -> SubSystem:
 
 
 def colored_graph(sub: SubSystem) -> EdgeColoredGraph:
-    """The transition graph of a sub-system: one edge per defined entry."""
-    edges: list[Edge] = []
-    for colour in range(sub.arity):
-        for k, x in enumerate(sub.points):
-            y = sub.partial_tables[colour][k]
-            if y is not None:
-                edges.append((x, y, colour))
-    edges.sort(key=lambda e: (e[2], e[0]))
-    return EdgeColoredGraph(vertices=sub.points, edges=tuple(edges), colours=sub.arity)
+    """The transition graph of a sub-system: one edge per defined entry.
+
+    The points are sorted, so the edges come out in (colour, source) order.
+    """
+    inside = set(sub.points)
+    edges = tuple(
+        (x, y, colour)
+        for colour, table in enumerate(sub.parent.tables)
+        for x in sub.points
+        if (y := table[x]) in inside
+    )
+    return EdgeColoredGraph(vertices=sub.points, edges=edges, colours=sub.arity)

@@ -72,9 +72,6 @@ class FPPoly(WordPoly):
                 clean[tuple(word)] = c
         return FPPoly(signature=sig, terms=clean)
 
-    def _like(self, terms: Mapping[FPWord, complex]) -> "FPPoly":
-        return FPPoly.make(self.signature, terms)
-
     @staticmethod
     def zero(signature: Sequence[int]) -> "FPPoly":
         return FPPoly.make(signature, {})

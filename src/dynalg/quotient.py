@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .dynsys import FiniteSystem, SubSystem, colored_graph, restrict
+from .dynsys import FiniteSystem, SubSystem, check_point, colored_graph, restrict
 from .scalars import ONE, RationalComplex
 from .wordpoly import WordPoly
 
@@ -53,9 +53,6 @@ class FreeEdgePoly(WordPoly):
     @staticmethod
     def make(terms: dict[EdgeWord, RationalComplex]) -> "FreeEdgePoly":
         return FreeEdgePoly({w: c for w, c in terms.items() if not c.is_zero()})
-
-    def _like(self, terms: dict[EdgeWord, RationalComplex]) -> "FreeEdgePoly":
-        return FreeEdgePoly.make(terms)
 
     @staticmethod
     def zero() -> "FreeEdgePoly":
@@ -173,9 +170,7 @@ def entry_signature(sub: SubSystem) -> EntrySignature:
 
 def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
     """Entry signature of the one-step neighbourhood {x} u {images of x}."""
-    if not (0 <= x < sys.size):
-        raise ValueError(f"point {x} outside 0..{sys.size - 1}")
-    neighbourhood = {x} | {sys.tables[i][x] for i in range(sys.arity)}
+    neighbourhood = {check_point(sys, x)} | {sys.tables[i][x] for i in range(sys.arity)}
     return entry_signature(restrict(sys, neighbourhood))
 
 

@@ -35,7 +35,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Edge, EdgeColoredGraph, FiniteSystem, map_range, ranges_pairwise_disjoint
+from .dynsys import (
+    Edge, EdgeColoredGraph, FiniteSystem, check_point, map_range, ranges_pairwise_disjoint,
+)
 from .matching import lex_least_injective
 from .semicrossed import FunctionCoeff, SemicrossedElement
 
@@ -89,8 +91,7 @@ def build_colour_rep(
     distinct (forcing m <= arity), which is exactly the situation in
     which every generator image is a contraction.
     """
-    if not (0 <= base < sys.size):
-        raise ValueError(f"base point {base} outside 0..{sys.size - 1}")
+    check_point(sys, base)
     for p, c in slots:
         if not (0 <= p < sys.size) or not (0 <= c < sys.arity):
             raise InvalidSlotError(f"slot ({p}, {c}) out of range")
@@ -127,12 +128,10 @@ def nest_rep_exists(
     colours in increasing order (exponential in the number of listed
     points in the worst case).
     """
-    if not (0 <= base < sys.size):
-        raise ValueError(f"base point {base} outside 0..{sys.size - 1}")
+    check_point(sys, base)
     options = []
     for p in preimages:
-        if not (0 <= p < sys.size):
-            raise ValueError(f"point {p} outside 0..{sys.size - 1}")
+        check_point(sys, p)
         options.append([c for c in range(sys.arity) if sys.tables[c][p] == base])
     return lex_least_injective(options)
 

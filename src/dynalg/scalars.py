@@ -38,6 +38,8 @@ class RationalComplex:
     """(a + b*i)/d with ints a, b and d > 0, in lowest terms."""
 
     __slots__ = ("_a", "_b", "_d")
+    # numpy scalars defer to the reflected operators, which reject them.
+    __array_ufunc__ = None
 
     def __new__(cls, re: RationalInput, im: RationalInput = 0) -> "RationalComplex":
         re, im = _rational(re), _rational(im)

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .conjugacy import PartitionWitness, verify_partition_witness
-from .dynsys import FiniteSystem, Word, validate_word
+from .dynsys import FiniteSystem, Word, check_colour, validate_word
 from .scalars import ONE, ZERO, RationalComplex
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
@@ -95,6 +95,9 @@ class FunctionCoeff:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
 
 def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> FunctionCoeff:
     """f o sigma_w, the composition with the word's map (rightmost letter first)."""
@@ -131,9 +134,6 @@ class SemicrossedElement(WordPoly):
                 clean[w] = coeff
         return SemicrossedElement(system=system, terms=clean)
 
-    def _like(self, terms: dict[Word, FunctionCoeff]) -> "SemicrossedElement":
-        return SemicrossedElement.make(self.system, terms)
-
     def _past(self, coeff: FunctionCoeff, word: Word) -> FunctionCoeff:
         return pullback(coeff, word, self.system)
 
@@ -151,9 +151,8 @@ class SemicrossedElement(WordPoly):
 
     @staticmethod
     def generator(system: FiniteSystem, colour: int) -> "SemicrossedElement":
-        if not (0 <= colour < system.arity):
-            raise ValueError(f"colour {colour} outside 0..{system.arity - 1}")
-        return SemicrossedElement.make(system, {(colour,): FunctionCoeff.one(system.size)})
+        word = (check_colour(system, colour),)
+        return SemicrossedElement.make(system, {word: FunctionCoeff.one(system.size)})
 
     @staticmethod
     def monomial(system: FiniteSystem, word: Sequence[int], f: FunctionCoeff) -> "SemicrossedElement":

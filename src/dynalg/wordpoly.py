@@ -4,15 +4,19 @@ The semicrossed, free-product and edge-word algebras are all spanned by
 words, multiply by concatenating them, and differ only in the
 coefficient ring, the context that validates words (a system, a block
 signature, or none) and, for the semicrossed product, the covariance
-rule that moves a left coefficient past the right word.  A subclass
-supplies the context and rebuilds results through its validating
-``make``, which drops zero coefficients, so ``terms`` never holds a
-zero and equal elements have equal term maps.
+rule that moves a left coefficient past the right word.  A subclass is
+a dataclass with a ``terms`` field beside its context fields, and its
+``make`` validates words and coefficients from outside.  The kernel
+builds every result itself, over the operand's context: words
+concatenated or selected from valid words are valid, so it only drops
+zero (falsy) coefficients.  Thus ``terms`` never holds a zero, and equal
+elements have equal term maps.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Hashable, Iterable
@@ -24,8 +28,8 @@ class WordPoly:
     terms: dict[tuple, Any]
 
     def _like(self, terms: dict[tuple, Any]) -> "WordPoly":
-        """The element with these terms over the same context."""
-        raise NotImplementedError
+        """The element with these terms, zeros dropped, over the same context."""
+        return replace(self, terms={w: c for w, c in terms.items() if c})
 
     def _past(self, coeff: Any, word: tuple) -> Any:
         """The coefficient c' with c * word = word * c'; free algebras keep c."""

@@ -348,12 +348,13 @@ def matrix_product_quotient(sub: SubSystem, element: SemicrossedElement) -> Quot
             tuple(tuple(cells.get((y, x), zero) for x in range(n)) for y in range(n)),
         )
 
+    inside = set(sub.points)
     gens = []
-    for colour in range(sub.arity):
+    for colour, table in enumerate(sub.parent.tables):
         cells = {}
         for xi, x in enumerate(sub.points):
-            y = sub.partial_tables[colour][xi]
-            if y is not None:
+            y = table[x]
+            if y in inside:
                 edge = EdgeGenerator(x, y, colour)
                 cells[(sub.points.index(y), xi)] = FreeEdgePoly.generator(edge)
         gens.append(matrix(cells))

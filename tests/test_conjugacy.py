@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -319,3 +320,29 @@ def test_signature_necessity_for_found_witnesses():
             continue
         for x in range(a.size):
             assert local_signature(a, x) == local_signature(b, witness.gamma[x])
+
+
+def _tiled(system: FiniteSystem, copies: int) -> FiniteSystem:
+    """The disjoint union of ``copies`` copies of ``system``."""
+    n = system.size
+    return FiniteSystem(
+        size=n * copies,
+        tables=tuple(
+            tuple(c * n + y for c in range(copies) for y in table) for table in system.tables
+        ),
+    )
+
+
+def test_signature_seeds_prune_tiled_piecewise_pairs():
+    # Piecewise matched but not partition matched: the local signatures
+    # differ at every point, so the partition search refutes at the root.
+    a, b = _tiled(TWO_POINT_MIXED, 6), _tiled(TWO_POINT_CONSTANT, 6)
+    started = time.perf_counter()
+    assert decide_partition(a, b) is None
+    assert time.perf_counter() - started < 0.25
+    witness = decide_piecewise(a, b)
+    assert witness is not None
+    gamma, alpha = witness.gamma, witness.alpha
+    for x in range(a.size):
+        for i in range(a.arity):
+            assert gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]

@@ -12,6 +12,7 @@ from dynalg.dynsys import (
     map_range,
     ranges_pairwise_disjoint,
     restrict,
+    validate_word,
 )
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
@@ -19,6 +20,9 @@ from dynalg.fixtures import (
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
+from dynalg.quotient import local_signature
+from dynalg.reps import build_colour_rep, nest_rep_exists
+from dynalg.semicrossed import SemicrossedElement
 
 from oracles import random_system
 
@@ -53,6 +57,27 @@ def test_evaluate_word_examples():
         evaluate_word(TWO_POINT_MIXED, (2,), 0)
     with pytest.raises(ValueError):
         evaluate_word(TWO_POINT_MIXED, (0,), 5)
+
+
+def test_points_and_colours_must_be_ints():
+    a = TWO_POINT_MIXED
+    # A bool or a float that names a valid index is still rejected.
+    for call in (
+        lambda: evaluate_word(a, (1,), True),
+        lambda: evaluate_word(a, (1.0,), 0),
+        lambda: validate_word(a, (0, False)),
+        lambda: map_range(a, True),
+        lambda: restrict(a, [0.5]),
+        lambda: restrict(a, [0, True]),
+        lambda: local_signature(a, True),
+        lambda: local_signature(a, 2),
+        lambda: SemicrossedElement.generator(a, True),
+        lambda: build_colour_rep(a, True, []),
+        lambda: nest_rep_exists(a, 1.0, [0]),
+        lambda: nest_rep_exists(a, 0, [True]),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_word_composition_law():
@@ -139,11 +164,13 @@ def test_equivalence_classes_fixed_point_and_minimality():
 def test_restrict_examples():
     sub = restrict(FOUR_POINT_OVERLAP, {1, 2, 3})
     assert sub.points == (1, 2, 3)
-    assert sub.partial_tables == ((2, 2, 2), (3, 3, 3))
+    assert colored_graph(sub).edges == (
+        (1, 2, 0), (2, 2, 0), (3, 2, 0), (1, 3, 1), (2, 3, 1), (3, 3, 1)
+    )
     whole = full_subsystem(TWO_POINT_MIXED)
-    assert all(None not in row for row in whole.partial_tables)
+    assert len(colored_graph(whole).edges) == TWO_POINT_MIXED.size * TWO_POINT_MIXED.arity
     single = restrict(TWO_POINT_CONSTANT, {0})
-    assert single.partial_tables == ((0,), (None,))
+    assert colored_graph(single).edges == ((0, 0, 0),)
     with pytest.raises(ValueError):
         restrict(TWO_POINT_MIXED, set())
     with pytest.raises(ValueError):
@@ -177,5 +204,5 @@ def test_colored_graph_is_sorted_and_counts_edges():
         )
         assert len(g.edges) == expected
         for colour in range(sub.arity):
-            sources = [e[0] for e in g.edges_of_colour(colour)]
+            sources = [e[0] for e in g.edges if e[2] == colour]
             assert len(sources) == len(set(sources))

@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -165,10 +166,15 @@ def test_inputs_are_exact_only():
             RationalComplex.coerce(bad)
         with pytest.raises(TypeError):
             ONE + bad
-    # numpy turns its own integers into ints before the reflected call.
     for bad in (True, 0.1, 1j, None, "1/2"):
         with pytest.raises(TypeError):
             bad * ONE
+    # numpy scalars defer to RationalComplex on either side.
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(np.int64(1), ONE)
+        with pytest.raises(TypeError):
+            op(ONE, np.int64(1))
     with pytest.raises(TypeError):
         FunctionCoeff((ONE, True))
     assert RationalComplex("1/3", "-2") == qc(Fraction(1, 3), -2)
