@@ -7,6 +7,8 @@ text: objects, arrays, numbers, strings):
 
 ``points`` is either a count or a list of distinct names; map entries
 may use names when names are given.  Points are 0-indexed throughout.
+This module parses JSON and resolves names; ``FiniteSystem`` checks the
+tables, library functions check the flags, and any ``ValueError`` exits 2.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
@@ -32,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .conjugacy import (
-    IncompatibleSystemsError,
     PartitionWitness,
     decide_conjugate,
     decide_partition,
@@ -47,7 +48,7 @@ from .fixtures import (
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
-from .freeprod import U1nMatrix, lift_dual_check, sample_ball_points
+from .freeprod import U1nMatrix, check_lift_work, lift_dual_check, sample_ball_points
 from .quotient import entry_signature, local_signature, signatures_equivalent
 from .reps import build_truncated_fock, check_ck_relations, decide_tensor_vs_semicrossed, row_norm
 from .semicrossed import SemicrossedElement, apply_hom, partition_isomorphism
@@ -76,72 +77,55 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
     if "points" not in data or "maps" not in data:
         raise FormatError("fields 'points' and 'maps' are required")
 
-    points = data["points"]
+    points, labels, maps = data["points"], data.get("labels"), data["maps"]
     names: Optional[list[str]] = None
-    if isinstance(points, int) and not isinstance(points, bool):
-        size = points
-    elif isinstance(points, list):
-        if not all(isinstance(p, str) for p in points):
-            raise FormatError("field 'points': names must all be strings")
-        if len(set(points)) != len(points):
-            dup = sorted({p for p in points if points.count(p) > 1})
-            raise FormatError(f"field 'points': duplicate names {dup}")
-        names = list(points)
+    if isinstance(points, list):
+        names = _distinct_strings("points", points)
         size = len(names)
+    elif isinstance(points, int) and not isinstance(points, bool):
+        size = points
     else:
         raise FormatError("field 'points' must be a count or a list of names")
-    if size < 1:
-        raise FormatError("field 'points': need at least one point")
-
-    labels = data.get("labels")
     if labels is not None:
         if names is not None:
             raise FormatError("give either named points or a labels list, not both")
-        if not (isinstance(labels, list) and len(labels) == size):
+        names = _distinct_strings("labels", labels)
+        if len(names) != size:
             raise FormatError(f"field 'labels' must list {size} names")
-        if not all(isinstance(v, str) for v in labels):
-            raise FormatError("field 'labels': names must all be strings")
-        if len(set(labels)) != len(labels):
-            raise FormatError("field 'labels': duplicate names")
-        names = list(labels)
+    if not (isinstance(maps, list) and all(isinstance(table, list) for table in maps)):
+        raise FormatError("field 'maps' must be a list of lists")
 
-    maps = data["maps"]
-    if not isinstance(maps, list) or not maps:
-        raise FormatError("field 'maps' must be a nonempty list of maps")
-    index = {name: k for k, name in enumerate(names)} if names else {}
+    index = {name: k for k, name in enumerate(names or ())}
     tables = []
     for i, table in enumerate(maps):
-        if not isinstance(table, list) or len(table) != size:
-            raise FormatError(f"field 'maps'[{i}]: expected {size} entries")
         row = []
         for x, value in enumerate(table):
             if isinstance(value, str):
                 if value not in index:
                     raise FormatError(f"field 'maps'[{i}][{x}]: unknown point name {value!r}")
-                row.append(index[value])
-            elif isinstance(value, int) and not isinstance(value, bool):
-                if not (0 <= value < size):
-                    raise FormatError(
-                        f"field 'maps'[{i}][{x}]: image {value} out of range 0..{size - 1}"
-                    )
-                row.append(value)
-            else:
-                raise FormatError(f"field 'maps'[{i}][{x}]: not a point")
-        tables.append(tuple(row))
-    return FiniteSystem(size=size, tables=tuple(tables)), names
+                value = index[value]
+            row.append(value)
+        tables.append(row)
+    try:
+        return FiniteSystem(size=size, tables=tables), names
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _distinct_strings(field: str, values: Any) -> list[str]:
+    if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+        raise FormatError(f"field '{field}' must be a list of strings")
+    if len(set(values)) != len(values):
+        raise FormatError(f"field '{field}': duplicate names")
+    return values
 
 
 def dump_system(system: FiniteSystem, names: Optional[Sequence[str]] = None) -> str:
     """Canonical file text; parse(dump(s)) reproduces s and dump is stable."""
-    record: dict[str, Any] = {}
-    if names is None:
-        record["points"] = system.size
-    else:
-        if len(names) != system.size or len(set(names)) != len(names):
-            raise FormatError(f"need {system.size} distinct names")
-        record["points"] = list(names)
-    record["maps"] = [list(t) for t in system.tables]
-    return json.dumps(record)
+    if names is not None and (len(names) != system.size or len(set(names)) != len(names)):
+        raise FormatError(f"need {system.size} distinct names")
+    points = system.size if names is None else list(names)
+    return json.dumps({"points": points, "maps": [list(t) for t in system.tables]})
 
 
 def parse_u1n(text: str) -> U1nMatrix:
@@ -249,26 +233,22 @@ def _cmd_check(args) -> tuple[bool, Any]:
     return True, _witness_json(witness)
 
 
+def _signature(system: FiniteSystem, point: Optional[int]) -> tuple:
+    """The local signature at ``point``, or the full entry signature without one."""
+    if point is not None:
+        return local_signature(system, point)
+    return entry_signature(restrict(system, range(system.size)))
+
+
 def _cmd_signature(args) -> tuple[Optional[bool], Any]:
     system = parse_system(_read(args.system))
-    if args.point is not None:
-        sig = local_signature(system, args.point)
-    else:
-        sig = entry_signature(restrict(system, range(system.size)))
-    return None, {"signature": list(sig)}
+    return None, {"signature": list(_signature(system, args.point))}
 
 
 def _cmd_signature_compare(args) -> tuple[bool, Any]:
-    a = parse_system(_read(args.system_a))
-    b = parse_system(_read(args.system_b))
-    if args.point is not None:
-        s1 = local_signature(a, args.point)
-        s2 = local_signature(b, args.point)
-    else:
-        s1 = entry_signature(restrict(a, range(a.size)))
-        s2 = entry_signature(restrict(b, range(b.size)))
-    same = signatures_equivalent(s1, s2)
-    return same, {"left": list(s1), "right": list(s2)}
+    s1 = _signature(parse_system(_read(args.system_a)), args.point)
+    s2 = _signature(parse_system(_read(args.system_b)), args.point)
+    return signatures_equivalent(s1, s2), {"left": list(s1), "right": list(s2)}
 
 
 def _cmd_tensor(args) -> tuple[bool, Any]:
@@ -311,10 +291,7 @@ def _cmd_iso_build(args) -> tuple[bool, Any]:
 
 def _cmd_lift(args) -> tuple[bool, Any]:
     x = parse_u1n(_read(args.u1n))
-    if args.degree < 0:
-        raise FormatError("--degree must be nonnegative")
-    if args.samples < 1:
-        raise FormatError("--samples must be positive")
+    check_lift_work(x.n, args.degree, args.samples)  # before drawing the samples
     rng = random.Random(_seed())
     points = sample_ball_points(rng, x.n, args.samples, radius=0.9)
     report = lift_dual_check(x, args.degree, points)
@@ -337,8 +314,6 @@ def _cmd_fock(args) -> tuple[bool, Any]:
             raise FormatError("--subset lists a point twice")
     else:
         subset = list(range(system.size))
-    if args.depth < 1:
-        raise FormatError("--depth must be at least 1")
     graph = colored_graph(restrict(system, subset))
     family = build_truncated_fock(graph, args.depth)
     report = check_ck_relations(family)
@@ -479,7 +454,7 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
     try:
         args = parser.parse_args(list(argv))
         decision, witness = args.func(args)
-    except (FormatError, IncompatibleSystemsError, ValueError) as exc:
+    except ValueError as exc:  # FormatError and IncompatibleSystemsError among them
         return report(None, None, error=str(exc)), 2
     if decision is None:
         return report(None, witness), 0

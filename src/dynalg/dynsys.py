@@ -50,14 +50,12 @@ class FiniteSystem:
             raise ValueError("a system needs at least one map")
         for i, table in enumerate(self.tables):
             if len(table) != self.size:
-                raise ValueError(
-                    f"map {i} has {len(table)} entries, expected {self.size}"
-                )
+                raise ValueError(f"map {i} has {len(table)} entries; expected {self.size} entries")
             for x, y in enumerate(table):
                 if not _is_int(y):
                     raise ValueError(f"map {i} sends {x} to {y!r}, which is not a point")
                 if not (0 <= y < self.size):
-                    raise ValueError(f"map {i} sends {x} to {y}, outside 0..{self.size - 1}")
+                    raise ValueError(f"map {i} sends {x} to {y}, out of range 0..{self.size - 1}")
 
     @property
     def arity(self) -> int:
@@ -94,10 +92,8 @@ class EdgeColoredGraph:
     edges: tuple[Edge, ...]
     colours: int
 
-    def in_edges(self, vertex: int, colour: Optional[int] = None) -> tuple[Edge, ...]:
-        return tuple(
-            e for e in self.edges if e[1] == vertex and (colour is None or e[2] == colour)
-        )
+    def in_edges(self, vertex: int, colour: int) -> tuple[Edge, ...]:
+        return tuple(e for e in self.edges if e[1] == vertex and e[2] == colour)
 
 
 def check_point(sys: FiniteSystem, x: object) -> int:

@@ -44,9 +44,9 @@ _STRUCT_TOL = 1e-12
 
 
 def _validate_signature(signature: Sequence[int]) -> BlockSignature:
-    sig = tuple(int(n) for n in signature)
-    if not sig or any(n < 1 for n in sig):
-        raise ValueError(f"block signature {sig} must list positive sizes")
+    sig = tuple(signature)
+    if not sig or not all(type(n) is int and n >= 1 for n in sig):  # bool is not int here
+        raise ValueError(f"block signature {sig} must list positive int sizes")
     return sig
 
 
@@ -65,7 +65,8 @@ class FPPoly(WordPoly):
         clean: dict[FPWord, complex] = {}
         for word, coeff in terms.items():
             for block, index in word:
-                if not (0 <= block < len(sig)) or not (0 <= index < sig[block]):
+                ints = type(block) is int and type(index) is int  # not bool
+                if not (ints and 0 <= block < len(sig) and 0 <= index < sig[block]):
                     raise ValueError(f"symbol ({block},{index}) outside signature {sig}")
             c = complex(coeff)
             if c != 0:
@@ -482,6 +483,26 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     return tuple(series)
 
 
+# Work admitted for one lift_dual_check, in series terms: order + 1
+# coefficients, n series of order + 1 terms per sample, and about
+# LIFT_SAMPLE_TERMS per sample to draw it and map it by X^-1.  The largest
+# admitted CLI lifts took 0.9-1.4 s on a 2-core x86 VM (Python 3.11).
+MAX_LIFT_TERMS = 6_000_000
+LIFT_SAMPLE_TERMS = 300
+
+
+def check_lift_work(n: int, order: int, samples: int) -> None:
+    """Raise ValueError for no samples or for more than MAX_LIFT_TERMS of work."""
+    if samples < 1:
+        raise ValueError("the lift check needs at least one sample")
+    terms = (max(order, 0) + 1) * (1 + n * samples) + LIFT_SAMPLE_TERMS * samples
+    if terms > MAX_LIFT_TERMS:
+        raise ValueError(
+            f"a lift of order {order} at {samples} samples passes the work limit"
+            f" ({MAX_LIFT_TERMS} series terms); use a smaller degree or fewer samples"
+        )
+
+
 @dataclass(frozen=True)
 class LiftDualReport:
     deviation: float
@@ -497,11 +518,14 @@ def lift_dual_check(
     X^-1 = J X* J.  Each sample lambda (open ball, norm at most 0.9) is
     pushed through the truncated series coordinatewise and compared
     with that action; the worst coordinate deviation comes back with the
-    series' certified tail, which bounds it up to rounding.
+    series' certified tail, which bounds it up to rounding.  Raises
+    ValueError, before building any series, for no samples or for more
+    work than :func:`check_lift_work` admits.
     """
+    points = [tuple(_as_vector(p)) for p in samples]
+    check_lift_work(x.n, order, len(points))
     series = voiculescu_lift(x, order)
     tail = max(s.certified_tail for s in series)
-    points = [tuple(_as_vector(p)) for p in samples]
     for p in points:
         norm = math.sqrt(sum(abs(v) ** 2 for v in p))
         if norm > 0.9 + 1e-12:

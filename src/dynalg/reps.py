@@ -36,7 +36,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dynsys import (
-    Edge, EdgeColoredGraph, FiniteSystem, check_point, map_range, ranges_pairwise_disjoint,
+    Edge, EdgeColoredGraph, FiniteSystem, check_colour, check_point, map_range,
+    ranges_pairwise_disjoint,
 )
 from .matching import lex_least_injective
 from .semicrossed import FunctionCoeff, SemicrossedElement
@@ -93,8 +94,11 @@ def build_colour_rep(
     """
     check_point(sys, base)
     for p, c in slots:
-        if not (0 <= p < sys.size) or not (0 <= c < sys.arity):
-            raise InvalidSlotError(f"slot ({p}, {c}) out of range")
+        try:
+            check_point(sys, p)
+            check_colour(sys, c)
+        except ValueError as exc:
+            raise InvalidSlotError(f"slot ({p!r}, {c!r}): {exc}") from None
         if sys.tables[c][p] != base:
             raise InvalidSlotError(
                 f"slot ({p}, {c}): map {c} sends {p} to {sys.tables[c][p]}, not {base}"

@@ -70,9 +70,6 @@ class FunctionCoeff:
     def size(self) -> int:
         return len(self.values)
 
-    def __call__(self, x: int) -> RationalComplex:
-        return self.values[x]
-
     def __add__(self, other: "FunctionCoeff") -> "FunctionCoeff":
         return FunctionCoeff(tuple(a + b for a, b in zip(self.values, other.values, strict=True)))
 

@@ -171,6 +171,38 @@ def test_parse_u1n_inverts_dump(x):
     assert dump_u1n(parsed) == text
 
 
+IDENTITY_U1N = '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+TWO_POINTS = '{"points": 2, "maps": [[0, 1]]}'
+
+# name: (file text, command line that the file's path completes)
+MALFORMED = {
+    "points 0": ('{"points": 0, "maps": [[0]]}', ["signature"]),
+    "points -1": ('{"points": -1, "maps": [[0]]}', ["signature"]),
+    "points true": ('{"points": true, "maps": [[0]]}', ["signature"]),
+    "points 2.0": ('{"points": 2.0, "maps": [[0, 1]]}', ["signature"]),
+    "maps []": ('{"points": 2, "maps": []}', ["signature"]),
+    "maps 5": ('{"points": 2, "maps": 5}', ["signature"]),
+    "maps [5]": ('{"points": 2, "maps": [5]}', ["signature"]),
+    "maps [[0]]": ('{"points": 2, "maps": [[0]]}', ["signature"]),
+    "entry 1.0": ('{"points": 2, "maps": [[0, 1.0]]}', ["signature"]),
+    "entry true": ('{"points": 2, "maps": [[0, true]]}', ["signature"]),
+    "entry [1]": ('{"points": 2, "maps": [[0, [1]]]}', ["signature"]),
+    "entry 2": ('{"points": 2, "maps": [[0, 2]]}', ["signature"]),
+    "entry unknown name": ('{"points": ["p", "q"], "maps": [["p", "r"]]}', ["signature"]),
+    "--depth 0": (TWO_POINTS, ["fock", "--depth", "0"]),
+    "--degree -1": (IDENTITY_U1N, ["lift", "--degree", "-1", "--samples", "5", "--u1n"]),
+    "--samples 0": (IDENTITY_U1N, ["lift", "--degree", "5", "--samples", "0", "--u1n"]),
+}
+
+
+@pytest.mark.parametrize("text, command", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_inputs_exit_2(tmp_path, text, command):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    report, code = run_command([*command, str(path)])
+    assert code == 2 and report["error"]
+
+
 # ---- commands -------------------------------------------------------------------
 
 
@@ -289,6 +321,16 @@ def test_lift_command(files, tmp_path):
     path.write_text('{"n":1,"matrix":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}')
     report, code = run_command(["lift", "--u1n", str(path), "--degree", "25", "--samples", "30"])
     assert code == 2 and "finite" in report["error"]
+
+
+def test_lift_rejects_work_past_limit_quickly(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(IDENTITY_U1N)
+    for degree, samples in ((10**9, 30), (25, 10**9)):
+        argv = ["lift", "--u1n", str(path), "--degree", str(degree), "--samples", str(samples)]
+        report, code = run_command(argv)
+        assert code == 2 and "work limit" in report["error"]
+        assert report["timing_ms"] < 1000
 
 
 def test_fock_command(files):

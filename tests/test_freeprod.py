@@ -10,8 +10,10 @@ from dynalg.freeprod import (
     FPPoly,
     PolyballAuto,
     PolyballPoint,
+    MAX_LIFT_TERMS,
     U1nMatrix,
     abelianize,
+    check_lift_work,
     eval_character,
     fp_gauge,
     fp_multiply,
@@ -381,3 +383,30 @@ def test_lift_dual_check_involutions_certify():
         report = lift_dual_check(x, 25, samples)
         assert report.certified_tail <= 1e-6
         assert report.deviation <= report.certified_tail + 1e-10
+
+
+def test_lift_dual_check_needs_samples_and_bounded_work():
+    ident = U1nMatrix(n=2, matrix=np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="at least one sample"):
+        lift_dual_check(ident, 5, [])
+    check_lift_work(3, 25, 30)  # the largest lift the benchmark runs
+    for n, samples in ((1, 1), (2, 30), (3, 1000)):
+        # the largest admitted order, then one more
+        order = (MAX_LIFT_TERMS - 300 * samples) // (1 + n * samples) - 1
+        check_lift_work(n, order, samples)
+        with pytest.raises(ValueError, match="work limit"):
+            check_lift_work(n, order + 1, samples)
+    with pytest.raises(ValueError, match="work limit"):
+        check_lift_work(1, -5, 10**9)  # a negative order bounds nothing
+    with pytest.raises(ValueError, match="work limit"):
+        lift_dual_check(ident, 10**9, [[0.1, 0.2]])
+
+
+def test_signatures_and_symbols_must_be_ints():
+    for signature in ((2.7,), (True,), (0,), (2, -1), ()):
+        with pytest.raises(ValueError, match="signature"):
+            FPPoly.make(signature, {})
+    for symbol in ((False, True), (0, 1.0), (0.0, 1), (0, 2), (1, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="outside signature"):
+            FPPoly.make((2,), {(symbol,): 1})
+    assert FPPoly.make([2], {((0, 1),): 1}).signature == (2,)

@@ -60,6 +60,14 @@ def test_build_colour_rep_rejects_bad_slots():
     assert rep.m == 2
 
 
+def test_build_colour_rep_slots_must_be_int_points_and_colours():
+    # map 0 of TWO_POINT_MIXED sends 1 to 1, so (1, 0) is a valid slot at base 1
+    assert build_colour_rep(TWO_POINT_MIXED, 1, [(1, 0)]).slots == ((1, 0),)
+    for slot in ((True, 0), (1, False), (1.0, 0), (1, 0.0), (2, 0), (1, 2), (-1, 0), ("1", 0)):
+        with pytest.raises(InvalidSlotError, match="slot"):
+            build_colour_rep(TWO_POINT_MIXED, 1, [slot])
+
+
 def test_rep_apply_function_and_products():
     rep = build_colour_rep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
     sys = FOUR_POINT_OVERLAP
