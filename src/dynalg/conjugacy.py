@@ -26,25 +26,26 @@ that fact twice.
   partition decider seeds the refinement with the per-point entry
   signature (:func:`dynalg.quotient.local_signature`), which every
   partition witness preserves; the other two start from one colour.
-* Forward checking: after each assignment, every assigned point whose
-  image multiset gained an assigned member must still map into the
-  target's image multiset.  The conjugacy search also carries the
-  global recolourings still consistent with the branch.
+* Permutation lists: every point keeps the colour permutations, in
+  lexicographic order, that agree with its edges assigned so far
+  (conjugacy keeps one list shared by all points).  Each assignment
+  narrows the lists of the edges it completes, and a branch dies once a
+  list is empty.  A per-point list is empty exactly when its assigned
+  images no longer fit in the target's image multiset.
 
 Both only remove branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
-over all n! bijections would find.  The leaf completes the witness:
-colour permutations pointwise in lexicographic order (piecewise), the
-least preimage-saturated colour field (partition, which may fail and
-backtrack), or the least surviving recolouring (conjugacy).  The worst
-case is still exponential: on highly symmetric systems refinement
+over all n! bijections would find.  The leaf reads the witness off the
+lists: the first entry at each point (piecewise), the least
+preimage-saturated colour field (partition, which may fail and
+backtrack), or the first entry of the shared list (conjugacy).  The
+worst case is still exponential: on highly symmetric systems refinement
 separates nothing and many branches survive to the leaves.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence, TypeVar
 
@@ -166,16 +167,18 @@ def _lex_search(
     a: FiniteSystem,
     b: FiniteSystem,
     seeds: Sequence[Hashable],
-    leaf: Callable[[Permutation, list[Permutation]], Optional[W]],
-    recolourings: Sequence[Permutation] = (),
+    start: list[list[Permutation]],
+    leaf: Callable[[Permutation, list[list[Permutation]]], Optional[W]],
 ) -> Optional[W]:
     """Depth-first search for the least gamma whose leaf yields a witness.
 
     ``seeds`` are the starting colours of the points of ``a`` followed
-    by those of ``b``.  With ``recolourings``, a branch dies once no
-    global recolouring beta is left with gamma(sigma_i(p)) =
-    tau_{beta(i)}(gamma(p)) on its assigned edges; ``leaf`` receives the
-    survivors in their given order.  Only branches without a witness are
+    by those of ``b``.  ``start`` holds the starting colour permutation
+    lists, in lexicographic order: one list shared by every point, or
+    one per point.  Each edge p -> sigma_i(p) that an assignment completes
+    narrows the list of p to the alpha with tau_{alpha(i)}(gamma(p)) =
+    gamma(sigma_i(p)), and a branch dies once a list is empty; ``leaf``
+    receives gamma and the lists.  Only branches without a witness are
     pruned, so the first witness returned is the least one.
     """
     colours = _refined_colours(a, b, seeds)
@@ -184,53 +187,40 @@ def _lex_search(
     ca, cb = colours
     n = a.size
     candidates = [[v for v in range(n) if cb[v] == ca[x]] for x in range(n)]
-    out_a = [tuple(t[x] for t in a.tables) for x in range(n)]
-    out_b = [Counter(t[v] for t in b.tables) for v in range(n)]
-    # Assigning x completes edges out of x and out of its earlier preimages.
-    touched = [[x] + [p for p in range(x) if x in out_a[p]] for x in range(n)]
-    new_edges = [
-        [(p, i) for p in touched[x] for i, y in enumerate(out_a[p]) if y <= x]
-        for x in range(n)
-    ]
+    shared = len(start) == 1
+    # Assigning x completes the edges p -> y = sigma_i(p) with max(p, y) == x;
+    # each narrows the list of its owner k.
+    new_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for p in range(n):
+        for i, table in enumerate(a.tables):
+            y = table[p]
+            new_edges[max(p, y)].append((0 if shared else p, p, i, y))
+    tables_b = b.tables
     gamma = [-1] * n
     used = [False] * n
 
-    def fits(p: int) -> bool:
-        room = out_b[gamma[p]].copy()
-        for y in out_a[p]:
-            gy = gamma[y]
-            if gy >= 0:
-                if not room[gy]:
-                    return False
-                room[gy] -= 1
-        return True
-
-    def extend(x: int, live: list[Permutation]) -> Optional[W]:
+    def extend(x: int, lists: list[list[Permutation]]) -> Optional[W]:
         if x == n:
-            return leaf(tuple(gamma), live)
+            return leaf(tuple(gamma), lists)
         for v in candidates[x]:
             if used[v]:
                 continue
             gamma[x] = v
-            if all(fits(p) for p in touched[x]):
-                survivors = [
-                    beta
-                    for beta in live
-                    if all(
-                        gamma[out_a[p][i]] == b.tables[beta[i]][gamma[p]]
-                        for p, i in new_edges[x]
-                    )
-                ]
-                if survivors or not recolourings:
-                    used[v] = True
-                    found = extend(x + 1, survivors)
-                    used[v] = False
-                    if found is not None:
-                        return found
-        gamma[x] = -1
+            narrowed = lists.copy()
+            for k, p, i, y in new_edges[x]:
+                gp, gy = gamma[p], gamma[y]
+                narrowed[k] = [alpha for alpha in narrowed[k] if tables_b[alpha[i]][gp] == gy]
+                if not narrowed[k]:
+                    break
+            else:
+                used[v] = True
+                found = extend(x + 1, narrowed)
+                used[v] = False
+                if found is not None:
+                    return found
         return None
 
-    return extend(0, list(recolourings))
+    return extend(0, start)
 
 
 def decide_conjugate(
@@ -239,42 +229,24 @@ def decide_conjugate(
     """Search for gamma with gamma o sigma_i = tau_i o gamma for all i.
 
     With ``allow_recolor`` a single global colour permutation beta is
-    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Returns the
-    lexicographically least witness (gamma first, then beta) or None.
+    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Every point
+    shares one permutation list, so beta is the first entry left in it.
+    Returns the lexicographically least witness (gamma first, then beta)
+    or None.
     """
     _check_compatible(a, b)
-    if allow_recolor:
-        recolourings = list(itertools.permutations(range(a.arity)))
-    else:
-        recolourings = [tuple(range(a.arity))]
+    betas = (
+        list(itertools.permutations(range(a.arity))) if allow_recolor else [tuple(range(a.arity))]
+    )
     return _lex_search(
         a,
         b,
         [0] * (2 * a.size),
-        lambda gamma, live: ConjugacyWitness(
-            gamma=gamma, recolor=live[0] if allow_recolor else None
+        [betas],
+        lambda gamma, lists: ConjugacyWitness(
+            gamma=gamma, recolor=lists[0][0] if allow_recolor else None
         ),
-        recolourings,
     )
-
-
-def _alpha_options(
-    a: FiniteSystem, b: FiniteSystem, gamma: Permutation
-) -> list[list[Permutation]]:
-    """The admissible colour permutations at each point, in lexicographic order.
-
-    alpha_x is admissible when gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x))
-    for every colour i.
-    """
-    perms = list(itertools.permutations(range(a.arity)))
-    return [
-        [
-            p
-            for p in perms
-            if all(gamma[a.tables[i][x]] == b.tables[j][gamma[x]] for i, j in enumerate(p))
-        ]
-        for x in range(a.size)
-    ]
 
 
 def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitness]:
@@ -283,30 +255,28 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     At every point x the colour permutation alpha_x must satisfy
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) for all i.  In a
     finite discrete space that pointwise condition is the whole of
-    piecewise matching, and forward checking has already established it
-    at every leaf, so the leaf only picks each alpha_x.  Returns the
-    lexicographically least witness.
+    piecewise matching.  Each point keeps its own permutation list, so
+    at a leaf every list holds exactly the admissible alpha_x and the
+    leaf takes the first of each.  Returns the lexicographically least
+    witness.
     """
     _check_compatible(a, b)
     return _lex_search(
         a,
         b,
         [0] * (2 * a.size),
-        lambda gamma, _: PiecewiseWitness(
-            gamma=gamma, alpha=tuple(ok[0] for ok in _alpha_options(a, b, gamma))
+        [list(itertools.permutations(range(a.arity)))] * a.size,
+        lambda gamma, lists: PiecewiseWitness(
+            gamma=gamma, alpha=tuple(admissible[0] for admissible in lists)
         ),
     )
 
 
 def _partition_alpha_field(
-    a: FiniteSystem, b: FiniteSystem, gamma: Permutation
+    a: FiniteSystem, b: FiniteSystem, gamma: Permutation, options: list[list[Permutation]]
 ) -> Optional[tuple[Permutation, ...]]:
-    """Backtracking over alpha fields satisfying the preimage conditions."""
+    """Backtracking over the admissible ``options`` for a field meeting the preimage conditions."""
     n = a.arity
-    options = _alpha_options(a, b, gamma)
-    if not all(options):
-        return None
-
     inverses = {p: _invert(p) for ok in options for p in ok}
     chosen: list[Permutation] = []
 
@@ -351,13 +321,13 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     """
     _check_compatible(a, b)
 
-    def leaf(gamma: Permutation, _: list[Permutation]) -> Optional[PartitionWitness]:
-        field = _partition_alpha_field(a, b, gamma)
+    def leaf(gamma: Permutation, lists: list[list[Permutation]]) -> Optional[PartitionWitness]:
+        field = _partition_alpha_field(a, b, gamma, lists)
         return None if field is None else PartitionWitness(gamma=gamma, alpha=field)
 
     seeds = [local_signature(a, x) for x in range(a.size)]
     seeds += [local_signature(b, v) for v in range(b.size)]
-    return _lex_search(a, b, seeds, leaf)
+    return _lex_search(a, b, seeds, [list(itertools.permutations(range(a.arity)))] * a.size, leaf)
 
 
 def _validate_witness_shape(

@@ -176,17 +176,22 @@ def kernel_eval(point: PolyballPoint, z: PolyballPoint) -> complex:
     return total
 
 
+def _check_block_perm(perm: Sequence[int], sizes: Sequence[int]) -> None:
+    """Raise ValueError unless ``perm`` permutes the blocks among blocks of equal size."""
+    ints = all(type(i) is int for i in perm)  # bool is not int here
+    if not (ints and sorted(perm) == list(range(len(sizes)))):
+        raise ValueError(f"{perm} is not a permutation of the blocks")
+    for i, j in enumerate(perm):
+        if sizes[j] != sizes[i]:
+            raise ValueError(
+                f"{perm} pairs block {i} (size {sizes[i]}) with block {j} (size {sizes[j]})"
+            )
+
+
 def permutation_lift(alpha: Sequence[int], p: FPPoly) -> FPPoly:
     """Relabel block i as alpha(i) in every word; sizes must match."""
     sig = p.signature
-    if sorted(alpha) != list(range(len(sig))):
-        raise ValueError(f"{alpha} is not a permutation of the blocks")
-    for i in range(len(sig)):
-        if sig[alpha[i]] != sig[i]:
-            raise ValueError(
-                f"permutation maps block {i} (size {sig[i]}) to block "
-                f"{alpha[i]} (size {sig[alpha[i]]})"
-            )
+    _check_block_perm(alpha, sig)
     return FPPoly.make(
         sig,
         {
@@ -267,15 +272,7 @@ class PolyballAuto:
     block_perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = [m.dim for m in self.block_maps]
-        if sorted(self.block_perm) != list(range(len(sizes))):
-            raise ValueError(f"{self.block_perm} is not a permutation of the blocks")
-        for i, p in enumerate(self.block_perm):
-            if sizes[p] != sizes[i]:
-                raise ValueError(
-                    f"block {i} (size {sizes[i]}) cannot read from block {p}"
-                    f" (size {sizes[p]})"
-                )
+        _check_block_perm(self.block_perm, [m.dim for m in self.block_maps])
 
 
 def polyball_auto_apply(auto: PolyballAuto, point: PolyballPoint) -> PolyballPoint:
@@ -299,6 +296,8 @@ class U1nMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (type(self.n) is int and self.n >= 1):  # bool is not int here
+            raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
         x = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", x)
         if x.shape != (self.n + 1, self.n + 1):
@@ -465,10 +464,7 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     for j in range(n):
         column = x1_bar[:, j]
         affine_norm = float(np.linalg.norm(column)) + abs(eta1[j])
-        if q == 0.0:
-            tail = 0.0
-        else:
-            tail = affine_norm / abs(x.x0) * q ** (order + 1) / (1.0 - q)
+        tail = affine_norm / abs(x.x0) * q ** (order + 1) / (1.0 - q)
         series.append(
             NCSeries(
                 dim=n,
@@ -534,7 +530,8 @@ def lift_dual_check(
     inverse = U1nMatrix(n=x.n, matrix=j @ x.matrix.conj().T @ j)
     deviation = 0.0
     for p in points:
-        mu = np.array([s.evaluate(PolyballPoint((p,))) for s in series], dtype=complex)
+        point = PolyballPoint((p,))
+        mu = np.array([s.evaluate(point) for s in series], dtype=complex)
         deviation = max(deviation, float(np.max(np.abs(mu - frac_linear(inverse, p)))))
     return LiftDualReport(deviation=deviation, certified_tail=tail)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -277,6 +278,38 @@ def test_large_partition_witnesses_verify():
             found += 1
             assert verify_partition_witness(a, b, witness).passed
     assert found >= 18
+
+
+def _admissible(a, b, gamma, points):
+    """The alpha, least first, with tau_{alpha(i)}(gamma x) = gamma(sigma_i x) for x in points."""
+    return [
+        alpha
+        for alpha in itertools.permutations(range(a.arity))
+        if all(
+            b.tables[alpha[i]][gamma[x]] == gamma[a.tables[i][x]]
+            for x in points
+            for i in range(a.arity)
+        )
+    ]
+
+
+def test_large_witnesses_take_the_least_admissible_permutations():
+    rng = random.Random(401)
+    ties = 0
+    for trial in range(36):
+        size, arity = rng.randint(10, 24), 1 + trial % 3
+        constant = trial % 2 == 1
+        a, b = scrambled_pair(rng, size, arity, constant_recolor=constant)
+        piecewise = decide_piecewise(a, b)
+        for x in range(size):
+            admissible = _admissible(a, b, piecewise.gamma, [x])
+            assert piecewise.alpha[x] == admissible[0]
+            ties += len(admissible) > 1
+        conjugate = decide_conjugate(a, b, allow_recolor=True)
+        assert conjugate is not None or not constant
+        if conjugate is not None:
+            assert conjugate.recolor == _admissible(a, b, conjugate.gamma, range(size))[0]
+    assert ties > 0
 
 
 def test_inverse_witness_verifies_backwards():

@@ -410,3 +410,23 @@ def test_signatures_and_symbols_must_be_ints():
         with pytest.raises(ValueError, match="outside signature"):
             FPPoly.make((2,), {(symbol,): 1})
     assert FPPoly.make([2], {((0, 1),): 1}).signature == (2,)
+
+
+def test_block_permutations_must_be_int_permutations():
+    m0 = BallMobius.involution([0.2, 0.1])
+    m1 = BallMobius.involution([-0.3, 0.0])
+    p = FPPoly.generator((2, 2), 0, 1)
+    for perm in ((True, False), (1.0, 0.0), (0, 0), (0,), ("1", "0")):
+        with pytest.raises(ValueError, match="not a permutation of the blocks"):
+            PolyballAuto(block_maps=(m0, m1), block_perm=perm)
+        with pytest.raises(ValueError, match="not a permutation of the blocks"):
+            permutation_lift(perm, p)
+    with pytest.raises(ValueError, match="pairs block 0"):
+        permutation_lift((1, 0), FPPoly.generator((2, 1), 0, 1))
+
+
+def test_u1n_size_must_be_an_int_of_at_least_one():
+    for n in (True, 1.0, 0, -1, "1", None):
+        with pytest.raises(ValueError, match="n must be an int"):
+            U1nMatrix(n=n, matrix=np.eye(2))
+    assert U1nMatrix(n=1, matrix=np.eye(2)).n == 1
