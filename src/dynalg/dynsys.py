@@ -92,9 +92,6 @@ class EdgeColoredGraph:
     edges: tuple[Edge, ...]
     colours: int
 
-    def in_edges(self, vertex: int, colour: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[1] == vertex and e[2] == colour)
-
 
 def check_point(sys: FiniteSystem, x: object) -> int:
     """x itself when it is an int (not a bool) naming a point; else ValueError."""

@@ -463,7 +463,7 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     series = []
     for j in range(n):
         column = x1_bar[:, j]
-        affine_norm = float(np.linalg.norm(column)) + abs(eta1[j])
+        affine_norm = float(np.linalg.norm(column)) + abs(complex(eta1[j]))
         tail = affine_norm / abs(x.x0) * q ** (order + 1) / (1.0 - q)
         series.append(
             NCSeries(

@@ -24,6 +24,14 @@ basis positions; the defining relations are verified exactly on these
 maps, on the stated subspaces, and the dense 0/1 matrices are views
 derived from them.  Truncation effects are confined to length-D paths
 and reported, never silently dropped.
+
+The basis is ordered by (length, edges, vertex).  Prefixing an edge e
+keeps that order among paths ending where e starts, so each level is
+built from the previous one, bucketed by range vertex, already in basis
+order; a family grades its basis by range vertex once, and every edge
+map and relation is read off those buckets.  Building and checking cost
+O(basis size x out-degree) path extensions, each a tuple of the path's
+length.
 """
 
 from __future__ import annotations
@@ -227,11 +235,19 @@ class CKFamily:
     def _positions(self) -> dict[FockPath, int]:
         return {p: k for k, p in enumerate(self.basis)}
 
+    @cached_property
+    def _by_range(self) -> dict[int, list[int]]:
+        """Basis positions by range vertex, each list in basis order."""
+        out: dict[int, list[int]] = {}
+        for k, (vertex, edges) in enumerate(self.basis):
+            out.setdefault(edges[0][1] if edges else vertex, []).append(k)
+        return out
+
     def vertex_indices(self, vertex: int) -> list[int]:
         """Basis positions graded at the vertex (by range of the path)."""
         if vertex not in self.graph.vertices:
             raise ValueError(f"{vertex} is not a vertex of the graph")
-        return [k for k, p in enumerate(self.basis) if p.range_vertex == vertex]
+        return list(self._by_range.get(vertex, ()))
 
     def edge_map(self, edge: Edge) -> dict[int, int]:
         """S_e as a partial map of basis positions.
@@ -241,14 +257,35 @@ class CKFamily:
         """
         if edge not in self.graph.edges:
             raise ValueError(f"{edge} is not an edge of the graph")
-        out = {}
-        for k, p in enumerate(self.basis):
-            if p.length < self.depth and p.range_vertex == edge[0]:
-                extended = FockPath(p.vertex, (edge,) + p.edges)
-                if extended not in self._positions:
-                    raise ValueError(f"the basis lacks the path {extended}")
-                out[k] = self._positions[extended]
-        return out
+        return self._edge_maps((edge,))[edge]
+
+    def _edge_maps(self, edges: Sequence[Edge]) -> dict[Edge, dict[int, int]]:
+        """:meth:`edge_map` of each listed edge, read off one pass per range vertex.
+
+        A missing e.p raises the ValueError the first listed edge lacking
+        one would raise on its own.
+        """
+        maps: dict[Edge, dict[int, int]] = {e: {} for e in edges}
+        leaving: dict[int, list[Edge]] = {}
+        for e in maps:
+            leaving.setdefault(e[0], []).append(e)
+        positions = self._positions
+        missing: dict[Edge, FockPath] = {}
+        for source, out_edges in leaving.items():
+            for k in self._by_range.get(source, ()):
+                vertex, path = self.basis[k]
+                if len(path) < self.depth:
+                    for e in out_edges:
+                        # a FockPath equals and hashes as the plain pair
+                        j = positions.get((vertex, (e,) + path))
+                        if j is None:
+                            missing.setdefault(e, FockPath(vertex, (e,) + path))
+                        else:
+                            maps[e][k] = j
+        for e in maps:
+            if e in missing:
+                raise ValueError(f"the basis lacks the path {missing[e]}")
+        return maps
 
     def edge_operator(self, edge: Edge) -> np.ndarray:
         """S_e as a dense 0/1 matrix: a view of :meth:`edge_map`."""
@@ -270,36 +307,47 @@ MAX_FOCK_SIZE = 1 << 21
 
 
 def build_truncated_fock(graph: EdgeColoredGraph, depth: int) -> CKFamily:
-    """Enumerate composable paths of length <= depth plus one vacuum per vertex.
+    """Composable paths of length <= depth plus one vacuum per vertex, in basis order.
 
-    Stops early once no path extends; raises ValueError before the basis
-    would pass MAX_FOCK_SIZE.
+    The paths are counted per range vertex first, level by level, so a
+    basis that would pass MAX_FOCK_SIZE raises ValueError before any
+    path is built; the count stops once no path extends.  Then level L+1
+    is e.p for e in sorted edges and p in level L ending at the source
+    of e, which is already in (length, edges, vertex) order when level L
+    is, so nothing is sorted.  O(basis size x out-degree) extensions.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    by_source: dict[int, list[Edge]] = {}
-    for e in graph.edges:
-        by_source.setdefault(e[0], []).append(e)
-    paths: list[FockPath] = [FockPath(v, ()) for v in graph.vertices]
-    frontier = list(paths)
-    size = len(paths)
-    for length in range(1, depth + 1):
-        if not frontier:
-            break
-        size += (1 + length) * sum(len(by_source.get(p.range_vertex, ())) for p in frontier)
+    ends = Counter(graph.vertices)
+    size = len(graph.vertices)
+    levels = 0
+    while ends and levels < depth:
+        levels += 1
+        step: Counter[int] = Counter()
+        for source, target, _ in graph.edges:
+            step[target] += ends[source]
+        ends = +step
+        size += (1 + levels) * sum(ends.values())
         if size > MAX_FOCK_SIZE:
             raise ValueError(
-                f"the paths of length <= {length} pass the basis limit"
+                f"the paths of length <= {levels} pass the basis limit"
                 f" ({MAX_FOCK_SIZE} path entries); use a smaller depth"
             )
-        frontier = [
-            FockPath(p.vertex, (e,) + p.edges)
-            for p in frontier
-            for e in by_source.get(p.range_vertex, [])
-        ]
-        paths.extend(frontier)
-    paths.sort(key=lambda p: (p.length, p.edges, p.vertex))
-    return CKFamily(graph=graph, depth=depth, basis=tuple(paths))
+    edges = sorted(graph.edges)
+    basis = [FockPath(v, ()) for v in sorted(graph.vertices)]
+    by_range: dict[int, list[FockPath]] = {}
+    for p in basis:
+        by_range.setdefault(p.vertex, []).append(p)
+    for _ in range(levels):
+        level: dict[int, list[FockPath]] = {}
+        for e in edges:
+            tails = by_range.get(e[0])
+            if tails:
+                paths = [FockPath(vertex, (e,) + path) for vertex, path in tails]
+                basis.extend(paths)
+                level.setdefault(e[1], []).extend(paths)
+        by_range = level
+    return CKFamily(graph=graph, depth=depth, basis=tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -338,19 +386,26 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
         of images covering each position, is exactly the vacuum plus the
         paths whose outermost edge has a different colour; (d) on the
         single-colour path space away from the vacua the defect is zero.
+
+    All edge maps come from one pass over the family's range-vertex
+    buckets and each defect reads only the bucket of its vertex, so the
+    cost is O(basis size x (out-degree + colours)) on any basis order.
     """
     graph = fam.graph
-    maps = {e: fam.edge_map(e) for e in graph.edges}
+    maps = fam._edge_maps(graph.edges)
     initial_ok = all(len(set(m.values())) == len(m) for m in maps.values())
     images = [set(maps[e].values()) for e in graph.edges]
     orthogonality_ok = sum(map(len, images)) == len(set().union(*images))
 
+    receiving: dict[tuple[int, int], list[Edge]] = {}
+    for e in graph.edges:
+        receiving.setdefault((e[2], e[1]), []).append(e)
     defects: list[ColourDefect] = []
     structure_ok = True
     monochrome_ok = True
     for colour in range(graph.colours):
         for v in graph.vertices:
-            in_edges = graph.in_edges(v, colour)
+            in_edges = receiving.get((colour, v))
             if not in_edges:
                 continue
             # S_e S_e* lives on the range of e, so the defect vanishes off v.
@@ -358,15 +413,15 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
             vacua = []
             off_colour = []
             predicted = True
-            for k in fam.vertex_indices(v):
-                p = fam.basis[k]
+            for k in fam._by_range.get(v, ()):
+                edges = fam.basis[k].edges
                 defect = 1 - covered[k]
-                expected = 1 if (p.length == 0 or p.outer_colour != colour) else 0
+                expected = 1 if (not edges or edges[0][2] != colour) else 0
                 if defect != expected:
                     predicted = False
                 if defect == 1:
-                    (vacua if p.length == 0 else off_colour).append(k)
-                if defect != 0 and p.length >= 1 and all(e[2] == colour for e in p.edges):
+                    (off_colour if edges else vacua).append(k)
+                if defect != 0 and edges and all(e[2] == colour for e in edges):
                     monochrome_ok = False
             structure_ok = structure_ok and predicted
             defects.append(

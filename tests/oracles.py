@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
-from dynalg.dynsys import FiniteSystem, SubSystem
+from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem
 from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix
 from dynalg.reps import CKReport, ColourDefect, FockPath
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
@@ -371,6 +372,84 @@ def matrix_product_quotient(sub: SubSystem, element: SemicrossedElement) -> Quot
 # ---- path-space oracle ---------------------------------------------------------
 
 
+def in_edges(graph: EdgeColoredGraph, vertex: int, colour: int) -> tuple:
+    """The edges of one colour arriving at the vertex, by a scan of all edges."""
+    return tuple(e for e in graph.edges if e[1] == vertex and e[2] == colour)
+
+
+def sorted_fock_basis(graph: EdgeColoredGraph, depth: int) -> tuple[FockPath, ...]:
+    """Every composable path of length <= depth plus the vacua, enumerated then sorted."""
+    by_source: dict[int, list] = {}
+    for e in graph.edges:
+        by_source.setdefault(e[0], []).append(e)
+    paths = [FockPath(v, ()) for v in graph.vertices]
+    frontier = list(paths)
+    for _ in range(depth):
+        if not frontier:
+            break
+        frontier = [
+            FockPath(p.vertex, (e,) + p.edges)
+            for p in frontier
+            for e in by_source.get(p.range_vertex, [])
+        ]
+        paths.extend(frontier)
+    paths.sort(key=lambda p: (p.length, p.edges, p.vertex))
+    return tuple(paths)
+
+
+def scan_edge_map(fam, edge) -> dict[int, int]:
+    """S_e as a partial map of basis positions, by a scan of the whole basis."""
+    positions = {p: k for k, p in enumerate(fam.basis)}
+    out = {}
+    for k, p in enumerate(fam.basis):
+        if p.length < fam.depth and p.range_vertex == edge[0]:
+            extended = FockPath(p.vertex, (edge,) + p.edges)
+            if extended not in positions:
+                raise ValueError(f"the basis lacks the path {extended}")
+            out[k] = positions[extended]
+    return out
+
+
+def scan_ck_report(fam) -> CKReport:
+    """The path-space relations read off per-edge scans of the basis.
+
+    Quadratic: a scan per edge, and per (colour, vertex) a scan of the
+    basis and of the edges.
+    """
+    graph = fam.graph
+    maps = {e: scan_edge_map(fam, e) for e in graph.edges}
+    initial_ok = all(len(set(m.values())) == len(m) for m in maps.values())
+    images = [set(maps[e].values()) for e in graph.edges]
+    orthogonality_ok = sum(map(len, images)) == len(set().union(*images))
+
+    defects = []
+    structure_ok = True
+    monochrome_ok = True
+    for colour in range(graph.colours):
+        for v in graph.vertices:
+            arriving = in_edges(graph, v, colour)
+            if not arriving:
+                continue
+            covered = Counter(k for e in arriving for k in maps[e].values())
+            vacua = []
+            off_colour = []
+            predicted = True
+            for k, p in enumerate(fam.basis):
+                if p.range_vertex != v:
+                    continue
+                defect = 1 - covered[k]
+                expected = 1 if (p.length == 0 or p.outer_colour != colour) else 0
+                if defect != expected:
+                    predicted = False
+                if defect == 1:
+                    (vacua if p.length == 0 else off_colour).append(k)
+                if defect != 0 and p.length >= 1 and all(e[2] == colour for e in p.edges):
+                    monochrome_ok = False
+            structure_ok = structure_ok and predicted
+            defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), predicted))
+    return CKReport(initial_ok, orthogonality_ok, tuple(defects), structure_ok, monochrome_ok)
+
+
 def dense_edge_operator(fam, edge) -> np.ndarray:
     """S_e as a dense 0/1 matrix, built from the definition."""
     positions = {p: k for k, p in enumerate(fam.basis)}
@@ -411,10 +490,10 @@ def dense_ck_report(fam) -> CKReport:
     monochrome_ok = True
     for colour in range(graph.colours):
         for v in graph.vertices:
-            in_edges = graph.in_edges(v, colour)
-            if not in_edges:
+            arriving = in_edges(graph, v, colour)
+            if not arriving:
                 continue
-            defect = pops[v] - sum(sops[e] @ sops[e].T for e in in_edges)
+            defect = pops[v] - sum(sops[e] @ sops[e].T for e in arriving)
             vacua = []
             off_colour = []
             predicted = True

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynalg import reps
 from dynalg.cli import (
     FormatError,
     dump_system,
@@ -26,6 +27,7 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.freeprod import BallMobius, mobius_to_u1n
+from dynalg.reps import MAX_FOCK_SIZE
 
 
 @pytest.fixture()
@@ -368,6 +370,22 @@ def test_fock_rejects_depth_past_basis_limit(tmp_path):
     report, code = run_command(["fock", str(path), "--depth", "20"])
     assert code == 2 and "smaller depth" in report["error"]
     assert report["timing_ms"] < 10000
+
+
+def test_fock_depth_15_is_refused_before_any_path_is_built(tmp_path, monkeypatch):
+    # two bijections of 4 points have 4 * 2^L paths of length L, each
+    # stored as 1 + L entries: depth 14 fits the limit and depth 15 does not
+    assert sum((1 + n) * 4 * 2**n for n in range(15)) <= MAX_FOCK_SIZE
+    assert sum((1 + n) * 4 * 2**n for n in range(16)) > MAX_FOCK_SIZE
+
+    def no_path(*args):
+        raise AssertionError("a path was built")
+
+    monkeypatch.setattr(reps, "FockPath", no_path)
+    path = tmp_path / "rotation.json"
+    path.write_text('{"points":4,"maps":[[1,2,3,0],[3,0,1,2]]}')
+    report, code = run_command(["fock", str(path), "--depth", "15"])
+    assert code == 2 and "smaller depth" in report["error"]
 
 
 def test_fock_rejects_malformed_subset(files):

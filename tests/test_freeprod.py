@@ -348,6 +348,18 @@ def test_lift_dual_check_examples():
         lift_dual_check(ident, 5, [[0.95, 0.0]])
 
 
+def test_certified_tails_are_python_floats():
+    # abs() of a numpy entry is a numpy scalar; the tail must not carry one
+    ident = U1nMatrix(n=2, matrix=np.eye(3, dtype=complex))
+    mixed = mobius_to_u1n(BallMobius(a=np.array([0.3, 0.2j]), unitary=np.eye(2)))
+    for x in (ident, mixed):
+        for s in voiculescu_lift(x, 5):
+            assert type(s.certified_tail) is float
+        report = lift_dual_check(x, 5, sample_ball_points(random.Random(26), 2, 3, 0.9))
+        assert type(report.certified_tail) is float and type(report.deviation) is float
+    assert repr(lift_dual_check(ident, 5, [[0.1, 0.2]])).endswith("certified_tail=0.0)")
+
+
 def test_lift_dual_check_mixed_matrices_certify():
     # A nontrivial centre together with a nontrivial unitary part; the lift
     # realises the action of X^-1, so the deviation stays within the tail.

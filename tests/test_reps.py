@@ -27,7 +27,14 @@ from dynalg.reps import (
 from dynalg.scalars import qc
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
-from oracles import dense_ck_report, dense_edge_operator, random_element, random_system
+from oracles import (
+    dense_ck_report,
+    dense_edge_operator,
+    random_element,
+    random_system,
+    scan_ck_report,
+    sorted_fock_basis,
+)
 
 LOOP_GRAPH = EdgeColoredGraph(vertices=(0,), edges=((0, 0, 0),), colours=1)
 
@@ -302,11 +309,28 @@ def test_fock_relations_on_random_graphs():
         assert report.defect_structure_ok
 
 
-def _random_families(rng, count):
+def _random_families(rng, count, max_depth=3):
     for _ in range(count):
         sys = random_system(rng, rng.randint(1, 4), rng.randint(1, 3))
         subset = rng.sample(range(sys.size), rng.randint(1, sys.size))
-        yield build_truncated_fock(colored_graph(restrict(sys, subset)), rng.randint(1, 3))
+        yield build_truncated_fock(colored_graph(restrict(sys, subset)), rng.randint(1, max_depth))
+
+
+def _perturbed(fam):
+    """Families on which some relation fails."""
+    perturbed = [
+        # the longest paths are no longer reached by any edge
+        CKFamily(fam.graph, fam.depth - 1, fam.basis),
+        # a repeated vacuum is sent twice onto the same path
+        CKFamily(fam.graph, fam.depth, fam.basis + fam.basis[:1]),
+    ]
+    if fam.graph.edges:
+        # a repeated edge overlaps its own image
+        graph = EdgeColoredGraph(
+            fam.graph.vertices, fam.graph.edges + fam.graph.edges[:1], fam.graph.colours
+        )
+        perturbed.append(CKFamily(graph, fam.depth, fam.basis))
+    return perturbed
 
 
 def test_ck_report_matches_dense_oracle_on_random_graphs():
@@ -327,19 +351,7 @@ def test_ck_report_matches_dense_oracle_on_perturbed_families():
         report = check_ck_relations(shuffled)
         assert report == dense_ck_report(shuffled)
         assert report.passed_exact_relations and report.defect_structure_ok
-        perturbed = [
-            # the longest paths are no longer reached by any edge
-            CKFamily(fam.graph, fam.depth - 1, fam.basis),
-            # a repeated vacuum is sent twice onto the same path
-            CKFamily(fam.graph, fam.depth, fam.basis + fam.basis[:1]),
-        ]
-        if fam.graph.edges:
-            # a repeated edge overlaps its own image
-            graph = EdgeColoredGraph(
-                fam.graph.vertices, fam.graph.edges + fam.graph.edges[:1], fam.graph.colours
-            )
-            perturbed.append(CKFamily(graph, fam.depth, fam.basis))
-        for other in perturbed:
+        for other in _perturbed(fam):
             report = check_ck_relations(other)
             assert report == dense_ck_report(other)
             failed["initial"] += not report.initial_projections_ok
@@ -347,6 +359,60 @@ def test_ck_report_matches_dense_oracle_on_perturbed_families():
             failed["structure"] += not report.defect_structure_ok
             failed["monochrome"] += not report.monochrome_cuntz_ok
     assert all(failed.values()), failed
+
+
+def _raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+def test_fock_build_and_check_match_scan_oracles_to_depth_6():
+    rng = random.Random(63)
+    failed = raised = 0
+    for fam in _random_families(rng, 80, max_depth=6):
+        assert fam.basis == sorted_fock_basis(fam.graph, fam.depth)
+        basis = list(fam.basis)
+        rng.shuffle(basis)
+        shuffled = CKFamily(fam.graph, fam.depth, tuple(basis))
+        for other in [fam, shuffled] + _perturbed(fam):
+            report = check_ck_relations(other)
+            assert report == scan_ck_report(other)
+            failed += not (report.passed_exact_relations and report.defect_structure_ok)
+        if fam.dim - len(fam.graph.vertices) >= 2:
+            # two paths gone: the first listed edge lacking a path names it
+            holed = list(fam.basis)
+            for _ in range(2):
+                holed.pop(rng.randrange(len(fam.graph.vertices), len(holed)))
+            holed = CKFamily(fam.graph, fam.depth, tuple(holed))
+            message = _raised(lambda: scan_ck_report(holed))
+            assert "lacks the path" in message
+            assert _raised(lambda: check_ck_relations(holed)) == message
+            raised += 1
+    assert failed and raised
+
+
+def test_fock_basis_does_not_depend_on_graph_order():
+    graphs = [
+        # vertices unsorted, edges neither in (colour, source) nor in sorted order
+        EdgeColoredGraph(
+            vertices=(2, 0, 1),
+            edges=((2, 0, 1), (0, 1, 0), (1, 2, 1), (0, 0, 1), (2, 2, 0), (1, 0, 0)),
+            colours=2,
+        ),
+        EdgeColoredGraph(vertices=(5, 3), edges=((5, 3, 0), (3, 5, 0), (3, 3, 1)), colours=2),
+    ]
+    rng = random.Random(64)
+    for fam in _random_families(rng, 30, max_depth=4):
+        vertices, edges = list(fam.graph.vertices), list(fam.graph.edges)
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        graphs.append(EdgeColoredGraph(tuple(vertices), tuple(edges), fam.graph.colours))
+    for graph in graphs:
+        for depth in (1, 3, 5):
+            fam = build_truncated_fock(graph, depth)
+            assert fam.basis == sorted_fock_basis(graph, depth)
+            assert check_ck_relations(fam) == scan_ck_report(fam)
 
 
 def test_incomplete_basis_is_rejected():
