@@ -19,9 +19,9 @@ matrix representations in :mod:`dynalg.reps`).
 The sum, product and degree calculus are the shared word-polynomial
 kernel of :mod:`dynalg.wordpoly`; this module adds the function
 coefficients and the covariance rule, which enters the product only
-through :func:`pullback`.  The degree-k component map and its Cesaro
-means (re-exported here) are computed by exact combinatorial selection
-of the words of length k.  The circle-average description of those
+through the pullback f o sigma_w.  The degree-k component map and its
+Cesaro means (re-exported here) are computed by exact combinatorial
+selection of the words of length k.  The circle-average description of those
 projections motivates the definitions but plays no computational role
 here; everything below is exact rational arithmetic.
 
@@ -98,8 +98,13 @@ class FunctionCoeff:
 
 def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> FunctionCoeff:
     """f o sigma_w, the composition with the word's map (rightmost letter first)."""
+    return _pull(f, validate_word(sys, word), sys)
+
+
+def _pull(f: FunctionCoeff, word: Word, sys: FiniteSystem) -> FunctionCoeff:
+    """:func:`pullback` along a word already known to be valid."""
     ends: Sequence[int] = range(sys.size)
-    for letter in reversed(validate_word(sys, word)):
+    for letter in reversed(word):
         table = sys.tables[letter]
         ends = [table[y] for y in ends]
     return FunctionCoeff(tuple(f.values[y] for y in ends))
@@ -132,7 +137,7 @@ class SemicrossedElement(WordPoly):
         return SemicrossedElement(system=system, terms=clean)
 
     def _past(self, coeff: FunctionCoeff, word: Word) -> FunctionCoeff:
-        return pullback(coeff, word, self.system)
+        return _pull(coeff, word, self.system)  # the kernel passes only valid words
 
     @staticmethod
     def zero(system: FiniteSystem) -> "SemicrossedElement":
@@ -260,8 +265,11 @@ def apply_hom(hom: CovariantHom, a: SemicrossedElement) -> SemicrossedElement:
             # (term, point) pairs land on the same word at the same point.
             values = cells.setdefault(tuple(reversed(letters)), [ZERO] * hom.target.size)
             values[gamma[x]] = value
-    return SemicrossedElement.make(
-        hom.target, {word: FunctionCoeff(tuple(values)) for word, values in cells.items()}
+    # Each alpha_y permutes the colours, so every word is valid over the
+    # target, and every cell holds a nonzero value: nothing to re-check.
+    return SemicrossedElement(
+        system=hom.target,
+        terms={word: FunctionCoeff(tuple(values)) for word, values in cells.items()},
     )
 
 

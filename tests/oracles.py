@@ -18,6 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem
+from dynalg.freeprod import NCSeries, PolyballPoint, U1nMatrix, voiculescu_lift
 from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix
 from dynalg.reps import CKReport, ColourDefect, FockPath
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
@@ -519,3 +520,51 @@ def dense_ck_report(fam) -> CKReport:
             structure_ok = structure_ok and predicted
             defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), predicted))
     return CKReport(initial_ok, orthogonality_ok, tuple(defects), structure_ok, monochrome_ok)
+
+
+# ---- ball samples and the lift check, one sample at a time ----------------------
+
+
+def looped_ball_samples(rng: random.Random, n: int, count: int, radius: float = 0.9) -> list:
+    """Open-ball samples drawn and scaled one at a time, as the sampler was
+    first written: the reference for dynalg.freeprod.sample_ball_points."""
+    points = []
+    for _ in range(count):
+        vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            points.append(tuple(0j for _ in range(n)))
+            continue
+        scale = radius * rng.random() ** (1.0 / (2 * n))
+        points.append(tuple(vec / norm * scale))
+    return points
+
+
+def truncated_series_value(series: NCSeries, point: PolyballPoint) -> complex:
+    """The series at a point as its truncated sum, term by term."""
+    lam = point.blocks[0]
+    shift_value = sum(s * l for s, l in zip(series.shift, lam))
+    affine_value = sum(v * l for v, l in zip(series.affine_vector, lam)) + series.affine_scalar
+    geometric = 0j
+    power = 1 + 0j
+    for k in range(series.order + 1):
+        geometric += series.x0_bar ** (-k - 1) * power
+        power *= shift_value
+    return geometric * affine_value
+
+
+def looped_lift_deviation(x: U1nMatrix, order: int, samples) -> float:
+    """The lift check one sample at a time: each sample becomes a point,
+    every series is summed term by term there, and X^-1 = J X* J acts by
+    (Y1 lambda + y2) / (y0 + <lambda, y1>)."""
+    series = voiculescu_lift(x, order)
+    j = np.diag([1.0] + [-1.0] * x.n)
+    y = j @ x.matrix.conj().T @ j
+    deviation = 0.0
+    for p in samples:
+        point = PolyballPoint((tuple(p),))
+        lam = np.array(point.blocks[0])
+        mu = np.array([truncated_series_value(s, point) for s in series])
+        image = (y[1:, 1:] @ lam + y[1:, 0]) / (y[0, 0] + np.vdot(y[0, 1:].conj(), lam))
+        deviation = max(deviation, float(np.max(np.abs(mu - image))))
+    return deviation

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dynalg.freeprod import (
     voiculescu_lift,
 )
 from dynalg.wordpoly import cesaro_mean, fourier_component
+from oracles import looped_ball_samples, looped_lift_deviation, truncated_series_value
 
 SIG = (2, 3)
 
@@ -412,6 +414,89 @@ def test_lift_dual_check_needs_samples_and_bounded_work():
         check_lift_work(1, -5, 10**9)  # a negative order bounds nothing
     with pytest.raises(ValueError, match="work limit"):
         lift_dual_check(ident, 10**9, [[0.1, 0.2]])
+
+
+def test_lift_check_space_does_not_grow_with_order():
+    x = mobius_to_u1n(BallMobius.involution([0.5]))
+    order = (MAX_LIFT_TERMS - 300) // 2 - 1  # the largest order admitted at n = 1, one sample
+    tracemalloc.start()
+    try:
+        report = lift_dual_check(x, order, [[0.3]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the order + 1 coefficients alone would take over 100 MB
+    assert report.certified_tail == 0.0 and report.deviation < 1e-15
+
+
+def test_lift_dual_check_rejects_malformed_samples():
+    # Each bad sample is a ValueError before any series arithmetic, so no
+    # RuntimeWarning escapes and no NaN deviation comes back.
+    nan, inf = float("nan"), float("inf")
+    x = mobius_to_u1n(BallMobius.involution([0.3, 0.2j]))
+    cases = (
+        ([[nan, 0.1]], "norm nan"),
+        ([[0.1, 0.2], [0.1, complex(0.0, nan)]], "norm nan"),
+        ([[inf, 0.1]], "norm inf"),
+        ([[0.1, -inf]], "norm inf"),
+        ([[0.1, 0.2, 0.3]], r"signature \(3,\) does not match \(2,\)"),
+        ([[0.1, 0.2], [0.3]], r"signature \(1,\) does not match \(2,\)"),
+        ([[0.3], [0.1, 0.2]], r"signature \(1,\) does not match \(2,\)"),
+        ([[0.1, 0.2], [0.95, 0.0]], r"norm 0\.9500 > 0\.9"),
+    )
+    for samples, message in cases:
+        with pytest.raises(ValueError, match=message):
+            lift_dual_check(x, 5, samples)
+        if len({len(p) for p in samples}) == 1:
+            with pytest.raises(ValueError, match=message):
+                lift_dual_check(x, 5, np.array(samples, dtype=complex))
+
+
+def random_u1n(rng, n, kind):
+    """A seeded involution, rotation or mixed matrix in U(1, n)."""
+    a = np.zeros(n) if kind == "rotation" else np.array(sample_ball_points(rng, n, 1, 0.8)[0])
+    if kind == "involution":
+        return mobius_to_u1n(BallMobius.involution(a))
+    g = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)])
+    q, r = np.linalg.qr(g)
+    return mobius_to_u1n(BallMobius(a=a, unitary=q * (np.diag(r) / np.abs(np.diag(r)))))
+
+
+def test_lift_array_pass_matches_looped_oracle():
+    rng = random.Random(31)
+    for case in range(45):
+        n = 1 + case % 3
+        x = random_u1n(rng, n, ("involution", "rotation", "mixed")[case // 3 % 3])
+        order = (0, 60)[case] if case < 2 else rng.randint(0, 60)
+        samples = sample_ball_points(rng, n, (1, 40)[case % 2] if case < 4 else rng.randint(1, 40))
+        report = lift_dual_check(x, order, samples)
+        assert abs(report.deviation - looped_lift_deviation(x, order, samples)) <= 1e-12
+        for s in voiculescu_lift(x, order):
+            for p in samples:
+                point = PolyballPoint((tuple(p),))
+                assert abs(s.evaluate(point) - truncated_series_value(s, point)) <= 1e-12
+
+
+def test_sample_ball_points_matches_looped_draws():
+    for n in (1, 2, 3):
+        for count in (0, 1, 7, 40):
+            for radius in (0.5, 0.9, 0.999):
+                rng, ref = random.Random(100 * n + count), random.Random(100 * n + count)
+                points = sample_ball_points(rng, n, count, radius)
+                expected = np.array(looped_ball_samples(ref, n, count, radius)).reshape(count, n)
+                assert points.shape == (count, n)
+                assert np.abs(points - expected).max(initial=0.0) <= 1e-15
+                assert rng.getstate() == ref.getstate()
+
+    class ZeroGauss(random.Random):
+        def gauss(self, mu=0.0, sigma=1.0):
+            return 0.0
+
+    # An all-zero draw is the centre and takes no radius draw.
+    rng, ref = ZeroGauss(3), ZeroGauss(3)
+    assert not sample_ball_points(rng, 2, 4).any()
+    assert looped_ball_samples(ref, 2, 4) == [(0j, 0j)] * 4
+    assert rng.getstate() == ref.getstate() == ZeroGauss(3).getstate()
 
 
 def test_signatures_and_symbols_must_be_ints():
