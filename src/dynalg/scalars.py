@@ -94,8 +94,7 @@ class RationalComplex:
     def __mul__(self, other: RationalLike) -> "RationalComplex":
         if type(other) is not RationalComplex:
             other = RationalComplex.coerce(other)
-        a, b, c, e = self._a, self._b, other._a, other._b
-        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -177,6 +176,17 @@ def _reduced(a: int, b: int, d: int) -> RationalComplex:
     _set_b(z, b)
     _set_d(z, d)
     return z
+
+
+def _product(z: RationalComplex, w: RationalComplex) -> RationalComplex:
+    """z * w for two scalars; a zero operand returns the shared ZERO."""
+    a, b = z._a, z._b
+    if not (a or b):
+        return ZERO
+    c, e = w._a, w._b
+    if not (c or e):
+        return ZERO
+    return _reduced(a * c - b * e, a * e + b * c, z._d * w._d)
 
 
 def qc(re: RationalInput = 0, im: RationalInput = 0) -> RationalComplex:

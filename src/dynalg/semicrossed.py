@@ -18,8 +18,10 @@ matrix representations in :mod:`dynalg.reps`).
 
 The sum, product and degree calculus are the shared word-polynomial
 kernel of :mod:`dynalg.wordpoly`; this module adds the function
-coefficients and the covariance rule, which enters the product only
-through the pullback f o sigma_w.  The degree-k component map and its
+coefficients and the covariance rule.  That rule enters the product
+once per right term s_w g: the word w is walked once over all points to
+the list of its end points sigma_w(x), and each product coefficient is
+then read off in one pass, f(sigma_w(x)) g(x) at x.  The degree-k component map and its
 Cesaro means (re-exported here) are computed by exact combinatorial
 selection of the words of length k.  The circle-average description of those
 projections motivates the definitions but plays no computational role
@@ -34,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .conjugacy import PartitionWitness, verify_partition_witness
 from .dynsys import FiniteSystem, Word, check_colour, validate_word
-from .scalars import ONE, ZERO, RationalComplex
+from .scalars import ONE, ZERO, RationalComplex, _product
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
 
@@ -71,23 +73,23 @@ class FunctionCoeff:
         return len(self.values)
 
     def __add__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        return FunctionCoeff(tuple(a + b for a, b in zip(self.values, other.values, strict=True)))
+        return _coeff(tuple(a + b for a, b in zip(self.values, other.values, strict=True)))
 
     def __sub__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        return FunctionCoeff(tuple(a - b for a, b in zip(self.values, other.values, strict=True)))
+        return _coeff(tuple(a - b for a, b in zip(self.values, other.values, strict=True)))
 
     def __mul__(self, other: "FunctionCoeff | RationalComplex | int | Fraction") -> "FunctionCoeff":
         """Pointwise product; a scalar multiplies every value."""
         if not isinstance(other, FunctionCoeff):
             return self.scale(other)
-        return FunctionCoeff(tuple(a * b for a, b in zip(self.values, other.values, strict=True)))
+        return _coeff(tuple(a * b for a, b in zip(self.values, other.values, strict=True)))
 
     def __neg__(self) -> "FunctionCoeff":
-        return FunctionCoeff(tuple(-a for a in self.values))
+        return _coeff(tuple(-a for a in self.values))
 
     def scale(self, value: RationalComplex | int | Fraction) -> "FunctionCoeff":
         c = RationalComplex.coerce(value)
-        return FunctionCoeff(tuple(a * c for a in self.values))
+        return _coeff(tuple(a * c for a in self.values))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -96,18 +98,25 @@ class FunctionCoeff:
         return not self.is_zero()
 
 
-def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> FunctionCoeff:
-    """f o sigma_w, the composition with the word's map (rightmost letter first)."""
-    return _pull(f, validate_word(sys, word), sys)
+def _coeff(values: tuple[RationalComplex, ...]) -> FunctionCoeff:
+    """A :class:`FunctionCoeff` of values already a tuple of scalars, unscanned."""
+    f = object.__new__(FunctionCoeff)
+    object.__setattr__(f, "values", values)
+    return f
 
 
-def _pull(f: FunctionCoeff, word: Word, sys: FiniteSystem) -> FunctionCoeff:
-    """:func:`pullback` along a word already known to be valid."""
+def _ends(sys: FiniteSystem, word: Word) -> Sequence[int]:
+    """sigma_w(x) for every point x, for a valid word (rightmost letter first)."""
     ends: Sequence[int] = range(sys.size)
     for letter in reversed(word):
         table = sys.tables[letter]
         ends = [table[y] for y in ends]
-    return FunctionCoeff(tuple(f.values[y] for y in ends))
+    return ends
+
+
+def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> FunctionCoeff:
+    """f o sigma_w, the composition with the word's map (rightmost letter first)."""
+    return _coeff(tuple(f.values[y] for y in _ends(sys, validate_word(sys, word))))
 
 
 @dataclass(frozen=True, eq=True)
@@ -136,8 +145,10 @@ class SemicrossedElement(WordPoly):
                 clean[w] = coeff
         return SemicrossedElement(system=system, terms=clean)
 
-    def _past(self, coeff: FunctionCoeff, word: Word) -> FunctionCoeff:
-        return _pull(coeff, word, self.system)  # the kernel passes only valid words
+    def _times(self, word: Word, coeff: FunctionCoeff) -> Callable[[FunctionCoeff], FunctionCoeff]:
+        # (c o sigma_w) d is c(sigma_w(x)) d(x) at x; the kernel passes only valid words.
+        ends, d = _ends(self.system, word), coeff.values
+        return lambda c: _coeff(tuple(map(_product, map(c.values.__getitem__, ends), d)))
 
     @staticmethod
     def zero(system: FiniteSystem) -> "SemicrossedElement":
@@ -232,7 +243,7 @@ class CovariantHom:
 
     def function_image(self, f: FunctionCoeff) -> FunctionCoeff:
         """f o gamma^-1."""
-        return FunctionCoeff(tuple(f.values[x] for x in self.witness.inverse().gamma))
+        return _coeff(tuple(f.values[x] for x in self.witness.inverse().gamma))
 
 
 def identity_hom(system: FiniteSystem) -> CovariantHom:
@@ -269,7 +280,7 @@ def apply_hom(hom: CovariantHom, a: SemicrossedElement) -> SemicrossedElement:
     # target, and every cell holds a nonzero value: nothing to re-check.
     return SemicrossedElement(
         system=hom.target,
-        terms={word: FunctionCoeff(tuple(values)) for word, values in cells.items()},
+        terms={word: _coeff(tuple(values)) for word, values in cells.items()},
     )
 
 
@@ -297,4 +308,9 @@ def partition_isomorphism(
     The reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}}.
     An invalid witness raises ``ValueError``.
     """
-    return CovariantHom(a, b, witness), CovariantHom(b, a, witness.inverse())
+    forward = CovariantHom(a, b, witness)
+    # The inverse of a verified witness verifies, so the reverse hom is
+    # built without repeating the check.
+    reverse = object.__new__(CovariantHom)
+    reverse.__dict__.update(source=b, target=a, witness=witness.inverse())
+    return forward, reverse

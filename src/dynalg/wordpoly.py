@@ -4,12 +4,15 @@ The semicrossed, free-product and edge-word algebras are all spanned by
 words, multiply by concatenating them, and differ only in the
 coefficient ring, the context that validates words (a system, a block
 signature, or none) and, for the semicrossed product, the covariance
-rule that moves a left coefficient past the right word.  A subclass is
-a dataclass with a ``terms`` field beside its context fields, and its
-``make`` validates words and coefficients from outside.  The kernel
-builds every result itself, over the operand's context: words
-concatenated or selected from valid words are valid, so it only drops
-zero (falsy) coefficients.  Thus ``terms`` never holds a zero, and equal
+rule that moves a left coefficient past the right word.  A product
+prepares each right term (w, d) once, through the hook ``_times``, as
+the map c -> c' d with c w = w c'; free algebras keep c' = c, and the
+semicrossed product walks w once.  A subclass is a dataclass with a
+``terms`` field beside its context fields, which alone decide whether
+two operands may be combined, and its ``make`` validates words and
+coefficients from outside.  The kernel builds every result itself, over
+the operand's context: words concatenated or selected from valid words
+are valid, so it only drops zero (falsy) coefficients.  Thus ``terms`` never holds a zero, and equal
 elements have equal term maps.
 """
 
@@ -18,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 
 class WordPoly:
@@ -31,29 +33,29 @@ class WordPoly:
         """The element with these terms, zeros dropped, over the same context."""
         return replace(self, terms={w: c for w, c in terms.items() if c})
 
-    def _past(self, coeff: Any, word: tuple) -> Any:
-        """The coefficient c' with c * word = word * c'; free algebras keep c."""
-        return coeff
+    def _times(self, word: tuple, coeff: Any) -> Callable[[Any], Any]:
+        """The map c -> c' d, where c * word = word * c' and d is ``coeff``.
+
+        The product prepares each right term (word, d) once; free algebras
+        have c' = c.
+        """
+        return lambda c: c * coeff
 
     def _check(self, other: "WordPoly") -> None:
-        # Two contexts agree exactly when their zero elements do.
-        if self._like({}) != other._like({}):
+        # Two contexts agree exactly when every field but the terms does.
+        if type(other) is not type(self) or {**vars(self), "terms": None} != {**vars(other), "terms": None}:
             raise ValueError(f"{type(self).__name__} operands live over different contexts")
 
     def __hash__(self) -> int:
         # Dataclass subclasses assign this explicitly, or they would hash the dict.
         return hash(frozenset(self.terms.items()))
 
-    def _collect(self, pairs: Iterable[tuple[tuple, Any]]) -> "WordPoly":
-        """Sum the coefficients of equal words."""
-        out: dict[tuple, Any] = {}
-        for word, coeff in pairs:
-            out[word] = out[word] + coeff if word in out else coeff
-        return self._like(out)
-
     def __add__(self, other: "WordPoly") -> "WordPoly":
         self._check(other)
-        return self._collect(chain(self.terms.items(), other.terms.items()))
+        out = dict(self.terms)
+        for word, coeff in other.terms.items():
+            out[word] = out[word] + coeff if word in out else coeff
+        return self._like(out)
 
     def __neg__(self) -> "WordPoly":
         return self._like({w: -c for w, c in self.terms.items()})
@@ -64,11 +66,15 @@ class WordPoly:
     def __mul__(self, other: "WordPoly") -> "WordPoly":
         """Bilinear extension of (v c)(w d) = vw (c past w) d."""
         self._check(other)
-        return self._collect(
-            (v + w, self._past(c, w) * d)
-            for v, c in self.terms.items()
-            for w, d in other.terms.items()
-        )
+        right = [(w, self._times(w, d)) for w, d in other.terms.items()]
+        out: dict[tuple, Any] = {}
+        # Left terms outermost: float coefficients of equal words sum in the
+        # order of the pair-by-pair test oracle, tests/oracles.py:pulled_product.
+        for v, c in self.terms.items():
+            for w, times in right:
+                vw, cd = v + w, times(c)
+                out[vw] = out[vw] + cd if vw in out else cd
+        return self._like(out)
 
     def scale(self, value) -> "WordPoly":
         return self._like({w: c * value for w, c in self.terms.items()})

@@ -11,7 +11,7 @@ import itertools
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -267,6 +267,23 @@ def direct_triple_product(
                 coeff = pullback(f, v + w, sys) * pullback(g, w, sys) * h
                 terms[word] = terms[word] + coeff if word in terms else coeff
     return SemicrossedElement.make(sys, terms)
+
+
+def pulled_product(p, q):
+    """The kernel product formed pair by pair, with no preparation per right term.
+
+    Each left coefficient of a semicrossed element is pulled back along the
+    right word by the validating ``pullback`` and then multiplied by the
+    right coefficient; free algebras multiply coefficients as they are.
+    Equal words sum with left terms outermost, as in the kernel.
+    """
+    terms = {}
+    for v, c in p.terms.items():
+        for w, d in q.terms.items():
+            pulled = pullback(c, w, p.system) if isinstance(p, SemicrossedElement) else c
+            word, coeff = v + w, pulled * d
+            terms[word] = terms[word] + coeff if word in terms else coeff
+    return replace(p, terms={w: c for w, c in terms.items() if c})
 
 
 def random_dyadic_poly(rng: random.Random, signature, max_degree=4, terms=4):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynalg import cli
 from dynalg.dynsys import FiniteSystem
-from dynalg.scalars import ONE, ZERO, RationalComplex, qc
+from dynalg.scalars import ONE, ZERO, RationalComplex, _product, qc
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement
 from oracles import FractionPairComplex
 
@@ -142,6 +142,25 @@ def test_equality_and_hash_follow_the_normal_form(p, q):
     assert len({z, (z + w) - w}) == 1
     # Like the dataclass it replaces, a scalar equals only scalars.
     assert (z == p[0]) is False and (ONE == 1) is False
+
+
+# Zero, pure-real and pure-imaginary operands, beside the general ones.
+product_operands = st.one_of(
+    parts,
+    st.just((0, 0)),
+    st.tuples(rationals, st.just(0)),
+    st.tuples(st.just(0), rationals),
+    st.sampled_from([(2 ** 90 + 1, 0), (0, -(2 ** 90) - 3), (Fraction(2 ** 90, 3), Fraction(-(2 ** 89), 7))]),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(product_operands, product_operands)
+def test_scalar_product_helper_matches_fraction_pair_oracle(p, q):
+    z, zo = both(p)
+    w, wo = both(q)
+    assert_agrees(_product(z, w), zo * wo)
+    assert_agrees(_product(w, z), wo * zo)
 
 
 def test_zero_has_one_normal_form():

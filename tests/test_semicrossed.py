@@ -302,6 +302,25 @@ def _partition_homs(rng, pairs):
     return homs
 
 
+def test_partition_isomorphism_verifies_only_the_forward_witness(monkeypatch):
+    import dynalg.semicrossed as semicrossed
+
+    checked = []
+    verify = semicrossed.verify_partition_witness
+
+    def counted(a, b, witness):
+        checked.append((a, b, witness))
+        return verify(a, b, witness)
+
+    monkeypatch.setattr(semicrossed, "verify_partition_witness", counted)
+    homs = _partition_homs(random.Random(12), 40)
+    assert len(homs) > 10
+    assert checked == [(f.source, f.target, f.witness) for f, _ in homs]
+    for forward, reverse in homs:
+        checked_reverse = CovariantHom(forward.target, forward.source, forward.witness.inverse())
+        assert reverse == checked_reverse and hash(reverse) == hash(checked_reverse)
+
+
 def test_apply_hom_matches_multiplicative_oracle():
     rng = random.Random(11)
     pairs = _partition_homs(rng, 80)

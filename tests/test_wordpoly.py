@@ -3,19 +3,22 @@
 Every result of the kernel must equal its class's validating ``make``
 of its own terms: no zero coefficient survives, every word is valid
 over the operand's context, and free-product coefficients stay Python
-``complex``.
+``complex``.  Products must equal the pair-by-pair oracle, float
+coefficients bit for bit.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from dynalg.freeprod import FPPoly, fp_gauge
 from dynalg.quotient import EdgeGenerator, FreeEdgePoly
 from dynalg.scalars import ONE, ZERO, RationalComplex
-from dynalg.semicrossed import SemicrossedElement, gauge
+from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, gauge, pullback, sc_multiply
 from dynalg.wordpoly import cesaro_mean, fourier_component
 
-from oracles import random_dyadic_poly, random_element, random_system
+from oracles import pulled_product, random_dyadic_poly, random_element, random_system
 
 
 def remade(p):
@@ -71,3 +74,79 @@ def test_kernel_results_are_in_normal_form():
 
         for r in results:
             assert r == remade(r)
+
+
+def sparse_pair(rng, system):
+    """Two elements whose coefficients vanish at some points, with the empty
+    word on both sides, and a colour i whose word s_i cancels in their product."""
+    i = rng.randrange(system.arity)
+    p, q = (random_element(rng, system, 3) for _ in range(2))
+    p_terms, q_terms = (
+        {w: FunctionCoeff(tuple(ZERO if rng.random() < 0.4 else v for v in c.values)) for w, c in e.terms.items()}
+        for e in (p, q)
+    )
+    f, g = (
+        FunctionCoeff(tuple(RationalComplex(rng.randint(1, 5), rng.randint(-3, 3)) for _ in range(system.size)))
+        for _ in range(2)
+    )
+    # (1 f + s_i 1)(s_i g - 1 (f o sigma_i) g) has no s_i term.
+    p_terms.update({(): f, (i,): FunctionCoeff.one(system.size)})
+    q_terms.update({(i,): g, (): -(pullback(f, (i,), system) * g)})
+    return SemicrossedElement.make(system, p_terms), SemicrossedElement.make(system, q_terms), i
+
+
+def float_poly(rng, signature):
+    """A free-product polynomial whose coefficients mix signed zeros,
+    dyadic values and inexact floats, so sums depend on their order."""
+    slots = [(i, j) for i, n in enumerate(signature) for j in range(n)]
+    parts = (0.0, -0.0, 1.0, -0.5, 0.1, -1 / 3, 2.5e-8, 7.0)
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        word = tuple(rng.choice(slots) for _ in range(rng.randint(0, 2)))
+        terms[word] = complex(rng.choice(parts), rng.choice(parts))
+    return FPPoly.make(signature, terms)
+
+
+def test_product_matches_pair_by_pair_oracle():
+    rng = random.Random(62)
+    for _ in range(60):
+        system = random_system(rng, rng.randint(1, 6), rng.randint(1, 3))
+        p, q, i = sparse_pair(rng, system)
+        assert () in p.terms and () in q.terms
+        assert (i,) not in sc_multiply(p, q).terms
+        for left, right in ((p, q), (q, p), (p, p), (p, SemicrossedElement.unit(system))):
+            product = sc_multiply(left, right)
+            assert product == pulled_product(left, right)
+            for coeff in product.terms.values():
+                assert type(coeff.values) is tuple
+                assert all(type(v) is RationalComplex for v in coeff.values)
+
+        signature = rng.choice(((1,), (2, 1), (1, 1, 2)))
+        f, g = float_poly(rng, signature), float_poly(rng, signature)
+        for left, right in ((f, g), (g, f), (f, f)):
+            product, oracle = left * right, pulled_product(left, right)
+            assert {w: repr(c) for w, c in product.terms.items()} == {
+                w: repr(c) for w, c in oracle.terms.items()
+            }
+
+        e, h = random_edge_poly(rng), random_edge_poly(rng)
+        for left, right in ((e, h), (h, e), (e, e - h)):
+            assert left * right == pulled_product(left, right)
+
+
+def test_product_rejects_operands_over_other_contexts():
+    rng = random.Random(63)
+    a = random_system(rng, 3, 2)
+    b = random_system(rng, 3, 2)
+    while b == a:
+        b = random_system(rng, 3, 2)
+    p = random_element(rng, a, 2)
+    for other in (random_element(rng, b, 2), SemicrossedElement.unit(b), random_dyadic_poly(rng, (2,))):
+        with pytest.raises(ValueError, match="different contexts"):
+            p * other
+        with pytest.raises(ValueError, match="different contexts"):
+            p + other
+    f, g = random_dyadic_poly(rng, (2, 1)), random_dyadic_poly(rng, (1, 2))
+    for left, right in ((f, g), (g, f), (f, FreeEdgePoly.scalar(ONE))):
+        with pytest.raises(ValueError, match="different contexts"):
+            left * right
