@@ -64,7 +64,6 @@ from .reps import (
     build_colour_rep,
     build_truncated_fock,
     check_ck_relations,
-    compress_block,
     decide_tensor_vs_semicrossed,
     nest_rep_exists,
     rep_apply,

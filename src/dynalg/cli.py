@@ -40,7 +40,7 @@ from .conjugacy import (
     decide_piecewise,
     verify_partition_witness,
 )
-from .dynsys import FiniteSystem, ranges_pairwise_disjoint, restrict, colored_graph
+from .dynsys import FiniteSystem, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict
 from .fixtures import (
     FOUR_POINT_OVERLAP,
     FOUR_POINT_SPLIT_A,
@@ -237,7 +237,7 @@ def _signature(system: FiniteSystem, point: Optional[int]) -> tuple:
     """The local signature at ``point``, or the full entry signature without one."""
     if point is not None:
         return local_signature(system, point)
-    return entry_signature(restrict(system, range(system.size)))
+    return entry_signature(full_subsystem(system))
 
 
 def _cmd_signature(args) -> tuple[Optional[bool], Any]:

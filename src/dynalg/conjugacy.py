@@ -10,8 +10,8 @@ Three nested notions are decided here, each with a verifiable witness:
   in addition saturated under preimages on both sides, i.e. points with
   a common image under a map must agree on that map's recolouring.
 
-All three deciders share one deterministic depth-first search.  It
-assigns gamma(0), gamma(1), ... in turn and tries values in increasing
+All three deciders share one depth-first search on the iterative walk
+:func:`dynalg.matching.lex_first`.  Level x assigns gamma(x) in increasing
 order, so bijections are met in lexicographic one-line-notation order.
 Every witness of every notion makes gamma an isomorphism of the
 out-multigraphs with map colours forgotten: gamma maps the multiset
@@ -47,9 +47,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence, TypeVar
+from functools import partial
+from typing import Callable, Hashable, Optional, Sequence
 
 from .dynsys import FiniteSystem
+from .matching import W, lex_first
 from .quotient import local_signature
 
 Permutation = tuple[int, ...]
@@ -160,9 +162,6 @@ def _refined_colours(
         ]
 
 
-W = TypeVar("W")
-
-
 def _lex_search(
     a: FiniteSystem,
     b: FiniteSystem,
@@ -175,18 +174,20 @@ def _lex_search(
     ``seeds`` are the starting colours of the points of ``a`` followed
     by those of ``b``.  ``start`` holds the starting colour permutation
     lists, in lexicographic order: one list shared by every point, or
-    one per point.  Each edge p -> sigma_i(p) that an assignment completes
-    narrows the list of p to the alpha with tau_{alpha(i)}(gamma(p)) =
-    gamma(sigma_i(p)), and a branch dies once a list is empty; ``leaf``
-    receives gamma and the lists.  Only branches without a witness are
-    pruned, so the first witness returned is the least one.
+    one per point.  Level x assigns gamma(x) and pushes narrowed lists:
+    each edge p -> sigma_i(p) it completes keeps in the list of p the alpha
+    with tau_{alpha(i)}(gamma(p)) = gamma(sigma_i(p)), and a value emptying
+    a list is refused.  ``leaf`` receives gamma and the top lists.  Only
+    branches without a witness are pruned, so the first witness is the least.
     """
     colours = _refined_colours(a, b, seeds)
     if colours is None:
         return None
     ca, cb = colours
     n = a.size
-    candidates = [[v for v in range(n) if cb[v] == ca[x]] for x in range(n)]
+    by_colour: dict[int, list[int]] = {}
+    for v in range(n):
+        by_colour.setdefault(cb[v], []).append(v)
     shared = len(start) == 1
     # Assigning x completes the edges p -> y = sigma_i(p) with max(p, y) == x;
     # each narrows the list of its owner k.
@@ -198,29 +199,28 @@ def _lex_search(
     tables_b = b.tables
     gamma = [-1] * n
     used = [False] * n
+    lists = [start]  # the lists after each assigned level
 
-    def extend(x: int, lists: list[list[Permutation]]) -> Optional[W]:
-        if x == n:
-            return leaf(tuple(gamma), lists)
-        for v in candidates[x]:
-            if used[v]:
-                continue
-            gamma[x] = v
-            narrowed = lists.copy()
-            for k, p, i, y in new_edges[x]:
-                gp, gy = gamma[p], gamma[y]
-                narrowed[k] = [alpha for alpha in narrowed[k] if tables_b[alpha[i]][gp] == gy]
-                if not narrowed[k]:
-                    break
-            else:
-                used[v] = True
-                found = extend(x + 1, narrowed)
-                used[v] = False
-                if found is not None:
-                    return found
-        return None
+    def free(x: int) -> list[int]:
+        return [v for v in by_colour[ca[x]] if not used[v]]
 
-    return extend(0, start)
+    def enter(x: int, v: int) -> bool:
+        gamma[x] = v
+        narrowed = lists[-1].copy()
+        for k, p, i, y in new_edges[x]:
+            gp, gy = gamma[p], gamma[y]
+            narrowed[k] = [alpha for alpha in narrowed[k] if tables_b[alpha[i]][gp] == gy]
+            if not narrowed[k]:
+                return False
+        used[v] = True
+        lists.append(narrowed)
+        return True
+
+    def leave(x: int) -> None:
+        used[gamma[x]] = False
+        lists.pop()
+
+    return lex_first(n, free, enter, leave, lambda: leaf(tuple(gamma), lists[-1]))
 
 
 def decide_conjugate(
@@ -235,18 +235,13 @@ def decide_conjugate(
     or None.
     """
     _check_compatible(a, b)
-    betas = (
-        list(itertools.permutations(range(a.arity))) if allow_recolor else [tuple(range(a.arity))]
-    )
-    return _lex_search(
-        a,
-        b,
-        [0] * (2 * a.size),
-        [betas],
-        lambda gamma, lists: ConjugacyWitness(
-            gamma=gamma, recolor=lists[0][0] if allow_recolor else None
-        ),
-    )
+    perms = list(itertools.permutations(range(a.arity)))
+    betas = perms if allow_recolor else [tuple(range(a.arity))]
+
+    def witness(gamma: Permutation, lists: list[list[Permutation]]) -> ConjugacyWitness:
+        return ConjugacyWitness(gamma=gamma, recolor=lists[0][0] if allow_recolor else None)
+
+    return _lex_search(a, b, [0] * (2 * a.size), [betas], witness)
 
 
 def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitness]:
@@ -261,26 +256,23 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     witness.
     """
     _check_compatible(a, b)
-    return _lex_search(
-        a,
-        b,
-        [0] * (2 * a.size),
-        [list(itertools.permutations(range(a.arity)))] * a.size,
-        lambda gamma, lists: PiecewiseWitness(
-            gamma=gamma, alpha=tuple(admissible[0] for admissible in lists)
-        ),
-    )
+
+    def witness(gamma: Permutation, lists: list[list[Permutation]]) -> PiecewiseWitness:
+        return PiecewiseWitness(gamma=gamma, alpha=tuple(admissible[0] for admissible in lists))
+
+    perms = list(itertools.permutations(range(a.arity)))
+    return _lex_search(a, b, [0] * (2 * a.size), [perms] * a.size, witness)
 
 
 def _partition_alpha_field(
     a: FiniteSystem, b: FiniteSystem, gamma: Permutation, options: list[list[Permutation]]
-) -> Optional[tuple[Permutation, ...]]:
-    """Backtracking over the admissible ``options`` for a field meeting the preimage conditions."""
+) -> Optional[PartitionWitness]:
+    """Complete gamma by the least field of ``options`` that meets the preimage conditions."""
     n = a.arity
     inverses = {p: _invert(p) for ok in options for p in ok}
     chosen: list[Permutation] = []
 
-    def consistent(x: int, perm: Permutation) -> bool:
+    def enter(x: int, perm: Permutation) -> bool:
         pinv = inverses[perm]
         for y in range(x):
             other = chosen[y]
@@ -292,22 +284,13 @@ def _partition_alpha_field(
             for j in range(n):
                 if b.tables[j][gx] == b.tables[j][gy] and pinv[j] != oinv[j]:
                     return False
+        chosen.append(perm)
         return True
 
-    def extend(x: int) -> bool:
-        if x == a.size:
-            return True
-        for perm in options[x]:
-            if consistent(x, perm):
-                chosen.append(perm)
-                if extend(x + 1):
-                    return True
-                chosen.pop()
-        return False
+    def witness() -> PartitionWitness:
+        return PartitionWitness(gamma=gamma, alpha=tuple(chosen))
 
-    if extend(0):
-        return tuple(chosen)
-    return None
+    return lex_first(a.size, lambda x: options[x], enter, lambda _x: chosen.pop(), witness)
 
 
 def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitness]:
@@ -320,14 +303,10 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     the lexicographically least witness (gamma first, then alpha) or None.
     """
     _check_compatible(a, b)
-
-    def leaf(gamma: Permutation, lists: list[list[Permutation]]) -> Optional[PartitionWitness]:
-        field = _partition_alpha_field(a, b, gamma, lists)
-        return None if field is None else PartitionWitness(gamma=gamma, alpha=field)
-
     seeds = [local_signature(a, x) for x in range(a.size)]
     seeds += [local_signature(b, v) for v in range(b.size)]
-    return _lex_search(a, b, seeds, [list(itertools.permutations(range(a.arity)))] * a.size, leaf)
+    perms = list(itertools.permutations(range(a.arity)))
+    return _lex_search(a, b, seeds, [perms] * a.size, partial(_partition_alpha_field, a, b))
 
 
 def _validate_witness_shape(

@@ -294,12 +294,6 @@ class CKFamily:
         out[list(pairs.values()), list(pairs.keys())] = 1
         return out
 
-    def vertex_projection(self, vertex: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for k in self.vertex_indices(vertex):
-            out[k, k] = 1
-        return out
-
 
 # Largest basis built, each path counted as 1 + its length (what it stores):
 # two bijections of 4 points fit depth 14, a single loop depth 2,046.
@@ -440,13 +434,3 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
         defect_structure_ok=structure_ok,
         monochrome_cuntz_ok=monochrome_ok,
     )
-
-
-def compress_block(fam: CKFamily, mat: np.ndarray, source: int, target: int) -> np.ndarray:
-    """The (target, source) block of a matrix graded by the path ranges."""
-    rows = fam.vertex_indices(target)
-    cols = fam.vertex_indices(source)
-    m = np.asarray(mat)
-    if m.shape != (fam.dim, fam.dim):
-        raise ValueError(f"matrix must be {fam.dim}x{fam.dim} over the path basis")
-    return m[np.ix_(rows, cols)]

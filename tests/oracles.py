@@ -212,6 +212,14 @@ def brute_force_conjugate(a, b, allow_recolor=False) -> Optional[tuple[tuple, Op
     return None
 
 
+def brute_force_injective(options) -> Optional[tuple[int, ...]]:
+    """First tuple of distinct entries in product order of the sorted options, or None."""
+    for choice in itertools.product(*(sorted(set(opts)) for opts in options)):
+        if len(set(choice)) == len(choice):
+            return choice
+    return None
+
+
 # ---- random generators -----------------------------------------------------
 
 
@@ -249,6 +257,23 @@ def scrambled_pair(
             tables[fields[x][i]][gamma[x]] = gamma[a.tables[i][x]]
     b = FiniteSystem(size=size, tables=tuple(tuple(t) for t in tables))
     return a, b
+
+
+def relabelled_pair(
+    rng: random.Random, size: int, arity: int
+) -> tuple[FiniteSystem, FiniteSystem]:
+    """A random system and its copy under a random point bijection, colours kept.
+
+    The pair is conjugate index by index, so every notion has a witness.
+    """
+    a = random_system(rng, size, arity)
+    gamma = list(range(size))
+    rng.shuffle(gamma)
+    tables = [[0] * size for _ in range(arity)]
+    for i, table in enumerate(a.tables):
+        for x, y in enumerate(table):
+            tables[i][gamma[x]] = gamma[y]
+    return a, FiniteSystem(size=size, tables=tuple(tuple(t) for t in tables))
 
 
 # ---- semicrossed oracles -----------------------------------------------------
@@ -476,6 +501,24 @@ def dense_edge_operator(fam, edge) -> np.ndarray:
         if p.length < fam.depth and p.range_vertex == edge[0]:
             out[positions[FockPath(p.vertex, (edge,) + p.edges)], k] = 1
     return out
+
+
+def vertex_projection(fam, vertex: int) -> np.ndarray:
+    """P_v as a dense 0/1 diagonal matrix: the basis paths with range v."""
+    out = np.zeros((fam.dim, fam.dim), dtype=np.int64)
+    for k in fam.vertex_indices(vertex):
+        out[k, k] = 1
+    return out
+
+
+def compress_block(fam, mat: np.ndarray, source: int, target: int) -> np.ndarray:
+    """The (target, source) block of a matrix graded by the path ranges."""
+    rows = fam.vertex_indices(target)
+    cols = fam.vertex_indices(source)
+    m = np.asarray(mat)
+    if m.shape != (fam.dim, fam.dim):
+        raise ValueError(f"matrix must be {fam.dim}x{fam.dim} over the path basis")
+    return m[np.ix_(rows, cols)]
 
 
 def dense_ck_report(fam) -> CKReport:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from dynalg.fixtures import (
 )
 from dynalg.freeprod import BallMobius, mobius_to_u1n
 from dynalg.reps import MAX_FOCK_SIZE
+
+from oracles import make_rng, relabelled_pair
 
 
 @pytest.fixture()
@@ -235,6 +238,36 @@ def test_check_piecewise_affirmative(files):
     assert code == 0
     assert report["decision"] is True
     assert report["witness"] == {"gamma": [0, 1], "alpha": [[0, 1], [1, 0]]}
+
+
+def test_check_decides_large_relabelled_pairs_in_every_mode(tmp_path):
+    # The searches keep an explicit stack: depth n must not reach the recursion limit.
+    a, b = relabelled_pair(make_rng(2000), 2000, 2)
+    paths = []
+    for name, system in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_system(system))
+        paths.append(str(path))
+    limit = sys.getrecursionlimit()
+    witnesses = {}
+    for mode in ("conjugate", "piecewise", "partition"):
+        report, code = run_command(["check", "--mode", mode, *paths])
+        assert code == 0 and report["decision"] is True
+        witnesses[mode] = report["witness"]
+    assert sys.getrecursionlimit() == limit
+
+    gamma = witnesses["conjugate"]["gamma"]
+    assert witnesses["conjugate"]["recolor"] is None
+    assert all(
+        gamma[a.tables[i][x]] == b.tables[i][gamma[x]] for i in range(a.arity) for x in range(a.size)
+    )
+    gamma, alpha = witnesses["piecewise"]["gamma"], witnesses["piecewise"]["alpha"]
+    assert all(
+        gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]
+        for i in range(a.arity)
+        for x in range(a.size)
+    )
+    assert verify_partition_witness(a, b, witness_to_partition(witnesses["partition"])).passed
 
 
 def test_check_conjugate_modes(files):
