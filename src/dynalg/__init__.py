@@ -54,6 +54,7 @@ from .quotient import (
     QuotientMatrix,
     entry_signature,
     local_signature,
+    local_signatures,
     quotient_map,
     signatures_equivalent,
 )

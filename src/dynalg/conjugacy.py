@@ -22,16 +22,19 @@ that fact twice.
   (1-dimensional Weisfeiler-Leman on the disjoint union), keyed by a
   point's colour and the colour multisets of its images and preimages.
   Point x may only be sent to a point of the same refined colour, and
-  differing colour multisets refute the pair without any search.  The
+  differing colour multisets refute the pair without any search.
+  Refinement stops early once every class holds one point of each side,
+  since the search then has a single candidate per level.  The
   partition decider seeds the refinement with the per-point entry
-  signature (:func:`dynalg.quotient.local_signature`), which every
+  signatures (:func:`dynalg.quotient.local_signatures`), which every
   partition witness preserves; the other two start from one colour.
 * Permutation lists: every point keeps the colour permutations, in
   lexicographic order, that agree with its edges assigned so far
   (conjugacy keeps one list shared by all points).  Each assignment
-  narrows the lists of the edges it completes, and a branch dies once a
-  list is empty.  A per-point list is empty exactly when its assigned
-  images no longer fit in the target's image multiset.
+  narrows the lists of the edges it completes, in place and with an undo
+  trail, and a branch dies once a list is empty.  A per-point list is
+  empty exactly when its assigned images no longer fit in the target's
+  image multiset.
 
 Both only remove branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
@@ -39,7 +42,10 @@ over all n! bijections would find.  The leaf reads the witness off the
 lists: the first entry at each point (piecewise), the least
 preimage-saturated colour field (partition, which may fail and
 backtrack), or the first entry of the shared list (conjugacy).  The
-worst case is still exponential: on highly symmetric systems refinement
+partition leaf and :func:`verify_partition_witness` test the preimage
+conditions by bucketing the points by sigma_i(x) and by tau_j(gamma x),
+so outside the search tree a decider call does linear work.  The worst
+case is still exponential: on highly symmetric systems refinement
 separates nothing and many branches survive to the leaves.
 """
 
@@ -50,9 +56,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
 
-from .dynsys import FiniteSystem
+from .dynsys import FiniteSystem, _is_int
 from .matching import W, lex_first
-from .quotient import local_signature
+from .quotient import local_signatures
 
 Permutation = tuple[int, ...]
 
@@ -128,15 +134,17 @@ def _refined_colours(
 
     The points form one disjoint union (those of ``b`` shifted by
     ``a.size``) with starting colours ``seeds``, so colour ids are
-    comparable across the systems.  Each round keys a point by its
-    colour and the sorted colours of its images and of its preimages,
-    counted with multiplicity; it stops when the number of classes stops
-    growing.  Returns the colours of each side, or None as soon as the
-    two colour multisets differ.
+    comparable across the systems; ids are numbered by first occurrence.
+    Each round keys a point by its colour and the sorted colours of its
+    images and of its preimages, counted with multiplicity.  Returns the
+    colours of each side, or None as soon as the two colour multisets
+    differ.  It stops when the number of classes stops growing, or once
+    the balanced partition is discrete (n classes of one point per side):
+    a further round could then only refute, and the search, with one
+    candidate per level, refutes such a pair by itself.
     """
     n = a.size
-    out = [[t[x] for t in a.tables] for x in range(n)]
-    out += [[t[x] + n for t in b.tables] for x in range(n)]
+    out = list(zip(*a.tables)) + list(zip(*([v + n for v in t] for t in b.tables)))
     into: list[list[int]] = [[] for _ in range(2 * n)]
     for u, targets in enumerate(out):
         for v in targets:
@@ -145,21 +153,23 @@ def _refined_colours(
     keys: Sequence[Hashable] = seeds
     classes = 0
     while True:
-        palette = {key: k for k, key in enumerate(sorted(set(keys)))}
+        palette: dict[Hashable, int] = {}
+        colour = [palette.setdefault(key, len(palette)) for key in keys]
         if len(palette) == classes:
             return colour[:n], colour[n:]
         classes = len(palette)
-        colour = [palette[key] for key in keys]
         if sorted(colour[:n]) != sorted(colour[n:]):
             return None
-        keys = [
-            (
-                colour[u],
-                tuple(sorted(colour[v] for v in out[u])),
-                tuple(sorted(colour[v] for v in into[u])),
+        if classes == n:
+            return colour[:n], colour[n:]
+        get = colour.__getitem__
+        keys = list(
+            zip(
+                colour,
+                [tuple(sorted(map(get, targets))) for targets in out],
+                [tuple(sorted(map(get, sources))) for sources in into],
             )
-            for u in range(2 * n)
-        ]
+        )
 
 
 def _lex_search(
@@ -174,11 +184,14 @@ def _lex_search(
     ``seeds`` are the starting colours of the points of ``a`` followed
     by those of ``b``.  ``start`` holds the starting colour permutation
     lists, in lexicographic order: one list shared by every point, or
-    one per point.  Level x assigns gamma(x) and pushes narrowed lists:
-    each edge p -> sigma_i(p) it completes keeps in the list of p the alpha
-    with tau_{alpha(i)}(gamma(p)) = gamma(sigma_i(p)), and a value emptying
-    a list is refused.  ``leaf`` receives gamma and the top lists.  Only
-    branches without a witness are pruned, so the first witness is the least.
+    one per point.  Level x assigns gamma(x) and narrows the lists in
+    place: each edge p -> sigma_i(p) it completes keeps in the list of p
+    the alpha with tau_{alpha(i)}(gamma(p)) = gamma(sigma_i(p)), and a
+    value emptying a list is refused.  Every narrowing that drops an entry
+    pushes one (owner, previous list) record on an undo trail, and leaving
+    the level pops its records, so a level costs only the edges it
+    completes.  ``leaf`` receives gamma and the lists.  Only branches
+    without a witness are pruned, so the first witness is the least.
     """
     colours = _refined_colours(a, b, seeds)
     if colours is None:
@@ -199,28 +212,40 @@ def _lex_search(
     tables_b = b.tables
     gamma = [-1] * n
     used = [False] * n
-    lists = [start]  # the lists after each assigned level
+    lists = list(start)
+    trail: list[tuple[int, list[Permutation]]] = []
+    marks: list[int] = []  # the trail's length on entering each assigned level
 
     def free(x: int) -> list[int]:
         return [v for v in by_colour[ca[x]] if not used[v]]
 
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            k, previous = trail.pop()
+            lists[k] = previous
+
     def enter(x: int, v: int) -> bool:
         gamma[x] = v
-        narrowed = lists[-1].copy()
+        mark = len(trail)
         for k, p, i, y in new_edges[x]:
             gp, gy = gamma[p], gamma[y]
-            narrowed[k] = [alpha for alpha in narrowed[k] if tables_b[alpha[i]][gp] == gy]
-            if not narrowed[k]:
-                return False
+            current = lists[k]
+            narrowed = [alpha for alpha in current if tables_b[alpha[i]][gp] == gy]
+            if len(narrowed) < len(current):
+                if not narrowed:
+                    undo(mark)
+                    return False
+                trail.append((k, current))
+                lists[k] = narrowed
         used[v] = True
-        lists.append(narrowed)
+        marks.append(mark)
         return True
 
     def leave(x: int) -> None:
         used[gamma[x]] = False
-        lists.pop()
+        undo(marks.pop())
 
-    return lex_first(n, free, enter, leave, lambda: leaf(tuple(gamma), lists[-1]))
+    return lex_first(n, free, enter, leave, lambda: leaf(tuple(gamma), lists))
 
 
 def decide_conjugate(
@@ -264,26 +289,38 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     return _lex_search(a, b, [0] * (2 * a.size), [perms] * a.size, witness)
 
 
+def _bucket_heads(keys: Sequence[int]) -> list[int]:
+    """For each position, the first position holding the same key."""
+    head: dict[int, int] = {}
+    return [head.setdefault(key, x) for x, key in enumerate(keys)]
+
+
 def _partition_alpha_field(
     a: FiniteSystem, b: FiniteSystem, gamma: Permutation, options: list[list[Permutation]]
 ) -> Optional[PartitionWitness]:
-    """Complete gamma by the least field of ``options`` that meets the preimage conditions."""
-    n = a.arity
+    """Complete gamma by the least field of ``options`` that meets the preimage conditions.
+
+    Point x's permutation must agree, on colour i, with every earlier point
+    in its sigma_i-preimage bucket, and on inverse colour j with every earlier
+    point in its tau_j o gamma-preimage bucket.  The earlier points of a
+    bucket already agree with its first point, so comparing with that one
+    point is exact, and each offer costs O(arity).
+    """
     inverses = {p: _invert(p) for ok in options for p in ok}
+    sigma_heads = list(enumerate(_bucket_heads(table) for table in a.tables))
+    tau_heads = list(enumerate(_bucket_heads([table[g] for g in gamma]) for table in b.tables))
     chosen: list[Permutation] = []
 
     def enter(x: int, perm: Permutation) -> bool:
+        for i, heads in sigma_heads:
+            y = heads[x]
+            if y < x and perm[i] != chosen[y][i]:
+                return False
         pinv = inverses[perm]
-        for y in range(x):
-            other = chosen[y]
-            for i in range(n):
-                if a.tables[i][x] == a.tables[i][y] and perm[i] != other[i]:
-                    return False
-            oinv = inverses[other]
-            gx, gy = gamma[x], gamma[y]
-            for j in range(n):
-                if b.tables[j][gx] == b.tables[j][gy] and pinv[j] != oinv[j]:
-                    return False
+        for j, heads in tau_heads:
+            y = heads[x]
+            if y < x and pinv[j] != inverses[chosen[y]][j]:
+                return False
         chosen.append(perm)
         return True
 
@@ -297,16 +334,21 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     """Search for a preimage-saturated pointwise witness.
 
     A partition witness sends every point to one with the same local
-    entry signature, so the signatures (2n calls in all) seed the colour
+    entry signature, so the signatures of both systems seed the colour
     refinement.  Each bijection that survives the search is completed by
     the least preimage-saturated colour field, if one exists.  Returns
     the lexicographically least witness (gamma first, then alpha) or None.
     """
     _check_compatible(a, b)
-    seeds = [local_signature(a, x) for x in range(a.size)]
-    seeds += [local_signature(b, v) for v in range(b.size)]
     perms = list(itertools.permutations(range(a.arity)))
+    seeds = local_signatures(a) + local_signatures(b)
     return _lex_search(a, b, seeds, [perms] * a.size, partial(_partition_alpha_field, a, b))
+
+
+def _is_permutation(entries: Sequence[object], size: int) -> bool:
+    """Ints proper (no bools or floats) listing 0..size-1 once each."""
+    ints = len(entries) == size and all(map(_is_int, entries))
+    return ints and sorted(entries) == list(range(size))
 
 
 def _validate_witness_shape(
@@ -314,17 +356,36 @@ def _validate_witness_shape(
 ) -> None:
     _check_compatible(a, b)
     gamma = witness.gamma
-    if len(gamma) != a.size or sorted(gamma) != list(range(a.size)):
+    if not _is_permutation(gamma, a.size):
         raise MalformedWitnessError(f"gamma {gamma} is not a bijection of 0..{a.size - 1}")
     if len(witness.alpha) != a.size:
         raise MalformedWitnessError(
             f"alpha field has {len(witness.alpha)} entries, expected {a.size}"
         )
     for x, perm in enumerate(witness.alpha):
-        if len(perm) != a.arity or sorted(perm) != list(range(a.arity)):
+        if not _is_permutation(perm, a.arity):
             raise MalformedWitnessError(
                 f"alpha[{x}] = {perm} is not a colour permutation of 0..{a.arity - 1}"
             )
+
+
+def _disagreements(keys: Sequence[int], values: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs x < y with equal keys but different values, in (x, y) order.
+
+    Points are bucketed by key, and pairs are listed only inside the
+    buckets whose values disagree, so a consistent field costs O(n).
+    """
+    buckets: dict[int, list[int]] = {}
+    for x, key in enumerate(keys):
+        buckets.setdefault(key, []).append(x)
+    pairs = [
+        (x, y)
+        for bucket in buckets.values()
+        if len({values[x] for x in bucket}) > 1
+        for x, y in itertools.combinations(bucket, 2)
+        if values[x] != values[y]
+    ]
+    return sorted(pairs)
 
 
 def verify_partition_witness(
@@ -332,11 +393,13 @@ def verify_partition_witness(
 ) -> WitnessReport:
     """Check every witness condition independently of the decider.
 
-    Structural defects (wrong lengths, non-permutations) raise
-    :class:`MalformedWitnessError`.  Semantic defects come back as a
-    report listing each failed condition with a counterexample,
-    including the literal saturation identities on the index sets
-    V_{i,j} = {x : alpha_x(i) = j}.
+    Structural defects (wrong lengths, entries that are not ints,
+    non-permutations) raise :class:`MalformedWitnessError`.  Semantic
+    defects come back as a report listing each failed condition with a
+    counterexample, including the literal saturation identities on the
+    index sets V_{i,j} = {x : alpha_x(i) = j}.  The preimage conditions
+    bucket the points by sigma_i(x) and by tau_j(gamma x), so a witness
+    that passes costs O(arity * n) there; each failing pair is listed.
     """
     _validate_witness_shape(a, b, witness)
     gamma, alpha = witness.gamma, witness.alpha
@@ -355,30 +418,26 @@ def verify_partition_witness(
                 )
 
     for i in range(n):
-        for x in range(a.size):
-            for y in range(x + 1, a.size):
-                if a.tables[i][x] == a.tables[i][y] and alpha[x][i] != alpha[y][i]:
-                    failures.append(
-                        WitnessFailure(
-                            "sigma-preimage",
-                            f"sigma_{i} merges {x} and {y} but alpha_{x}({i}) = "
-                            f"{alpha[x][i]} differs from alpha_{y}({i}) = {alpha[y][i]}",
-                        )
-                    )
+        for x, y in _disagreements(a.tables[i], [p[i] for p in alpha]):
+            failures.append(
+                WitnessFailure(
+                    "sigma-preimage",
+                    f"sigma_{i} merges {x} and {y} but alpha_{x}({i}) = "
+                    f"{alpha[x][i]} differs from alpha_{y}({i}) = {alpha[y][i]}",
+                )
+            )
 
     inv = [_invert(p) for p in alpha]
     for j in range(n):
-        for x in range(a.size):
-            for y in range(x + 1, a.size):
-                if b.tables[j][gamma[x]] == b.tables[j][gamma[y]] and inv[x][j] != inv[y][j]:
-                    failures.append(
-                        WitnessFailure(
-                            "tau-preimage",
-                            f"tau_{j} merges gamma({x}) and gamma({y}) but "
-                            f"alpha_{x}^-1({j}) = {inv[x][j]} differs from "
-                            f"alpha_{y}^-1({j}) = {inv[y][j]}",
-                        )
-                    )
+        for x, y in _disagreements([b.tables[j][g] for g in gamma], [p[j] for p in inv]):
+            failures.append(
+                WitnessFailure(
+                    "tau-preimage",
+                    f"tau_{j} merges gamma({x}) and gamma({y}) but "
+                    f"alpha_{x}^-1({j}) = {inv[x][j]} differs from "
+                    f"alpha_{y}^-1({j}) = {inv[y][j]}",
+                )
+            )
 
     # Literal set form of the saturation conditions.
     gamma_inv = _invert(gamma)

@@ -19,14 +19,16 @@ necessary for the compressions of two systems to correspond under any
 partition-style matching of points, which is what makes the per-point
 signature a sound starting colour for the partition search's colour
 refinement and a cheap separating invariant in its own right.
+:func:`local_signatures` gives every point's signature in one pass over
+the tables, which is how the partition decider seeds its refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .dynsys import FiniteSystem, SubSystem, check_point, colored_graph, restrict
+from .dynsys import FiniteSystem, SubSystem, check_point, colored_graph
 from .scalars import ONE, RationalComplex
 from .wordpoly import WordPoly
 
@@ -168,10 +170,28 @@ def entry_signature(sub: SubSystem) -> EntrySignature:
     return tuple(sorted(counts.values()))
 
 
+def _hood_signature(tables: Sequence[Sequence[int]], x: int) -> EntrySignature:
+    """Entry signature of {x} u {images of x}, counted straight off the tables."""
+    hood = {x}
+    hood.update(table[x] for table in tables)
+    counts: list[int] = []
+    for table in tables:
+        indegree: dict[int, int] = {}
+        for u in hood:
+            if (y := table[u]) in hood:
+                indegree[y] = indegree.get(y, 0) + 1
+        counts += indegree.values()
+    return tuple(sorted(counts))
+
+
 def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
     """Entry signature of the one-step neighbourhood {x} u {images of x}."""
-    neighbourhood = {check_point(sys, x)} | {sys.tables[i][x] for i in range(sys.arity)}
-    return entry_signature(restrict(sys, neighbourhood))
+    return _hood_signature(sys.tables, check_point(sys, x))
+
+
+def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
+    """The local signature of every point, in point order, in one pass."""
+    return [_hood_signature(system.tables, x) for x in range(system.size)]
 
 
 def signatures_equivalent(s1: Iterable[int], s2: Iterable[int]) -> bool:

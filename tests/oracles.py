@@ -17,9 +17,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem
+from dynalg.conjugacy import WitnessFailure, WitnessReport
+from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem, restrict
 from dynalg.freeprod import NCSeries, PolyballPoint, U1nMatrix, voiculescu_lift
-from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix
+from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix, entry_signature
 from dynalg.reps import CKReport, ColourDefect, FockPath
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
@@ -218,6 +219,147 @@ def brute_force_injective(options) -> Optional[tuple[int, ...]]:
         if len(set(choice)) == len(choice):
             return choice
     return None
+
+
+# ---- decider kernels in their pairwise, run-to-stability form ----------------
+
+
+def restricted_local_signature(sys: FiniteSystem, x: int) -> tuple[int, ...]:
+    """Entry signature of {x} u {images of x}, through an explicit sub-system."""
+    return entry_signature(restrict(sys, {x} | {table[x] for table in sys.tables}))
+
+
+def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds):
+    """Joint colour refinement with sorted palettes, run until the classes stop growing."""
+    n = a.size
+    out = [[t[x] for t in a.tables] for x in range(n)]
+    out += [[t[x] + n for t in b.tables] for x in range(n)]
+    into: list[list[int]] = [[] for _ in range(2 * n)]
+    for u, targets in enumerate(out):
+        for v in targets:
+            into[v].append(u)
+    keys = seeds
+    classes = 0
+    while True:
+        palette = {key: k for k, key in enumerate(sorted(set(keys)))}
+        if len(palette) == classes:
+            return colour[:n], colour[n:]
+        classes = len(palette)
+        colour = [palette[key] for key in keys]
+        if sorted(colour[:n]) != sorted(colour[n:]):
+            return None
+        keys = [
+            (
+                colour[u],
+                tuple(sorted(colour[v] for v in out[u])),
+                tuple(sorted(colour[v] for v in into[u])),
+            )
+            for u in range(2 * n)
+        ]
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return tuple(inv)
+
+
+def pairwise_alpha_field(a: FiniteSystem, b: FiniteSystem, gamma, options):
+    """Least field from ``options`` meeting the preimage conditions, each point
+    tested against every earlier one; returns the field or None."""
+    chosen: list = []
+
+    def fits(x, perm) -> bool:
+        pinv = _inverse(perm)
+        for y in range(x):
+            other, oinv = chosen[y], _inverse(chosen[y])
+            for i in range(a.arity):
+                if a.tables[i][x] == a.tables[i][y] and perm[i] != other[i]:
+                    return False
+            for j in range(a.arity):
+                if b.tables[j][gamma[x]] == b.tables[j][gamma[y]] and pinv[j] != oinv[j]:
+                    return False
+        return True
+
+    def extend(x):
+        if x == a.size:
+            return tuple(chosen)
+        for perm in options[x]:
+            if fits(x, perm):
+                chosen.append(perm)
+                found = extend(x + 1)
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
+
+    return extend(0)
+
+
+def pairwise_verify_partition_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:
+    """The witness report with the preimage conditions tested on every pair of points."""
+    gamma, alpha = witness.gamma, witness.alpha
+    n = a.arity
+    failures: list[WitnessFailure] = []
+    for x in range(a.size):
+        for i in range(n):
+            if gamma[a.tables[i][x]] != b.tables[alpha[x][i]][gamma[x]]:
+                failures.append(
+                    WitnessFailure(
+                        "intertwining",
+                        f"gamma(sigma_{i}({x})) = {gamma[a.tables[i][x]]} but "
+                        f"tau_{alpha[x][i]}(gamma({x})) = {b.tables[alpha[x][i]][gamma[x]]}",
+                    )
+                )
+    for i in range(n):
+        for x in range(a.size):
+            for y in range(x + 1, a.size):
+                if a.tables[i][x] == a.tables[i][y] and alpha[x][i] != alpha[y][i]:
+                    failures.append(
+                        WitnessFailure(
+                            "sigma-preimage",
+                            f"sigma_{i} merges {x} and {y} but alpha_{x}({i}) = "
+                            f"{alpha[x][i]} differs from alpha_{y}({i}) = {alpha[y][i]}",
+                        )
+                    )
+    inv = [_inverse(p) for p in alpha]
+    for j in range(n):
+        for x in range(a.size):
+            for y in range(x + 1, a.size):
+                if b.tables[j][gamma[x]] == b.tables[j][gamma[y]] and inv[x][j] != inv[y][j]:
+                    failures.append(
+                        WitnessFailure(
+                            "tau-preimage",
+                            f"tau_{j} merges gamma({x}) and gamma({y}) but "
+                            f"alpha_{x}^-1({j}) = {inv[x][j]} differs from "
+                            f"alpha_{y}^-1({j}) = {inv[y][j]}",
+                        )
+                    )
+    gamma_inv = _inverse(gamma)
+    for i in range(n):
+        for j in range(n):
+            v = {x for x, perm in enumerate(alpha) if perm[i] == j}
+            sigma_image = {a.tables[i][x] for x in v}
+            saturated = {x for x in range(a.size) if a.tables[i][x] in sigma_image}
+            if saturated != v:
+                failures.append(
+                    WitnessFailure(
+                        "sigma-saturation",
+                        f"sigma_{i}^-1(sigma_{i}(V_{i},{j})) != V_{i},{j}: point {min(saturated ^ v)}",
+                    )
+                )
+            tau_image = {b.tables[j][gamma[x]] for x in v}
+            pulled = {gamma_inv[y] for y in range(b.size) if b.tables[j][y] in tau_image}
+            if pulled != v:
+                failures.append(
+                    WitnessFailure(
+                        "tau-saturation",
+                        f"gamma^-1(tau_{j}^-1(tau_{j}(gamma(V_{i},{j})))) != V_{i},{j}:"
+                        f" point {min(pulled ^ v)}",
+                    )
+                )
+    return WitnessReport(passed=not failures, failures=tuple(failures))
 
 
 # ---- random generators -----------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,8 @@ from dynalg.conjugacy import (
     IncompatibleSystemsError,
     MalformedWitnessError,
     PartitionWitness,
+    _partition_alpha_field,
+    _refined_colours,
     decide_conjugate,
     decide_partition,
     decide_piecewise,
@@ -20,14 +23,20 @@ from dynalg.fixtures import (
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
-from dynalg.quotient import local_signature
+from dynalg.quotient import local_signature, local_signatures
 
 from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    make_rng,
+    pairwise_alpha_field,
+    pairwise_verify_partition_witness,
     random_system,
+    relabelled_pair,
+    restricted_local_signature,
     scrambled_pair,
+    stable_refined_colours,
 )
 
 
@@ -109,6 +118,23 @@ def test_verify_witness_rejects_malformed():
             TWO_POINT_MIXED,
             TWO_POINT_MIXED,
             PartitionWitness(gamma=(0, 1), alpha=((0, 0), (0, 1))),
+        )
+
+
+@pytest.mark.parametrize(
+    "gamma, alpha",
+    [
+        ((True, False), ((0, 1), (0, 1))),
+        ((1.0, 0.0), ((0, 1), (0, 1))),
+        ((0, 1), ((0, 1.0), (0, 1))),
+        ((0, 1), ((False, True), (0, 1))),
+    ],
+    ids=["bool-gamma", "float-gamma", "float-alpha", "bool-alpha"],
+)
+def test_verify_witness_rejects_entries_that_are_not_ints(gamma, alpha):
+    with pytest.raises(MalformedWitnessError):
+        verify_partition_witness(
+            TWO_POINT_MIXED, TWO_POINT_MIXED, PartitionWitness(gamma=gamma, alpha=alpha)
         )
 
 
@@ -379,3 +405,124 @@ def test_signature_seeds_prune_tiled_piecewise_pairs():
     for x in range(a.size):
         for i in range(a.arity):
             assert gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]
+
+
+def _kernel_pairs(rng, trials):
+    """Independent, scrambled and relabelled pairs, n <= 12 and arity 1-3."""
+    for trial in range(trials):
+        size, arity = rng.randint(1, 12), rng.randint(1, 3)
+        kind = trial % 3
+        if kind == 0:
+            yield random_system(rng, size, arity), random_system(rng, size, arity)
+        elif kind == 1:
+            yield scrambled_pair(rng, size, arity)
+        else:
+            yield relabelled_pair(rng, size, arity)
+
+
+def test_local_signatures_match_restricted_oracle():
+    rng = make_rng(61)
+    for a, b in _kernel_pairs(rng, 120):
+        for system in (a, b):
+            expected = [restricted_local_signature(system, x) for x in range(system.size)]
+            assert local_signatures(system) == expected
+            assert [local_signature(system, x) for x in range(system.size)] == expected
+
+
+def _blocks(colours):
+    """The joint partition, numbered by first occurrence over both sides."""
+    ids: dict = {}
+    return [ids.setdefault(c, len(ids)) for c in colours[0] + colours[1]]
+
+
+def test_refinement_matches_run_to_stability_oracle():
+    rng = make_rng(67)
+    for a, b in _kernel_pairs(rng, 300):
+        n = a.size
+        for seeds in ([0] * (2 * n), local_signatures(a) + local_signatures(b)):
+            colours = _refined_colours(a, b, seeds)
+            stable = stable_refined_colours(a, b, seeds)
+            if colours is None:
+                assert stable is None
+            elif stable is None:
+                assert len(set(colours[0])) == n
+            else:
+                assert _blocks(colours) == _blocks(stable)
+
+
+def test_refinement_stops_at_a_discrete_partition_the_next_round_refutes():
+    # Seeds pair a0 with b0 and a1 with b1; the identity and the swap then
+    # differ in the first round, which the discrete stop never runs.
+    a = FiniteSystem(size=2, tables=((0, 1),))
+    b = FiniteSystem(size=2, tables=((1, 0),))
+    seeds = ["p", "q", "p", "q"]
+    assert stable_refined_colours(a, b, seeds) is None
+    assert _refined_colours(a, b, seeds) == ([0, 1], [0, 1])
+    assert decide_piecewise(a, b) is None
+
+
+def _fitting(a, b, gamma, x, perms):
+    return [
+        p for p in perms
+        if all(gamma[a.tables[i][x]] == b.tables[p[i]][gamma[x]] for i in range(a.arity))
+    ]
+
+
+def test_bucketed_colour_field_matches_pairwise_oracle():
+    rng = make_rng(73)
+    found = refused = 0
+    for a, b in _kernel_pairs(rng, 240):
+        perms = list(itertools.permutations(range(a.arity)))
+        gamma = list(range(a.size))
+        rng.shuffle(gamma)
+        witness = decide_piecewise(a, b)
+        for g in {tuple(gamma), witness.gamma if witness else tuple(gamma)}:
+            admissible = [_fitting(a, b, g, x, perms) for x in range(a.size)]
+            sampled = [sorted(rng.sample(perms, rng.randint(1, len(perms)))) for _ in g]
+            for options in (admissible, sampled):
+                field = _partition_alpha_field(a, b, g, options)
+                expected = pairwise_alpha_field(a, b, g, options)
+                assert (field.alpha if field else None) == expected
+                assert field is None or field.gamma == g
+                found += field is not None
+                refused += field is None
+    assert found > 50 and refused > 50
+
+
+def test_bucketed_verifier_matches_pairwise_oracle():
+    rng = make_rng(79)
+    failing = preimage = 0
+    for a, b in _kernel_pairs(rng, 240):
+        perms = list(itertools.permutations(range(a.arity)))
+        candidates = []
+        witness = decide_partition(a, b)
+        if witness is not None:
+            candidates.append(witness)
+            alpha = list(witness.alpha)
+            alpha[rng.randrange(a.size)] = rng.choice(perms)
+            candidates.append(PartitionWitness(gamma=witness.gamma, alpha=tuple(alpha)))
+        gamma = list(range(a.size))
+        rng.shuffle(gamma)
+        candidates.append(
+            PartitionWitness(gamma=tuple(gamma), alpha=tuple(rng.choice(perms) for _ in gamma))
+        )
+        for candidate in candidates:
+            report = verify_partition_witness(a, b, candidate)
+            assert report == pairwise_verify_partition_witness(a, b, candidate)
+            failing += not report.passed
+            preimage += sum(f.condition.endswith("preimage") for f in report.failures) > 1
+    assert failing > 50 and preimage > 20
+
+
+def test_deciders_keep_no_copy_per_level():
+    # Narrowing in place with an undo trail keeps O(n) lists alive; a
+    # copied list of n lists per level peaks at about 70 MB here.
+    a, b = relabelled_pair(make_rng(2000), 3000, 2)
+    for decide in (decide_piecewise, decide_partition):
+        tracemalloc.start()
+        try:
+            assert decide(a, b) is not None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (decide.__name__, peak)
