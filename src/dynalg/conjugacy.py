@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
 
-from .dynsys import FiniteSystem, _is_int
+from .dynsys import FiniteSystem, _is_permutation
 from .matching import W, lex_first
 from .quotient import local_signatures
 
@@ -343,12 +343,6 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     perms = list(itertools.permutations(range(a.arity)))
     seeds = local_signatures(a) + local_signatures(b)
     return _lex_search(a, b, seeds, [perms] * a.size, partial(_partition_alpha_field, a, b))
-
-
-def _is_permutation(entries: Sequence[object], size: int) -> bool:
-    """Ints proper (no bools or floats) listing 0..size-1 once each."""
-    ints = len(entries) == size and all(map(_is_int, entries))
-    return ints and sorted(entries) == list(range(size))
 
 
 def _validate_witness_shape(

@@ -29,6 +29,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_permutation(entries: Sequence[object], size: int) -> bool:
+    """Ints proper (no bools or floats) listing 0..size-1 once each."""
+    ints = len(entries) == size and all(map(_is_int, entries))
+    return ints and sorted(entries) == list(range(size))
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """A finite point set with ``arity`` total self-maps.

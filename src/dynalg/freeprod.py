@@ -34,6 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .dynsys import _is_int, _is_permutation
 from .wordpoly import WordPoly, reweight_letters
 
 BlockSignature = tuple[int, ...]
@@ -48,6 +49,12 @@ def _validate_signature(signature: Sequence[int]) -> BlockSignature:
     if not sig or not all(type(n) is int and n >= 1 for n in sig):  # bool is not int here
         raise ValueError(f"block signature {sig} must list positive int sizes")
     return sig
+
+
+def _check_signature(got: BlockSignature, expected: BlockSignature) -> None:
+    """The one shape rule for points, samples and gauge tuples: block sizes equal ``expected``."""
+    if got != expected:
+        raise ValueError(f"point signature {got} does not match {expected}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,7 @@ def fp_multiply(p: FPPoly, q: FPPoly) -> FPPoly:
 
 def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
     """Scale generator (i, j) by zs[i][j] throughout; a homomorphism."""
-    if len(zs) != len(p.signature):
-        raise ValueError("one gauge tuple per block required")
-    for block, (size, zrow) in enumerate(zip(p.signature, zs)):
-        if len(zrow) != size:
-            raise ValueError(f"block {block} needs {size} gauge values")
+    _check_signature(tuple(len(zrow) for zrow in zs), p.signature)
     return reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]])
 
 
@@ -129,10 +132,7 @@ class PolyballPoint:
 
 def eval_character(p: FPPoly, point: PolyballPoint) -> complex:
     """Point evaluation: each word contributes the product of its coordinates."""
-    if point.signature != p.signature:
-        raise ValueError(
-            f"point signature {point.signature} does not match {p.signature}"
-        )
+    _check_signature(point.signature, p.signature)
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
         value = coeff
@@ -165,8 +165,7 @@ def abelianize(p: FPPoly) -> dict[tuple[int, ...], complex]:
 
 def kernel_eval(point: PolyballPoint, z: PolyballPoint) -> complex:
     """Product over blocks of 1 / (1 - <z_i, point_i>)."""
-    if point.signature != z.signature:
-        raise ValueError("points live on different polyballs")
+    _check_signature(z.signature, point.signature)
     total = 1.0 + 0.0j
     for zi, li in zip(z.blocks, point.blocks):
         denom = 1.0 - sum(a * b.conjugate() for a, b in zip(zi, li))
@@ -178,8 +177,7 @@ def kernel_eval(point: PolyballPoint, z: PolyballPoint) -> complex:
 
 def _check_block_perm(perm: Sequence[int], sizes: Sequence[int]) -> None:
     """Raise ValueError unless ``perm`` permutes the blocks among blocks of equal size."""
-    ints = all(type(i) is int for i in perm)  # bool is not int here
-    if not (ints and sorted(perm) == list(range(len(sizes)))):
+    if not _is_permutation(perm, len(sizes)):
         raise ValueError(f"{perm} is not a permutation of the blocks")
     for i, j in enumerate(perm):
         if sizes[j] != sizes[i]:
@@ -243,6 +241,7 @@ class BallMobius:
 def mobius_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
     """Apply the automorphism; the open ball maps onto the open ball."""
     lam = _as_vector(point)
+    _check_signature(lam.shape, (m.dim,))
     a = m.a
     norm_a_sq = float(np.vdot(a, a).real)
     if norm_a_sq == 0.0:
@@ -271,6 +270,7 @@ class PolyballAuto:
 
 
 def polyball_auto_apply(auto: PolyballAuto, point: PolyballPoint) -> PolyballPoint:
+    _check_signature(point.signature, tuple(m.dim for m in auto.block_maps))
     blocks = []
     for i, m in enumerate(auto.block_maps):
         source = point.blocks[auto.block_perm[i]]
@@ -363,8 +363,7 @@ def _frac_linear_rows(x: U1nMatrix, lam: np.ndarray) -> np.ndarray:
 def frac_linear(x: U1nMatrix, point: Sequence[complex]) -> np.ndarray:
     """(X1 lambda + eta2) / (x0 + <lambda, eta1>); maps the open ball inside itself."""
     lam = _as_vector(point)
-    if lam.shape[0] != x.n:
-        raise ValueError(f"point has dimension {lam.shape[0]}, matrix acts on {x.n}")
+    _check_signature(lam.shape, (x.n,))
     return _frac_linear_rows(x, lam[None, :])[0]
 
 
@@ -411,10 +410,7 @@ class NCSeries:
         conditioned while |<lambda, shift>| stays below |x0_bar|, as it
         does on the closed ball for every series of :func:`voiculescu_lift`.
         """
-        if point.signature != self.signature:
-            raise ValueError(
-                f"point signature {point.signature} does not match {self.signature}"
-            )
+        _check_signature(point.signature, self.signature)
         return complex(_lift_rows((self,), np.asarray(point.blocks, dtype=complex))[0, 0])
 
     def as_polynomial(self) -> FPPoly:
@@ -472,8 +468,8 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     every order.  Each series carries the geometric tail bound it
     discards.
     """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    if not (_is_int(order) and order >= 0):
+        raise ValueError(f"truncation order must be a nonnegative int, got {order!r}")
     n = x.n
     q = float(np.linalg.norm(x.eta2)) / abs(x.x0)
 
@@ -569,16 +565,11 @@ def _stack_samples(rows, n: int) -> np.ndarray:
         lam = np.asarray(rows, dtype=complex)
     except ValueError:  # ragged: name the first sample of the wrong dimension
         for p in rows:
-            _check_dimension(_as_vector(p).shape[0], n)
+            _check_signature(_as_vector(p).shape, (n,))
         raise ValueError("samples must all have one shape") from None
     lam = lam.reshape(len(rows), -1)
-    _check_dimension(lam.shape[1], n)
+    _check_signature(lam.shape[1:], (n,))
     return lam
-
-
-def _check_dimension(dim: int, n: int) -> None:
-    if dim != n:
-        raise ValueError(f"point signature ({dim},) does not match ({n},)")
 
 
 def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> np.ndarray:

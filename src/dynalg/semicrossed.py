@@ -274,8 +274,11 @@ def apply_hom(hom: CovariantHom, a: SemicrossedElement) -> SemicrossedElement:
                 y = tables[letter][y]
             # gamma(x) fixes x and each alpha_y is a permutation, so no two
             # (term, point) pairs land on the same word at the same point.
-            values = cells.setdefault(tuple(reversed(letters)), [ZERO] * hom.target.size)
-            values[gamma[x]] = value
+            # A row is built only for a new word, so the walk stays linear.
+            image = tuple(reversed(letters))
+            if image not in cells:
+                cells[image] = [ZERO] * hom.target.size
+            cells[image][gamma[x]] = value
     # Each alpha_y permutes the colours, so every word is valid over the
     # target, and every cell holds a nonzero value: nothing to re-check.
     return SemicrossedElement(

@@ -19,7 +19,7 @@ from dynalg.cli import (
     witness_to_partition,
 )
 from dynalg.conjugacy import verify_partition_witness
-from dynalg.dynsys import FiniteSystem
+from dynalg.dynsys import FiniteSystem, full_subsystem
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
     FOUR_POINT_SPLIT_A,
@@ -28,6 +28,7 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.freeprod import BallMobius, mobius_to_u1n
+from dynalg.quotient import entry_signature
 from dynalg.reps import MAX_FOCK_SIZE
 
 from oracles import make_rng, relabelled_pair
@@ -103,6 +104,19 @@ def test_labels_that_are_numbers_are_rejected():
         parse_system_record('{"points": 2, "labels": [1, "1"], "maps": [[0, 1]]}')
 
 
+def test_system_records_name_their_fault():
+    for text, message in [
+        ("[1, 2]", "top level must be an object"),
+        ('{"points": ["p", "q"], "labels": ["a", "b"], "maps": [["p", "q"]]}', "not both"),
+        ('{"points": 2, "labels": ["a"], "maps": [[0, 1]]}', "must list 2 names"),
+    ]:
+        with pytest.raises(FormatError, match=message):
+            parse_system_record(text)
+    for names in (["p"], ["p", "p"], ["p", "q", "r"]):
+        with pytest.raises(FormatError, match="need 2 distinct names"):
+            dump_system(TWO_POINT_MIXED, names)
+
+
 def test_round_trip_bit_exact():
     for system in (TWO_POINT_MIXED, FOUR_POINT_OVERLAP, FOUR_POINT_SPLIT_B):
         text = dump_system(system)
@@ -134,6 +148,9 @@ def test_parse_u1n_rejects_malformed():
         ('{"n":1,"matrix":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}', "finite"),
         ('{"n":1,"matrix":[[[1e999,0],[0,0]],[[0,0],[1,0]]]}', "finite"),
         ('{"n":1,"matrix":[[[1%s,0],[0,0]],[[0,0],[1,0]]]}' % ("0" * 400), "too large"),
+        ('{"n":1', "not valid structured text"),
+        ('{"n":1}', "'n' and 'matrix' are required"),
+        ("[1]", "'n' and 'matrix' are required"),
     ]:
         with pytest.raises(FormatError, match=message):
             parse_u1n(text)
@@ -320,6 +337,12 @@ def test_signature_commands(files):
         ["signature-compare", files["mixed"], files["const"], "--point", "0"]
     )
     assert code == 1 and report["decision"] is False
+
+
+def test_signature_without_a_point_is_the_entry_signature(files):
+    report, code = run_command(["signature", files["overlap"]])
+    assert code == 0 and report["witness"]["signature"] == [1, 1, 3, 3]
+    assert entry_signature(full_subsystem(FOUR_POINT_OVERLAP)) == (1, 1, 3, 3)
 
 
 def test_iso_build_command(files):

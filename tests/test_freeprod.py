@@ -527,3 +527,67 @@ def test_u1n_size_must_be_an_int_of_at_least_one():
         with pytest.raises(ValueError, match="n must be an int"):
             U1nMatrix(n=n, matrix=np.eye(2))
     assert U1nMatrix(n=1, matrix=np.eye(2)).n == 1
+
+
+# ---- one shape rule for every entry point ----------------------------------------
+
+_PAIR = (0.1, 0.2)
+_TRIPLE = PolyballPoint(((0.1, 0.2, 0.3),))
+_U1N_2 = U1nMatrix(n=2, matrix=np.eye(3, dtype=complex))
+_MOBIUS_2 = BallMobius.involution([0.1, 0.2])
+
+# Each entry point given a point of signature (3,) where (2,) belongs.
+SHAPE_ERRORS = {
+    "eval_character": lambda: eval_character(gen(0, 0, (2,)), _TRIPLE),
+    "kernel_eval": lambda: kernel_eval(PolyballPoint((_PAIR,)), _TRIPLE),
+    "NCSeries.evaluate": lambda: voiculescu_lift(_U1N_2, 3)[0].evaluate(_TRIPLE),
+    "frac_linear": lambda: frac_linear(_U1N_2, _TRIPLE.blocks[0]),
+    "lift samples": lambda: lift_dual_check(_U1N_2, 3, [_PAIR, _TRIPLE.blocks[0]]),
+    "fp_gauge": lambda: fp_gauge(gen(0, 0, (2,)), [(1, 1, 1)]),
+    "mobius_apply": lambda: mobius_apply(_MOBIUS_2, _TRIPLE.blocks[0]),
+    "polyball_auto_apply": lambda: polyball_auto_apply(
+        PolyballAuto(block_maps=(_MOBIUS_2,), block_perm=(0,)), _TRIPLE
+    ),
+}
+
+
+@pytest.mark.parametrize("call", SHAPE_ERRORS.values(), ids=list(SHAPE_ERRORS))
+def test_every_entry_point_checks_the_block_signature(call):
+    with pytest.raises(ValueError, match=r"^point signature \(3,\) does not match \(2,\)$"):
+        call()
+
+
+def test_gauge_tuples_need_one_row_per_block():
+    p = gen(0, 0)
+    with pytest.raises(ValueError, match=r"signature \(2,\) does not match \(2, 3\)"):
+        fp_gauge(p, [(1, 1)])
+    assert fp_gauge(p, [(0.5, 1), (1, 1, 1)]) == p.scale(0.5)
+
+
+def test_mobius_at_the_centre_is_minus_its_unitary():
+    unitary = np.array([[0, 1j], [1, 0]], dtype=complex)
+    m = BallMobius(a=np.zeros(2), unitary=unitary)
+    lam = np.array([0.3, -0.4j])
+    assert np.array_equal(mobius_apply(m, lam), -(unitary @ lam))
+    assert np.allclose(frac_linear(mobius_to_u1n(m), lam), mobius_apply(m, lam), atol=1e-15)
+
+
+def test_u1n_matrix_must_match_its_size():
+    with pytest.raises(ValueError, match="matrix must be 3x3"):
+        U1nMatrix(n=2, matrix=np.eye(2))
+
+
+def test_ragged_samples_of_the_right_size_are_rejected():
+    # Both samples flatten to two coordinates but do not stack into one array.
+    with pytest.raises(ValueError, match="samples must all have one shape"):
+        lift_dual_check(_U1N_2, 3, [[0.1, 0.2], [[0.1], [0.2]]])
+
+
+def test_lift_order_must_be_a_nonnegative_int():
+    for order in (True, 2.5, -1, "3", None):
+        with pytest.raises(ValueError, match="truncation order must be a nonnegative int"):
+            voiculescu_lift(_U1N_2, order)
+    with pytest.raises(ValueError, match="truncation order"):
+        lift_dual_check(_U1N_2, 2.5, [_PAIR])
+    (s,) = voiculescu_lift(U1nMatrix(n=1, matrix=np.eye(2)), 0)
+    assert s.order == 0 and s.evaluate(PolyballPoint(((0.5,),))) == 0.5

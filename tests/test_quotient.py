@@ -232,6 +232,15 @@ def test_quotient_rejects_foreign_elements():
         quotient_map(sub, foreign)
 
 
+def test_quotient_matrices_must_share_their_points():
+    a = quotient_map(restrict(FOUR_POINT_OVERLAP, [0, 1]), SemicrossedElement.unit(FOUR_POINT_OVERLAP))
+    b = quotient_map(restrict(FOUR_POINT_OVERLAP, [2, 3]), SemicrossedElement.unit(FOUR_POINT_OVERLAP))
+    for op in (lambda: a + b, lambda: a @ b):
+        with pytest.raises(ValueError, match="different point sets"):
+            op()
+    assert (a + a).points == (a @ a).points == (0, 1)
+
+
 def test_free_edge_poly_arithmetic():
     e1 = FreeEdgePoly.generator(EdgeGenerator(0, 1, 0))
     e2 = FreeEdgePoly.generator(EdgeGenerator(1, 0, 1))

@@ -426,6 +426,12 @@ def test_incomplete_basis_is_rejected():
             call()
 
 
+def test_edge_map_rejects_a_non_edge():
+    fam = build_truncated_fock(colored_graph(full_subsystem(TWO_POINT_MIXED)), 2)
+    with pytest.raises(ValueError, match="is not an edge of the graph"):
+        fam.edge_map((0, 0, 1))
+
+
 def test_projections_resolve_identity():
     fam = build_truncated_fock(colored_graph(full_subsystem(TWO_POINT_CONSTANT)), 2)
     total = sum(vertex_projection(fam, v) for v in fam.graph.vertices)

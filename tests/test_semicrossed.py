@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,31 @@ def test_identity_hom_and_covariance_checker():
     a = random_element(random.Random(8), FOUR_POINT_SPLIT_A, 3)
     assert apply_hom(hom, a) == a
     assert covariance_defects(hom) == []
+
+
+def test_apply_hom_is_linear_in_the_points():
+    # A row of values is built once per image word, not once per (term,
+    # point) pair; with a row per pair this took about 4.4 s (2-core VM).
+    system = random_system(random.Random(14), 20_000, 2)
+    hom = identity_hom(system)
+    generators = [SemicrossedElement.generator(system, i) for i in range(2)]
+    started = time.perf_counter()
+    for s in generators:
+        assert apply_hom(hom, apply_hom(hom, s)) == s
+    assert time.perf_counter() - started < 1.0
+
+
+def test_inputs_of_the_wrong_size_or_system_are_rejected():
+    a = SemicrossedElement.generator(TWO_POINT_MIXED, 0)
+    for zs in ([ONE], [ONE, ONE, ONE]):
+        with pytest.raises(ValueError, match=f"need 2 gauge parameters, got {len(zs)}"):
+            gauge(a, zs)
+    with pytest.raises(ValueError, match="different system"):
+        apply_hom(identity_hom(TWO_POINT_CONSTANT), a)
+    with pytest.raises(ValueError, match="component degree must be nonnegative"):
+        fourier_component(a, -1)
+    with pytest.raises(ValueError, match="coefficient has 3 values, system has 2 points"):
+        SemicrossedElement.make(TWO_POINT_MIXED, {(): FunctionCoeff.one(3)})
 
 
 def test_partition_isomorphism_requires_valid_witness():
