@@ -9,6 +9,7 @@ text: objects, arrays, numbers, strings):
 may use names when names are given.  Points are 0-indexed throughout.
 This module parses JSON and resolves names; ``FiniteSystem`` checks the
 tables, library functions check the flags, and any ``ValueError`` exits 2.
+A command's arguments go straight to that command's own parser.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
@@ -96,20 +97,26 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
         raise FormatError("field 'maps' must be a list of lists")
 
     index = {name: k for k, name in enumerate(names or ())}
-    tables = []
-    for i, table in enumerate(maps):
-        row = []
-        for x, value in enumerate(table):
-            if isinstance(value, str):
-                if value not in index:
-                    raise FormatError(f"field 'maps'[{i}][{x}]: unknown point name {value!r}")
-                value = index[value]
-            row.append(value)
-        tables.append(row)
+    tables = maps if names is None else [_resolved(i, table, index) for i, table in enumerate(maps)]
     try:
         return FiniteSystem(size=size, tables=tables), names
     except ValueError as exc:
+        if names is None:  # a string entry is reported first, as before any table check
+            for i, table in enumerate(maps):
+                _resolved(i, table, index)
         raise FormatError(str(exc)) from None
+
+
+def _resolved(i: int, table: list, index: dict[str, int]) -> list:
+    """Map ``i`` with its point names replaced by their indices."""
+    row = []
+    for x, value in enumerate(table):
+        if isinstance(value, str):
+            if value not in index:
+                raise FormatError(f"field 'maps'[{i}][{x}]: unknown point name {value!r}")
+            value = index[value]
+        row.append(value)
+    return row
 
 
 def _distinct_strings(field: str, values: Any) -> list[str]:
@@ -177,7 +184,7 @@ def dump_u1n(x: U1nMatrix) -> str:
 
 
 def _scalar_json(value) -> list[str]:
-    return [str(value.re), str(value.im)]
+    return list(value.as_strings())
 
 
 def _element_json(element: SemicrossedElement) -> list[list[Any]]:
@@ -188,15 +195,20 @@ def _element_json(element: SemicrossedElement) -> list[list[Any]]:
     return out
 
 
-def _plain(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
+# Each witness field has a fixed depth: gamma and recolor are permutations
+# (recolor may be None), alpha is one permutation per point.
+_FIELD_JSON = {
+    "gamma": list,
+    "recolor": lambda perm: None if perm is None else list(perm),
+    "alpha": lambda perms: [list(perm) for perm in perms],
+}
 
 
 def _witness_json(witness) -> dict[str, Any]:
     """A decider's witness as a JSON object, one key per dataclass field."""
-    return {f.name: _plain(getattr(witness, f.name)) for f in dataclasses.fields(witness)}
+    return {
+        f.name: _FIELD_JSON[f.name](getattr(witness, f.name)) for f in dataclasses.fields(witness)
+    }
 
 
 def witness_to_partition(data: dict[str, Any]) -> PartitionWitness:
@@ -210,11 +222,13 @@ def witness_to_partition(data: dict[str, Any]) -> PartitionWitness:
 
 
 def _read(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    return data.decode("utf-8")
 
 
 def _cmd_check(args) -> tuple[bool, Any]:
@@ -384,7 +398,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = _Parser(prog="dynalg", description="finite dynamical system toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -432,7 +447,7 @@ def _build_parser() -> _Parser:
 
     selftest = sub.add_parser("selftest", help="run the built-in fixture checks")
     selftest.set_defaults(func=_cmd_selftest)
-    return parser
+    return parser, sub.choices
 
 
 def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
@@ -450,9 +465,12 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
         out["version"] = __version__
         return out
 
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(list(argv[1:]))
+        else:  # no command, an unknown one or --help: the top level reports it
+            args = parser.parse_args(list(argv))
         decision, witness = args.func(args)
     except ValueError as exc:  # FormatError and IncompatibleSystemsError among them
         return report(None, None, error=str(exc)), 2

@@ -140,6 +140,10 @@ class RationalComplex:
         """|z|^2, exactly."""
         return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
+    def as_strings(self) -> tuple[str, str]:
+        """The real and imaginary parts as ``str(Fraction)`` prints them: "p/q", or "p"."""
+        return _ratio_text(self._a, self._d), _ratio_text(self._b, self._d)
+
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
@@ -176,6 +180,13 @@ def _reduced(a: int, b: int, d: int) -> RationalComplex:
     _set_b(z, b)
     _set_d(z, d)
     return z
+
+
+def _ratio_text(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
 
 
 def _product(z: RationalComplex, w: RationalComplex) -> RationalComplex:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynalg import reps
+from dynalg import cli, reps
 from dynalg.cli import (
     FormatError,
     dump_system,
@@ -474,6 +474,45 @@ def test_usage_and_validation_errors(files):
     assert code == 2  # incompatible sizes
     report, code = run_command(["signature", files["mixed"], "--point", "9"])
     assert code == 2
+
+
+def test_usage_errors_keep_the_top_level_message(files):
+    """A command's own parser fails with the message the full parser gives."""
+    parser, _ = cli._build_parser()
+    a, b = files["mixed"], files["const"]
+    for argv in (
+        [],
+        ["no-such-command"],
+        ["check"],
+        ["check", "--mode", "bogus", a, b],
+        ["check", "--mode", "partition", a],
+        ["check", "--mode", "partition", a, b, "extra"],
+        ["fock", a],
+        ["signature", a, "--point", "x"],
+    ):
+        report, code = run_command(argv)
+        with pytest.raises(FormatError) as expected:
+            parser.parse_args(argv)
+        assert code == 2 and report["error"] == str(expected.value), argv
+
+
+def test_system_files_are_read_as_strict_utf8(tmp_path):
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(b'{"points": 2,\r\n "maps": [[1, 0]]}\r\n')
+    report, code = run_command(["signature", str(crlf)])
+    assert code == 0 and report["witness"]["signature"]
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"points": ["\u00e9", "b"], "maps": [[1, 0]]}'.encode("latin-1"))
+    report, code = run_command(["signature", str(latin)])
+    assert code == 2 and "utf-8" in report["error"]
+
+
+def test_names_in_a_file_without_names_are_unknown():
+    with pytest.raises(FormatError, match=r"'maps'\[0\]\[1\]: unknown point name 'p'"):
+        parse_system('{"points": 2, "maps": [[0, "p"]]}')
+    # named before any table fault, as when names were resolved first
+    with pytest.raises(FormatError, match=r"'maps'\[1\]\[0\]: unknown point name 'p'"):
+        parse_system('{"points": 2, "maps": [[0, -1], ["p", 0]]}')
 
 
 def test_reports_are_deterministic_up_to_timing(files):

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 
@@ -47,6 +48,29 @@ def test_system_validation_rejects_non_integers():
         FiniteSystem(size=True, tables=((0,),))
     with pytest.raises(ValueError, match="not an integer"):
         FiniteSystem(size=2.0, tables=((0, 1),))
+
+
+def test_system_validation_names_the_first_bad_entry():
+    for table, message in [
+        ((0, -1), "map 1 sends 1 to -1, out of range 0..1"),
+        ((0, 1.0), "map 1 sends 1 to 1.0, which is not a point"),
+        ((True, 0), "map 1 sends 0 to True, which is not a point"),
+        ((2, 1.0), "map 1 sends 0 to 2, out of range 0..1"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            FiniteSystem(2, ((1, 0), table))
+        assert str(error.value) == message
+
+
+def test_system_validation_accepts_int_subclasses():
+    class Point(enum.IntEnum):
+        P = 0
+        Q = 1
+
+    system = FiniteSystem(2, ((Point.Q, Point.P), (0, 1)))
+    assert system == FiniteSystem(2, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteSystem(1, ((Point.Q,),))
 
 
 def test_evaluate_word_examples():

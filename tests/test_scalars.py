@@ -226,6 +226,14 @@ def test_serialization():
         assert clone == z and normal_form(clone) == normal_form(z)
 
 
+def test_serialization_prints_parts_as_fractions_do():
+    # (1+3i)/6 and (2+3i)/6 have parts that reduce apart from the triple
+    for z in (ZERO, ONE, qc(-3), qc(0, -5), qc("1/6", "1/2"), qc("1/3", "1/2"),
+              qc("-7/6", "5/4"), qc(-1, "1/2"), qc("6/4", "-10/4"), qc(10**30, "-1/3")):
+        assert cli._scalar_json(z) == [str(z.re), str(z.im)]
+        assert z.as_strings() == (str(z.re), str(z.im))
+
+
 def test_semicrossed_hash_agrees_with_equality_across_routes():
     sys = FiniteSystem(3, ((1, 2, 0), (0, 0, 1)))
     f = FunctionCoeff((qc("1/2", "1/3"), qc(-4), qc(0, "5/6")))
