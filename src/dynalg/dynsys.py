@@ -94,12 +94,40 @@ class EdgeColoredGraph:
 
     Each (colour, source) pair carries at most one edge, because the
     maps are partial functions.  Edges are kept sorted by (colour,
-    source) so downstream constructions are deterministic.
+    source) so downstream constructions are deterministic.  The
+    constructor checks that the vertices are distinct integers and that
+    every edge joins two of them in a colour 0..colours-1; an edge may
+    repeat.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     colours: int
+
+    def __post_init__(self) -> None:
+        if not (_is_int(self.colours) and self.colours >= 0):
+            raise ValueError(f"colours {self.colours!r} is not a count")
+        seen: set[int] = set()
+        for v in self.vertices:
+            if not (type(v) is int or _is_int(v)):
+                raise ValueError(f"vertex {v!r} is not an integer")
+            if v in seen:
+                raise ValueError(f"vertex {v} is listed twice")
+            seen.add(v)
+        colours = range(self.colours)
+        for edge in self.edges:
+            if not (type(edge) is tuple and len(edge) == 3):
+                raise ValueError(f"edge {edge!r} is not a (source, target, colour) triple")
+            source, target, colour = edge
+            if type(source) is type(target) is type(colour) is int:
+                if source in seen and target in seen and colour in colours:
+                    continue
+            # Name the first bad entry; int subclasses other than bool pass here.
+            for end in (source, target):
+                if not (_is_int(end) and end in seen):
+                    raise ValueError(f"edge {edge!r} has {end!r}, which is not a vertex")
+            if not (_is_int(colour) and colour in colours):
+                raise ValueError(f"edge {edge!r} has colour {colour!r}, outside 0..{self.colours - 1}")
 
 
 def check_point(sys: FiniteSystem, x: object) -> int:

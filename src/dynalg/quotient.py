@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .dynsys import FiniteSystem, SubSystem, check_point, colored_graph
+from .dynsys import FiniteSystem, SubSystem, check_point
 from .scalars import ONE, RationalComplex
 from .wordpoly import WordPoly
 
@@ -161,27 +161,28 @@ def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
 EntrySignature = tuple[int, ...]
 
 
-def entry_signature(sub: SubSystem) -> EntrySignature:
-    """Multiset (as a sorted tuple) of in-degrees per (colour, target)."""
-    graph = colored_graph(sub)
-    counts: dict[tuple[int, int], int] = {}
-    for _, target, colour in graph.edges:
-        counts[(colour, target)] = counts.get((colour, target), 0) + 1
-    return tuple(sorted(counts.values()))
-
-
-def _hood_signature(tables: Sequence[Sequence[int]], x: int) -> EntrySignature:
-    """Entry signature of {x} u {images of x}, counted straight off the tables."""
-    hood = {x}
-    hood.update(table[x] for table in tables)
+def _signature(tables: Sequence[Sequence[int]], points: set[int]) -> EntrySignature:
+    """Entry signature of a set of points, counted straight off the tables."""
     counts: list[int] = []
     for table in tables:
         indegree: dict[int, int] = {}
-        for u in hood:
-            if (y := table[u]) in hood:
+        for u in points:
+            if (y := table[u]) in points:
                 indegree[y] = indegree.get(y, 0) + 1
         counts += indegree.values()
     return tuple(sorted(counts))
+
+
+def entry_signature(sub: SubSystem) -> EntrySignature:
+    """Multiset (as a sorted tuple) of in-degrees per (colour, target)."""
+    return _signature(sub.parent.tables, set(sub.points))
+
+
+def _hood_signature(tables: Sequence[Sequence[int]], x: int) -> EntrySignature:
+    """Entry signature of {x} u {images of x}."""
+    hood = {x}
+    hood.update(table[x] for table in tables)
+    return _signature(tables, hood)
 
 
 def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:

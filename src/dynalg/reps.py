@@ -28,10 +28,12 @@ and reported, never silently dropped.
 The basis is ordered by (length, edges, vertex).  Prefixing an edge e
 keeps that order among paths ending where e starts, so each level is
 built from the previous one, bucketed by range vertex, already in basis
-order; a family grades its basis by range vertex once, and every edge
-map and relation is read off those buckets.  Building and checking cost
-O(basis size x out-degree) path extensions, each a tuple of the path's
-length.
+order.  A family grades its basis by range vertex and outer edge, and
+keeps each edge's image as a list of positions; the build records both
+as it places the paths.  Building costs one path extension per basis
+path, each a tuple of the path's length.  Checking a built family then
+costs O(basis size) set work; on any other basis it first costs one
+grading pass and one path lookup per edge extension.
 """
 
 from __future__ import annotations
@@ -39,12 +41,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dynsys import (
-    Edge, EdgeColoredGraph, FiniteSystem, check_colour, check_point, map_range,
+    Edge, EdgeColoredGraph, FiniteSystem, _is_int, check_colour, check_point, map_range,
     ranges_pairwise_disjoint,
 )
 from .matching import lex_least_injective
@@ -219,6 +222,14 @@ class FockPath(NamedTuple):
         return self.edges[0][2] if self.edges else None
 
 
+# Per range vertex, its basis positions by outer edge (None for a vacuum),
+# each list in basis order.
+_Grading = dict[int, dict[Optional[Edge], list[int]]]
+# Per graph edge e, the position of e.p for each tail p in turn (see
+# CKFamily._tails); and per edge, the first e.p the basis lacks.
+_Images = tuple[dict[Edge, list[int]], dict[Edge, FockPath]]
+
+
 @dataclass(frozen=True)
 class CKFamily:
     """Edge partial isometries and vertex projections on truncated path space."""
@@ -232,22 +243,60 @@ class CKFamily:
         return len(self.basis)
 
     @cached_property
-    def _positions(self) -> dict[FockPath, int]:
-        return {p: k for k, p in enumerate(self.basis)}
+    def _by_range(self) -> _Grading:
+        """The basis graded by range vertex and outer edge, in one pass."""
+        out: _Grading = {}
+        for k, (vertex, edges) in enumerate(self.basis):
+            outer = None
+            if edges:
+                outer = edges[0]
+                vertex = outer[1]
+            out.setdefault(vertex, {}).setdefault(outer, []).append(k)
+        return out
+
+    def _positions(self, vertex: int) -> list[int]:
+        """The positions of the paths with range ``vertex``, in basis order."""
+        return sorted(chain.from_iterable(self._by_range.get(vertex, {}).values()))
+
+    def _tails(self, vertex: int) -> list[int]:
+        """The positions of the paths p that an edge leaving ``vertex`` extends to e.p."""
+        basis, depth = self.basis, self.depth
+        return [k for k in self._positions(vertex) if len(basis[k][1]) < depth]
 
     @cached_property
-    def _by_range(self) -> dict[int, list[int]]:
-        """Basis positions by range vertex, each list in basis order."""
-        out: dict[int, list[int]] = {}
-        for k, (vertex, edges) in enumerate(self.basis):
-            out.setdefault(edges[0][1] if edges else vertex, []).append(k)
-        return out
+    def _images(self) -> _Images:
+        """Every edge's image list, read off one pass per source vertex.
+
+        Each source's tails are listed once and extended by each of its
+        out-edges.  An edge whose image needs a path the basis lacks is
+        recorded with the first such path, in the order of the tails,
+        and its image list is left short.
+        """
+        images: dict[Edge, list[int]] = {e: [] for e in self.graph.edges}
+        leaving: dict[int, list[Edge]] = {}
+        for e in images:
+            leaving.setdefault(e[0], []).append(e)
+        basis = self.basis
+        positions = {p: k for k, p in enumerate(basis)}
+        missing: dict[Edge, FockPath] = {}
+        for source, out_edges in leaving.items():
+            tails = [basis[k] for k in self._tails(source)]
+            for e in out_edges:
+                image = images[e]
+                for vertex, path in tails:
+                    # a FockPath equals and hashes as the plain pair
+                    j = positions.get((vertex, (e,) + path))
+                    if j is not None:
+                        image.append(j)
+                    elif e not in missing:
+                        missing[e] = FockPath(vertex, (e,) + path)
+        return images, missing
 
     def vertex_indices(self, vertex: int) -> list[int]:
         """Basis positions graded at the vertex (by range of the path)."""
         if vertex not in self.graph.vertices:
             raise ValueError(f"{vertex} is not a vertex of the graph")
-        return list(self._by_range.get(vertex, ()))
+        return self._positions(vertex)
 
     def edge_map(self, edge: Edge) -> dict[int, int]:
         """S_e as a partial map of basis positions.
@@ -257,35 +306,10 @@ class CKFamily:
         """
         if edge not in self.graph.edges:
             raise ValueError(f"{edge} is not an edge of the graph")
-        return self._edge_maps((edge,))[edge]
-
-    def _edge_maps(self, edges: Sequence[Edge]) -> dict[Edge, dict[int, int]]:
-        """:meth:`edge_map` of each listed edge, read off one pass per range vertex.
-
-        A missing e.p raises the ValueError the first listed edge lacking
-        one would raise on its own.
-        """
-        maps: dict[Edge, dict[int, int]] = {e: {} for e in edges}
-        leaving: dict[int, list[Edge]] = {}
-        for e in maps:
-            leaving.setdefault(e[0], []).append(e)
-        positions = self._positions
-        missing: dict[Edge, FockPath] = {}
-        for source, out_edges in leaving.items():
-            for k in self._by_range.get(source, ()):
-                vertex, path = self.basis[k]
-                if len(path) < self.depth:
-                    for e in out_edges:
-                        # a FockPath equals and hashes as the plain pair
-                        j = positions.get((vertex, (e,) + path))
-                        if j is None:
-                            missing.setdefault(e, FockPath(vertex, (e,) + path))
-                        else:
-                            maps[e][k] = j
-        for e in maps:
-            if e in missing:
-                raise ValueError(f"the basis lacks the path {missing[e]}")
-        return maps
+        images, missing = self._images
+        if edge in missing:
+            raise ValueError(f"the basis lacks the path {missing[edge]}")
+        return dict(zip(self._tails(edge[0]), images[edge]))
 
     def edge_operator(self, edge: Edge) -> np.ndarray:
         """S_e as a dense 0/1 matrix: a view of :meth:`edge_map`."""
@@ -308,40 +332,58 @@ def build_truncated_fock(graph: EdgeColoredGraph, depth: int) -> CKFamily:
     path is built; the count stops once no path extends.  Then level L+1
     is e.p for e in sorted edges and p in level L ending at the source
     of e, which is already in (length, edges, vertex) order when level L
-    is, so nothing is sorted.  O(basis size x out-degree) extensions.
+    is, so nothing is sorted.  Each e.p lands at a position the build
+    knows, so the family's grading and edge images are recorded as the
+    paths are placed, and no path is hashed or looked up.  One extension
+    per basis path.
     """
+    if not _is_int(depth):
+        raise ValueError(f"depth {depth!r} is not an integer")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    ends = Counter(graph.vertices)
+    ends = dict.fromkeys(graph.vertices, 1)
     size = len(graph.vertices)
     levels = 0
     while ends and levels < depth:
         levels += 1
-        step: Counter[int] = Counter()
+        step: dict[int, int] = {}
         for source, target, _ in graph.edges:
-            step[target] += ends[source]
-        ends = +step
-        size += (1 + levels) * sum(ends.values())
+            if source in ends:
+                step[target] = step.get(target, 0) + ends[source]
+        ends = step
+        size += (1 + levels) * sum(step.values())
         if size > MAX_FOCK_SIZE:
             raise ValueError(
                 f"the paths of length <= {levels} pass the basis limit"
                 f" ({MAX_FOCK_SIZE} path entries); use a smaller depth"
             )
+    new = tuple.__new__  # a FockPath without the namedtuple's Python-level __new__
     edges = sorted(graph.edges)
-    basis = [FockPath(v, ()) for v in sorted(graph.vertices)]
-    by_range: dict[int, list[FockPath]] = {}
-    for p in basis:
-        by_range.setdefault(p.vertex, []).append(p)
+    basis = [new(FockPath, (v, ())) for v in sorted(graph.vertices)]
+    grading: _Grading = {p[0]: {None: [k]} for k, p in enumerate(basis)}
+    # per edge: its head and the positions of the paths it heads
+    plan = [(e, (e,), grading[e[1]].setdefault(e, [])) for e in edges]
+    tails = {p[0]: [p] for p in basis}  # level L by range vertex, in basis order
     for _ in range(levels):
         level: dict[int, list[FockPath]] = {}
-        for e in edges:
-            tails = by_range.get(e[0])
-            if tails:
-                paths = [FockPath(vertex, (e,) + path) for vertex, path in tails]
-                basis.extend(paths)
-                level.setdefault(e[1], []).extend(paths)
-        by_range = level
-    return CKFamily(graph=graph, depth=depth, basis=tuple(basis))
+        for e, head, headed in plan:
+            found = tails.get(e[0])
+            if found:
+                paths = [new(FockPath, (v, head + p)) for v, p in found]
+                headed += range(len(basis), len(basis) + len(paths))
+                basis += paths
+                if e[1] in level:
+                    level[e[1]] += paths
+                else:
+                    level[e[1]] = paths
+        tails = level
+    family = CKFamily(graph=graph, depth=depth, basis=tuple(basis))
+    if len(set(edges)) == len(edges):
+        # The paths e heads are e.p for the tails p at its source, in basis
+        # order: these are the caches a scan of the basis would fill.
+        images = {e: headed for e, _, headed in plan}
+        vars(family).update(_by_range=grading, _images=(images, {}))
+    return family
 
 
 @dataclass(frozen=True)
@@ -381,19 +423,34 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
         paths whose outermost edge has a different colour; (d) on the
         single-colour path space away from the vacua the defect is zero.
 
-    All edge maps come from one pass over the family's range-vertex
-    buckets and each defect reads only the bucket of its vertex, so the
-    cost is O(basis size x (out-degree + colours)) on any basis order.
+    The image of an edge e holds only paths whose outer edge is e, so
+    for colour c at v only the positions of outer colour c can be
+    covered.  When (a) and (b) hold, no position is covered twice; if
+    the in-edges' images are then as many as those positions, each is
+    covered exactly once, the defect is the vacua plus the other
+    colours' positions as predicted, and (d) holds.  Only otherwise are
+    the covers counted position by position.  Each edge's image set is
+    built once, so a family built by :func:`build_truncated_fock` costs
+    O(basis size) set work; any other basis first costs one grading
+    pass and one path lookup per edge extension.
     """
     graph = fam.graph
-    maps = fam._edge_maps(graph.edges)
-    initial_ok = all(len(set(m.values())) == len(m) for m in maps.values())
-    images = [set(maps[e].values()) for e in graph.edges]
-    orthogonality_ok = sum(map(len, images)) == len(set().union(*images))
+    images, missing = fam._images
+    if missing:
+        first = next(e for e in images if e in missing)
+        raise ValueError(f"the basis lacks the path {missing[first]}")
+    # A map is injective when its image list repeats no position.
+    image_sets = {e: set(image) for e, image in images.items()}
+    initial_ok = all(len(image_sets[e]) == len(image) for e, image in images.items())
+    orthogonality_ok = sum(len(image_sets[e]) for e in graph.edges) == len(
+        set().union(*image_sets.values())
+    )
+    at_most_once = initial_ok and orthogonality_ok
 
     receiving: dict[tuple[int, int], list[Edge]] = {}
     for e in graph.edges:
         receiving.setdefault((e[2], e[1]), []).append(e)
+    grading = fam._by_range
     defects: list[ColourDefect] = []
     structure_ok = True
     monochrome_ok = True
@@ -403,12 +460,21 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
             if not in_edges:
                 continue
             # S_e S_e* lives on the range of e, so the defect vanishes off v.
-            covered = Counter(k for e in in_edges for k in maps[e].values())
+            by_outer = grading.get(v, {})
+            own = [ks for outer, ks in by_outer.items() if outer and outer[2] == colour]
+            if at_most_once and sum(len(images[e]) for e in in_edges) == sum(map(len, own)):
+                off_colour = sorted(chain.from_iterable(
+                    ks for outer, ks in by_outer.items() if outer and outer[2] != colour
+                ))
+                vacua = by_outer.get(None, ())
+                defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), True))
+                continue
+            covered = Counter(k for e in in_edges for k in images[e])
             vacua = []
             off_colour = []
             predicted = True
-            for k in fam._by_range.get(v, ()):
-                edges = fam.basis[k].edges
+            for k in fam._positions(v):
+                edges = fam.basis[k][1]
                 defect = 1 - covered[k]
                 expected = 1 if (not edges or edges[0][2] != colour) else 0
                 if defect != expected:
@@ -418,15 +484,7 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
                 if defect != 0 and edges and all(e[2] == colour for e in edges):
                     monochrome_ok = False
             structure_ok = structure_ok and predicted
-            defects.append(
-                ColourDefect(
-                    colour=colour,
-                    vertex=v,
-                    vacuum_positions=tuple(vacua),
-                    off_colour_positions=tuple(off_colour),
-                    matches_prediction=predicted,
-                )
-            )
+            defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), predicted))
     return CKReport(
         initial_projections_ok=initial_ok,
         orthogonality_ok=orthogonality_ok,

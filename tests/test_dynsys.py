@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dynalg.dynsys import (
+    EdgeColoredGraph,
     FiniteSystem,
     colored_graph,
     equivalence_classes,
@@ -230,3 +231,29 @@ def test_colored_graph_is_sorted_and_counts_edges():
         for colour in range(sub.arity):
             sources = [e[0] for e in g.edges if e[2] == colour]
             assert len(sources) == len(set(sources))
+
+
+def test_edge_colored_graph_rejects_what_it_cannot_represent():
+    # (0, 5, 0) ends outside the vertices and (0, 1, 3) has no colour 3, so no
+    # path-space family over this graph could check either edge
+    with pytest.raises(ValueError, match=r"edge \(0, 5, 0\) has 5, which is not a vertex"):
+        EdgeColoredGraph(vertices=(0, 1), edges=((0, 5, 0), (0, 1, 3)), colours=1)
+    bad = [
+        (((0, 1), ((0, 1, 3),), 1), r"colour 3, outside 0..0"),
+        (((0, 1), ((0, 1, -1),), 2), r"colour -1, outside 0..1"),
+        (((0, 1), ((0, 1, True),), 2), r"colour True"),
+        (((0, 1), ((7, 1, 0),), 1), r"has 7, which is not a vertex"),
+        (((0, 1), ((True, 1, 0),), 1), r"has True, which is not a vertex"),
+        (((0, 1, 0), (), 1), r"vertex 0 is listed twice"),
+        (((0, 1.0), (), 1), r"vertex 1.0 is not an integer"),
+        (((0, 1), ([0, 1, 0],), 1), r"is not a \(source, target, colour\) triple"),
+        (((0, 1), ((0, 1),), 1), r"is not a \(source, target, colour\) triple"),
+        (((0,), (), -1), r"colours -1 is not a count"),
+        (((0,), (), True), r"colours True is not a count"),
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            EdgeColoredGraph(*args)
+    # repeated edges and edge-free graphs stay legal
+    assert EdgeColoredGraph((0, 1), ((0, 1, 0), (0, 1, 0)), 1).edges == ((0, 1, 0), (0, 1, 0))
+    assert EdgeColoredGraph((3,), (), 0).vertices == (3,)

@@ -33,6 +33,7 @@ from oracles import (
     random_element,
     random_system,
     scan_ck_report,
+    scan_edge_map,
     sorted_fock_basis,
     vertex_projection,
 )
@@ -262,6 +263,18 @@ def test_build_truncated_fock_counts():
         build_truncated_fock(LOOP_GRAPH, 0)
 
 
+def test_fock_depth_must_be_an_int_proper():
+    mixed = colored_graph(full_subsystem(TWO_POINT_MIXED))
+    # a float or bool depth is refused, not rounded up to a level count or read as 1
+    for depth in (2.5, 2.0, True, False, "2", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build_truncated_fock(mixed, depth)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            build_truncated_fock(mixed, depth)
+    assert build_truncated_fock(mixed, 3).depth == 3
+
+
 def test_fock_basis_is_bounded():
     # the loop's paths have lengths 0..depth, so its basis stores
     # (depth + 1)(depth + 2) / 2 path entries
@@ -331,7 +344,17 @@ def _perturbed(fam):
             fam.graph.vertices, fam.graph.edges + fam.graph.edges[:1], fam.graph.colours
         )
         perturbed.append(CKFamily(graph, fam.depth, fam.basis))
+        perturbed.extend(_repeated_paths(fam))
     return perturbed
+
+
+def _repeated_paths(fam):
+    """A non-vacuum path listed twice: its first copy is covered by no edge."""
+    first_edge_path = next(p for p in fam.basis if p.edges)
+    return [
+        CKFamily(fam.graph, fam.depth, fam.basis + fam.basis[-1:]),
+        CKFamily(fam.graph, fam.depth, fam.basis + (first_edge_path,)),
+    ]
 
 
 def test_ck_report_matches_dense_oracle_on_random_graphs():
@@ -359,7 +382,21 @@ def test_ck_report_matches_dense_oracle_on_perturbed_families():
             failed["orthogonality"] += not report.orthogonality_ok
             failed["structure"] += not report.defect_structure_ok
             failed["monochrome"] += not report.monochrome_cuntz_ok
+        for other in _repeated_paths(fam) if fam.graph.edges else ():
+            assert not check_ck_relations(other).defect_structure_ok
     assert all(failed.values()), failed
+
+
+def test_built_family_maps_equal_a_scan_of_its_basis():
+    # the build records the grading and edge images as it places the paths;
+    # a family over the same basis finds them by scanning and looking up
+    for fam in _random_families(random.Random(66), 40, max_depth=5):
+        scanned = CKFamily(fam.graph, fam.depth, fam.basis)
+        for v in fam.graph.vertices:
+            assert fam.vertex_indices(v) == scanned.vertex_indices(v)
+        for e in fam.graph.edges:
+            assert fam.edge_map(e) == scanned.edge_map(e) == scan_edge_map(fam, e)
+        assert check_ck_relations(fam) == check_ck_relations(scanned)
 
 
 def _raised(call):
