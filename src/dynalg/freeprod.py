@@ -579,8 +579,13 @@ def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> np.ndarr
     each coordinate in turn) and then, unless they are all zero, one
     ``random()`` that sets its radius; the directions are normalised and
     scaled as one (count, n) array, which is returned.  A zero draw is
-    the centre.
+    the centre.  ``n`` must be a positive int and ``count`` a
+    nonnegative int; anything else raises ValueError before any draw.
     """
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"dimension must be a positive int, got {n!r}")
+    if not (_is_int(count) and count >= 0):
+        raise ValueError(f"sample count must be a nonnegative int, got {count!r}")
     parts: list[float] = []
     radii: list[float] = []
     for _ in range(count):

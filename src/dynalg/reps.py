@@ -423,16 +423,18 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
         paths whose outermost edge has a different colour; (d) on the
         single-colour path space away from the vacua the defect is zero.
 
-    The image of an edge e holds only paths whose outer edge is e, so
-    for colour c at v only the positions of outer colour c can be
-    covered.  When (a) and (b) hold, no position is covered twice; if
-    the in-edges' images are then as many as those positions, each is
-    covered exactly once, the defect is the vacua plus the other
-    colours' positions as predicted, and (d) holds.  Only otherwise are
-    the covers counted position by position.  Each edge's image set is
-    built once, so a family built by :func:`build_truncated_fock` costs
-    O(basis size) set work; any other basis first costs one grading
-    pass and one path lookup per edge extension.
+    The image of an edge e holds only paths whose outer edge is e, on
+    any basis, so for colour c at v no in-edge covers a vacuum or a
+    position of another outer colour: each keeps defect 1, as
+    predicted, and only the positions of outer colour c can be off.
+    When (a) and (b) hold and the in-edges' images are as many as those
+    positions, each is covered exactly once.  Otherwise the covers are
+    counted, and the colour-c positions not covered exactly once break
+    the prediction; the uncovered ones join the defect, and only their
+    paths are read for (d).  Each edge's image set is built once, so a
+    family built by :func:`build_truncated_fock` costs O(basis size) set
+    work; any other basis first costs one grading pass and one path
+    lookup per edge extension.
     """
     graph = fam.graph
     images, missing = fam._images
@@ -461,30 +463,24 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
                 continue
             # S_e S_e* lives on the range of e, so the defect vanishes off v.
             by_outer = grading.get(v, {})
-            own = [ks for outer, ks in by_outer.items() if outer and outer[2] == colour]
-            if at_most_once and sum(len(images[e]) for e in in_edges) == sum(map(len, own)):
-                off_colour = sorted(chain.from_iterable(
-                    ks for outer, ks in by_outer.items() if outer and outer[2] != colour
-                ))
-                vacua = by_outer.get(None, ())
-                defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), True))
-                continue
-            covered = Counter(k for e in in_edges for k in images[e])
-            vacua = []
-            off_colour = []
-            predicted = True
-            for k in fam._positions(v):
-                edges = fam.basis[k][1]
-                defect = 1 - covered[k]
-                expected = 1 if (not edges or edges[0][2] != colour) else 0
-                if defect != expected:
-                    predicted = False
-                if defect == 1:
-                    (off_colour if edges else vacua).append(k)
-                if defect != 0 and edges and all(e[2] == colour for e in edges):
+            own: list[list[int]] = []  # the positions of outer colour c, by edge
+            off_colour: list[int] = []
+            for outer, ks in by_outer.items():
+                if outer:
+                    if outer[2] == colour:
+                        own.append(ks)
+                    else:
+                        off_colour += ks
+            bad: list[int] = []  # the positions of own not covered exactly once
+            if not at_most_once or sum(len(images[e]) for e in in_edges) != sum(map(len, own)):
+                covered = Counter(k for e in in_edges for k in images[e])
+                bad = [k for k in chain.from_iterable(own) if covered[k] != 1]
+                off_colour += (k for k in bad if k not in covered)
+                if any(all(e[2] == colour for e in fam.basis[k][1]) for k in bad):
                     monochrome_ok = False
-            structure_ok = structure_ok and predicted
-            defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), predicted))
+            structure_ok = structure_ok and not bad
+            vacua = tuple(by_outer.get(None, ()))
+            defects.append(ColourDefect(colour, v, vacua, tuple(sorted(off_colour)), not bad))
     return CKReport(
         initial_projections_ok=initial_ok,
         orthogonality_ok=orthogonality_ok,

@@ -117,6 +117,14 @@ def test_system_records_name_their_fault():
             dump_system(TWO_POINT_MIXED, names)
 
 
+def test_dump_system_writes_only_names_the_parser_reads():
+    for names in ([1, 2], ["a", 1], [True, False]):
+        with pytest.raises(FormatError, match="must be a list of strings"):
+            parse_system_record(json.dumps({"points": names, "maps": [[0, 1], [1, 0]]}))
+        with pytest.raises(FormatError, match="point names must be strings"):
+            dump_system(TWO_POINT_MIXED, names)
+
+
 def test_round_trip_bit_exact():
     for system in (TWO_POINT_MIXED, FOUR_POINT_OVERLAP, FOUR_POINT_SPLIT_B):
         text = dump_system(system)

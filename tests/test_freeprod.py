@@ -499,6 +499,16 @@ def test_sample_ball_points_matches_looped_draws():
     assert rng.getstate() == ref.getstate() == ZeroGauss(3).getstate()
 
 
+def test_ball_samples_need_int_sizes():
+    # n and count are checked before any draw, so the generator is untouched
+    rng = random.Random(5)
+    for n, count in ((0, 3), (-1, 3), (2.0, 3), (True, 3), (2, -1), (2, 1.5), (2, False)):
+        with pytest.raises(ValueError, match="dimension|sample count"):
+            sample_ball_points(rng, n, count)
+    assert rng.getstate() == random.Random(5).getstate()
+    assert sample_ball_points(rng, 2, 0).shape == (0, 2)
+
+
 def test_signatures_and_symbols_must_be_ints():
     for signature in ((2.7,), (True,), (0,), (2, -1), ()):
         with pytest.raises(ValueError, match="signature"):

@@ -228,6 +228,18 @@ def test_identity_hom_and_covariance_checker():
     assert covariance_defects(hom) == []
 
 
+def test_covariance_checker_names_the_failing_pairs():
+    # The identity witness does not intertwine the two split systems: the
+    # maps agree on points 0 and 1 and differ on 2 and 3.  The hom is built
+    # unverified, as partition_isomorphism builds its reverse.
+    identity = PartitionWitness(gamma=(0, 1, 2, 3), alpha=((0, 1),) * 4)
+    with pytest.raises(ValueError, match="witness fails verification"):
+        CovariantHom(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, identity)
+    hom = object.__new__(CovariantHom)
+    hom.__dict__.update(source=FOUR_POINT_SPLIT_A, target=FOUR_POINT_SPLIT_B, witness=identity)
+    assert covariance_defects(hom) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
 def test_apply_hom_is_linear_in_the_points():
     # A row of values is built once per image word, not once per (term,
     # point) pair; with a row per pair this took about 4.4 s (2-core VM).
