@@ -9,11 +9,14 @@ text: objects, arrays, numbers, strings):
 may use names when names are given.  Points are 0-indexed throughout.
 This module parses JSON and resolves names; ``FiniteSystem`` checks the
 tables, library functions check the flags, and any ``ValueError`` exits 2.
-A command's arguments go straight to that command's own parser.
+A command's arguments go straight to that command's own parser; integer
+flags and ``--subset`` items are ASCII digits only.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
-2 usage or validation error.
+2 usage or validation error.  A help request (-h, --help) is a report with
+a null decision and the help text in its ``usage`` field, exit 0, which
+:func:`main` prints as plain text.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ from .conjugacy import (
     decide_piecewise,
     verify_partition_witness,
 )
-from .dynsys import FiniteSystem, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict
+from .dynsys import (
+    FiniteSystem, _is_int, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict,
+)
 from .fixtures import (
     FOUR_POINT_OVERLAP,
     FOUR_POINT_SPLIT_A,
@@ -65,11 +70,16 @@ def parse_system(text: str) -> FiniteSystem:
     return system
 
 
-def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
+def _load_json(text: str) -> Any:
+    """The parsed text; malformed or too deeply nested text is a :class:`FormatError`."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"not valid structured text: {exc}") from None
+
+
+def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     if "points" not in data or "maps" not in data:
@@ -80,7 +90,7 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
     if isinstance(points, list):
         names = _distinct_strings("points", points)
         size = len(names)
-    elif isinstance(points, int) and not isinstance(points, bool):
+    elif _is_int(points):
         size = points
     else:
         raise FormatError("field 'points' must be a count or a list of names")
@@ -137,15 +147,12 @@ def dump_system(system: FiniteSystem, names: Optional[Sequence[str]] = None) -> 
 
 def parse_u1n(text: str) -> U1nMatrix:
     """Matrix file: {"n": N, "matrix": [[[re, im], ...], ...]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid structured text: {exc}") from None
+    data = _load_json(text)
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
         raise FormatError("fields 'n' and 'matrix' are required")
     n = data["n"]
     rows = data["matrix"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not (_is_int(n) and n >= 1):
         raise FormatError("field 'n' must be a positive count")
     if not (
         isinstance(rows, list)
@@ -165,7 +172,7 @@ def _is_pair(entry: Any) -> bool:
     return (
         isinstance(entry, list)
         and len(entry) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+        and all(isinstance(v, float) or _is_int(v) for v in entry)
     )
 
 
@@ -320,10 +327,10 @@ def _cmd_lift(args) -> tuple[bool, Any]:
 def _cmd_fock(args) -> tuple[bool, Any]:
     system = parse_system(_read(args.system))
     if args.subset is not None:
-        items = args.subset.split(",")
-        if not all(v.isascii() and v.isdigit() for v in items):
-            raise FormatError("--subset must be a comma-separated list of points")
-        subset = [int(v) for v in items]
+        try:
+            subset = [_digits(v) for v in args.subset.split(",")]
+        except argparse.ArgumentTypeError:
+            raise FormatError("--subset must be a comma-separated list of points") from None
         if len(set(subset)) != len(subset):
             raise FormatError("--subset lists a point twice")
     else:
@@ -388,9 +395,27 @@ def _cmd_selftest(_args) -> tuple[bool, Any]:
 # ---- driver ---------------------------------------------------------------------
 
 
+def _digits(text: str) -> int:
+    """The integer that ``text`` spells in ASCII digits; the one rule for integer text.
+
+    Signs, spaces, underscores and non-ASCII digits, all of which ``int``
+    reads, are refused, for every integer flag and each ``--subset`` item.
+    """
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+class _Help(Exception):
+    """A -h/--help request, carrying the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep usage failures inside run_command
         raise FormatError(message)
+
+    def print_help(self, file=None):  # and the help text too
+        raise _Help(self.format_help())
 
 
 @functools.cache
@@ -409,14 +434,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     signature = sub.add_parser("signature", help="entry signature of a system")
     signature.add_argument("system")
-    signature.add_argument("--point", type=int, default=None,
+    signature.add_argument("--point", type=_digits, default=None,
                            help="local signature at this point instead of the full system")
     signature.set_defaults(func=_cmd_signature)
 
     sig_cmp = sub.add_parser("signature-compare", help="compare entry signatures")
     sig_cmp.add_argument("system_a")
     sig_cmp.add_argument("system_b")
-    sig_cmp.add_argument("--point", type=int, default=None)
+    sig_cmp.add_argument("--point", type=_digits, default=None)
     sig_cmp.set_defaults(func=_cmd_signature_compare)
 
     tensor = sub.add_parser("tensor-vs-semicrossed",
@@ -431,14 +456,14 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     lift = sub.add_parser("lift", help="lift a U(1,n) matrix and check its boundary map")
     lift.add_argument("--u1n", required=True, help="matrix file")
-    lift.add_argument("--degree", type=int, required=True)
-    lift.add_argument("--samples", type=int, required=True)
+    lift.add_argument("--degree", type=_digits, required=True)
+    lift.add_argument("--samples", type=_digits, required=True)
     lift.set_defaults(func=_cmd_lift)
 
     fock = sub.add_parser("fock", help="truncated path-space family of a restriction")
     fock.add_argument("system")
     fock.add_argument("--subset", default=None, help="comma-separated point list")
-    fock.add_argument("--depth", type=int, required=True)
+    fock.add_argument("--depth", type=_digits, required=True)
     fock.set_defaults(func=_cmd_fock)
 
     selftest = sub.add_parser("selftest", help="run the built-in fixture checks")
@@ -451,12 +476,11 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
     started = time.perf_counter()
     command_echo = list(argv)
 
-    def report(decision, witness, error=None) -> dict[str, Any]:
+    def report(decision, witness, **text) -> dict[str, Any]:  # text: an error or the usage
         out: dict[str, Any] = {"command": command_echo, "decision": decision}
         if witness is not None:
             out["witness"] = witness
-        if error is not None:
-            out["error"] = error
+        out.update(text)
         out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         out["version"] = __version__
         return out
@@ -468,6 +492,8 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
         else:  # no command, an unknown one or --help: the top level reports it
             args = parser.parse_args(list(argv))
         decision, witness = args.func(args)
+    except _Help as request:
+        return report(None, None, usage=request.args[0]), 0
     except ValueError as exc:  # FormatError and IncompatibleSystemsError among them
         return report(None, None, error=str(exc)), 2
     if decision is None:
@@ -477,7 +503,7 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     report, code = run_command(sys.argv[1:] if argv is None else argv)
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    sys.stdout.write(report["usage"] if "usage" in report else json.dumps(report, indent=2) + "\n")
     return code
 
 

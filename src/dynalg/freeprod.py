@@ -46,7 +46,7 @@ _STRUCT_TOL = 1e-12
 
 def _validate_signature(signature: Sequence[int]) -> BlockSignature:
     sig = tuple(signature)
-    if not sig or not all(type(n) is int and n >= 1 for n in sig):  # bool is not int here
+    if not sig or not all(_is_int(n) and n >= 1 for n in sig):
         raise ValueError(f"block signature {sig} must list positive int sizes")
     return sig
 
@@ -72,7 +72,7 @@ class FPPoly(WordPoly):
         clean: dict[FPWord, complex] = {}
         for word, coeff in terms.items():
             for block, index in word:
-                ints = type(block) is int and type(index) is int  # not bool
+                ints = _is_int(block) and _is_int(index)
                 if not (ints and 0 <= block < len(sig) and 0 <= index < sig[block]):
                     raise ValueError(f"symbol ({block},{index}) outside signature {sig}")
             c = complex(coeff)
@@ -291,7 +291,7 @@ class U1nMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (type(self.n) is int and self.n >= 1):  # bool is not int here
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
         x = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", x)

@@ -441,12 +441,11 @@ def check_ck_relations(fam: CKFamily) -> CKReport:
     if missing:
         first = next(e for e in images if e in missing)
         raise ValueError(f"the basis lacks the path {missing[first]}")
-    # A map is injective when its image list repeats no position.
-    image_sets = {e: set(image) for e, image in images.items()}
-    initial_ok = all(len(image_sets[e]) == len(image) for e, image in images.items())
-    orthogonality_ok = sum(len(image_sets[e]) for e in graph.edges) == len(
-        set().union(*image_sets.values())
-    )
+    # A map is injective when its image list repeats no position.  Images
+    # of distinct edges hold paths of distinct outer edges, so only an edge
+    # listed twice, with a nonempty image, breaks orthogonality.
+    initial_ok = all(len(set(image)) == len(image) for image in images.values())
+    orthogonality_ok = not any(images[e] for e, n in Counter(graph.edges).items() if n > 1)
     at_most_once = initial_ok and orthogonality_ok
 
     receiving: dict[tuple[int, int], list[Edge]] = {}

@@ -21,13 +21,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
+from .dynsys import _is_int
+
 RationalLike = Union[int, Fraction, "RationalComplex"]
 RationalInput = Union[int, Fraction, str]
 
 
 def _rational(value: RationalInput) -> Union[int, Fraction]:
     """An exact rational input, as a value with ``numerator`` and ``denominator``."""
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if isinstance(value, Fraction) or _is_int(value):
         return value
     if isinstance(value, str):
         return Fraction(value)
@@ -60,7 +62,7 @@ class RationalComplex:
     def coerce(value: RationalLike) -> "RationalComplex":
         if isinstance(value, RationalComplex):
             return value
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        if isinstance(value, Fraction) or _is_int(value):
             return _reduced(value.numerator, 0, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as an exact complex scalar")
 

@@ -23,6 +23,8 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Callable, Hashable
 
+from .dynsys import _is_int
+
 
 class WordPoly:
     """Normal-form arithmetic on ``terms``, a map from words to coefficients."""
@@ -94,16 +96,19 @@ def reweight_letters(p: WordPoly, weight: Callable[[Hashable], Any]) -> WordPoly
 
 
 def fourier_component(p: WordPoly, k: int) -> WordPoly:
-    """The part supported on words of length exactly k."""
-    if k < 0:
-        raise ValueError("component degree must be nonnegative")
+    """The part supported on words of length exactly k, an int (not a bool) >= 0."""
+    if not (_is_int(k) and k >= 0):
+        raise ValueError(f"component degree must be nonnegative and an int, got {k!r}")
     return p._like({w: c for w, c in p.terms.items() if len(w) == k})
 
 
 def cesaro_mean(p: WordPoly, k: int) -> WordPoly:
-    """Fejer-weighted partial sum: components of length i scaled by 1 - i/k."""
-    if k < 1:
-        raise ValueError("Cesaro order must be at least 1")
+    """Fejer-weighted partial sum: components of length i scaled by 1 - i/k.
+
+    The order k is an int (not a bool) of at least 1.
+    """
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"Cesaro order must be at least 1 and an int, got {k!r}")
     return p._like(
         {w: c * Fraction(k - len(w), k) for w, c in p.terms.items() if len(w) < k}
     )

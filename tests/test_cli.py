@@ -458,6 +458,25 @@ def test_fock_rejects_malformed_subset(files):
         assert code == 2 and "comma-separated" in report["error"], subset
 
 
+@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3 ", "\u0663", "-1", "0x3", ""])
+def test_integer_flags_take_ascii_digits_only(files, tmp_path, text):
+    # the rule --subset items already follow; int() reads all but the last two
+    u1n = tmp_path / "u1n.json"
+    u1n.write_text(IDENTITY_U1N)
+    system = files["overlap"]
+    for argv in (
+        ["fock", system, "--depth", text],
+        ["signature", system, "--point", text],
+        ["signature-compare", system, system, "--point", text],
+        ["lift", "--u1n", str(u1n), "--degree", text, "--samples", "2"],
+        ["lift", "--u1n", str(u1n), "--degree", "2", "--samples", text],
+    ):
+        report, code = run_command(argv)
+        assert code == 2 and report["error"].endswith(f"invalid int value: {text!r}"), argv
+    padded, code = run_command(["fock", system, "--depth", "0002"])
+    assert code == 0 and padded["witness"] == run_command(["fock", system, "--depth", "2"])[0]["witness"]
+
+
 def test_fock_rejects_repeated_subset_points(files):
     report, code = run_command(["fock", files["overlap"], "--subset", "1,1", "--depth", "2"])
     assert code == 2 and "twice" in report["error"]
@@ -502,6 +521,29 @@ def test_usage_errors_keep_the_top_level_message(files):
         with pytest.raises(FormatError) as expected:
             parser.parse_args(argv)
         assert code == 2 and report["error"] == str(expected.value), argv
+
+
+def test_help_is_returned_not_printed(capsys):
+    for argv in (["--help"], ["-h"], ["check", "--help"], ["fock", "x.json", "-h"]):
+        report, code = run_command(argv)
+        assert code == 0 and report["decision"] is None, argv
+        assert report["usage"].startswith("usage: dynalg"), argv
+        assert list(report) == ["command", "decision", "usage", "timing_ms", "version"]
+    assert capsys.readouterr() == ("", "")
+    assert main(["check", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == cli._build_parser()[1]["check"].format_help()
+
+
+def test_deeply_nested_files_exit_2(tmp_path):
+    nest = "[" * 100_000 + "]" * 100_000
+    system = tmp_path / "system.json"
+    system.write_text('{"points": 2, "maps": %s}' % nest)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"n": 1, "matrix": %s}' % nest)
+    for argv in (["signature", str(system)], ["lift", "--degree", "2", "--samples", "2", "--u1n", str(matrix)]):
+        report, code = run_command(argv)
+        assert code == 2 and report["error"].startswith("not valid structured text"), argv
 
 
 def test_system_files_are_read_as_strict_utf8(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import enum
 import math
 import random
 import tracemalloc
@@ -517,6 +518,19 @@ def test_signatures_and_symbols_must_be_ints():
         with pytest.raises(ValueError, match="outside signature"):
             FPPoly.make((2,), {(symbol,): 1})
     assert FPPoly.make([2], {((0, 1),): 1}).signature == (2,)
+
+
+def test_int_subclasses_are_ints_for_sizes_and_symbols():
+    # as FiniteSystem accepts them: only bool among int subclasses is refused
+    class K(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+        TWO = 2
+
+    p = FPPoly.make((K.ONE, K.TWO), {((K.ONE, K.ONE), (K.ZERO, K.ZERO)): 1})
+    assert p == FPPoly.make((1, 2), {((1, 1), (0, 0)): 1})
+    assert U1nMatrix(n=K.ONE, matrix=np.eye(2)).n == 1
+    assert len(voiculescu_lift(U1nMatrix(n=K.ONE, matrix=np.eye(2)), K.TWO)) == 1
 
 
 def test_block_permutations_must_be_int_permutations():

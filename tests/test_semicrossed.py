@@ -391,3 +391,18 @@ def test_covariant_hom_is_its_verified_witness():
         CovariantHom(TWO_POINT_MIXED, TWO_POINT_MIXED, PartitionWitness((0, 0), ((0, 1),) * 2))
     witness = decide_partition(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B)
     assert CovariantHom(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).witness == witness
+
+
+def test_repr_lists_terms_by_word_length():
+    assert repr(SemicrossedElement.zero(TWO_POINT_MIXED)) == "SemicrossedElement(0)"
+    a = SemicrossedElement.generator(TWO_POINT_MIXED, 1) + SemicrossedElement.from_function(
+        TWO_POINT_MIXED, chi(2, [0])
+    )
+    assert repr(a) == "SemicrossedElement(1*['1', '0'] + s1*['1', '1'])"
+
+
+def test_coefficient_difference_adds_the_negation():
+    f = FunctionCoeff((qc(1, 2), qc("1/3", 1), ONE))
+    g = FunctionCoeff((ONE, qc(-1, "2/5"), qc(0, 0)))
+    assert f - g == f + (-g) == FunctionCoeff((qc(0, 2), qc("4/3", "3/5"), ONE))
+    assert (f - f).is_zero()

@@ -150,3 +150,14 @@ def test_product_rejects_operands_over_other_contexts():
     for left, right in ((f, g), (g, f), (f, FreeEdgePoly.scalar(ONE))):
         with pytest.raises(ValueError, match="different contexts"):
             left * right
+
+
+def test_component_degree_and_cesaro_order_must_be_ints():
+    p = random_dyadic_poly(random.Random(64), (2,), 3)
+    for k in (True, 1.5, 1.0, "1", None, -1):
+        with pytest.raises(ValueError, match="component degree must be nonnegative"):
+            fourier_component(p, k)
+    for k in (True, 1.5, 1.0, "1", None, 0):
+        with pytest.raises(ValueError, match="Cesaro order must be at least 1"):
+            cesaro_mean(p, k)
+    assert cesaro_mean(p, 1) == fourier_component(p, 0)
