@@ -9,8 +9,10 @@ text: objects, arrays, numbers, strings):
 may use names when names are given.  Points are 0-indexed throughout.
 This module parses JSON and resolves names; ``FiniteSystem`` checks the
 tables, library functions check the flags, and any ``ValueError`` exits 2.
-A command's arguments go straight to that command's own parser; integer
-flags and ``--subset`` items are ASCII digits only.
+Each command's arguments are declared once, in ``_COMMANDS``.  A well-formed
+command line is read from that table in one pass; argparse, built from the
+same table, reads every other line and words all help text and usage errors.
+Integer flags and ``--subset`` items are ASCII digits only.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
@@ -399,11 +401,111 @@ def _digits(text: str) -> int:
     """The integer that ``text`` spells in ASCII digits; the one rule for integer text.
 
     Signs, spaces, underscores and non-ASCII digits, all of which ``int``
-    reads, are refused, for every integer flag and each ``--subset`` item.
+    reads, are refused, for every integer flag and each ``--subset`` item, and
+    so is a digit string past the interpreter's integer conversion limit.
     """
     if text.isascii() and text.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+# Each command's help line, handler and arguments, declared once; an argument
+# is its flag or positional name and its add_argument keywords, in help order.
+# _build_parser hands the keywords to argparse as they stand; _read_args reads
+# the same keywords, and only these: type, choices, required,
+# action="store_true", default and help.
+_COMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict[str, Any]], ...]]] = {
+    "check": ("decide a conjugacy notion between two systems", _cmd_check, (
+        ("--mode", {"choices": ["conjugate", "piecewise", "partition"], "required": True}),
+        ("--recolor", {"action": "store_true",
+                       "help": "allow one global colour permutation (conjugate mode only)"}),
+        ("system_a", {}),
+        ("system_b", {}),
+    )),
+    "signature": ("entry signature of a system", _cmd_signature, (
+        ("system", {}),
+        ("--point", {"type": _digits, "default": None,
+                     "help": "local signature at this point instead of the full system"}),
+    )),
+    "signature-compare": ("compare entry signatures", _cmd_signature_compare, (
+        ("system_a", {}),
+        ("system_b", {}),
+        ("--point", {"type": _digits, "default": None}),
+    )),
+    "tensor-vs-semicrossed": (
+        "decide whether the two completions coincide", _cmd_tensor, (("system", {}),)),
+    "iso-build": ("build the isomorphism pair from a partition witness", _cmd_iso_build, (
+        ("system_a", {}),
+        ("system_b", {}),
+    )),
+    "lift": ("lift a U(1,n) matrix and check its boundary map", _cmd_lift, (
+        ("--u1n", {"required": True, "help": "matrix file"}),
+        ("--degree", {"type": _digits, "required": True}),
+        ("--samples", {"type": _digits, "required": True}),
+    )),
+    "fock": ("truncated path-space family of a restriction", _cmd_fock, (
+        ("system", {}),
+        ("--subset", {"default": None, "help": "comma-separated point list"}),
+        ("--depth", {"type": _digits, "required": True}),
+    )),
+    "selftest": ("run the built-in fixture checks", _cmd_selftest, ()),
+}
+
+
+def _read_args(command: str, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``command``'s parser gives for a well-formed line, read in one pass.
+
+    Reads exact flag names, one value after each value flag, switches and
+    positionals in order, and checks each value with its converter and choices.
+    Anything else is None: a help request, an abbreviated flag, ``--flag=value``,
+    ``--``, a repeated flag, any other token or value that starts with ``-``, a
+    value the converter or choices refuse, a missing or an extra argument.  The
+    command's argparse parser then reads the line, so argparse alone words help
+    and usage errors.
+    """
+    _, func, declared = _COMMANDS[command]
+    flags = {name: options for name, options in declared if name[0] == "-"}
+    positionals = iter([name for name, _ in declared if name[0] != "-"])
+    texts: dict[str, Any] = {}  # declared name -> its text, or True for a switch given
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            name = next(positionals, None)
+            if name is None:
+                return None
+            texts[name] = token
+        elif token in flags and token not in texts:
+            if flags[token].get("action") == "store_true":
+                texts[token] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+            texts[token] = value
+        else:
+            return None
+    values: dict[str, Any] = {"func": func}
+    for name, options in declared:
+        switch = options.get("action") == "store_true"
+        dest = name if name[0] != "-" else name.lstrip("-").replace("-", "_")
+        if name not in texts:
+            if name[0] != "-" or options.get("required"):
+                return None
+            values[dest] = options.get("default", False if switch else None)
+            continue
+        value = texts[name]
+        if not switch and "type" in options:
+            try:
+                value = options["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse catches
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
 
 
 class _Help(Exception):
@@ -423,56 +525,20 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and each command's own parser, by command name."""
     parser = _Parser(prog="dynalg", description="finite dynamical system toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="decide a conjugacy notion between two systems")
-    check.add_argument("--mode", choices=["conjugate", "piecewise", "partition"], required=True)
-    check.add_argument("--recolor", action="store_true",
-                       help="allow one global colour permutation (conjugate mode only)")
-    check.add_argument("system_a")
-    check.add_argument("system_b")
-    check.set_defaults(func=_cmd_check)
-
-    signature = sub.add_parser("signature", help="entry signature of a system")
-    signature.add_argument("system")
-    signature.add_argument("--point", type=_digits, default=None,
-                           help="local signature at this point instead of the full system")
-    signature.set_defaults(func=_cmd_signature)
-
-    sig_cmp = sub.add_parser("signature-compare", help="compare entry signatures")
-    sig_cmp.add_argument("system_a")
-    sig_cmp.add_argument("system_b")
-    sig_cmp.add_argument("--point", type=_digits, default=None)
-    sig_cmp.set_defaults(func=_cmd_signature_compare)
-
-    tensor = sub.add_parser("tensor-vs-semicrossed",
-                            help="decide whether the two completions coincide")
-    tensor.add_argument("system")
-    tensor.set_defaults(func=_cmd_tensor)
-
-    iso = sub.add_parser("iso-build", help="build the isomorphism pair from a partition witness")
-    iso.add_argument("system_a")
-    iso.add_argument("system_b")
-    iso.set_defaults(func=_cmd_iso_build)
-
-    lift = sub.add_parser("lift", help="lift a U(1,n) matrix and check its boundary map")
-    lift.add_argument("--u1n", required=True, help="matrix file")
-    lift.add_argument("--degree", type=_digits, required=True)
-    lift.add_argument("--samples", type=_digits, required=True)
-    lift.set_defaults(func=_cmd_lift)
-
-    fock = sub.add_parser("fock", help="truncated path-space family of a restriction")
-    fock.add_argument("system")
-    fock.add_argument("--subset", default=None, help="comma-separated point list")
-    fock.add_argument("--depth", type=_digits, required=True)
-    fock.set_defaults(func=_cmd_fock)
-
-    selftest = sub.add_parser("selftest", help="run the built-in fixture checks")
-    selftest.set_defaults(func=_cmd_selftest)
+    for command, (help_line, func, declared) in _COMMANDS.items():
+        own = sub.add_parser(command, help=help_line)
+        for name, options in declared:
+            own.add_argument(name, **options)
+        own.set_defaults(func=func)
     return parser, sub.choices
 
 
 def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
-    """Execute one command; returns (report, exit code) without printing."""
+    """Execute one command; returns (report, exit code) without printing.
+
+    Every item of ``argv`` must be a string; any other item exits 2, and the
+    report echoes it by its ``repr``.
+    """
     started = time.perf_counter()
     command_echo = list(argv)
 
@@ -485,12 +551,17 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
         out["version"] = __version__
         return out
 
-    parser, commands = _build_parser()
+    for k, item in enumerate(argv):
+        if not isinstance(item, str):
+            command_echo = [a if isinstance(a, str) else repr(a) for a in argv]  # the report stays JSON
+            return report(None, None, error=f"argv[{k}] must be a string, not {type(item).__name__}"), 2
     try:
-        if argv and argv[0] in commands:
-            args = commands[argv[0]].parse_args(list(argv[1:]))
+        if argv and argv[0] in _COMMANDS:
+            args = _read_args(argv[0], argv[1:])
+            if args is None:  # help, or not well formed: argparse reads it and words any error
+                args = _build_parser()[1][argv[0]].parse_args(list(argv[1:]))
         else:  # no command, an unknown one or --help: the top level reports it
-            args = parser.parse_args(list(argv))
+            args = _build_parser()[0].parse_args(list(argv))
         decision, witness = args.func(args)
     except _Help as request:
         return report(None, None, usage=request.args[0]), 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import sys
@@ -453,14 +454,17 @@ def test_fock_depth_15_is_refused_before_any_path_is_built(tmp_path, monkeypatch
 
 
 def test_fock_rejects_malformed_subset(files):
-    for subset in ("", "1,", "1_0", "+1", " 1"):
+    for subset in ("", "1,", "1_0", "+1", " 1", "1" * 5000):
         report, code = run_command(["fock", files["overlap"], "--subset", subset, "--depth", "2"])
         assert code == 2 and "comma-separated" in report["error"], subset
 
 
-@pytest.mark.parametrize("text", ["1_0", "+3", " 3", "3 ", "\u0663", "-1", "0x3", ""])
+@pytest.mark.parametrize(
+    "text", ["1_0", "+3", " 3", "3 ", "\u0663", "-1", "0x3", "", pytest.param("1" * 5000, id="5000 digits")]
+)
 def test_integer_flags_take_ascii_digits_only(files, tmp_path, text):
-    # the rule --subset items already follow; int() reads all but the last two
+    # the rule --subset items already follow; int() reads the first five, and
+    # refuses the last one past its 4,300-digit limit
     u1n = tmp_path / "u1n.json"
     u1n.write_text(IDENTITY_U1N)
     system = files["overlap"]
@@ -521,6 +525,148 @@ def test_usage_errors_keep_the_top_level_message(files):
         with pytest.raises(FormatError) as expected:
             parser.parse_args(argv)
         assert code == 2 and report["error"] == str(expected.value), argv
+
+
+def test_argparse_reads_what_the_declared_table_does_not(files):
+    """Abbreviations, ``=`` forms, a repeated flag and ``--`` keep argparse's reading."""
+    a = files["mixed"]
+    for argv, plain in (
+        (["fock", a, "--dep", "3"], ["fock", a, "--depth", "3"]),
+        (["fock", a, "--depth=3"], ["fock", a, "--depth", "3"]),
+        (["check", "--mode", "conjugate", "--mode", "partition", a, a], ["check", "--mode", "partition", a, a]),
+    ):
+        assert cli._read_args(argv[0], argv[1:]) is None, argv
+        report, code = run_command(argv)
+        expected, expected_code = run_command(plain)
+        assert code == expected_code == 0 and report["witness"] == expected["witness"], argv
+    argv = ["fock", "--", a, "--depth", "3"]
+    report, code = run_command(argv)
+    with pytest.raises(FormatError) as expected:
+        cli._build_parser()[1]["fock"].parse_args(argv[1:])
+    assert code == 2 and report["error"] == str(expected.value) == "the following arguments are required: --depth"
+
+
+def test_argv_items_must_be_strings(files):
+    system = files["overlap"]
+    for argv, message, echo in (
+        (["fock", system, "--depth", 3], "argv[3] must be a string, not int", ["fock", system, "--depth", "3"]),
+        (["fock", system.encode(), "--depth", "2"], "argv[1] must be a string, not bytes",
+         ["fock", repr(system.encode()), "--depth", "2"]),
+        ([None], "argv[0] must be a string, not NoneType", ["None"]),
+    ):
+        report, code = run_command(argv)
+        assert code == 2 and report["error"] == message, argv
+        assert json.loads(json.dumps(report))["command"] == echo
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a line of its declared arguments, in any order, with up to two edits.
+
+    An edit drops up to two tokens and may put in their place one flag, an
+    abbreviation, an ``=`` form, ``--``, ``-h``, ``-1`` or a plain value.
+    """
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    declared = cli._COMMANDS[command][2]
+    paths = ["x.json", "y.json", "1,2", ""]
+    pieces = []
+    for name, options in declared:
+        if options.get("action") == "store_true":
+            pieces += [[name]] * draw(st.integers(0, 1))
+        elif name.startswith("-") and not options.get("required") and draw(st.booleans()):
+            continue
+        else:
+            value = st.sampled_from(
+                [*options["choices"], "bogus"] if "choices" in options
+                else ["3", "0", "0002", "1_0"] if "type" in options
+                else paths
+            )
+            pieces.append([name, draw(value)] if name.startswith("-") else [draw(value)])
+    tokens = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    flags = [name for name, _ in declared if name.startswith("-")]
+    words = st.sampled_from([
+        *flags, *(flag[:k] for flag in flags for k in range(3, len(flag))),
+        *(f"{flag}={value}" for flag in flags for value in ("3", "partition")),
+        "--", "-h", "--help", "-1", "-", "--bogus", "3", "partition", *paths,
+    ])
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at + draw(st.integers(0, 2))] = draw(st.lists(words, max_size=1))
+    return command, tokens
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(command_lines())
+def test_read_args_agrees_with_argparse(line):
+    command, tokens = line
+    read = cli._read_args(command, tokens)
+    if read is not None:
+        assert vars(read) == vars(cli._build_parser()[1][command].parse_args(tokens)), tokens
+
+
+def test_read_args_reads_plain_lines_in_any_order():
+    for _, _, declared in cli._COMMANDS.values():  # the only keywords _read_args reads
+        assert all(set(options) <= {"type", "choices", "required", "action", "default", "help"}
+                   for _, options in declared)
+    for command, tokens in (
+        ("check", ["--mode", "partition", "a.json", "b.json"]),
+        ("check", ["a.json", "--recolor", "b.json", "--mode", "conjugate"]),
+        ("signature", ["--point", "0002", "a.json"]),
+        ("signature-compare", ["a.json", "b.json"]),
+        ("lift", ["--samples", "5", "--u1n", "m.json", "--degree", "25"]),
+        ("fock", ["a.json", "--subset", "", "--depth", "3"]),
+        ("selftest", []),
+    ):
+        read = cli._read_args(command, tokens)
+        assert read is not None and vars(read) == vars(cli._build_parser()[1][command].parse_args(tokens))
+
+
+def _reference_parser():
+    """The argparse construction the command table replaced, kept as the help-text reference."""
+    digits = cli._digits
+    parser = argparse.ArgumentParser(prog="dynalg", description="finite dynamical system toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    check = sub.add_parser("check", help="decide a conjugacy notion between two systems")
+    check.add_argument("--mode", choices=["conjugate", "piecewise", "partition"], required=True)
+    check.add_argument("--recolor", action="store_true",
+                       help="allow one global colour permutation (conjugate mode only)")
+    check.add_argument("system_a")
+    check.add_argument("system_b")
+    signature = sub.add_parser("signature", help="entry signature of a system")
+    signature.add_argument("system")
+    signature.add_argument("--point", type=digits, default=None,
+                           help="local signature at this point instead of the full system")
+    sig_cmp = sub.add_parser("signature-compare", help="compare entry signatures")
+    sig_cmp.add_argument("system_a")
+    sig_cmp.add_argument("system_b")
+    sig_cmp.add_argument("--point", type=digits, default=None)
+    tensor = sub.add_parser("tensor-vs-semicrossed", help="decide whether the two completions coincide")
+    tensor.add_argument("system")
+    iso = sub.add_parser("iso-build", help="build the isomorphism pair from a partition witness")
+    iso.add_argument("system_a")
+    iso.add_argument("system_b")
+    lift = sub.add_parser("lift", help="lift a U(1,n) matrix and check its boundary map")
+    lift.add_argument("--u1n", required=True, help="matrix file")
+    lift.add_argument("--degree", type=digits, required=True)
+    lift.add_argument("--samples", type=digits, required=True)
+    fock = sub.add_parser("fock", help="truncated path-space family of a restriction")
+    fock.add_argument("system")
+    fock.add_argument("--subset", default=None, help="comma-separated point list")
+    fock.add_argument("--depth", type=digits, required=True)
+    sub.add_parser("selftest", help="run the built-in fixture checks")
+    return parser, sub.choices
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_texts_are_unchanged(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help to the terminal width
+    parser, commands = cli._build_parser()
+    reference, reference_commands = _reference_parser()
+    assert parser.format_help() == reference.format_help()
+    assert parser.format_usage() == reference.format_usage()
+    assert list(commands) == list(reference_commands)
+    for name, command in commands.items():
+        assert command.format_help() == reference_commands[name].format_help(), name
 
 
 def test_help_is_returned_not_printed(capsys):
