@@ -68,6 +68,8 @@ class FPPoly(WordPoly):
 
     @staticmethod
     def make(signature: Sequence[int], terms: Mapping[FPWord, complex]) -> "FPPoly":
+        """Validated terms: symbols inside the signature, finite numeric
+        coefficients (no strings or bools) stored as ``complex``, zeros dropped."""
         sig = _validate_signature(signature)
         clean: dict[FPWord, complex] = {}
         for word, coeff in terms.items():
@@ -75,7 +77,15 @@ class FPPoly(WordPoly):
                 ints = _is_int(block) and _is_int(index)
                 if not (ints and 0 <= block < len(sig) and 0 <= index < sig[block]):
                     raise ValueError(f"symbol ({block},{index}) outside signature {sig}")
-            c = complex(coeff)
+            c = coeff
+            if type(c) is not complex:
+                # complex() would also read "2" and True.
+                if isinstance(c, (str, bool, np.bool_)):
+                    raise TypeError(f"coefficient {coeff!r} is not a number")
+                c = complex(c)
+            # c - c is 0 exactly when both parts are finite; inf - inf is nan.
+            if c - c:
+                raise ValueError(f"coefficient {coeff!r} is not finite")
             if c != 0:
                 clean[tuple(word)] = c
         return FPPoly(signature=sig, terms=clean)

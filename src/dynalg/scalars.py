@@ -10,9 +10,11 @@ A scalar is held as three ints ``(a, b, d)`` meaning ``(a + b*i)/d``,
 with ``d > 0`` and ``gcd(a, b, d) = 1``; zero is ``(0, 0, 1)``.  This
 normal form is unique, so equality and hashing compare the three ints.
 Every result is built by one reducing helper from integer formulas, with
-no ``Fraction`` in between; ``re`` and ``im`` are reduced ``Fraction``
-views.  Inputs are exact only: ints (not bools), ``Fraction``s and, where
-a constructor takes them, "p/q" strings.
+no ``Fraction`` in between; the product, which the word-polynomial
+kernels call once per value, applies the same reduction inline, so it
+costs one frame.  ``re`` and ``im`` are reduced ``Fraction`` views.
+Inputs are exact only: ints (not bools), ``Fraction``s and, where a
+constructor takes them, "p/q" strings; an exponent is an int, not a bool.
 """
 
 from __future__ import annotations
@@ -118,6 +120,9 @@ class RationalComplex:
         return _reduced(-self._a, -self._b, self._d)
 
     def __pow__(self, exponent: int) -> "RationalComplex":
+        # The one integer rule: a bool or a float exponent is not supported.
+        if not _is_int(exponent):
+            return NotImplemented
         if exponent < 0:
             return ONE / (self ** (-exponent))
         out = ONE
@@ -150,7 +155,7 @@ class RationalComplex:
         return self._a == 0 and self._b == 0
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __complex__(self) -> complex:
         return complex(self._a / self._d, self._b / self._d)
@@ -192,14 +197,28 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 def _product(z: RationalComplex, w: RationalComplex) -> RationalComplex:
-    """z * w for two scalars; a zero operand returns the shared ZERO."""
+    """z * w for two scalars; a zero operand returns the shared ZERO.
+
+    The product kernels call this once per value, so it reduces inline,
+    as :func:`_reduced` does, in one frame.  A product of nonzero
+    scalars is nonzero, so its parts are never both 0.
+    """
     a, b = z._a, z._b
     if not (a or b):
         return ZERO
     c, e = w._a, w._b
     if not (c or e):
         return ZERO
-    return _reduced(a * c - b * e, a * e + b * c, z._d * w._d)
+    re, im, d = a * c - b * e, a * e + b * c, z._d * w._d
+    if d != 1:
+        g = gcd(re, im, d)
+        if g != 1:
+            re, im, d = re // g, im // g, d // g
+    out = _new(RationalComplex)
+    _set_a(out, re)
+    _set_b(out, im)
+    _set_d(out, d)
+    return out
 
 
 def qc(re: RationalInput = 0, im: RationalInput = 0) -> RationalComplex:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .conjugacy import PartitionWitness, verify_partition_witness
@@ -73,16 +74,22 @@ class FunctionCoeff:
         return len(self.values)
 
     def __add__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        return _coeff(tuple(a + b for a, b in zip(self.values, other.values, strict=True)))
+        if len(self.values) != len(other.values):
+            _sizes_differ(self, other)
+        return _coeff(tuple(map(add, self.values, other.values)))
 
     def __sub__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        return _coeff(tuple(a - b for a, b in zip(self.values, other.values, strict=True)))
+        if len(self.values) != len(other.values):
+            _sizes_differ(self, other)
+        return _coeff(tuple(map(sub, self.values, other.values)))
 
     def __mul__(self, other: "FunctionCoeff | RationalComplex | int | Fraction") -> "FunctionCoeff":
         """Pointwise product; a scalar multiplies every value."""
         if not isinstance(other, FunctionCoeff):
             return self.scale(other)
-        return _coeff(tuple(a * b for a, b in zip(self.values, other.values, strict=True)))
+        if len(self.values) != len(other.values):
+            _sizes_differ(self, other)
+        return _coeff(tuple(map(mul, self.values, other.values)))
 
     def __neg__(self) -> "FunctionCoeff":
         return _coeff(tuple(-a for a in self.values))
@@ -92,16 +99,24 @@ class FunctionCoeff:
         return _coeff(tuple(a * c for a in self.values))
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        return not any(self.values)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.values)
+
+
+def _sizes_differ(f: FunctionCoeff, g: FunctionCoeff) -> None:
+    raise ValueError(f"coefficients have {f.size} and {g.size} values; a pointwise operation needs equal sizes")
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 def _coeff(values: tuple[RationalComplex, ...]) -> FunctionCoeff:
     """A :class:`FunctionCoeff` of values already a tuple of scalars, unscanned."""
-    f = object.__new__(FunctionCoeff)
-    object.__setattr__(f, "values", values)
+    f = _new(FunctionCoeff)
+    _set(f, "values", values)
     return f
 
 
@@ -145,10 +160,20 @@ class SemicrossedElement(WordPoly):
                 clean[w] = coeff
         return SemicrossedElement(system=system, terms=clean)
 
-    def _times(self, word: Word, coeff: FunctionCoeff) -> Callable[[FunctionCoeff], FunctionCoeff]:
+    def _times(self, other: "SemicrossedElement") -> Callable[[FunctionCoeff], list[FunctionCoeff]]:
         # (c o sigma_w) d is c(sigma_w(x)) d(x) at x; the kernel passes only valid words.
-        ends, d = _ends(self.system, word), coeff.values
-        return lambda c: _coeff(tuple(map(_product, map(c.values.__getitem__, ends), d)))
+        right = [(_ends(self.system, w), d.values) for w, d in other.terms.items()]
+
+        def times(c: FunctionCoeff) -> list[FunctionCoeff]:
+            # _coeff inlined: one frame per left term, none per term pair.
+            at, out = c.values.__getitem__, []
+            for ends, d in right:
+                f = _new(FunctionCoeff)
+                _set(f, "values", tuple(map(_product, map(at, ends), d)))
+                out.append(f)
+            return out
+
+        return times
 
     @staticmethod
     def zero(system: FiniteSystem) -> "SemicrossedElement":

@@ -5,15 +5,21 @@ words, multiply by concatenating them, and differ only in the
 coefficient ring, the context that validates words (a system, a block
 signature, or none) and, for the semicrossed product, the covariance
 rule that moves a left coefficient past the right word.  A product
-prepares each right term (w, d) once, through the hook ``_times``, as
-the map c -> c' d with c w = w c'; free algebras keep c' = c, and the
-semicrossed product walks w once.  A subclass is a dataclass with a
-``terms`` field beside its context fields, which alone decide whether
-two operands may be combined, and its ``make`` validates words and
-coefficients from outside.  The kernel builds every result itself, over
-the operand's context: words concatenated or selected from valid words
-are valid, so it only drops zero (falsy) coefficients.  Thus ``terms`` never holds a zero, and equal
-elements have equal term maps.
+prepares the right operand once, through the hook ``_times``, as the map
+from a left coefficient c to its products c' d with the right terms
+(w, d), in order, where c w = w c'; free algebras keep c' = c and
+multiply with ``operator.mul`` called from C, and the semicrossed
+product walks each right word once.  So the kernel makes one call per
+left term and, beyond the coefficient arithmetic, none per term pair.
+Each pair is stored with one ``setdefault``; only a word met again is
+summed, previous sum first, and stored a second time.  A subclass is a
+dataclass with a ``terms`` field beside its context fields, which alone
+decide whether two operands may be combined, and its ``make`` validates
+words and coefficients from outside.  The kernel builds every result
+itself, over the operand's context: words concatenated or selected from
+valid words are valid, so it only drops zero (falsy) coefficients, and
+keeps the dict it built when there are none.  Thus ``terms`` never holds
+a zero, and equal elements have equal term maps.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, Hashable
+from itertools import repeat
+from operator import mul
+from typing import Any, Callable, Hashable, Iterable
 
 from .dynsys import _is_int
 
@@ -32,16 +40,23 @@ class WordPoly:
     terms: dict[tuple, Any]
 
     def _like(self, terms: dict[tuple, Any]) -> "WordPoly":
-        """The element with these terms, zeros dropped, over the same context."""
-        return replace(self, terms={w: c for w, c in terms.items() if c})
+        """The element with these terms, zeros dropped, over the same context.
 
-    def _times(self, word: tuple, coeff: Any) -> Callable[[Any], Any]:
-        """The map c -> c' d, where c * word = word * c' and d is ``coeff``.
-
-        The product prepares each right term (word, d) once; free algebras
-        have c' = c.
+        ``terms`` is a dict the caller built for this result; it is kept,
+        not copied, unless some coefficient is zero.
         """
-        return lambda c: c * coeff
+        if not all(terms.values()):
+            terms = {w: c for w, c in terms.items() if c}
+        return replace(self, terms=terms)
+
+    def _times(self, other: "WordPoly") -> Callable[[Any], Iterable[Any]]:
+        """The map c -> (c' d for each term (w, d) of ``other``), where c w = w c'.
+
+        The product prepares the right operand once; free algebras have
+        c' = c.
+        """
+        right = tuple(other.terms.values())
+        return lambda c: map(mul, repeat(c), right)
 
     def _check(self, other: "WordPoly") -> None:
         # Two contexts agree exactly when every field but the terms does.
@@ -68,14 +83,19 @@ class WordPoly:
     def __mul__(self, other: "WordPoly") -> "WordPoly":
         """Bilinear extension of (v c)(w d) = vw (c past w) d."""
         self._check(other)
-        right = [(w, self._times(w, d)) for w, d in other.terms.items()]
+        words, times = tuple(other.terms), self._times(other)
         out: dict[tuple, Any] = {}
+        store = out.setdefault
         # Left terms outermost: float coefficients of equal words sum in the
         # order of the pair-by-pair test oracle, tests/oracles.py:pulled_product.
         for v, c in self.terms.items():
-            for w, times in right:
-                vw, cd = v + w, times(c)
-                out[vw] = out[vw] + cd if vw in out else cd
+            for w, cd in zip(words, times(c)):
+                vw = v + w
+                # Each product is a new object or the shared zero scalar, which
+                # is its own sum, so prev is cd only when cd was just stored.
+                prev = store(vw, cd)
+                if prev is not cd:
+                    out[vw] = prev + cd
         return self._like(out)
 
     def scale(self, value) -> "WordPoly":

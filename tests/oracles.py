@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from dynalg.conjugacy import WitnessFailure, WitnessReport
-from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem, restrict
+from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem, evaluate_word, restrict
 from dynalg.freeprod import NCSeries, PolyballPoint, U1nMatrix, voiculescu_lift
 from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix, entry_signature
 from dynalg.reps import CKReport, ColourDefect, FockPath
@@ -418,6 +418,44 @@ def relabelled_pair(
     return a, FiniteSystem(size=size, tables=tuple(tuple(t) for t in tables))
 
 
+def classed_pair(
+    rng: random.Random, size: int, arity: int, classes: int
+) -> tuple[FiniteSystem, FiniteSystem, tuple, tuple]:
+    """A system, its copy under (gamma, alpha), and gamma and alpha, where
+    (gamma, alpha) is a partition witness by construction.
+
+    The points fall into ``classes`` blocks, and every map sends a block
+    into an image block of its own, so points that share an image share a
+    block.  The colour field is one permutation per block, so it is
+    constant where any map merges points, in both systems; consecutive
+    blocks take different permutations when there are two or more.
+    """
+    points, images = list(range(size)), list(range(size))
+    rng.shuffle(points)
+    rng.shuffle(images)
+    cuts = [0] + sorted(rng.sample(range(1, size), classes - 1)) + [size]
+    image_cuts = [0] + sorted(rng.sample(range(1, size), classes - 1)) + [size]
+    perms = list(itertools.permutations(range(arity)))
+    rng.shuffle(perms)
+    tables = [[0] * size for _ in range(arity)]
+    alpha = [None] * size
+    for t in range(classes):
+        targets, perm = images[image_cuts[t]:image_cuts[t + 1]], perms[t % len(perms)]
+        for x in points[cuts[t]:cuts[t + 1]]:
+            alpha[x] = perm
+            for i in range(arity):
+                tables[i][x] = rng.choice(targets)
+    gamma = list(range(size))
+    rng.shuffle(gamma)
+    relabelled = [[0] * size for _ in range(arity)]
+    for x in range(size):
+        for i in range(arity):
+            relabelled[alpha[x][i]][gamma[x]] = gamma[tables[i][x]]
+    a = FiniteSystem(size=size, tables=tuple(tuple(t) for t in tables))
+    b = FiniteSystem(size=size, tables=tuple(tuple(t) for t in relabelled))
+    return a, b, tuple(gamma), tuple(alpha)
+
+
 # ---- semicrossed oracles -----------------------------------------------------
 
 
@@ -434,6 +472,28 @@ def direct_triple_product(
                 coeff = pullback(f, v + w, sys) * pullback(g, w, sys) * h
                 terms[word] = terms[word] + coeff if word in terms else coeff
     return SemicrossedElement.make(sys, terms)
+
+
+def orbit_apply(element: SemicrossedElement, x: int, vector: dict) -> dict:
+    """The orbit representation at x applied to a vector: pi_x(s_w f) e_u = f(sigma_u x) e_{wu}.
+
+    ``vector`` maps words u to scalars.  The representation is
+    multiplicative, so it checks products at any size through
+    ``evaluate_word`` alone.  Zero entries are dropped.
+    """
+    out = {}
+    for u, value in vector.items():
+        y = evaluate_word(element.system, u, x)
+        for w, f in element.terms.items():
+            word, entry = w + u, f.values[y] * value
+            out[word] = out[word] + entry if word in out else entry
+    return {word: entry for word, entry in out.items() if entry}
+
+
+def orbit_relabel(system: FiniteSystem, alpha, x: int, word) -> tuple:
+    """U_x e_u = e_{u'}: each letter i of u, met at the point y its walk
+    from x has reached (rightmost letter first), becomes alpha_y(i)."""
+    return tuple(alpha[evaluate_word(system, word[k + 1:], x)][word[k]] for k in range(len(word)))
 
 
 def pulled_product(p, q):

@@ -3,6 +3,8 @@ import enum
 import math
 import random
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from dynalg.freeprod import (
     sample_ball_points,
     voiculescu_lift,
 )
+from dynalg.scalars import qc
 from dynalg.wordpoly import cesaro_mean, fourier_component
 from oracles import looped_ball_samples, looped_lift_deviation, truncated_series_value
 
@@ -519,6 +522,28 @@ def test_signatures_and_symbols_must_be_ints():
             FPPoly.make((2,), {(symbol,): 1})
     assert FPPoly.make([2], {((0, 1),): 1}).signature == (2,)
 
+
+
+def test_coefficients_are_finite_numbers():
+    for coeff in ("2", "1+2j", "nan", True, False, np.bool_(True)):
+        with pytest.raises(TypeError, match="is not a number"):
+            FPPoly.make((1,), {(): coeff})
+    for coeff in (math.nan, math.inf, complex(0.0, -math.inf), complex(math.nan, 1.0), np.float64("nan")):
+        with pytest.raises(ValueError, match="is not finite"):
+            FPPoly.make((1,), {(): coeff})
+
+    class K(enum.IntEnum):
+        THREE = 3
+
+    # Every numeric input read before is still read, as a Python complex.
+    for coeff, value in (
+        (2, 2), (K.THREE, 3), (-0.5, -0.5), (1.5j, 1.5j), (Fraction(1, 4), 0.25), (Decimal("0.5"), 0.5),
+        (qc(1, "1/2"), 1 + 0.5j), (np.int64(3), 3), (np.float32(0.5), 0.5), (np.complex128(2j), 2j),
+    ):
+        p = FPPoly.make((1,), {(): coeff})
+        assert type(p.terms[()]) is complex and p.terms[()] == value
+    for zero in (0, 0.0, -0.0j, Fraction(0), np.float64(-0.0)):
+        assert FPPoly.make((1,), {(): zero}).terms == {}
 
 def test_int_subclasses_are_ints_for_sizes_and_symbols():
     # as FiniteSystem accepts them: only bool among int subclasses is refused

@@ -1,4 +1,5 @@
 import copy
+import enum
 import math
 import operator
 import pickle
@@ -53,6 +54,22 @@ def test_coercion_and_powers():
     assert i ** -1 == qc(0, -1)
     assert complex(qc("1/2", "-1/4")) == 0.5 - 0.25j
 
+
+
+def test_exponents_follow_the_one_integer_rule():
+    z = qc("1/2", -3)
+    # numpy words its own TypeError for np.int64.
+    for exponent in (True, False, 2.0, 0.5, np.int64(2), "2", None):
+        with pytest.raises(TypeError, match="unsupported operand|does not support ufuncs"):
+            z ** exponent
+        with pytest.raises(TypeError, match="unsupported operand|does not support ufuncs"):
+            pow(z, exponent)
+
+    class K(enum.IntEnum):
+        TWO = 2
+
+    assert z ** K.TWO == z ** 2 == z * z
+    assert z ** 0 == ONE and z ** -2 == ONE / (z * z)
 
 def test_integer_mixing():
     assert 2 * qc("1/2") == ONE

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 import time
 from fractions import Fraction
@@ -32,8 +33,12 @@ from dynalg.semicrossed import (
 )
 
 from oracles import (
+    classed_pair,
     direct_triple_product,
+    make_rng,
     multiplicative_hom_image,
+    orbit_apply,
+    orbit_relabel,
     random_dyadic_poly,
     random_element,
     random_system,
@@ -265,6 +270,15 @@ def test_inputs_of_the_wrong_size_or_system_are_rejected():
         SemicrossedElement.make(TWO_POINT_MIXED, {(): FunctionCoeff.one(3)})
 
 
+def test_pointwise_operations_name_both_sizes():
+    f, g = FunctionCoeff.one(2), FunctionCoeff.one(3)
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match=f"coefficients have {left.size} and {right.size} values"):
+                op(left, right)
+    assert f * qc(2) == f + f and (f - f).is_zero()
+
+
 def test_partition_isomorphism_requires_valid_witness():
     from dynalg.conjugacy import PartitionWitness
 
@@ -406,3 +420,37 @@ def test_coefficient_difference_adds_the_negation():
     g = FunctionCoeff((ONE, qc(-1, "2/5"), qc(0, 0)))
     assert f - g == f + (-g) == FunctionCoeff((qc(0, 2), qc("4/3", "3/5"), ONE))
     assert (f - f).is_zero()
+
+
+@pytest.mark.parametrize("size", [200, 2000])
+def test_orbit_representation_checks_products_at_large_sizes(size):
+    """pi_x(a b) = pi_x(a) pi_x(b) on a few basis vectors e_u at three points."""
+    rng = make_rng(size)
+    system = random_system(rng, size, 2)
+    a, b = (random_element(rng, system, 3, terms=6) for _ in range(2))
+    product, swapped = sc_multiply(a, b), sc_multiply(b, a)
+    words = [(), (1,), (0, 1), (1, 1, 0)]
+    caught = 0
+    for x in rng.sample(range(size), 3):
+        for u in words:
+            expected = orbit_apply(a, x, orbit_apply(b, x, {u: ONE}))
+            assert orbit_apply(product, x, {u: ONE}) == expected
+            caught += orbit_apply(swapped, x, {u: ONE}) != expected
+    # The check tells b a from a b at every point and vector.
+    assert caught == 3 * len(words)
+
+
+@pytest.mark.parametrize("size", [200, 2000])
+def test_orbit_representation_checks_apply_hom_at_large_sizes(size):
+    """pi_{gamma x}(phi(a)) U_x = U_x pi_x(a), where U_x relabels words along their walks from x."""
+    rng = make_rng(size + 1)
+    a, b, gamma, alpha = classed_pair(rng, size, 3, 5)
+    assert len(set(alpha)) > 1
+    hom = CovariantHom(a, b, PartitionWitness(gamma=gamma, alpha=alpha))
+    element = random_element(rng, a, 3, terms=6)
+    image = apply_hom(hom, element)
+    for x in rng.sample(range(size), 3):
+        for u in [(), (2,), (0, 1), (1, 2, 0)]:
+            got = orbit_apply(image, gamma[x], {orbit_relabel(a, alpha, x, u): ONE})
+            moved = orbit_apply(element, x, {u: ONE})
+            assert got == {orbit_relabel(a, alpha, x, w): c for w, c in moved.items()}

@@ -4,7 +4,7 @@ Every result of the kernel must equal its class's validating ``make``
 of its own terms: no zero coefficient survives, every word is valid
 over the operand's context, and free-product coefficients stay Python
 ``complex``.  Products must equal the pair-by-pair oracle, float
-coefficients bit for bit.
+coefficients bit for bit, with the words in the oracle's order.
 """
 
 import random
@@ -76,6 +76,33 @@ def test_kernel_results_are_in_normal_form():
             assert r == remade(r)
 
 
+def test_exact_cancellations_store_no_zero():
+    """(1 + x)(x - 1) = x x - 1 and (1 + x) + (x - 1) = 2 x in each kernel:
+    terms cancel exactly in the product and in the sum, and every term
+    cancels in a - a, a + (-a) and 0 a.  Free-product coefficients carry
+    signed zeros, so some cancelled coefficients have -0.0 parts."""
+    x_fp = ((0, 0),)
+    f = FPPoly.make((1,), {(): complex(1.0, -0.0), x_fp: 1.0})
+    g = FPPoly.make((1,), {x_fp: complex(1.0, -0.0), (): complex(-1.0, -0.0)})
+    x_edge = (EdgeGenerator(0, 1, 0),)
+    e = FreeEdgePoly.make({(): ONE, x_edge: ONE})
+    h = FreeEdgePoly.make({x_edge: ONE, (): RationalComplex(-1)})
+    system = random_system(random.Random(65), 3, 1)
+    one = FunctionCoeff.one(3)
+    p = SemicrossedElement.make(system, {(): one, (0,): one})
+    q = SemicrossedElement.make(system, {(0,): one, (): -one})
+    for left, right, x in ((f, g, x_fp), (e, h, x_edge), (p, q, (0,))):
+        product, total = left * right, left + right
+        assert set(product.terms) == {(), x + x} and set(total.terms) == {x}
+        results = [product, total, left - left, left + (-left), right.scale(-0.0 if left is f else 0)]
+        for r in results:
+            assert all(r.terms.values()) and r == remade(r)
+        assert [r.terms for r in results[2:]] == [{}, {}, {}]
+    # A coefficient that vanishes only at some points is not zero, and stays.
+    partial = p - SemicrossedElement.make(system, {(0,): FunctionCoeff((ONE, ZERO, ONE))})
+    assert partial.terms[(0,)] == FunctionCoeff((ZERO, ONE, ZERO)) and partial == remade(partial)
+
+
 def sparse_pair(rng, system):
     """Two elements whose coefficients vanish at some points, with the empty
     word on both sides, and a colour i whose word s_i cancels in their product."""
@@ -117,6 +144,7 @@ def test_product_matches_pair_by_pair_oracle():
         for left, right in ((p, q), (q, p), (p, p), (p, SemicrossedElement.unit(system))):
             product = sc_multiply(left, right)
             assert product == pulled_product(left, right)
+            assert list(product.terms) == list(pulled_product(left, right).terms)
             for coeff in product.terms.values():
                 assert type(coeff.values) is tuple
                 assert all(type(v) is RationalComplex for v in coeff.values)
@@ -125,13 +153,15 @@ def test_product_matches_pair_by_pair_oracle():
         f, g = float_poly(rng, signature), float_poly(rng, signature)
         for left, right in ((f, g), (g, f), (f, f)):
             product, oracle = left * right, pulled_product(left, right)
-            assert {w: repr(c) for w, c in product.terms.items()} == {
-                w: repr(c) for w, c in oracle.terms.items()
-            }
+            # Equal reprs in equal order: bit-identical floats, words stored as the oracle meets them.
+            assert [(w, repr(c)) for w, c in product.terms.items()] == [
+                (w, repr(c)) for w, c in oracle.terms.items()
+            ]
 
         e, h = random_edge_poly(rng), random_edge_poly(rng)
         for left, right in ((e, h), (h, e), (e, e - h)):
             assert left * right == pulled_product(left, right)
+            assert list((left * right).terms) == list(pulled_product(left, right).terms)
 
 
 def test_product_rejects_operands_over_other_contexts():
