@@ -49,7 +49,6 @@ from .freeprod import (
     voiculescu_lift,
 )
 from .quotient import (
-    EdgeGenerator,
     FreeEdgePoly,
     QuotientMatrix,
     entry_signature,

@@ -51,6 +51,24 @@ def _validate_signature(signature: Sequence[int]) -> BlockSignature:
     return sig
 
 
+def _as_complex(value: object, what: str) -> complex:
+    """A number as ``complex``; TypeError for text and bools, which complex() would read."""
+    if type(value) is complex:
+        return value
+    if isinstance(value, (str, bool, np.bool_)):
+        raise TypeError(f"{what} {value!r} is not a number")
+    return complex(value)
+
+
+def _as_finite(value: object, what: str) -> complex:
+    """:func:`_as_complex` of a number whose two parts are finite; else ValueError."""
+    c = _as_complex(value, what)
+    # c - c is 0 exactly when both parts are finite; inf - inf is nan.
+    if c - c:
+        raise ValueError(f"{what} {value!r} is not finite")
+    return c
+
+
 def _check_signature(got: BlockSignature, expected: BlockSignature) -> None:
     """The one shape rule for points, samples and gauge tuples: block sizes equal ``expected``."""
     if got != expected:
@@ -77,15 +95,7 @@ class FPPoly(WordPoly):
                 ints = _is_int(block) and _is_int(index)
                 if not (ints and 0 <= block < len(sig) and 0 <= index < sig[block]):
                     raise ValueError(f"symbol ({block},{index}) outside signature {sig}")
-            c = coeff
-            if type(c) is not complex:
-                # complex() would also read "2" and True.
-                if isinstance(c, (str, bool, np.bool_)):
-                    raise TypeError(f"coefficient {coeff!r} is not a number")
-                c = complex(c)
-            # c - c is 0 exactly when both parts are finite; inf - inf is nan.
-            if c - c:
-                raise ValueError(f"coefficient {coeff!r} is not finite")
+            c = _as_finite(coeff, "coefficient")
             if c != 0:
                 clean[tuple(word)] = c
         return FPPoly(signature=sig, terms=clean)
@@ -102,9 +112,6 @@ class FPPoly(WordPoly):
     def generator(signature: Sequence[int], block: int, index: int) -> "FPPoly":
         return FPPoly.make(signature, {((block, index),): 1.0})
 
-    def max_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
 
 def fp_multiply(p: FPPoly, q: FPPoly) -> FPPoly:
     """Bilinear extension of word concatenation."""
@@ -119,14 +126,17 @@ def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
 
 @dataclass(frozen=True)
 class PolyballPoint:
-    """A tuple of vectors, one per block, each in the closed unit ball."""
+    """A tuple of vectors, one per block, each in the closed unit ball.
+
+    Coordinates are numbers read by :func:`_as_complex`; the norm bound
+    refuses nan and infinite parts.
+    """
 
     blocks: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "blocks", tuple(tuple(complex(v) for v in b) for b in self.blocks)
-        )
+        blocks = tuple(tuple(_as_complex(v, "coordinate") for v in b) for b in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
         for i, block in enumerate(self.blocks):
             norm = math.sqrt(sum(abs(v) ** 2 for v in block))
             if not norm <= 1 + 1e-9:  # also rejects NaN
@@ -212,8 +222,10 @@ def permutation_lift(alpha: Sequence[int], p: FPPoly) -> FPPoly:
 # ---- ball automorphisms ------------------------------------------------------
 
 
-def _as_vector(values: Sequence[complex]) -> np.ndarray:
-    return np.asarray(values, dtype=complex).reshape(-1)
+def _as_vector(values: Sequence[complex], what: str) -> np.ndarray:
+    """The values, flattened, as a complex vector of :func:`_as_finite` numbers."""
+    items = np.asarray(values, dtype=object).reshape(-1)
+    return np.array([_as_finite(v, what) for v in items], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -224,12 +236,12 @@ class BallMobius:
     unitary: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _as_vector(self.a)
+        a = _as_vector(self.a, "centre coordinate")
         u = np.asarray(self.unitary, dtype=complex)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "unitary", u)
-        if not (np.isfinite(a).all() and np.isfinite(u).all()):
-            raise ValueError("centre and unitary must have finite entries")
+        if not np.isfinite(u).all():
+            raise ValueError("unitary must have finite entries")
         if np.linalg.norm(a) >= 1:
             raise ValueError(f"centre has norm {np.linalg.norm(a):.6f}, needs < 1")
         n = a.shape[0]
@@ -244,13 +256,13 @@ class BallMobius:
 
     @staticmethod
     def involution(a: Sequence[complex]) -> "BallMobius":
-        a = _as_vector(a)
+        a = _as_vector(a, "centre coordinate")
         return BallMobius(a=a, unitary=np.eye(a.shape[0], dtype=complex))
 
 
 def mobius_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
     """Apply the automorphism; the open ball maps onto the open ball."""
-    lam = _as_vector(point)
+    lam = _as_vector(point, "coordinate")
     _check_signature(lam.shape, (m.dim,))
     a = m.a
     norm_a_sq = float(np.vdot(a, a).real)
@@ -372,7 +384,7 @@ def _frac_linear_rows(x: U1nMatrix, lam: np.ndarray) -> np.ndarray:
 
 def frac_linear(x: U1nMatrix, point: Sequence[complex]) -> np.ndarray:
     """(X1 lambda + eta2) / (x0 + <lambda, eta1>); maps the open ball inside itself."""
-    lam = _as_vector(point)
+    lam = _as_vector(point, "coordinate")
     _check_signature(lam.shape, (x.n,))
     return _frac_linear_rows(x, lam[None, :])[0]
 
@@ -575,7 +587,7 @@ def _stack_samples(rows, n: int) -> np.ndarray:
         lam = np.asarray(rows, dtype=complex)
     except ValueError:  # ragged: name the first sample of the wrong dimension
         for p in rows:
-            _check_signature(_as_vector(p).shape, (n,))
+            _check_signature(_as_vector(p, "sample coordinate").shape, (n,))
         raise ValueError("samples must all have one shape") from None
     lam = lam.reshape(len(rows), -1)
     _check_signature(lam.shape[1:], (n,))
@@ -589,13 +601,17 @@ def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> np.ndarr
     each coordinate in turn) and then, unless they are all zero, one
     ``random()`` that sets its radius; the directions are normalised and
     scaled as one (count, n) array, which is returned.  A zero draw is
-    the centre.  ``n`` must be a positive int and ``count`` a
-    nonnegative int; anything else raises ValueError before any draw.
+    the centre.  ``n`` must be a positive int, ``count`` a nonnegative
+    int and ``radius`` a real number in (0, 1], read by :func:`_as_finite`;
+    anything else raises before any draw.
     """
     if not (_is_int(n) and n >= 1):
         raise ValueError(f"dimension must be a positive int, got {n!r}")
     if not (_is_int(count) and count >= 0):
         raise ValueError(f"sample count must be a nonnegative int, got {count!r}")
+    r = _as_finite(radius, "radius")
+    if not (r.imag == 0 and 0 < r.real <= 1):
+        raise ValueError(f"radius {radius!r} is not a real number in (0, 1]")
     parts: list[float] = []
     radii: list[float] = []
     for _ in range(count):
@@ -605,5 +621,5 @@ def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> np.ndarr
     vectors = np.array(parts, dtype=float).view(complex).reshape(count, n)
     norms = np.linalg.norm(vectors, axis=1)
     norms[norms == 0] = 1.0  # the centre stays put
-    scale = radius * np.array(radii) ** (1.0 / (2 * n))
+    scale = r.real * np.array(radii) ** (1.0 / (2 * n))
     return vectors / norms[:, None] * scale[:, None]

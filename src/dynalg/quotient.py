@@ -4,14 +4,16 @@ Compressing a symbolic element to a finite subset of points yields a
 square matrix indexed by the subset, with rows for targets and columns
 for sources.  Matrix entries are noncommutative polynomials in free
 abstract generators, one per edge (x, colour) -> y of the subset's
-transition graph.  A term s_w f is compressed by walking w from each
-source x, rightmost letter first: if the walk stays inside the subset
-it adds f(x) at (end, x) on the word of edges it took, and if it leaves
-the subset the term contributes nothing at x.  So a function
-coefficient lands on the diagonal, a colour generator lands on the
-edges with zero columns wherever the map leaves the subset, and
-compression is multiplicative: the edge words record exactly which
-paths survive.
+transition graph.  A generator is the plain ``(source, target, colour)``
+triple, the same edge that ``EdgeColoredGraph.edges`` holds, and an
+edge word is a tuple of such triples, outermost edge first.  A term
+s_w f is compressed by walking w from each source x, rightmost letter
+first: if the walk stays inside the subset it adds f(x) at (end, x) on
+the word of edges it took, and if it leaves the subset the term
+contributes nothing at x.  So a function coefficient lands on the
+diagonal, a colour generator lands on the edges with zero columns
+wherever the map leaves the subset, and compression is multiplicative:
+the edge words record exactly which paths survive.
 
 The `entry signature` of a subset is the multiset of in-degrees per
 (colour, target vertex) of its transition graph.  Equal signatures are
@@ -26,22 +28,14 @@ the tables, which is how the partition decider seeds its refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .dynsys import FiniteSystem, SubSystem, check_point
+from .dynsys import Edge, FiniteSystem, SubSystem, _is_int, check_point
 from .scalars import ONE, RationalComplex
 from .wordpoly import WordPoly
 
 
-class EdgeGenerator(NamedTuple):
-    """One abstract generator per defined entry (x, colour) -> y."""
-
-    source: int
-    target: int
-    colour: int
-
-
-EdgeWord = tuple[EdgeGenerator, ...]
+EdgeWord = tuple[Edge, ...]  # outermost edge first
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class FreeEdgePoly(WordPoly):
         return FreeEdgePoly.make({(): value})
 
     @staticmethod
-    def generator(edge: EdgeGenerator) -> "FreeEdgePoly":
+    def generator(edge: Edge) -> "FreeEdgePoly":
         return FreeEdgePoly({(edge,): ONE})
 
 
@@ -81,7 +75,13 @@ class QuotientMatrix:
     entries: tuple[tuple[FreeEdgePoly, ...], ...]
 
     def entry(self, target: int, source: int) -> FreeEdgePoly:
-        return self.entries[self.points.index(target)][self.points.index(source)]
+        return self.entries[self._index(target)][self._index(source)]
+
+    def _index(self, point: object) -> int:
+        """The row and column of a point of the subset; ValueError naming anything else."""
+        if not (_is_int(point) and point in self.points):
+            raise ValueError(f"point {point!r} is not in the subset {list(self.points)}")
+        return self.points.index(point)
 
     def __add__(self, other: "QuotientMatrix") -> "QuotientMatrix":
         self._check(other)
@@ -115,7 +115,7 @@ class QuotientMatrix:
             raise ValueError("matrices over different point sets")
 
     def column_is_zero(self, source: int) -> bool:
-        xi = self.points.index(source)
+        xi = self._index(source)
         return all(row[xi].is_zero() for row in self.entries)
 
 
@@ -143,7 +143,7 @@ def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
                 z = tables[letter][y]
                 if z not in inside:
                     break
-                edges.append(EdgeGenerator(y, z, letter))
+                edges.append((y, z, letter))
                 y = z
             else:
                 # The edge word fixes both the letters and the source, so

@@ -19,11 +19,14 @@ range indicators are the separating bump functions.
 Truncated path-space families: for an edge-coloured graph, the space
 spanned by composable edge paths of length at most D (plus one vacuum
 per vertex) carries a partial isometry per edge and a projection per
-vertex.  Each edge operator is a partial map from basis positions to
-basis positions; the defining relations are verified exactly on these
-maps, on the stated subspaces, and the dense 0/1 matrices are views
-derived from them.  Truncation effects are confined to length-D paths
-and reported, never silently dropped.
+vertex.  A basis path is the plain pair ``(vertex, edges)``: ``edges``
+is a tuple of the graph's ``(source, target, colour)`` triples,
+outermost edge first, starting from ``vertex``, and a vacuum is
+``(vertex, ())``.  Each edge operator is a partial map from basis
+positions to basis positions; the defining relations are verified
+exactly on these maps, on the stated subspaces, and the dense 0/1
+matrices are views derived from them.  Truncation effects are confined
+to length-D paths and reported, never silently dropped.
 
 The basis is ordered by (length, edges, vertex).  Prefixing an edge e
 keeps that order among paths ending where e starts, so each level is
@@ -42,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -203,31 +206,15 @@ def decide_tensor_vs_semicrossed(sys: FiniteSystem) -> TensorSemicrossedDecision
     )
 
 
-class FockPath(NamedTuple):
-    """A composable edge path; ``edges`` is outermost-first, () is a vacuum."""
-
-    vertex: int  # the source vertex (equals the vertex itself for a vacuum)
-    edges: tuple[Edge, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    @property
-    def range_vertex(self) -> int:
-        return self.edges[0][1] if self.edges else self.vertex
-
-    @property
-    def outer_colour(self) -> Optional[int]:
-        return self.edges[0][2] if self.edges else None
-
-
+# A composable edge path (vertex, edges): edges outermost first from the
+# source vertex, () for the vacuum at the vertex.
+_Path = tuple[int, tuple[Edge, ...]]
 # Per range vertex, its basis positions by outer edge (None for a vacuum),
 # each list in basis order.
 _Grading = dict[int, dict[Optional[Edge], list[int]]]
 # Per graph edge e, the position of e.p for each tail p in turn (see
 # CKFamily._tails); and per edge, the first e.p the basis lacks.
-_Images = tuple[dict[Edge, list[int]], dict[Edge, FockPath]]
+_Images = tuple[dict[Edge, list[int]], dict[Edge, _Path]]
 
 
 @dataclass(frozen=True)
@@ -236,7 +223,7 @@ class CKFamily:
 
     graph: EdgeColoredGraph
     depth: int
-    basis: tuple[FockPath, ...]
+    basis: tuple[_Path, ...]
 
     @property
     def dim(self) -> int:
@@ -254,14 +241,12 @@ class CKFamily:
             out.setdefault(vertex, {}).setdefault(outer, []).append(k)
         return out
 
-    def _positions(self, vertex: int) -> list[int]:
-        """The positions of the paths with range ``vertex``, in basis order."""
-        return sorted(chain.from_iterable(self._by_range.get(vertex, {}).values()))
-
     def _tails(self, vertex: int) -> list[int]:
-        """The positions of the paths p that an edge leaving ``vertex`` extends to e.p."""
+        """The positions of the paths p that an edge leaving ``vertex`` extends to e.p:
+        those with range ``vertex`` shorter than the depth, in basis order."""
         basis, depth = self.basis, self.depth
-        return [k for k in self._positions(vertex) if len(basis[k][1]) < depth]
+        ranged = chain.from_iterable(self._by_range.get(vertex, {}).values())
+        return sorted(k for k in ranged if len(basis[k][1]) < depth)
 
     @cached_property
     def _images(self) -> _Images:
@@ -278,25 +263,18 @@ class CKFamily:
             leaving.setdefault(e[0], []).append(e)
         basis = self.basis
         positions = {p: k for k, p in enumerate(basis)}
-        missing: dict[Edge, FockPath] = {}
+        missing: dict[Edge, _Path] = {}
         for source, out_edges in leaving.items():
             tails = [basis[k] for k in self._tails(source)]
             for e in out_edges:
                 image = images[e]
                 for vertex, path in tails:
-                    # a FockPath equals and hashes as the plain pair
                     j = positions.get((vertex, (e,) + path))
                     if j is not None:
                         image.append(j)
                     elif e not in missing:
-                        missing[e] = FockPath(vertex, (e,) + path)
+                        missing[e] = (vertex, (e,) + path)
         return images, missing
-
-    def vertex_indices(self, vertex: int) -> list[int]:
-        """Basis positions graded at the vertex (by range of the path)."""
-        if vertex not in self.graph.vertices:
-            raise ValueError(f"{vertex} is not a vertex of the graph")
-        return self._positions(vertex)
 
     def edge_map(self, edge: Edge) -> dict[int, int]:
         """S_e as a partial map of basis positions.
@@ -357,19 +335,18 @@ def build_truncated_fock(graph: EdgeColoredGraph, depth: int) -> CKFamily:
                 f"the paths of length <= {levels} pass the basis limit"
                 f" ({MAX_FOCK_SIZE} path entries); use a smaller depth"
             )
-    new = tuple.__new__  # a FockPath without the namedtuple's Python-level __new__
     edges = sorted(graph.edges)
-    basis = [new(FockPath, (v, ())) for v in sorted(graph.vertices)]
+    basis: list[_Path] = [(v, ()) for v in sorted(graph.vertices)]
     grading: _Grading = {p[0]: {None: [k]} for k, p in enumerate(basis)}
     # per edge: its head and the positions of the paths it heads
     plan = [(e, (e,), grading[e[1]].setdefault(e, [])) for e in edges]
     tails = {p[0]: [p] for p in basis}  # level L by range vertex, in basis order
     for _ in range(levels):
-        level: dict[int, list[FockPath]] = {}
+        level: dict[int, list[_Path]] = {}
         for e, head, headed in plan:
             found = tails.get(e[0])
             if found:
-                paths = [new(FockPath, (v, head + p)) for v, p in found]
+                paths = [(v, head + p) for v, p in found]
                 headed += range(len(basis), len(basis) + len(paths))
                 basis += paths
                 if e[1] in level:

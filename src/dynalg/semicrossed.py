@@ -40,7 +40,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .conjugacy import PartitionWitness, verify_partition_witness
-from .dynsys import FiniteSystem, Word, check_colour, validate_word
+from .dynsys import FiniteSystem, Word, _is_int, check_colour, validate_word
 from .scalars import ONE, ZERO, RationalComplex, _product
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
@@ -58,12 +58,12 @@ class FunctionCoeff:
 
     @staticmethod
     def constant(size: int, value: RationalComplex | int | Fraction) -> "FunctionCoeff":
-        return FunctionCoeff((RationalComplex.coerce(value),) * size)
+        return FunctionCoeff((RationalComplex.coerce(value),) * _check_size(size))
 
     @staticmethod
     def indicator(size: int, subset: Iterable[int]) -> "FunctionCoeff":
         inside = set(subset)
-        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(size)))
+        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(_check_size(size))))
 
     @staticmethod
     def one(size: int) -> "FunctionCoeff":
@@ -103,6 +103,13 @@ class FunctionCoeff:
 
     def __bool__(self) -> bool:
         return any(self.values)
+
+
+def _check_size(size: object) -> int:
+    """The number of points of a coefficient: an int (not a bool) of at least 0."""
+    if not (_is_int(size) and size >= 0):
+        raise ValueError(f"size {size!r} is not a nonnegative integer")
+    return size
 
 
 def _sizes_differ(f: FunctionCoeff, g: FunctionCoeff) -> None:

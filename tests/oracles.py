@@ -13,15 +13,15 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from dynalg.conjugacy import WitnessFailure, WitnessReport
 from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem, evaluate_word, restrict
 from dynalg.freeprod import NCSeries, PolyballPoint, U1nMatrix, voiculescu_lift
-from dynalg.quotient import EdgeGenerator, FreeEdgePoly, QuotientMatrix, entry_signature
-from dynalg.reps import CKReport, ColourDefect, FockPath
+from dynalg.quotient import FreeEdgePoly, QuotientMatrix, entry_signature
+from dynalg.reps import CKReport, ColourDefect
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
 # Randomized property tests honour the optional SEED environment variable;
@@ -362,6 +362,92 @@ def pairwise_verify_partition_witness(a: FiniteSystem, b: FiniteSystem, witness)
     return WitnessReport(passed=not failures, failures=tuple(failures))
 
 
+# ---- one-map canonical form ----------------------------------------------------
+#
+# With one map the only colour permutation is the identity, so conjugacy
+# (with or without recolouring), piecewise matching and partition matching
+# all coincide with isomorphism of the functional digraphs x -> t(x).
+
+
+def least_rotation(seq: Sequence) -> int:
+    """Booth's algorithm: where the least rotation of ``seq`` starts, in linear time."""
+    double = list(seq) * 2
+    fail = [-1] * len(double)
+    k = 0
+    for j in range(1, len(double)):
+        c = double[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != double[k + i + 1]:
+            if c < double[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != double[k + i + 1]:  # here i == -1
+            if c < double[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def one_map_canonical_form(table: Sequence[int], ids: dict) -> tuple:
+    """A form two maps share exactly when their functional digraphs are isomorphic.
+
+    Every in-tree gets its AHU code: the integer id, numbered in ``ids``,
+    of the sorted codes of its children, so forms compare only under one
+    shared ``ids``.  Trees are coded leaves first, each point once its
+    preimages are, and the points never reached are the cycles.  A cycle
+    gives the least rotation (Booth) of its points' codes read along the
+    map, and the form is the sorted cycles.  Near-linear in the size.
+    """
+    n = len(table)
+    waiting = [0] * n  # preimages not yet coded
+    for y in table:
+        waiting[y] += 1
+    children: list[list[int]] = [[] for _ in range(n)]
+    on_cycle = [True] * n
+    ready = [x for x in range(n) if not waiting[x]]
+    while ready:
+        x = ready.pop()
+        on_cycle[x] = False
+        y = table[x]
+        children[y].append(ids.setdefault(tuple(sorted(children[x])), len(ids)))
+        waiting[y] -= 1
+        if not waiting[y]:
+            ready.append(y)
+    cycles = []
+    for x in range(n):
+        codes = []
+        while on_cycle[x]:
+            on_cycle[x] = False
+            codes.append(ids.setdefault(tuple(sorted(children[x])), len(ids)))
+            x = table[x]
+        if codes:
+            k = least_rotation(codes)
+            cycles.append(tuple(codes[k:] + codes[:k]))
+    return tuple(sorted(cycles))
+
+
+def random_mapping_pair(n: int) -> tuple[FiniteSystem, FiniteSystem]:
+    """The random mapping t = [rng.randrange(n) for _ in range(n)], rng =
+    random.Random(n), and its relabelling by random.Random(5).shuffle: a
+    conjugate one-map pair, the most ordinary there is."""
+    rng = random.Random(n)
+    table = [rng.randrange(n) for _ in range(n)]
+    gamma = list(range(n))
+    random.Random(5).shuffle(gamma)
+    relabelled = [0] * n
+    for x, y in enumerate(table):
+        relabelled[gamma[x]] = gamma[y]
+    return FiniteSystem(n, (tuple(table),)), FiniteSystem(n, (tuple(relabelled),))
+
+
+def one_map_conjugate(a: FiniteSystem, b: FiniteSystem) -> bool:
+    """Whether two one-map systems are conjugate, by their canonical forms."""
+    ids: dict = {}
+    return one_map_canonical_form(a.tables[0], ids) == one_map_canonical_form(b.tables[0], ids)
+
+
 # ---- random generators -----------------------------------------------------
 
 
@@ -601,8 +687,7 @@ def matrix_product_quotient(sub: SubSystem, element: SemicrossedElement) -> Quot
         for xi, x in enumerate(sub.points):
             y = table[x]
             if y in inside:
-                edge = EdgeGenerator(x, y, colour)
-                cells[(sub.points.index(y), xi)] = FreeEdgePoly.generator(edge)
+                cells[(sub.points.index(y), xi)] = FreeEdgePoly.generator((x, y, colour))
         gens.append(matrix(cells))
     acc = matrix({})
     for word, coeff in element.terms.items():
@@ -622,23 +707,34 @@ def in_edges(graph: EdgeColoredGraph, vertex: int, colour: int) -> tuple:
     return tuple(e for e in graph.edges if e[1] == vertex and e[2] == colour)
 
 
-def sorted_fock_basis(graph: EdgeColoredGraph, depth: int) -> tuple[FockPath, ...]:
+def path_range(path: tuple) -> int:
+    """The range vertex of a (vertex, edges) path: the target of its outer
+    edge, or the vertex of a vacuum."""
+    vertex, edges = path
+    return edges[0][1] if edges else vertex
+
+
+def outer_colour(path: tuple):
+    """The colour of a path's outer edge; None for a vacuum."""
+    edges = path[1]
+    return edges[0][2] if edges else None
+
+
+def sorted_fock_basis(graph: EdgeColoredGraph, depth: int) -> tuple:
     """Every composable path of length <= depth plus the vacua, enumerated then sorted."""
     by_source: dict[int, list] = {}
     for e in graph.edges:
         by_source.setdefault(e[0], []).append(e)
-    paths = [FockPath(v, ()) for v in graph.vertices]
+    paths = [(v, ()) for v in graph.vertices]
     frontier = list(paths)
     for _ in range(depth):
         if not frontier:
             break
         frontier = [
-            FockPath(p.vertex, (e,) + p.edges)
-            for p in frontier
-            for e in by_source.get(p.range_vertex, [])
+            (p[0], (e,) + p[1]) for p in frontier for e in by_source.get(path_range(p), [])
         ]
         paths.extend(frontier)
-    paths.sort(key=lambda p: (p.length, p.edges, p.vertex))
+    paths.sort(key=lambda p: (len(p[1]), p[1], p[0]))
     return tuple(paths)
 
 
@@ -647,8 +743,9 @@ def scan_edge_map(fam, edge) -> dict[int, int]:
     positions = {p: k for k, p in enumerate(fam.basis)}
     out = {}
     for k, p in enumerate(fam.basis):
-        if p.length < fam.depth and p.range_vertex == edge[0]:
-            extended = FockPath(p.vertex, (edge,) + p.edges)
+        vertex, edges = p
+        if len(edges) < fam.depth and path_range(p) == edge[0]:
+            extended = (vertex, (edge,) + edges)
             if extended not in positions:
                 raise ValueError(f"the basis lacks the path {extended}")
             out[k] = positions[extended]
@@ -680,15 +777,16 @@ def scan_ck_report(fam) -> CKReport:
             off_colour = []
             predicted = True
             for k, p in enumerate(fam.basis):
-                if p.range_vertex != v:
+                if path_range(p) != v:
                     continue
+                length = len(p[1])
                 defect = 1 - covered[k]
-                expected = 1 if (p.length == 0 or p.outer_colour != colour) else 0
+                expected = 1 if (length == 0 or outer_colour(p) != colour) else 0
                 if defect != expected:
                     predicted = False
                 if defect == 1:
-                    (vacua if p.length == 0 else off_colour).append(k)
-                if defect != 0 and p.length >= 1 and all(e[2] == colour for e in p.edges):
+                    (vacua if length == 0 else off_colour).append(k)
+                if defect != 0 and length >= 1 and all(e[2] == colour for e in p[1]):
                     monochrome_ok = False
             structure_ok = structure_ok and predicted
             defects.append(ColourDefect(colour, v, tuple(vacua), tuple(off_colour), predicted))
@@ -700,23 +798,31 @@ def dense_edge_operator(fam, edge) -> np.ndarray:
     positions = {p: k for k, p in enumerate(fam.basis)}
     out = np.zeros((fam.dim, fam.dim), dtype=np.int64)
     for k, p in enumerate(fam.basis):
-        if p.length < fam.depth and p.range_vertex == edge[0]:
-            out[positions[FockPath(p.vertex, (edge,) + p.edges)], k] = 1
+        vertex, edges = p
+        if len(edges) < fam.depth and path_range(p) == edge[0]:
+            out[positions[(vertex, (edge,) + edges)], k] = 1
     return out
+
+
+def range_positions(fam, vertex: int) -> list[int]:
+    """The basis positions of the paths with range ``vertex``, by a scan of the basis."""
+    if vertex not in fam.graph.vertices:
+        raise ValueError(f"{vertex} is not a vertex of the graph")
+    return [k for k, p in enumerate(fam.basis) if path_range(p) == vertex]
 
 
 def vertex_projection(fam, vertex: int) -> np.ndarray:
     """P_v as a dense 0/1 diagonal matrix: the basis paths with range v."""
     out = np.zeros((fam.dim, fam.dim), dtype=np.int64)
-    for k in fam.vertex_indices(vertex):
+    for k in range_positions(fam, vertex):
         out[k, k] = 1
     return out
 
 
 def compress_block(fam, mat: np.ndarray, source: int, target: int) -> np.ndarray:
     """The (target, source) block of a matrix graded by the path ranges."""
-    rows = fam.vertex_indices(target)
-    cols = fam.vertex_indices(source)
+    rows = range_positions(fam, target)
+    cols = range_positions(fam, source)
     m = np.asarray(mat)
     if m.shape != (fam.dim, fam.dim):
         raise ValueError(f"matrix must be {fam.dim}x{fam.dim} over the path basis")
@@ -731,10 +837,10 @@ def dense_ck_report(fam) -> CKReport:
     graph = fam.graph
     sops = {e: dense_edge_operator(fam, e) for e in graph.edges}
     pops = {
-        v: np.diag([1 if p.range_vertex == v else 0 for p in fam.basis]).astype(np.int64)
+        v: np.diag([1 if path_range(p) == v else 0 for p in fam.basis]).astype(np.int64)
         for v in graph.vertices
     }
-    interior = [k for k, p in enumerate(fam.basis) if p.length < fam.depth]
+    interior = [k for k, (_, edges) in enumerate(fam.basis) if len(edges) < fam.depth]
 
     initial_ok = True
     for e in graph.edges:
@@ -763,19 +869,20 @@ def dense_ck_report(fam) -> CKReport:
             if np.any(defect != np.diag(np.diag(defect))) or np.any(np.diag(defect) < 0):
                 predicted = False
             for k, p in enumerate(fam.basis):
-                if p.range_vertex != v:
+                if path_range(p) != v:
                     if defect[k, k] != 0:
                         predicted = False
                     continue
-                expected = 1 if (p.length == 0 or p.outer_colour != colour) else 0
+                length = len(p[1])
+                expected = 1 if (length == 0 or outer_colour(p) != colour) else 0
                 if defect[k, k] != expected:
                     predicted = False
                 if defect[k, k] == 1:
-                    (vacua if p.length == 0 else off_colour).append(k)
+                    (vacua if length == 0 else off_colour).append(k)
             mono = [
                 k
                 for k, p in enumerate(fam.basis)
-                if p.length >= 1 and p.range_vertex == v and all(e[2] == colour for e in p.edges)
+                if p[1] and path_range(p) == v and all(e[2] == colour for e in p[1])
             ]
             if np.any(defect[np.ix_(mono, mono)]):
                 monochrome_ok = False

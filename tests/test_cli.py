@@ -2,12 +2,13 @@ import argparse
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynalg import cli, reps
+from dynalg import cli
 from dynalg.cli import (
     FormatError,
     dump_system,
@@ -437,20 +438,30 @@ def test_fock_rejects_depth_past_basis_limit(tmp_path):
     assert report["timing_ms"] < 10000
 
 
-def test_fock_depth_15_is_refused_before_any_path_is_built(tmp_path, monkeypatch):
+def test_fock_depth_15_is_refused_before_any_path_is_built(tmp_path):
     # two bijections of 4 points have 4 * 2^L paths of length L, each
     # stored as 1 + L entries: depth 14 fits the limit and depth 15 does not
     assert sum((1 + n) * 4 * 2**n for n in range(15)) <= MAX_FOCK_SIZE
     assert sum((1 + n) * 4 * 2**n for n in range(16)) > MAX_FOCK_SIZE
-
-    def no_path(*args):
-        raise AssertionError("a path was built")
-
-    monkeypatch.setattr(reps, "FockPath", no_path)
     path = tmp_path / "rotation.json"
     path.write_text('{"points":4,"maps":[[1,2,3,0],[3,0,1,2]]}')
-    report, code = run_command(["fock", str(path), "--depth", "15"])
+
+    def traced(depth):
+        tracemalloc.start()
+        try:
+            out = run_command(["fock", str(path), "--depth", str(depth)])
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The refusal peaks at a few KB; the 8,188 paths of depth 10 alone take
+    # about 2 MB, so a build of even part of depth 15 would pass the bound.
+    (report, code), refused_peak = traced(15)
     assert code == 2 and "smaller depth" in report["error"]
+    assert refused_peak < 64 * 1024
+    (report, code), built_peak = traced(10)
+    assert code == 0 and report["witness"]["dimension"] == 8188
+    assert built_peak > 1024 * 1024
 
 
 def test_fock_rejects_malformed_subset(files):

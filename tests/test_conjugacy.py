@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -29,9 +30,13 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    least_rotation,
     make_rng,
+    one_map_canonical_form,
+    one_map_conjugate,
     pairwise_alpha_field,
     pairwise_verify_partition_witness,
+    random_mapping_pair,
     random_system,
     relabelled_pair,
     restricted_local_signature,
@@ -526,3 +531,70 @@ def test_deciders_keep_no_copy_per_level():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, (decide.__name__, peak)
+
+
+# ---- one map: every notion is isomorphism of functional digraphs ------------
+
+
+def test_one_map_canonical_form_counts_functional_digraphs():
+    # OEIS A001372: functional digraphs on n unlabelled points, n = 1..6
+    ids: dict = {}
+    counts = [
+        len({one_map_canonical_form(t, ids) for t in itertools.product(range(n), repeat=n)})
+        for n in range(1, 7)
+    ]
+    assert counts == [1, 3, 7, 19, 47, 130]
+
+
+def test_booth_rotation_is_the_least():
+    rng = random.Random(83)
+    for _ in range(500):
+        seq = [rng.randrange(3) for _ in range(rng.randint(1, 12))]
+        k = least_rotation(seq)
+        assert seq[k:] + seq[:k] == min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def _one_map_verdicts(a, b):
+    """Each decider's verdict on a one-map pair, every witness replayed."""
+    verdicts = []
+    for decide in (decide_conjugate, decide_piecewise, decide_partition):
+        witness = decide(a, b)
+        verdicts.append(witness is not None)
+        if witness is None:
+            continue
+        gamma = witness.gamma
+        assert all(gamma[a.tables[0][x]] == b.tables[0][gamma[x]] for x in range(a.size))
+        if decide is decide_partition:
+            assert verify_partition_witness(a, b, witness).passed
+        elif decide is decide_piecewise:
+            assert set(witness.alpha) == {(0,)}
+        else:
+            assert witness.recolor is None
+    return verdicts
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_deciders_find_relabelled_random_mappings(n):
+    a, b = random_mapping_pair(n)
+    assert one_map_conjugate(a, b)
+    assert _one_map_verdicts(a, b) == [True] * 3
+
+
+def test_deciders_agree_with_the_one_map_oracle_on_perturbed_pairs():
+    # One entry of the relabelled copy is redirected; the oracle says
+    # whether the pair is still conjugate.
+    verdicts = Counter()
+    for n in (3, 4, 5, 6, 8, 12, 20, 50, 100):
+        a, b = random_mapping_pair(n)
+        rng = random.Random(n + 1)
+        for _ in range(12):
+            table = list(b.tables[0])
+            x = rng.randrange(n)
+            table[x] = rng.choice([y for y in range(n) if y != table[x]])
+            c = FiniteSystem(size=n, tables=(tuple(table),))
+            expected = one_map_conjugate(a, c)
+            if n <= 6:
+                assert expected == (brute_force_conjugate(a, c) is not None)
+            assert _one_map_verdicts(a, c) == [expected] * 3
+            verdicts[expected] += 1
+    assert verdicts[True] and verdicts[False], verdicts

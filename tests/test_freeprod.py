@@ -52,6 +52,11 @@ def random_poly(rng, signature=SIG, max_degree=3, terms=5):
     return FPPoly.make(signature, out)
 
 
+def max_coeff(p: FPPoly) -> float:
+    """The largest coefficient modulus of a polynomial, 0 for zero."""
+    return max((abs(c) for c in p.terms.values()), default=0.0)
+
+
 def random_point(rng, signature=SIG, radius=0.7):
     blocks = tuple(tuple(sample_ball_points(rng, n, 1, radius)[0]) for n in signature)
     return PolyballPoint(blocks)
@@ -199,7 +204,7 @@ def test_fp_gauge_and_components():
         assert set(gauged.terms) == set(p.terms)  # all parameters nonzero
         q = cesaro_mean(p, 100)
         diff = p - q
-        assert diff.max_coeff() <= p.degree / 100 * p.max_coeff() + 1e-12
+        assert max_coeff(diff) <= p.degree / 100 * max_coeff(p) + 1e-12
 
 
 # ---- ball automorphisms -------------------------------------------------------
@@ -544,6 +549,50 @@ def test_coefficients_are_finite_numbers():
         assert type(p.terms[()]) is complex and p.terms[()] == value
     for zero in (0, 0.0, -0.0j, Fraction(0), np.float64(-0.0)):
         assert FPPoly.make((1,), {(): zero}).terms == {}
+
+
+def test_ball_coordinates_and_centres_follow_the_coefficient_rule():
+    # the rule of FPPoly.make: no text or bools, and finite (for a point,
+    # its norm bound refuses nan and infinite parts)
+    mobius = BallMobius.involution([0.5])
+    unit = U1nMatrix(n=1, matrix=np.eye(2))
+    entry_points = {
+        "PolyballPoint": lambda v: PolyballPoint(((v,),)),
+        "involution": lambda v: BallMobius.involution([v]),
+        "BallMobius": lambda v: BallMobius(a=[v], unitary=np.eye(1)),
+        "mobius_apply": lambda v: mobius_apply(mobius, [v]),
+        "frac_linear": lambda v: frac_linear(unit, [v]),
+    }
+    for name, call in entry_points.items():
+        for bad in ("0.5", np.str_("0.5"), True, np.True_):
+            with pytest.raises(TypeError, match="is not a number"):
+                call(bad)
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            message = "norm" if name == "PolyballPoint" else "is not finite"
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+        # every number read before is still read
+        for good in (0, 0.5, 0.5j, Fraction(1, 2), Decimal("0.5"), np.int64(0), np.float32(0.5)):
+            call(good)
+    assert PolyballPoint(((Fraction(1, 2), np.float32(0.25)),)).blocks == ((0.5, 0.25),)
+    assert BallMobius.involution(np.array([0.25])).a.tolist() == [0.25]
+
+
+def test_ball_sample_radius_is_a_real_number_in_the_unit_interval():
+    rng = random.Random(5)
+    for radius, error in (
+        (1.5, ValueError), (-0.5, ValueError), (0, ValueError), (0.5j, ValueError),
+        (math.nan, ValueError), (math.inf, ValueError),
+        (True, TypeError), (np.True_, TypeError), ("0.5", TypeError),
+    ):
+        with pytest.raises(error, match="radius"):
+            sample_ball_points(rng, 2, 3, radius=radius)
+    assert rng.getstate() == random.Random(5).getstate()  # refused before any draw
+    for radius in (1, Fraction(9, 10), np.float64(0.9), 0.9):
+        samples = sample_ball_points(random.Random(6), 2, 50, radius)
+        assert (np.linalg.norm(samples, axis=1) < radius).all()
+        assert np.array_equal(samples, sample_ball_points(random.Random(6), 2, 50, float(radius)))
+
 
 def test_int_subclasses_are_ints_for_sizes_and_symbols():
     # as FiniteSystem accepts them: only bool among int subclasses is refused

@@ -1,4 +1,6 @@
+import enum
 import random
+import re
 
 import pytest
 
@@ -9,7 +11,6 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.quotient import (
-    EdgeGenerator,
     FreeEdgePoly,
     entry_signature,
     local_signature,
@@ -26,8 +27,8 @@ def test_quotient_of_generator_places_edge_generators():
     sub = full_subsystem(TWO_POINT_CONSTANT)
     s0 = SemicrossedElement.generator(TWO_POINT_CONSTANT, 0)
     mat = quotient_map(sub, s0)
-    assert mat.entry(0, 0) == FreeEdgePoly.generator(EdgeGenerator(0, 0, 0))
-    assert mat.entry(0, 1) == FreeEdgePoly.generator(EdgeGenerator(1, 0, 0))
+    assert mat.entry(0, 0) == FreeEdgePoly.generator((0, 0, 0))
+    assert mat.entry(0, 1) == FreeEdgePoly.generator((1, 0, 0))
     assert mat.entry(1, 0).is_zero() and mat.entry(1, 1).is_zero()
 
 
@@ -83,7 +84,7 @@ def test_walks_that_leave_the_subset_contribute_nothing():
     thrice = quotient_map(sub, SemicrossedElement.monomial(cycle, (0, 0, 0), one))
     assert thrice.entry(0, 0).is_zero() and thrice.entry(2, 2).is_zero()
     once = quotient_map(sub, SemicrossedElement.monomial(cycle, (0,), one))
-    assert once.entry(0, 2) == FreeEdgePoly.generator(EdgeGenerator(2, 0, 0))
+    assert once.entry(0, 2) == FreeEdgePoly.generator((2, 0, 0))
 
     rng = random.Random(23)
     reentered = 0
@@ -104,7 +105,7 @@ def test_walks_that_leave_the_subset_contribute_nothing():
             assert mat.column_is_zero(x) != stays
             if stays:
                 steps = [
-                    EdgeGenerator(visited[k], visited[k + 1], letter)
+                    (visited[k], visited[k + 1], letter)
                     for k, letter in enumerate(reversed(word))
                 ]
                 edge_word = tuple(reversed(steps))
@@ -161,7 +162,29 @@ def test_edge_words_compose_along_the_graph():
         for x in range(2):
             for word in mat.entries[y][x].terms:
                 for left, right in zip(word, word[1:]):
-                    assert left.source == right.target
+                    # edges are (source, target, colour), outermost first
+                    assert left[0] == right[1]
+
+
+def test_matrix_points_are_ints_of_the_subset():
+    # the one integer rule, dynsys._is_int, and a message naming the value
+    sub = restrict(FiniteSystem(size=3, tables=((1, 2, 0),)), {0, 1})
+    mat = quotient_map(sub, SemicrossedElement.generator(sub.parent, 0))
+    for point in (True, False, 1.0, 2, 5, -1, "0", None):
+        message = rf"^point {re.escape(repr(point))} is not in the subset \[0, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            mat.entry(point, 0)
+        with pytest.raises(ValueError, match=re.escape(repr(point))):
+            mat.entry(1, point)
+        with pytest.raises(ValueError, match=re.escape(repr(point))):
+            mat.column_is_zero(point)
+
+    class K(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+
+    assert mat.entry(K.ONE, K.ZERO) == mat.entry(1, 0) == FreeEdgePoly.generator((0, 1, 0))
+    assert mat.column_is_zero(K.ONE) and not mat.column_is_zero(0)
 
 
 def test_entry_signature_examples():
@@ -242,9 +265,9 @@ def test_quotient_matrices_must_share_their_points():
 
 
 def test_free_edge_poly_arithmetic():
-    e1 = FreeEdgePoly.generator(EdgeGenerator(0, 1, 0))
-    e2 = FreeEdgePoly.generator(EdgeGenerator(1, 0, 1))
+    e1 = FreeEdgePoly.generator((0, 1, 0))
+    e2 = FreeEdgePoly.generator((1, 0, 1))
     prod = e1 * e2
-    assert list(prod.terms) == [(EdgeGenerator(0, 1, 0), EdgeGenerator(1, 0, 1))]
+    assert list(prod.terms) == [((0, 1, 0), (1, 0, 1))]
     assert (e1 + e1.scale(qc(-1))).is_zero()
     assert e1.scale(ONE) == e1

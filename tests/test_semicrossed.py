@@ -1,5 +1,7 @@
 import dataclasses
+import enum
 import operator
+import re
 import random
 import time
 from fractions import Fraction
@@ -15,7 +17,7 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.freeprod import FPPoly
-from dynalg.quotient import EdgeGenerator, FreeEdgePoly
+from dynalg.quotient import FreeEdgePoly
 from dynalg.scalars import ONE, qc
 from dynalg.semicrossed import (
     CovariantHom,
@@ -87,8 +89,8 @@ def test_elements_hash_consistently_with_equality():
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1
     signed = FPPoly.make((1,), {(): complex(-0.0, 1.0)})
     assert signed == FPPoly.make((1,), {(): 1j}) and hash(signed) == hash(FPPoly.make((1,), {(): 1j}))
-    e1 = FreeEdgePoly.generator(EdgeGenerator(0, 1, 0))
-    e2 = FreeEdgePoly.generator(EdgeGenerator(1, 0, 1))
+    e1 = FreeEdgePoly.generator((0, 1, 0))
+    e2 = FreeEdgePoly.generator((1, 0, 1))
     assert e1 * e2 + e2 * e1 == e2 * e1 + e1 * e2
     assert hash(e1 * e2 + e2 * e1) == hash(e2 * e1 + e1 * e2)
     assert {e1, e1.scale(ONE), e2} == {e1, e2}
@@ -454,3 +456,19 @@ def test_orbit_representation_checks_apply_hom_at_large_sizes(size):
             got = orbit_apply(image, gamma[x], {orbit_relabel(a, alpha, x, u): ONE})
             moved = orbit_apply(element, x, {u: ONE})
             assert got == {orbit_relabel(a, alpha, x, w): c for w, c in moved.items()}
+
+
+def test_coefficient_sizes_follow_the_integer_rule():
+    # the one integer rule, dynsys._is_int, and a message naming the value
+    for size in (-1, True, False, 2.0, "3", None):
+        with pytest.raises(ValueError, match=rf"^size {re.escape(repr(size))} is not"):
+            FunctionCoeff.constant(size, 1)
+        with pytest.raises(ValueError, match=rf"^size {re.escape(repr(size))} is not"):
+            FunctionCoeff.indicator(size, [0])
+
+    class K(enum.IntEnum):
+        TWO = 2
+
+    assert FunctionCoeff.indicator(K.TWO, [0]).values == (ONE, qc(0))
+    assert FunctionCoeff.constant(K.TWO, 3) == FunctionCoeff((qc(3), qc(3)))
+    assert FunctionCoeff.constant(0, 1).values == FunctionCoeff.indicator(0, []).values == ()

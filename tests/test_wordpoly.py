@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from dynalg.freeprod import FPPoly, fp_gauge
-from dynalg.quotient import EdgeGenerator, FreeEdgePoly
+from dynalg.quotient import FreeEdgePoly
 from dynalg.scalars import ONE, ZERO, RationalComplex
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, gauge, pullback, sc_multiply
 from dynalg.wordpoly import cesaro_mean, fourier_component
@@ -45,7 +45,7 @@ def kernel_results(p, q, scalars):
 
 
 def random_edge_poly(rng):
-    edges = [EdgeGenerator(x, y, c) for x in range(2) for y in range(2) for c in range(2)]
+    edges = [(x, y, c) for x in range(2) for y in range(2) for c in range(2)]
     terms = {}
     for _ in range(4):
         word = tuple(rng.choice(edges) for _ in range(rng.randint(0, 3)))
@@ -84,7 +84,7 @@ def test_exact_cancellations_store_no_zero():
     x_fp = ((0, 0),)
     f = FPPoly.make((1,), {(): complex(1.0, -0.0), x_fp: 1.0})
     g = FPPoly.make((1,), {x_fp: complex(1.0, -0.0), (): complex(-1.0, -0.0)})
-    x_edge = (EdgeGenerator(0, 1, 0),)
+    x_edge = ((0, 1, 0),)
     e = FreeEdgePoly.make({(): ONE, x_edge: ONE})
     h = FreeEdgePoly.make({x_edge: ONE, (): RationalComplex(-1)})
     system = random_system(random.Random(65), 3, 1)
