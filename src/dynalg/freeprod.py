@@ -51,22 +51,38 @@ def _validate_signature(signature: Sequence[int]) -> BlockSignature:
     return sig
 
 
-def _as_complex(value: object, what: str) -> complex:
-    """A number as ``complex``; TypeError for text and bools, which complex() would read."""
-    if type(value) is complex:
-        return value
-    if isinstance(value, (str, bool, np.bool_)):
-        raise TypeError(f"{what} {value!r} is not a number")
-    return complex(value)
-
-
 def _as_finite(value: object, what: str) -> complex:
-    """:func:`_as_complex` of a number whose two parts are finite; else ValueError."""
-    c = _as_complex(value, what)
+    """A number as ``complex``: TypeError for text and bools, which complex()
+    would read, and ValueError unless both parts are finite (an int too large
+    for a float is not)."""
+    c = value
+    if type(c) is not complex:
+        if isinstance(value, (str, bool, np.bool_)):
+            raise TypeError(f"{what} {value!r} is not a number")
+        try:
+            c = complex(value)
+        except OverflowError:
+            c = complex(math.inf)
     # c - c is 0 exactly when both parts are finite; inf - inf is nan.
     if c - c:
         raise ValueError(f"{what} {value!r} is not finite")
     return c
+
+
+def _as_array(values: object, what: str) -> np.ndarray:
+    """The values as a new complex array of their shape, by the rule of :func:`_as_finite`.
+
+    A numeric ndarray of finite values is converted whole.  Anything else
+    is read value by value, so an error names the caller's value: text,
+    bools, Python objects such as ``Fraction`` or huge ints, a value that
+    is not finite, and every list, since ``np.asarray([0.5, True])`` would
+    read the bool as 1.0.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iufc" and np.isfinite(values).all():
+        return values.astype(complex)
+    shape = np.shape(values)  # ValueError for a ragged sequence
+    read = [_as_finite(v, what) for v in np.asarray(values, dtype=object).flat]
+    return np.array(read, dtype=complex).reshape(shape)
 
 
 def _check_signature(got: BlockSignature, expected: BlockSignature) -> None:
@@ -83,6 +99,9 @@ class FPPoly(WordPoly):
     terms: dict[FPWord, complex]
 
     __hash__ = WordPoly.__hash__
+
+    def scale(self, value: complex) -> "FPPoly":
+        return super().scale(_as_finite(value, "scale factor"))
 
     @staticmethod
     def make(signature: Sequence[int], terms: Mapping[FPWord, complex]) -> "FPPoly":
@@ -120,6 +139,7 @@ def fp_multiply(p: FPPoly, q: FPPoly) -> FPPoly:
 
 def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
     """Scale generator (i, j) by zs[i][j] throughout; a homomorphism."""
+    zs = [_as_array(zrow, "gauge parameter").tolist() for zrow in zs]
     _check_signature(tuple(len(zrow) for zrow in zs), p.signature)
     return reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]])
 
@@ -128,18 +148,17 @@ def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
 class PolyballPoint:
     """A tuple of vectors, one per block, each in the closed unit ball.
 
-    Coordinates are numbers read by :func:`_as_complex`; the norm bound
-    refuses nan and infinite parts.
+    Coordinates are numbers read by :func:`_as_finite`.
     """
 
     blocks: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(_as_complex(v, "coordinate") for v in b) for b in self.blocks)
+        blocks = tuple(tuple(_as_finite(v, "coordinate") for v in b) for b in self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        for i, block in enumerate(self.blocks):
-            norm = math.sqrt(sum(abs(v) ** 2 for v in block))
-            if not norm <= 1 + 1e-9:  # also rejects NaN
+        for i, block in enumerate(blocks):
+            norm = math.hypot(*(part for v in block for part in (v.real, v.imag)))
+            if norm > 1 + 1e-9:
                 raise ValueError(f"block {i} has norm {norm:.6f} > 1")
 
     @property
@@ -222,12 +241,6 @@ def permutation_lift(alpha: Sequence[int], p: FPPoly) -> FPPoly:
 # ---- ball automorphisms ------------------------------------------------------
 
 
-def _as_vector(values: Sequence[complex], what: str) -> np.ndarray:
-    """The values, flattened, as a complex vector of :func:`_as_finite` numbers."""
-    items = np.asarray(values, dtype=object).reshape(-1)
-    return np.array([_as_finite(v, what) for v in items], dtype=complex)
-
-
 @dataclass(frozen=True)
 class BallMobius:
     """A ball automorphism: the standard involution at ``a`` followed by ``unitary``."""
@@ -236,12 +249,10 @@ class BallMobius:
     unitary: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _as_vector(self.a, "centre coordinate")
-        u = np.asarray(self.unitary, dtype=complex)
+        a = _as_array(self.a, "centre coordinate").reshape(-1)
+        u = _as_array(self.unitary, "unitary entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "unitary", u)
-        if not np.isfinite(u).all():
-            raise ValueError("unitary must have finite entries")
         if np.linalg.norm(a) >= 1:
             raise ValueError(f"centre has norm {np.linalg.norm(a):.6f}, needs < 1")
         n = a.shape[0]
@@ -256,13 +267,13 @@ class BallMobius:
 
     @staticmethod
     def involution(a: Sequence[complex]) -> "BallMobius":
-        a = _as_vector(a, "centre coordinate")
+        a = _as_array(a, "centre coordinate").reshape(-1)
         return BallMobius(a=a, unitary=np.eye(a.shape[0], dtype=complex))
 
 
 def mobius_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
     """Apply the automorphism; the open ball maps onto the open ball."""
-    lam = _as_vector(point, "coordinate")
+    lam = _as_array(point, "coordinate").reshape(-1)
     _check_signature(lam.shape, (m.dim,))
     a = m.a
     norm_a_sq = float(np.vdot(a, a).real)
@@ -315,12 +326,10 @@ class U1nMatrix:
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
-        x = np.asarray(self.matrix, dtype=complex)
+        x = _as_array(self.matrix, "matrix entry")
         object.__setattr__(self, "matrix", x)
         if x.shape != (self.n + 1, self.n + 1):
             raise ValueError(f"matrix must be {self.n + 1}x{self.n + 1}, got {x.shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("matrix entries must be finite")
         j = _indefinite_form(self.n)
         if np.linalg.norm(x.conj().T @ j @ x - j) > _STRUCT_TOL:
             raise ValueError("matrix does not satisfy X*JX = J to 1e-12")
@@ -375,18 +384,17 @@ def mobius_to_u1n(m: BallMobius) -> U1nMatrix:
     return U1nMatrix(n=n, matrix=u_part @ x)
 
 
-def _frac_linear_rows(x: U1nMatrix, lam: np.ndarray) -> np.ndarray:
-    """:func:`frac_linear` at every row of a (count, n) array of points."""
-    m = x.matrix
+def _frac_linear_rows(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """:func:`frac_linear` of the U(1, n) matrix ``m`` at every row of a (count, n) array of points."""
     # <lambda, eta1> pairs lambda with conj(eta1) = the first row of X past x0
     return (lam @ m[1:, 1:].T + m[1:, 0]) / (m[0, 0] + lam @ m[0, 1:])[:, None]
 
 
 def frac_linear(x: U1nMatrix, point: Sequence[complex]) -> np.ndarray:
     """(X1 lambda + eta2) / (x0 + <lambda, eta1>); maps the open ball inside itself."""
-    lam = _as_vector(point, "coordinate")
+    lam = _as_array(point, "coordinate").reshape(-1)
     _check_signature(lam.shape, (x.n,))
-    return _frac_linear_rows(x, lam[None, :])[0]
+    return _frac_linear_rows(x.matrix, lam[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -566,15 +574,15 @@ def lift_dual_check(
     rows = samples if isinstance(samples, np.ndarray) else list(samples)
     check_lift_work(x.n, order, len(rows))
     lam = _stack_samples(rows, x.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf fail just below
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
         norms = np.linalg.norm(lam, axis=1)
-    too_long = np.flatnonzero(~(norms <= 0.9 + 1e-12))
+    too_long = np.flatnonzero(norms > 0.9 + 1e-12)
     if too_long.size:
         i = too_long[0]
         raise ValueError(f"sample {i} has norm {norms[i]:.4f} > 0.9")
     series = voiculescu_lift(x, order)
     j = _indefinite_form(x.n)
-    inverse = U1nMatrix(n=x.n, matrix=j @ x.matrix.conj().T @ j)
+    inverse = j @ x.matrix.conj().T @ j  # in U(1, n) with x, so not checked again
     deviation = np.abs(_lift_rows(series, lam) - _frac_linear_rows(inverse, lam)).max()
     return LiftDualReport(
         deviation=float(deviation), certified_tail=max(s.certified_tail for s in series)
@@ -584,10 +592,10 @@ def lift_dual_check(
 def _stack_samples(rows, n: int) -> np.ndarray:
     """The samples as one (count, n) complex array; a scalar sample is a 1-vector."""
     try:
-        lam = np.asarray(rows, dtype=complex)
-    except ValueError:  # ragged: name the first sample of the wrong dimension
+        lam = _as_array(rows, "sample coordinate")
+    except ValueError:  # ragged or not finite: name the first bad sample
         for p in rows:
-            _check_signature(_as_vector(p, "sample coordinate").shape, (n,))
+            _check_signature(_as_array(p, "sample coordinate").reshape(-1).shape, (n,))
         raise ValueError("samples must all have one shape") from None
     lam = lam.reshape(len(rows), -1)
     _check_signature(lam.shape[1:], (n,))

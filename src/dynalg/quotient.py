@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dynsys import Edge, FiniteSystem, SubSystem, _is_int, check_point
-from .scalars import ONE, RationalComplex
+from .scalars import ONE, RationalComplex, RationalLike
 from .wordpoly import WordPoly
 
 
@@ -47,15 +47,26 @@ class FreeEdgePoly(WordPoly):
     __hash__ = WordPoly.__hash__
 
     @staticmethod
-    def make(terms: dict[EdgeWord, RationalComplex]) -> "FreeEdgePoly":
-        return FreeEdgePoly({w: c for w, c in terms.items() if not c.is_zero()})
+    def make(terms: dict[EdgeWord, RationalLike]) -> "FreeEdgePoly":
+        """Validated terms: each word a tuple of ``(source, target, colour)``
+        int triples, each coefficient read by ``RationalComplex.coerce``,
+        zeros dropped."""
+        clean: dict[EdgeWord, RationalComplex] = {}
+        for word, coeff in terms.items():
+            edges = type(word) is tuple and all(type(e) is tuple and len(e) == 3 for e in word)
+            if not (edges and all(_is_int(v) for e in word for v in e)):
+                raise ValueError(f"edge word {word!r} is not a tuple of (source, target, colour) int triples")
+            c = RationalComplex.coerce(coeff)
+            if not c.is_zero():
+                clean[word] = c
+        return FreeEdgePoly(clean)
 
     @staticmethod
     def zero() -> "FreeEdgePoly":
         return FreeEdgePoly({})
 
     @staticmethod
-    def scalar(value: RationalComplex) -> "FreeEdgePoly":
+    def scalar(value: RationalLike) -> "FreeEdgePoly":
         return FreeEdgePoly.make({(): value})
 
     @staticmethod
@@ -149,10 +160,12 @@ def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
                 # The edge word fixes both the letters and the source, so
                 # no two (term, source) pairs land on the same word.
                 cells.setdefault((y, x), {})[tuple(reversed(edges))] = value
+    # Every word is a walk of the subset's edges and every value nonzero:
+    # nothing for FreeEdgePoly.make to check.
     return QuotientMatrix(
         sub.points,
         tuple(
-            tuple(FreeEdgePoly.make(cells.get((y, x), {})) for x in sub.points)
+            tuple(FreeEdgePoly(cells.get((y, x), {})) for x in sub.points)
             for y in sub.points
         ),
     )

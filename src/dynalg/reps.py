@@ -53,6 +53,7 @@ from .dynsys import (
     Edge, EdgeColoredGraph, FiniteSystem, _is_int, check_colour, check_point, map_range,
     ranges_pairwise_disjoint,
 )
+from .freeprod import _as_array
 from .matching import lex_least_injective
 from .semicrossed import FunctionCoeff, SemicrossedElement
 
@@ -155,14 +156,17 @@ def nest_rep_exists(
 
 
 def row_norm(mats: Sequence[np.ndarray]) -> float:
-    """Largest singular value of the horizontal concatenation [T_1 ... T_k]."""
+    """Largest singular value of the horizontal concatenation [T_1 ... T_k].
+
+    Entries are numbers read by :func:`dynalg.freeprod._as_array`.
+    """
     if not mats:
         raise ValueError("need at least one matrix")
+    mats = [_as_array(m, "matrix entry") for m in mats]
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError(f"row counts differ: {sorted(rows)}")
-    stacked = np.hstack([np.asarray(m, dtype=complex) for m in mats])
-    return float(np.linalg.norm(stacked, 2))
+    return float(np.linalg.norm(np.hstack(mats), 2))
 
 
 @dataclass(frozen=True)

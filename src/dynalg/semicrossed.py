@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .conjugacy import PartitionWitness, verify_partition_witness
+from .conjugacy import PartitionWitness, _invert, verify_partition_witness
 from .dynsys import FiniteSystem, Word, _is_int, check_colour, validate_word
 from .scalars import ONE, ZERO, RationalComplex, _product
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
@@ -62,8 +62,14 @@ class FunctionCoeff:
 
     @staticmethod
     def indicator(size: int, subset: Iterable[int]) -> "FunctionCoeff":
-        inside = set(subset)
-        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(_check_size(size))))
+        """1 on the subset, whose items must be int points of 0..size-1, else 0."""
+        points = range(_check_size(size))
+        inside = set()
+        for x in subset:
+            if not (_is_int(x) and x in points):
+                raise ValueError(f"subset item {x!r} is not a point of 0..{size - 1}")
+            inside.add(x)
+        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in points))
 
     @staticmethod
     def one(size: int) -> "FunctionCoeff":
@@ -159,6 +165,8 @@ class SemicrossedElement(WordPoly):
         clean: dict[Word, FunctionCoeff] = {}
         for word, coeff in terms.items():
             w = validate_word(system, word)
+            if not isinstance(coeff, FunctionCoeff):
+                raise TypeError(f"coefficient {coeff!r} is not a FunctionCoeff")
             if coeff.size != system.size:
                 raise ValueError(
                     f"coefficient has {coeff.size} values, system has {system.size} points"
@@ -275,7 +283,7 @@ class CovariantHom:
 
     def function_image(self, f: FunctionCoeff) -> FunctionCoeff:
         """f o gamma^-1."""
-        return _coeff(tuple(f.values[x] for x in self.witness.inverse().gamma))
+        return _coeff(tuple(f.values[x] for x in _invert(self.witness.gamma)))
 
 
 def identity_hom(system: FiniteSystem) -> CovariantHom:

@@ -598,3 +598,43 @@ def test_deciders_agree_with_the_one_map_oracle_on_perturbed_pairs():
             assert _one_map_verdicts(a, c) == [expected] * 3
             verdicts[expected] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+# ---- two maps: ROADMAP item 5's class counts ---------------------------------
+
+# Classes of 2-map systems on n points, in the order conjugate, conjugate
+# with recolouring, partition, piecewise.
+TWO_MAP_CLASSES = {1: (1, 1, 1, 1), 2: (10, 7, 7, 6), 3: (129, 74, 74, 44)}
+
+
+def _two_map_class_counts(n, matched):
+    """Class counts of every 2-map system on n points, one per notion, each
+    system decided against one representative of every class found so far."""
+    counts = []
+    for same in matched:
+        representatives = []
+        for tables in itertools.product(itertools.product(range(n), repeat=n), repeat=2):
+            system = FiniteSystem(size=n, tables=tables)
+            if not any(same(r, system) for r in representatives):
+                representatives.append(system)
+        counts.append(len(representatives))
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", sorted(TWO_MAP_CLASSES))
+def test_two_map_class_counts(n):
+    deciders = (
+        lambda a, b: decide_conjugate(a, b) is not None,
+        lambda a, b: decide_conjugate(a, b, allow_recolor=True) is not None,
+        lambda a, b: decide_partition(a, b) is not None,
+        lambda a, b: decide_piecewise(a, b) is not None,
+    )
+    assert _two_map_class_counts(n, deciders) == TWO_MAP_CLASSES[n]
+    if n <= 2:  # the brute-force oracles take seconds at n = 3
+        oracles = (
+            lambda a, b: brute_force_conjugate(a, b) is not None,
+            lambda a, b: brute_force_conjugate(a, b, allow_recolor=True) is not None,
+            lambda a, b: brute_force_partition(a, b) is not None,
+            lambda a, b: brute_force_piecewise(a, b) is not None,
+        )
+        assert _two_map_class_counts(n, oracles) == TWO_MAP_CLASSES[n]

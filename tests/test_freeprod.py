@@ -31,6 +31,7 @@ from dynalg.freeprod import (
     sample_ball_points,
     voiculescu_lift,
 )
+from dynalg.reps import row_norm
 from dynalg.scalars import qc
 from dynalg.wordpoly import cesaro_mean, fourier_component
 from oracles import looped_ball_samples, looped_lift_deviation, truncated_series_value
@@ -393,7 +394,7 @@ def test_non_finite_inputs_rejected():
         BallMobius(a=np.array([nan]), unitary=np.eye(1))
     with pytest.raises(ValueError, match="finite"):
         BallMobius(a=np.array([0.1]), unitary=np.array([[nan]]))
-    with pytest.raises(ValueError, match="norm"):
+    with pytest.raises(ValueError, match="is not finite"):
         PolyballPoint(((nan, 0.0),))
 
 
@@ -444,10 +445,10 @@ def test_lift_dual_check_rejects_malformed_samples():
     nan, inf = float("nan"), float("inf")
     x = mobius_to_u1n(BallMobius.involution([0.3, 0.2j]))
     cases = (
-        ([[nan, 0.1]], "norm nan"),
-        ([[0.1, 0.2], [0.1, complex(0.0, nan)]], "norm nan"),
-        ([[inf, 0.1]], "norm inf"),
-        ([[0.1, -inf]], "norm inf"),
+        ([[nan, 0.1]], "is not finite"),
+        ([[0.1, 0.2], [0.1, complex(0.0, nan)]], "is not finite"),
+        ([[inf, 0.1]], "is not finite"),
+        ([[0.1, -inf]], "is not finite"),
         ([[0.1, 0.2, 0.3]], r"signature \(3,\) does not match \(2,\)"),
         ([[0.1, 0.2], [0.3]], r"signature \(1,\) does not match \(2,\)"),
         ([[0.3], [0.1, 0.2]], r"signature \(1,\) does not match \(2,\)"),
@@ -552,8 +553,7 @@ def test_coefficients_are_finite_numbers():
 
 
 def test_ball_coordinates_and_centres_follow_the_coefficient_rule():
-    # the rule of FPPoly.make: no text or bools, and finite (for a point,
-    # its norm bound refuses nan and infinite parts)
+    # the rule of FPPoly.make: no text or bools, and finite
     mobius = BallMobius.involution([0.5])
     unit = U1nMatrix(n=1, matrix=np.eye(2))
     entry_points = {
@@ -568,14 +568,74 @@ def test_ball_coordinates_and_centres_follow_the_coefficient_rule():
             with pytest.raises(TypeError, match="is not a number"):
                 call(bad)
         for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
-            message = "norm" if name == "PolyballPoint" else "is not finite"
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="is not finite"):
                 call(bad)
         # every number read before is still read
         for good in (0, 0.5, 0.5j, Fraction(1, 2), Decimal("0.5"), np.int64(0), np.float32(0.5)):
             call(good)
     assert PolyballPoint(((Fraction(1, 2), np.float32(0.25)),)).blocks == ((0.5, 0.25),)
     assert BallMobius.involution(np.array([0.25])).a.tolist() == [0.25]
+
+
+class _Unit(enum.IntEnum):
+    ONE = 1
+
+
+# Numbers of modulus below 0.9 and of modulus 1, each with the complex it reads as.
+_SMALL = (
+    (0, 0), (0.5, 0.5), (0.5j, 0.5j), (complex(0.3, -0.4), complex(0.3, -0.4)), (Fraction(1, 2), 0.5),
+    (Decimal("0.5"), 0.5), (np.int64(0), 0), (np.float32(0.5), 0.5), (np.complex128(0.5j), 0.5j),
+)
+_UNIT = (
+    (1, 1), (_Unit.ONE, 1), (-1.0, -1), (1j, 1j), (Fraction(-1), -1), (Decimal("1"), 1),
+    (np.int64(1), 1), (np.float32(-1), -1), (np.complex128(-1j), -1j),
+)
+
+
+def test_every_float_entry_point_follows_one_number_rule():
+    centre = BallMobius(a=[0.0], unitary=np.eye(1))
+    unit = U1nMatrix(n=1, matrix=np.eye(2))
+    mixed = mobius_to_u1n(BallMobius(a=[0.5], unitary=[[1j]]))
+    # name: (the value the entry point reads from v, the numbers it takes)
+    entry_points = {
+        "PolyballPoint": (lambda v: PolyballPoint(((v,),)).blocks[0][0], _SMALL),
+        "BallMobius centre": (lambda v: BallMobius(a=[v], unitary=np.eye(1)).a[0], _SMALL),
+        "BallMobius unitary": (lambda v: BallMobius(a=[0.0], unitary=[[v]]).unitary[0, 0], _UNIT),
+        "involution": (lambda v: BallMobius.involution([v]).a[0], _SMALL),
+        "mobius_apply": (lambda v: -mobius_apply(centre, [v])[0], _SMALL),
+        "frac_linear": (lambda v: frac_linear(unit, [v])[0], _SMALL),
+        "U1nMatrix": (lambda v: U1nMatrix(n=1, matrix=[[1, 0], [0, v]]).matrix[1, 1], _UNIT),
+        "lift_dual_check": (lambda v: lift_dual_check(mixed, 5, [[v]]).deviation, _SMALL),
+        "fp_gauge": (lambda v: fp_gauge(gen(0, 0, (1,)), [[v]]).terms.get(((0, 0),), 0), _SMALL + _UNIT),
+        "FPPoly.scale": (lambda v: FPPoly.unit((1,)).scale(v).terms.get((), 0), _SMALL + _UNIT),
+        "row_norm": (lambda v: row_norm([[[v, 0.0]]]), _SMALL + _UNIT),
+    }
+    for name, (read, numbers) in entry_points.items():
+        for bad in ("0.5", np.str_("0.5"), True, np.True_):
+            with pytest.raises(TypeError, match="is not a number"):
+                read(bad)
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf), 10**400):
+            with pytest.raises(ValueError, match="is not finite"):
+                read(bad)
+        # every number read before reads as the complex it stands for
+        for value, expected in numbers:
+            assert read(value) == read(complex(expected)), (name, value)
+    # an ndarray is read whole, and a list mixing bools with numbers value by value
+    samples = np.array([[0.5], [0.25j]])
+    assert lift_dual_check(mixed, 5, samples) == lift_dual_check(mixed, 5, samples.tolist())
+    with pytest.raises(TypeError, match="True is not a number"):
+        U1nMatrix(n=1, matrix=[[1, 0], [0, True]])
+    with pytest.raises(TypeError, match="True is not a number"):
+        lift_dual_check(_U1N_2, 3, [[0.1, True]])
+    x = np.eye(2, dtype=complex)
+    assert U1nMatrix(n=1, matrix=x).matrix is not x  # a copy, as frozen fields need
+
+
+def test_the_polyball_norm_is_taken_without_overflow():
+    for coordinate in (1e200, complex(1e308, 1e308)):
+        with pytest.raises(ValueError, match="block 0 has norm"):
+            PolyballPoint(((coordinate,),))
+    assert PolyballPoint(((0.6, 0.8j),)).blocks == ((0.6, 0.8j),)
 
 
 def test_ball_sample_radius_is_a_real_number_in_the_unit_interval():

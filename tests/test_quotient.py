@@ -271,3 +271,21 @@ def test_free_edge_poly_arithmetic():
     assert list(prod.terms) == [((0, 1, 0), (1, 0, 1))]
     assert (e1 + e1.scale(qc(-1))).is_zero()
     assert e1.scale(ONE) == e1
+
+
+def test_edge_polys_read_exact_coefficients_and_edge_triples():
+    # coefficients by RationalComplex.coerce, as FunctionCoeff reads them
+    assert FreeEdgePoly.make({(): 1}) == FreeEdgePoly.scalar(qc(1)) == FreeEdgePoly.scalar(1)
+    assert FreeEdgePoly.make({((0, 1, 0),): 2, (): 0}).terms == {((0, 1, 0),): qc(2)}
+    for coeff in (0.5, 1j, "1", None):
+        with pytest.raises(TypeError, match="exact complex scalar"):
+            FreeEdgePoly.make({(): coeff})
+    # a word is a tuple of (source, target, colour) triples of ints
+    for word in (("x",), ((0, 1),), ((0, 1, 0, 2),), ((0, 1, True),), ((0, 1.0, 0),), (0, 1, 0), "abc", None):
+        with pytest.raises(ValueError, match=rf"^edge word {re.escape(repr(word))} is not a tuple of"):
+            FreeEdgePoly.make({word: ONE})
+
+    class K(enum.IntEnum):
+        ONE = 1
+
+    assert FreeEdgePoly.make({((0, K.ONE, 0),): ONE}) == FreeEdgePoly.generator((0, 1, 0))

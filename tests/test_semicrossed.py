@@ -472,3 +472,25 @@ def test_coefficient_sizes_follow_the_integer_rule():
     assert FunctionCoeff.indicator(K.TWO, [0]).values == (ONE, qc(0))
     assert FunctionCoeff.constant(K.TWO, 3) == FunctionCoeff((qc(3), qc(3)))
     assert FunctionCoeff.constant(0, 1).values == FunctionCoeff.indicator(0, []).values == ()
+
+
+def test_indicator_subsets_are_int_points():
+    for item in (True, 1.0, 7, 3, -1, "1", None):
+        with pytest.raises(ValueError, match=rf"^subset item {re.escape(repr(item))} is not a point of 0\.\.2$"):
+            FunctionCoeff.indicator(3, [0, item])
+
+    class K(enum.IntEnum):
+        ONE = 1
+
+    assert FunctionCoeff.indicator(3, iter([K.ONE, 2, 2])).values == (qc(0), ONE, ONE)
+    assert FunctionCoeff.indicator(3, set()).is_zero()
+
+
+def test_element_coefficients_must_be_function_coeffs():
+    system = TWO_POINT_MIXED
+    for coeff in (1, ONE, (ONE, ONE), None):
+        with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(coeff))} is not a FunctionCoeff$"):
+            SemicrossedElement.make(system, {(): coeff})
+    f = FunctionCoeff.constant(system.size, 2)
+    assert SemicrossedElement.make(system, {(): f}) == SemicrossedElement.from_function(system, f)
+
