@@ -13,6 +13,10 @@ Each command's arguments are declared once, in ``_COMMANDS``.  A well-formed
 command line is read from that table in one pass; argparse, built from the
 same table, reads every other line and words all help text and usage errors.
 Integer flags and ``--subset`` items are ASCII digits only.
+Commands reach the library through the package (``dynalg.reps``), which
+imports a module on first use, so a command loads only the layers it
+calls: ``check``, ``signature``, ``signature-compare`` and ``iso-build``
+never load numpy.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
@@ -33,30 +37,12 @@ import sys
 import time
 from typing import Any, Optional, Sequence
 
-import numpy as np
+import dynalg
 
 from . import __version__
-from .conjugacy import (
-    PartitionWitness,
-    decide_conjugate,
-    decide_partition,
-    decide_piecewise,
-    verify_partition_witness,
-)
 from .dynsys import (
     FiniteSystem, _is_int, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict,
 )
-from .fixtures import (
-    FOUR_POINT_OVERLAP,
-    FOUR_POINT_SPLIT_A,
-    FOUR_POINT_SPLIT_B,
-    TWO_POINT_CONSTANT,
-    TWO_POINT_MIXED,
-)
-from .freeprod import U1nMatrix, check_lift_work, lift_dual_check, sample_ball_points
-from .quotient import entry_signature, local_signature, signatures_equivalent
-from .reps import build_truncated_fock, check_ck_relations, decide_tensor_vs_semicrossed, row_norm
-from .semicrossed import SemicrossedElement, apply_hom, partition_isomorphism
 
 
 class FormatError(ValueError):
@@ -147,7 +133,7 @@ def dump_system(system: FiniteSystem, names: Optional[Sequence[str]] = None) -> 
     return json.dumps({"points": points, "maps": [list(t) for t in system.tables]})
 
 
-def parse_u1n(text: str) -> U1nMatrix:
+def parse_u1n(text: str) -> dynalg.freeprod.U1nMatrix:
     """Matrix file: {"n": N, "matrix": [[[re, im], ...], ...]}."""
     data = _load_json(text)
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
@@ -165,7 +151,7 @@ def parse_u1n(text: str) -> U1nMatrix:
     if not all(_is_pair(entry) for row in rows for entry in row):
         raise FormatError("field 'matrix' must hold [re, im] pairs of numbers")
     try:
-        return U1nMatrix(n=n, matrix=np.array([[complex(*e) for e in row] for row in rows]))
+        return dynalg.freeprod.U1nMatrix(n=n, matrix=[[complex(*e) for e in row] for row in rows])
     except (ValueError, OverflowError) as exc:
         raise FormatError(str(exc)) from None
 
@@ -178,7 +164,7 @@ def _is_pair(entry: Any) -> bool:
     )
 
 
-def dump_u1n(x: U1nMatrix) -> str:
+def dump_u1n(x: dynalg.freeprod.U1nMatrix) -> str:
     return json.dumps(
         {
             "n": x.n,
@@ -196,7 +182,7 @@ def _scalar_json(value) -> list[str]:
     return list(value.as_strings())
 
 
-def _element_json(element: SemicrossedElement) -> list[list[Any]]:
+def _element_json(element: dynalg.semicrossed.SemicrossedElement) -> list[list[Any]]:
     out = []
     for word in sorted(element.terms, key=lambda w: (len(w), w)):
         coeff = element.terms[word]
@@ -220,9 +206,9 @@ def _witness_json(witness) -> dict[str, Any]:
     }
 
 
-def witness_to_partition(data: dict[str, Any]) -> PartitionWitness:
+def witness_to_partition(data: dict[str, Any]) -> dynalg.conjugacy.PartitionWitness:
     """Rebuild a witness from its report form, for replaying verification."""
-    return PartitionWitness(
+    return dynalg.conjugacy.PartitionWitness(
         gamma=tuple(data["gamma"]), alpha=tuple(tuple(p) for p in data["alpha"])
     )
 
@@ -246,11 +232,11 @@ def _cmd_check(args) -> tuple[bool, Any]:
     a = parse_system(_read(args.system_a))
     b = parse_system(_read(args.system_b))
     if args.mode == "conjugate":
-        witness = decide_conjugate(a, b, allow_recolor=args.recolor)
+        witness = dynalg.conjugacy.decide_conjugate(a, b, allow_recolor=args.recolor)
     elif args.mode == "piecewise":
-        witness = decide_piecewise(a, b)
+        witness = dynalg.conjugacy.decide_piecewise(a, b)
     else:
-        witness = decide_partition(a, b)
+        witness = dynalg.conjugacy.decide_partition(a, b)
     if witness is None:
         return False, None
     return True, _witness_json(witness)
@@ -259,8 +245,8 @@ def _cmd_check(args) -> tuple[bool, Any]:
 def _signature(system: FiniteSystem, point: Optional[int]) -> tuple:
     """The local signature at ``point``, or the full entry signature without one."""
     if point is not None:
-        return local_signature(system, point)
-    return entry_signature(full_subsystem(system))
+        return dynalg.quotient.local_signature(system, point)
+    return dynalg.quotient.entry_signature(full_subsystem(system))
 
 
 def _cmd_signature(args) -> tuple[Optional[bool], Any]:
@@ -271,12 +257,12 @@ def _cmd_signature(args) -> tuple[Optional[bool], Any]:
 def _cmd_signature_compare(args) -> tuple[bool, Any]:
     s1 = _signature(parse_system(_read(args.system_a)), args.point)
     s2 = _signature(parse_system(_read(args.system_b)), args.point)
-    return signatures_equivalent(s1, s2), {"left": list(s1), "right": list(s2)}
+    return dynalg.quotient.signatures_equivalent(s1, s2), {"left": list(s1), "right": list(s2)}
 
 
 def _cmd_tensor(args) -> tuple[bool, Any]:
     system = parse_system(_read(args.system))
-    decision = decide_tensor_vs_semicrossed(system)
+    decision = dynalg.reps.decide_tensor_vs_semicrossed(system)
     if decision.isomorphic:
         bumps = [
             [1 if not v.is_zero() else 0 for v in bump.values]
@@ -285,7 +271,7 @@ def _cmd_tensor(args) -> tuple[bool, Any]:
         return True, {"bumps": bumps}
     z, (x1, i), (x2, j) = decision.overlap
     rep = decision.obstruction
-    norm = row_norm([rep.generator_image(k) for k in range(system.arity)])
+    norm = dynalg.reps.row_norm([rep.generator_image(k) for k in range(system.arity)])
     return False, {
         "overlap": {"point": z, "preimages": [[x1, i], [x2, j]]},
         "row_norm": norm,
@@ -295,13 +281,14 @@ def _cmd_tensor(args) -> tuple[bool, Any]:
 def _cmd_iso_build(args) -> tuple[bool, Any]:
     a = parse_system(_read(args.system_a))
     b = parse_system(_read(args.system_b))
-    witness = decide_partition(a, b)
+    witness = dynalg.conjugacy.decide_partition(a, b)
     if witness is None:
         return False, None
-    forward, reverse = partition_isomorphism(a, b, witness)
+    semicrossed = dynalg.semicrossed
+    forward, reverse = semicrossed.partition_isomorphism(a, b, witness)
+    generator, apply_hom = semicrossed.SemicrossedElement.generator, semicrossed.apply_hom
     round_trip_ok = all(
-        apply_hom(reverse, apply_hom(forward, SemicrossedElement.generator(a, i)))
-        == SemicrossedElement.generator(a, i)
+        apply_hom(reverse, apply_hom(forward, generator(a, i))) == generator(a, i)
         for i in range(a.arity)
     )
     return True, {
@@ -314,10 +301,11 @@ def _cmd_iso_build(args) -> tuple[bool, Any]:
 
 def _cmd_lift(args) -> tuple[bool, Any]:
     x = parse_u1n(_read(args.u1n))
-    check_lift_work(x.n, args.degree, args.samples)  # before drawing the samples
+    freeprod = dynalg.freeprod
+    freeprod.check_lift_work(x.n, args.degree, args.samples)  # before drawing the samples
     rng = random.Random(7)  # a fixed seed, so two runs draw the same points
-    points = sample_ball_points(rng, x.n, args.samples, radius=0.9)
-    report = lift_dual_check(x, args.degree, points)
+    points = freeprod.sample_ball_points(rng, x.n, args.samples, radius=0.9)
+    report = freeprod.lift_dual_check(x, args.degree, points)
     certified = report.deviation <= report.certified_tail + 1e-10
     return certified, {
         "deviation": report.deviation,
@@ -338,8 +326,8 @@ def _cmd_fock(args) -> tuple[bool, Any]:
     else:
         subset = list(range(system.size))
     graph = colored_graph(restrict(system, subset))
-    family = build_truncated_fock(graph, args.depth)
-    report = check_ck_relations(family)
+    family = dynalg.reps.build_truncated_fock(graph, args.depth)
+    report = dynalg.reps.check_ck_relations(family)
     ok = report.passed_exact_relations and report.defect_structure_ok
     return ok, {
         "dimension": family.dim,
@@ -362,31 +350,32 @@ def _cmd_fock(args) -> tuple[bool, Any]:
 
 
 def _cmd_selftest(_args) -> tuple[bool, Any]:
+    conjugacy, fixtures, quotient, reps = dynalg.conjugacy, dynalg.fixtures, dynalg.quotient, dynalg.reps
+    mixed, constant = fixtures.TWO_POINT_MIXED, fixtures.TWO_POINT_CONSTANT
+    split_a, split_b = fixtures.FOUR_POINT_SPLIT_A, fixtures.FOUR_POINT_SPLIT_B
     checks: list[tuple[str, bool]] = []
 
-    piecewise = decide_piecewise(TWO_POINT_MIXED, TWO_POINT_CONSTANT)
+    piecewise = conjugacy.decide_piecewise(mixed, constant)
     checks.append(("two-point pair is piecewise matchable", piecewise is not None))
     checks.append(
         ("two-point pair is not partition matchable",
-         decide_partition(TWO_POINT_MIXED, TWO_POINT_CONSTANT) is None)
+         conjugacy.decide_partition(mixed, constant) is None)
     )
     checks.append(
         ("two-point signatures separate",
-         not signatures_equivalent(
-             local_signature(TWO_POINT_MIXED, 0), local_signature(TWO_POINT_CONSTANT, 0)
+         not quotient.signatures_equivalent(
+             quotient.local_signature(mixed, 0), quotient.local_signature(constant, 0)
          ))
     )
-    disjoint, overlap = ranges_pairwise_disjoint(FOUR_POINT_OVERLAP)
+    disjoint, overlap = ranges_pairwise_disjoint(fixtures.FOUR_POINT_OVERLAP)
     checks.append(("overlap fixture has overlapping ranges at point 1",
                    not disjoint and overlap == (0, 1, 1)))
-    witness = decide_partition(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B)
-    ok = witness is not None and verify_partition_witness(
-        FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness
-    ).passed
+    witness = conjugacy.decide_partition(split_a, split_b)
+    ok = witness is not None and conjugacy.verify_partition_witness(split_a, split_b, witness).passed
     checks.append(("split fixtures carry a verified partition witness", ok))
-    decision = decide_tensor_vs_semicrossed(FOUR_POINT_OVERLAP)
+    decision = reps.decide_tensor_vs_semicrossed(fixtures.FOUR_POINT_OVERLAP)
     rep = decision.obstruction
-    norm = row_norm([rep.generator_image(k) for k in range(2)])
+    norm = reps.row_norm([rep.generator_image(k) for k in range(2)])
     checks.append(
         ("overlap fixture row norm is sqrt(2)", abs(norm - math.sqrt(2)) < 1e-12)
     )

@@ -85,23 +85,71 @@ def _as_array(values: object, what: str) -> np.ndarray:
     return np.array(read, dtype=complex).reshape(shape)
 
 
+def _form_defect(x: np.ndarray, j: np.ndarray) -> float:
+    """||X* J X - J||: how far ``x`` is from preserving the form ``j``.
+
+    Huge finite entries overflow to inf, or to nan where inf - inf arises,
+    with no warning; callers refuse unless ``defect <= tolerance``, so nan
+    is refused too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(x.conj().T @ j @ x - j))
+
+
 def _check_signature(got: BlockSignature, expected: BlockSignature) -> None:
     """The one shape rule for points, samples and gauge tuples: block sizes equal ``expected``."""
     if got != expected:
         raise ValueError(f"point signature {got} does not match {expected}")
 
 
+# A sum or product whose terms have total modulus below this is far from
+# the float range, so none of its coefficients can have overflowed.
+_NO_OVERFLOW = 1e300
+
+
+def _l1(p: "FPPoly") -> float:
+    """The sum of the moduli of the coefficients."""
+    return sum(map(abs, p.terms.values()))
+
+
+def _finite_result(p: "FPPoly", bound: float = math.inf) -> "FPPoly":
+    """``p``, an arithmetic result, if its coefficients are finite, as
+    :meth:`FPPoly.make` requires of inputs; ValueError if one overflowed.
+
+    ``bound`` caps the total modulus of the terms summed into any one
+    coefficient: below ``_NO_OVERFLOW`` none can have overflowed and
+    nothing is scanned.  Without a bound every coefficient is scanned.
+    """
+    if not bound < _NO_OVERFLOW:
+        for c in p.terms.values():
+            if c - c:  # nonzero exactly when a part is inf or nan
+                raise ValueError(f"coefficient {c!r} overflowed the float range")
+    return p
+
+
 @dataclass(frozen=True)
 class FPPoly(WordPoly):
-    """Finitely supported complex polynomial in block free generators."""
+    """Finitely supported complex polynomial in block free generators.
+
+    Coefficients are finite: :meth:`make` refuses other inputs, and sums,
+    products, :meth:`scale` and :func:`fp_gauge` refuse a result that
+    overflowed the float range.
+    """
 
     signature: BlockSignature
     terms: dict[FPWord, complex]
 
     __hash__ = WordPoly.__hash__
 
+    def __add__(self, other: "FPPoly") -> "FPPoly":
+        return _finite_result(super().__add__(other), _l1(self) + _l1(other))
+
+    def __mul__(self, other: "FPPoly") -> "FPPoly":
+        return _finite_result(super().__mul__(other), _l1(self) * _l1(other))
+
     def scale(self, value: complex) -> "FPPoly":
-        return super().scale(_as_finite(value, "scale factor"))
+        c = _as_finite(value, "scale factor")
+        return _finite_result(super().scale(c), _l1(self) * abs(c))
 
     @staticmethod
     def make(signature: Sequence[int], terms: Mapping[FPWord, complex]) -> "FPPoly":
@@ -141,7 +189,7 @@ def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
     """Scale generator (i, j) by zs[i][j] throughout; a homomorphism."""
     zs = [_as_array(zrow, "gauge parameter").tolist() for zrow in zs]
     _check_signature(tuple(len(zrow) for zrow in zs), p.signature)
-    return reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]])
+    return _finite_result(reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]]))
 
 
 @dataclass(frozen=True)
@@ -253,12 +301,14 @@ class BallMobius:
         u = _as_array(self.unitary, "unitary entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "unitary", u)
-        if np.linalg.norm(a) >= 1:
-            raise ValueError(f"centre has norm {np.linalg.norm(a):.6f}, needs < 1")
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+            norm = np.linalg.norm(a)
+        if not norm < 1:
+            raise ValueError(f"centre has norm {norm:.6f}, needs < 1")
         n = a.shape[0]
         if u.shape != (n, n):
             raise ValueError(f"unitary must be {n}x{n}, got {u.shape}")
-        if np.linalg.norm(u.conj().T @ u - np.eye(n)) > _STRUCT_TOL:
+        if not _form_defect(u, np.eye(n)) <= _STRUCT_TOL:
             raise ValueError("matrix is not unitary to 1e-12")
 
     @property
@@ -330,8 +380,7 @@ class U1nMatrix:
         object.__setattr__(self, "matrix", x)
         if x.shape != (self.n + 1, self.n + 1):
             raise ValueError(f"matrix must be {self.n + 1}x{self.n + 1}, got {x.shape}")
-        j = _indefinite_form(self.n)
-        if np.linalg.norm(x.conj().T @ j @ x - j) > _STRUCT_TOL:
+        if not _form_defect(x, _indefinite_form(self.n)) <= _STRUCT_TOL:
             raise ValueError("matrix does not satisfy X*JX = J to 1e-12")
 
     @property

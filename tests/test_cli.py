@@ -390,6 +390,11 @@ def test_lift_command(files, tmp_path):
     report, code = run_command(["lift", "--u1n", str(path), "--degree", "25", "--samples", "30"])
     assert code == 2 and "finite" in report["error"]
 
+    # finite entries whose X*JX overflows; any numpy warning would fail the test
+    path.write_text('{"n":1,"matrix":[[[1e200,0],[0,0]],[[0,0],[1,0]]]}')
+    report, code = run_command(["lift", "--u1n", str(path), "--degree", "25", "--samples", "30"])
+    assert code == 2 and "X*JX = J" in report["error"]
+
 
 def test_lift_rejects_work_past_limit_quickly(tmp_path):
     path = tmp_path / "x.json"

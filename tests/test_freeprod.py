@@ -638,6 +638,38 @@ def test_the_polyball_norm_is_taken_without_overflow():
     assert PolyballPoint(((0.6, 0.8j),)).blocks == ((0.6, 0.8j),)
 
 
+def test_ball_map_checks_refuse_entries_that_overflow():
+    # X*JX and U*U overflow to inf or nan here; warnings are errors under pytest
+    huge = [[1e200, 1e200], [1e200, -1e200]]
+    for matrix in ([[1e200, 0], [0, 1]], huge):
+        with pytest.raises(ValueError, match="X\\*JX = J"):
+            U1nMatrix(n=1, matrix=matrix)
+    for unitary in ([[1e200, 0], [0, 1]], huge):
+        with pytest.raises(ValueError, match="not unitary"):
+            BallMobius(a=[0.0, 0.0], unitary=unitary)
+    for centre in ([1e200], [complex(1e308, 1e308)]):
+        with pytest.raises(ValueError, match="centre has norm inf"):
+            BallMobius(a=centre, unitary=np.eye(1))
+
+
+def test_arithmetic_results_keep_finite_coefficients():
+    big = FPPoly.unit((1,)).scale(1e200)
+    overflows = {
+        "scale": lambda: big.scale(1e200),
+        "fp_multiply": lambda: fp_multiply(big, big),
+        "fp_gauge": lambda: fp_gauge(FPPoly.generator((1,), 0, 0).scale(1e200), [[1e200]]),
+        "sum": lambda: big.scale(1e108) + big.scale(1e108),
+        "difference": lambda: big.scale(1e108) - big.scale(-1e108),
+    }
+    for name, call in overflows.items():
+        with pytest.raises(ValueError, match="overflowed"):
+            call()
+    # large results that stay in range pass, including past the bound that skips the scan
+    assert fp_multiply(big, big.scale(1e-100)).terms == {(): 1e300}
+    assert big.scale(1e108).terms == {(): 1e308}
+    assert (big.scale(1e108) - big.scale(1e108)).terms == {}
+
+
 def test_ball_sample_radius_is_a_real_number_in_the_unit_interval():
     rng = random.Random(5)
     for radius, error in (
