@@ -102,6 +102,35 @@ def _check_signature(got: BlockSignature, expected: BlockSignature) -> None:
         raise ValueError(f"point signature {got} does not match {expected}")
 
 
+def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = False) -> np.ndarray:
+    """The one ball rule: ``rows`` as a (count, n) complex array of vectors in a ball.
+
+    Coordinates follow the number rule of :func:`_as_array` (a scalar row
+    is a 1-vector) and each row the shape rule of :func:`_check_signature`.
+    A norm may reach ``radius`` up to ``_STRUCT_TOL`` (the closed ball), or
+    must stay below it with ``open_ball``; a norm past the float range
+    reads as inf, with no warning, and is refused.  The first bad row is
+    named: ``what`` alone if it is the only row, else ``what`` and its index.
+    """
+    try:
+        lam = _as_array(rows, f"{what} coordinate")
+    except ValueError:  # ragged or not finite: name the first bad row
+        for row in rows:
+            _check_signature(_as_array(row, f"{what} coordinate").reshape(-1).shape, (n,))
+        raise ValueError(f"{what}s must all have one shape") from None
+    lam = lam.reshape(len(rows), -1)
+    _check_signature(lam.shape[1:], (n,))
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(lam, axis=1)
+    outside = ~(norms < radius) if open_ball else ~(norms <= radius + _STRUCT_TOL)
+    if outside.any():
+        i = int(np.argmax(outside))
+        name = what if len(rows) == 1 else f"{what} {i}"
+        past = ">=" if open_ball else ">"
+        raise ValueError(f"{name} has norm {norms[i]:.4f} {past} {radius:g}")
+    return lam
+
+
 # A sum or product whose terms have total modulus below this is far from
 # the float range, so none of its coefficients can have overflowed.
 _NO_OVERFLOW = 1e300
@@ -122,9 +151,15 @@ def _finite_result(p: "FPPoly", bound: float = math.inf) -> "FPPoly":
     """
     if not bound < _NO_OVERFLOW:
         for c in p.terms.values():
-            if c - c:  # nonzero exactly when a part is inf or nan
-                raise ValueError(f"coefficient {c!r} overflowed the float range")
+            _finite_value(c)
     return p
+
+
+def _finite_value(c: complex, what: str = "coefficient") -> complex:
+    """``c``, a computed value, if both parts are finite; ValueError if it overflowed."""
+    if c - c:  # nonzero exactly when a part is inf or nan
+        raise ValueError(f"{what} {c!r} overflowed the float range")
+    return c
 
 
 @dataclass(frozen=True)
@@ -196,18 +231,16 @@ def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
 class PolyballPoint:
     """A tuple of vectors, one per block, each in the closed unit ball.
 
-    Coordinates are numbers read by :func:`_as_finite`.
+    Each block is read by the ball rule of :func:`_ball_rows`.
     """
 
     blocks: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(_as_finite(v, "coordinate") for v in b) for b in self.blocks)
+        blocks = tuple(
+            tuple(_ball_rows((b,), len(b), f"block {i}")[0].tolist()) for i, b in enumerate(self.blocks)
+        )
         object.__setattr__(self, "blocks", blocks)
-        for i, block in enumerate(blocks):
-            norm = math.hypot(*(part for v in block for part in (v.real, v.imag)))
-            if norm > 1 + 1e-9:
-                raise ValueError(f"block {i} has norm {norm:.6f} > 1")
 
     @property
     def signature(self) -> BlockSignature:
@@ -226,7 +259,7 @@ def eval_character(p: FPPoly, point: PolyballPoint) -> complex:
         for block, index in word:
             value *= point.coordinate(block, index)
         total += value
-    return total
+    return _finite_value(total, "character value")
 
 
 def abelianize(p: FPPoly) -> dict[tuple[int, ...], complex]:
@@ -247,7 +280,7 @@ def abelianize(p: FPPoly) -> dict[tuple[int, ...], complex]:
             degree[position[symbol]] += 1
         key = tuple(degree)
         out[key] = out.get(key, 0.0) + coeff
-    return {k: v for k, v in out.items() if v != 0}
+    return {k: _finite_value(v) for k, v in out.items() if v != 0}
 
 
 def kernel_eval(point: PolyballPoint, z: PolyballPoint) -> complex:
@@ -297,15 +330,11 @@ class BallMobius:
     unitary: np.ndarray
 
     def __post_init__(self) -> None:
-        a = _as_array(self.a, "centre coordinate").reshape(-1)
+        n = np.size(self.a)
+        a = _ball_rows((self.a,), n, "centre", open_ball=True)[0]
         u = _as_array(self.unitary, "unitary entry")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "unitary", u)
-        with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
-            norm = np.linalg.norm(a)
-        if not norm < 1:
-            raise ValueError(f"centre has norm {norm:.6f}, needs < 1")
-        n = a.shape[0]
         if u.shape != (n, n):
             raise ValueError(f"unitary must be {n}x{n}, got {u.shape}")
         if not _form_defect(u, np.eye(n)) <= _STRUCT_TOL:
@@ -317,14 +346,13 @@ class BallMobius:
 
     @staticmethod
     def involution(a: Sequence[complex]) -> "BallMobius":
-        a = _as_array(a, "centre coordinate").reshape(-1)
-        return BallMobius(a=a, unitary=np.eye(a.shape[0], dtype=complex))
+        return BallMobius(a=a, unitary=np.eye(np.size(a), dtype=complex))
 
 
 def mobius_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
-    """Apply the automorphism; the open ball maps onto the open ball."""
-    lam = _as_array(point, "coordinate").reshape(-1)
-    _check_signature(lam.shape, (m.dim,))
+    """Apply the automorphism at a point of the closed ball; the open ball
+    maps onto the open ball."""
+    lam = _ball_rows((point,), m.dim, "point")[0]
     a = m.a
     norm_a_sq = float(np.vdot(a, a).real)
     if norm_a_sq == 0.0:
@@ -440,10 +468,9 @@ def _frac_linear_rows(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def frac_linear(x: U1nMatrix, point: Sequence[complex]) -> np.ndarray:
-    """(X1 lambda + eta2) / (x0 + <lambda, eta1>); maps the open ball inside itself."""
-    lam = _as_array(point, "coordinate").reshape(-1)
-    _check_signature(lam.shape, (x.n,))
-    return _frac_linear_rows(x.matrix, lam[None, :])[0]
+    """(X1 lambda + eta2) / (x0 + <lambda, eta1>) at a point of the closed ball;
+    maps the open ball inside itself."""
+    return _frac_linear_rows(x.matrix, _ball_rows((point,), x.n, "point"))[0]
 
 
 @dataclass(frozen=True)
@@ -547,8 +574,9 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     every order.  Each series carries the geometric tail bound it
     discards.
     """
-    if not (_is_int(order) and order >= 0):
-        raise ValueError(f"truncation order must be a nonnegative int, got {order!r}")
+    # the tail bound raises a float to order + 1, which must itself be a float
+    if not (_is_int(order) and 0 <= order < 2**1023):
+        raise ValueError(f"truncation order must be a nonnegative int below 2**1023, got {order!r}")
     n = x.n
     q = float(np.linalg.norm(x.eta2)) / abs(x.x0)
 
@@ -611,24 +639,18 @@ def lift_dual_check(
     """Evaluate the lifted series at sample points and match its boundary map.
 
     The lift of X realises the fractional linear action of
-    X^-1 = J X* J.  The samples (open ball, norm at most 0.9) are
-    stacked into one (count, n) array, and one array pass pushes them
-    all through the truncated series, with the geometric factor in
-    closed form, and through that action; the worst coordinate
-    deviation comes back with the series' certified tail, which bounds
-    it up to rounding.  Raises ValueError, before building any series,
+    X^-1 = J X* J.  The samples are read into one (count, n) array by
+    the ball rule of :func:`_ball_rows` at radius 0.9, and one array
+    pass pushes them all through the truncated series, with the
+    geometric factor in closed form, and through that action; the worst
+    coordinate deviation comes back with the series' certified tail,
+    which bounds it up to rounding.  Raises ValueError, before building any series,
     for no samples, for more work than :func:`check_lift_work` admits,
-    and for ragged, wrong-dimension, non-finite or too-long samples.
+    and for samples the ball rule refuses.
     """
     rows = samples if isinstance(samples, np.ndarray) else list(samples)
     check_lift_work(x.n, order, len(rows))
-    lam = _stack_samples(rows, x.n)
-    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
-        norms = np.linalg.norm(lam, axis=1)
-    too_long = np.flatnonzero(norms > 0.9 + 1e-12)
-    if too_long.size:
-        i = too_long[0]
-        raise ValueError(f"sample {i} has norm {norms[i]:.4f} > 0.9")
+    lam = _ball_rows(rows, x.n, "sample", radius=0.9)
     series = voiculescu_lift(x, order)
     j = _indefinite_form(x.n)
     inverse = j @ x.matrix.conj().T @ j  # in U(1, n) with x, so not checked again
@@ -636,19 +658,6 @@ def lift_dual_check(
     return LiftDualReport(
         deviation=float(deviation), certified_tail=max(s.certified_tail for s in series)
     )
-
-
-def _stack_samples(rows, n: int) -> np.ndarray:
-    """The samples as one (count, n) complex array; a scalar sample is a 1-vector."""
-    try:
-        lam = _as_array(rows, "sample coordinate")
-    except ValueError:  # ragged or not finite: name the first bad sample
-        for p in rows:
-            _check_signature(_as_array(p, "sample coordinate").reshape(-1).shape, (n,))
-        raise ValueError("samples must all have one shape") from None
-    lam = lam.reshape(len(rows), -1)
-    _check_signature(lam.shape[1:], (n,))
-    return lam
 
 
 def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> np.ndarray:

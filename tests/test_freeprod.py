@@ -631,13 +631,6 @@ def test_every_float_entry_point_follows_one_number_rule():
     assert U1nMatrix(n=1, matrix=x).matrix is not x  # a copy, as frozen fields need
 
 
-def test_the_polyball_norm_is_taken_without_overflow():
-    for coordinate in (1e200, complex(1e308, 1e308)):
-        with pytest.raises(ValueError, match="block 0 has norm"):
-            PolyballPoint(((coordinate,),))
-    assert PolyballPoint(((0.6, 0.8j),)).blocks == ((0.6, 0.8j),)
-
-
 def test_ball_map_checks_refuse_entries_that_overflow():
     # X*JX and U*U overflow to inf or nan here; warnings are errors under pytest
     huge = [[1e200, 1e200], [1e200, -1e200]]
@@ -647,9 +640,6 @@ def test_ball_map_checks_refuse_entries_that_overflow():
     for unitary in ([[1e200, 0], [0, 1]], huge):
         with pytest.raises(ValueError, match="not unitary"):
             BallMobius(a=[0.0, 0.0], unitary=unitary)
-    for centre in ([1e200], [complex(1e308, 1e308)]):
-        with pytest.raises(ValueError, match="centre has norm inf"):
-            BallMobius(a=centre, unitary=np.eye(1))
 
 
 def test_arithmetic_results_keep_finite_coefficients():
@@ -660,6 +650,12 @@ def test_arithmetic_results_keep_finite_coefficients():
         "fp_gauge": lambda: fp_gauge(FPPoly.generator((1,), 0, 0).scale(1e200), [[1e200]]),
         "sum": lambda: big.scale(1e108) + big.scale(1e108),
         "difference": lambda: big.scale(1e108) - big.scale(-1e108),
+        "abelianize": lambda: abelianize(
+            FPPoly.make((2,), {((0, 0), (0, 1)): 1e308, ((0, 1), (0, 0)): 1e308})
+        ),
+        "eval_character": lambda: eval_character(
+            FPPoly.make((1,), {(): 1e308, ((0, 0),): 1e308}), PolyballPoint(((1.0,),))
+        ),
     }
     for name, call in overflows.items():
         with pytest.raises(ValueError, match="overflowed"):
@@ -747,6 +743,48 @@ def test_every_entry_point_checks_the_block_signature(call):
         call()
 
 
+# ---- one ball rule for every entry point -----------------------------------------
+
+_X2 = mobius_to_u1n(_MOBIUS_2)
+
+# Each entry point: (a call on a 2-vector v, the radius of its ball, the name
+# of v in its errors).  The centre alone lies in the open ball.
+BALL_ENTRY_POINTS = {
+    "PolyballPoint": (lambda v: eval_character(gen(0, 1, (2,)), PolyballPoint((v,))), 1, "block 0"),
+    "BallMobius centre": (lambda v: BallMobius(a=v, unitary=np.eye(2)), 1, "centre"),
+    "involution": (lambda v: BallMobius.involution(v), 1, "centre"),
+    "mobius_apply": (lambda v: mobius_apply(_MOBIUS_2, v), 1, "point"),
+    "frac_linear": (lambda v: frac_linear(_X2, v), 1, "point"),
+    "lift samples list": (lambda v: lift_dual_check(_X2, 3, [_PAIR, v]), 0.9, "sample 1"),
+    "lift samples ndarray": (lambda v: lift_dual_check(_X2, 3, np.array([v])), 0.9, "sample"),
+}
+
+
+@pytest.mark.parametrize("name", BALL_ENTRY_POINTS)
+def test_every_ball_entry_point_follows_one_ball_rule(name):
+    call, radius, row = BALL_ENTRY_POINTS[name]
+    centre = "centre" in row
+    past = ">=" if centre else ">"
+    for scale in (1.5, 1 + 1e-9):  # past the radius, and past its one tolerance of 1e-12
+        with pytest.raises(ValueError, match=rf"^{row} has norm {scale * radius:.4f} {past} {radius:g}$"):
+            call((0.0, scale * radius))
+    # on the sphere, up to the tolerance: refused only as a centre
+    for sphere in ((0.6 * radius, 0.8j * radius), (0.0, (1 + 1e-13) * radius)):
+        if centre:
+            with pytest.raises(ValueError, match=r"^centre has norm 1\.0000 >= 1$"):
+                call(sphere)
+        else:
+            call(sphere)
+    # a norm past the float range reads as inf, with no numpy warning (warnings are errors here)
+    for huge in ((1e200, 0.0), (0.0, complex(1e308, 1e308))):
+        with pytest.raises(ValueError, match=rf"^{row} has norm inf {past} {radius:g}$"):
+            call(huge)
+    # the length of a centre sets the dimension; every other vector must match it
+    if not centre:
+        with pytest.raises(ValueError, match=r"^point signature \(3,\) does not match \(2,\)$"):
+            call((0.1, 0.2, 0.3))
+
+
 def test_gauge_tuples_need_one_row_per_block():
     p = gen(0, 0)
     with pytest.raises(ValueError, match=r"signature \(2,\) does not match \(2, 3\)"):
@@ -774,9 +812,10 @@ def test_ragged_samples_of_the_right_size_are_rejected():
 
 
 def test_lift_order_must_be_a_nonnegative_int():
-    for order in (True, 2.5, -1, "3", None):
+    for order in (True, 2.5, -1, "3", None, 2**1023, 10**400):
         with pytest.raises(ValueError, match="truncation order must be a nonnegative int"):
             voiculescu_lift(_U1N_2, order)
+    assert voiculescu_lift(_U1N_2, 2**1023 - 1)[0].certified_tail == 0.0
     with pytest.raises(ValueError, match="truncation order"):
         lift_dual_check(_U1N_2, 2.5, [_PAIR])
     (s,) = voiculescu_lift(U1nMatrix(n=1, matrix=np.eye(2)), 0)

@@ -6,6 +6,7 @@ imported every module already.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 import dynalg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 # The FOUR_POINT_SPLIT pair, a partition-matchable pair of systems.
 SPLIT_A = '{"points": 4, "maps": [[1, 0, 2, 3], [0, 1, 3, 2]]}'
@@ -93,3 +95,10 @@ def test_star_import_and_dir_list_the_exports():
     assert set(dynalg.__all__) <= set(listed)
     assert {"cli", "conjugacy", "fixtures", "freeprod", "reps", "__version__"} <= set(listed)
     assert listed == sorted(listed)
+
+
+def test_every_readme_python_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
