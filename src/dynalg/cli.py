@@ -41,7 +41,7 @@ import dynalg
 
 from . import __version__
 from .dynsys import (
-    FiniteSystem, _is_int, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict,
+    FiniteSystem, _int_in, _is_int, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict,
 )
 
 
@@ -138,19 +138,17 @@ def parse_u1n(text: str) -> dynalg.freeprod.U1nMatrix:
     data = _load_json(text)
     if not isinstance(data, dict) or "n" not in data or "matrix" not in data:
         raise FormatError("fields 'n' and 'matrix' are required")
-    n = data["n"]
     rows = data["matrix"]
-    if not (_is_int(n) and n >= 1):
-        raise FormatError("field 'n' must be a positive count")
-    if not (
-        isinstance(rows, list)
-        and len(rows) == n + 1
-        and all(isinstance(row, list) and len(row) == n + 1 for row in rows)
-    ):
-        raise FormatError(f"field 'matrix' must be {n + 1}x{n + 1}")
-    if not all(_is_pair(entry) for row in rows for entry in row):
-        raise FormatError("field 'matrix' must hold [re, im] pairs of numbers")
-    try:
+    try:  # every refusal below is a FormatError
+        n = _int_in(data["n"], "field 'n'", 1)
+        if not (
+            isinstance(rows, list)
+            and len(rows) == n + 1
+            and all(isinstance(row, list) and len(row) == n + 1 for row in rows)
+        ):
+            raise FormatError(f"field 'matrix' must be {n + 1}x{n + 1}")
+        if not all(_is_pair(entry) for row in rows for entry in row):
+            raise FormatError("field 'matrix' must hold [re, im] pairs of numbers")
         return dynalg.freeprod.U1nMatrix(n=n, matrix=[[complex(*e) for e in row] for row in rows])
     except (ValueError, OverflowError) as exc:
         raise FormatError(str(exc)) from None

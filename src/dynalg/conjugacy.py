@@ -93,7 +93,12 @@ class PartitionWitness:
         return frozenset(x for x, perm in enumerate(self.alpha) if perm[i] == j)
 
     def inverse(self) -> "PartitionWitness":
-        """The witness from b back to a: gamma^-1, with alpha'_y = alpha_{gamma^-1 y}^-1."""
+        """The witness from b back to a: gamma^-1, with alpha'_y = alpha_{gamma^-1 y}^-1.
+
+        Raises :class:`MalformedWitnessError` unless gamma and every alpha_x
+        are permutations, one alpha_x per point, all of one length.
+        """
+        _check_fields(self, len(self.gamma), len(self.alpha[0]) if self.alpha else 0)
         gamma_inv = _invert(self.gamma)
         return PartitionWitness(
             gamma=gamma_inv, alpha=tuple(_invert(self.alpha[x]) for x in gamma_inv)
@@ -345,21 +350,20 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     return _lex_search(a, b, seeds, [perms] * a.size, partial(_partition_alpha_field, a, b))
 
 
-def _validate_witness_shape(
-    a: FiniteSystem, b: FiniteSystem, witness: PartitionWitness
-) -> None:
-    _check_compatible(a, b)
+def _check_fields(witness: PartitionWitness, size: int, arity: int) -> None:
+    """MalformedWitnessError unless gamma permutes 0..size-1 and each of
+    the size alpha_x permutes 0..arity-1."""
     gamma = witness.gamma
-    if not _is_permutation(gamma, a.size):
-        raise MalformedWitnessError(f"gamma {gamma} is not a bijection of 0..{a.size - 1}")
-    if len(witness.alpha) != a.size:
+    if not _is_permutation(gamma, size):
+        raise MalformedWitnessError(f"gamma {gamma} is not a bijection of 0..{size - 1}")
+    if len(witness.alpha) != size:
         raise MalformedWitnessError(
-            f"alpha field has {len(witness.alpha)} entries, expected {a.size}"
+            f"alpha field has {len(witness.alpha)} entries, expected {size}"
         )
     for x, perm in enumerate(witness.alpha):
-        if not _is_permutation(perm, a.arity):
+        if not _is_permutation(perm, arity):
             raise MalformedWitnessError(
-                f"alpha[{x}] = {perm} is not a colour permutation of 0..{a.arity - 1}"
+                f"alpha[{x}] = {perm} is not a colour permutation of 0..{arity - 1}"
             )
 
 
@@ -395,7 +399,8 @@ def verify_partition_witness(
     bucket the points by sigma_i(x) and by tau_j(gamma x), so a witness
     that passes costs O(arity * n) there; each failing pair is listed.
     """
-    _validate_witness_shape(a, b, witness)
+    _check_compatible(a, b)
+    _check_fields(witness, a.size, a.arity)
     gamma, alpha = witness.gamma, witness.alpha
     n = a.arity
     failures: list[WitnessFailure] = []

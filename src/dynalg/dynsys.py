@@ -12,6 +12,11 @@ whose maps are partial: colour i is defined at x exactly when the image
 stays inside the subset.  The defined entries of a sub-system form an
 edge-coloured directed graph, the combinatorial skeleton used by the
 quotient and representation layers.
+
+Every int that must lie in a range (a size, a point, a colour, and
+elsewhere a block size, a degree, an order or a depth) is read by one
+rule, :func:`_int_in`, which names the value and its range when it
+refuses one.
 """
 
 from __future__ import annotations
@@ -27,6 +32,17 @@ Edge = tuple[int, int, int]  # (source, target, colour)
 def _is_int(value: object) -> bool:
     """An integer proper; bool is an int subclass but never a count or a point."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_in(value: object, what: str, low: int, high: Optional[int] = None) -> int:
+    """value itself when it is an int (not a bool) with low <= value, and
+    value < high when high is given; else ValueError naming what, the value
+    and the range."""
+    # a plain int spares the call to _is_int
+    if (type(value) is int or _is_int(value)) and low <= value and (high is None or value < high):
+        return value
+    span = f">= {low}" if high is None else f"in {low}..{high - 1}"
+    raise ValueError(f"{what} must be an int {span}, got {value!r}")
 
 
 def _is_permutation(entries: Sequence[object], size: int) -> bool:
@@ -48,10 +64,7 @@ class FiniteSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
-        if not _is_int(self.size):
-            raise ValueError(f"size {self.size!r} is not an integer")
-        if self.size < 1:
-            raise ValueError("a system needs at least one point")
+        _int_in(self.size, "size", 1)
         if len(self.tables) < 1:
             raise ValueError("a system needs at least one map")
         for i, table in enumerate(self.tables):
@@ -61,10 +74,7 @@ class FiniteSystem:
                 continue
             # Name the first bad entry; int subclasses other than bool pass here.
             for x, y in enumerate(table):
-                if not _is_int(y):
-                    raise ValueError(f"map {i} sends {x} to {y!r}, which is not a point")
-                if not (0 <= y < self.size):
-                    raise ValueError(f"map {i} sends {x} to {y}, out of range 0..{self.size - 1}")
+                _int_in(y, f"image of {x} under map {i}", 0, self.size)
 
     @property
     def arity(self) -> int:
@@ -95,9 +105,9 @@ class EdgeColoredGraph:
     Each (colour, source) pair carries at most one edge, because the
     maps are partial functions.  Edges are kept sorted by (colour,
     source) so downstream constructions are deterministic.  The
-    constructor checks that the vertices are distinct integers and that
-    every edge joins two of them in a colour 0..colours-1; an edge may
-    repeat.
+    constructor stores the vertices and edges as tuples and checks that
+    the vertices are distinct integers and that every edge joins two of
+    them in a colour 0..colours-1; an edge may repeat.
     """
 
     vertices: tuple[int, ...]
@@ -105,8 +115,9 @@ class EdgeColoredGraph:
     colours: int
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.colours) and self.colours >= 0):
-            raise ValueError(f"colours {self.colours!r} is not a count")
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        _int_in(self.colours, "colours", 0)
         seen: set[int] = set()
         for v in self.vertices:
             if not (type(v) is int or _is_int(v)):
@@ -126,28 +137,23 @@ class EdgeColoredGraph:
             for end in (source, target):
                 if not (_is_int(end) and end in seen):
                     raise ValueError(f"edge {edge!r} has {end!r}, which is not a vertex")
-            if not (_is_int(colour) and colour in colours):
-                raise ValueError(f"edge {edge!r} has colour {colour!r}, outside 0..{self.colours - 1}")
+            _int_in(colour, f"colour of the edge from {source} to {target}", 0, self.colours)
 
 
 def check_point(sys: FiniteSystem, x: object) -> int:
     """x itself when it is an int (not a bool) naming a point; else ValueError."""
-    if not (_is_int(x) and 0 <= x < sys.size):
-        raise ValueError(f"point {x!r} outside 0..{sys.size - 1}")
-    return x
+    return _int_in(x, "point", 0, sys.size)
 
 
 def check_colour(sys: FiniteSystem, colour: object) -> int:
     """colour itself when it is an int (not a bool) naming a map; else ValueError."""
-    if not (_is_int(colour) and 0 <= colour < sys.arity):
-        raise ValueError(f"colour {colour!r} outside 0..{sys.arity - 1}")
-    return colour
+    return _int_in(colour, "colour", 0, sys.arity)
 
 
 def validate_word(sys: FiniteSystem, word: Sequence[int]) -> Word:
     w = tuple(word)
     for letter in w:
-        check_colour(sys, letter)
+        _int_in(letter, "colour", 0, sys.arity)
     return w
 
 

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynsys import _is_int, _is_permutation
+from .dynsys import _int_in, _is_permutation
 from .wordpoly import WordPoly, reweight_letters
 
 BlockSignature = tuple[int, ...]
@@ -46,8 +46,10 @@ _STRUCT_TOL = 1e-12
 
 def _validate_signature(signature: Sequence[int]) -> BlockSignature:
     sig = tuple(signature)
-    if not sig or not all(_is_int(n) and n >= 1 for n in sig):
-        raise ValueError(f"block signature {sig} must list positive int sizes")
+    if not sig:
+        raise ValueError("a block signature needs at least one block")
+    for n in sig:
+        _int_in(n, "block size", 1)
     return sig
 
 
@@ -194,9 +196,8 @@ class FPPoly(WordPoly):
         clean: dict[FPWord, complex] = {}
         for word, coeff in terms.items():
             for block, index in word:
-                ints = _is_int(block) and _is_int(index)
-                if not (ints and 0 <= block < len(sig) and 0 <= index < sig[block]):
-                    raise ValueError(f"symbol ({block},{index}) outside signature {sig}")
+                _int_in(block, "symbol block", 0, len(sig))
+                _int_in(index, "symbol index", 0, sig[block])
             c = _as_finite(coeff, "coefficient")
             if c != 0:
                 clean[tuple(word)] = c
@@ -402,8 +403,7 @@ class U1nMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an int of at least 1, got {self.n!r}")
+        _int_in(self.n, "n", 1)
         x = _as_array(self.matrix, "matrix entry")
         object.__setattr__(self, "matrix", x)
         if x.shape != (self.n + 1, self.n + 1):
@@ -575,8 +575,8 @@ def voiculescu_lift(x: U1nMatrix, order: int) -> tuple[NCSeries, ...]:
     discards.
     """
     # the tail bound raises a float to order + 1, which must itself be a float
-    if not (_is_int(order) and 0 <= order < 2**1023):
-        raise ValueError(f"truncation order must be a nonnegative int below 2**1023, got {order!r}")
+    if _int_in(order, "truncation order", 0) >= 2**1023:
+        raise ValueError("truncation order must be below 2**1023")
     n = x.n
     q = float(np.linalg.norm(x.eta2)) / abs(x.x0)
 
@@ -616,10 +616,12 @@ LIFT_SAMPLE_TERMS = 300
 
 
 def check_lift_work(n: int, order: int, samples: int) -> None:
-    """Raise ValueError for no samples or for more than MAX_LIFT_TERMS of work."""
-    if samples < 1:
-        raise ValueError("the lift check needs at least one sample")
-    terms = (max(order, 0) + 1) * (1 + n * samples) + LIFT_SAMPLE_TERMS * samples
+    """Raise ValueError unless n >= 1, order >= 0 and samples >= 1 are ints,
+    or for more than MAX_LIFT_TERMS of work."""
+    _int_in(n, "dimension", 1)
+    _int_in(order, "truncation order", 0)
+    _int_in(samples, "sample count", 1)
+    terms = (order + 1) * (1 + n * samples) + LIFT_SAMPLE_TERMS * samples
     if terms > MAX_LIFT_TERMS:
         raise ValueError(
             f"a lift of order {order} at {samples} samples passes the work limit"
@@ -645,8 +647,8 @@ def lift_dual_check(
     geometric factor in closed form, and through that action; the worst
     coordinate deviation comes back with the series' certified tail,
     which bounds it up to rounding.  Raises ValueError, before building any series,
-    for no samples, for more work than :func:`check_lift_work` admits,
-    and for samples the ball rule refuses.
+    for an order or a sample count :func:`check_lift_work` refuses, for
+    more work than it admits, and for samples the ball rule refuses.
     """
     rows = samples if isinstance(samples, np.ndarray) else list(samples)
     check_lift_work(x.n, order, len(rows))
@@ -671,10 +673,8 @@ def sample_ball_points(rng, n: int, count: int, radius: float = 0.9) -> np.ndarr
     int and ``radius`` a real number in (0, 1], read by :func:`_as_finite`;
     anything else raises before any draw.
     """
-    if not (_is_int(n) and n >= 1):
-        raise ValueError(f"dimension must be a positive int, got {n!r}")
-    if not (_is_int(count) and count >= 0):
-        raise ValueError(f"sample count must be a nonnegative int, got {count!r}")
+    _int_in(n, "dimension", 1)
+    _int_in(count, "sample count", 0)
     r = _as_finite(radius, "radius")
     if not (r.imag == 0 and 0 < r.real <= 1):
         raise ValueError(f"radius {radius!r} is not a real number in (0, 1]")

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynsys import (
-    Edge, EdgeColoredGraph, FiniteSystem, _is_int, check_colour, check_point, map_range,
+    Edge, EdgeColoredGraph, FiniteSystem, _int_in, check_colour, check_point, map_range,
     ranges_pairwise_disjoint,
 )
 from .freeprod import _as_array
@@ -319,10 +319,7 @@ def build_truncated_fock(graph: EdgeColoredGraph, depth: int) -> CKFamily:
     paths are placed, and no path is hashed or looked up.  One extension
     per basis path.
     """
-    if not _is_int(depth):
-        raise ValueError(f"depth {depth!r} is not an integer")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    _int_in(depth, "depth", 1)
     ends = dict.fromkeys(graph.vertices, 1)
     size = len(graph.vertices)
     levels = 0

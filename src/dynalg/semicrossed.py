@@ -40,7 +40,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .conjugacy import PartitionWitness, _invert, verify_partition_witness
-from .dynsys import FiniteSystem, Word, _is_int, check_colour, validate_word
+from .dynsys import FiniteSystem, Word, _int_in, check_colour, validate_word
 from .scalars import ONE, ZERO, RationalComplex, _product
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
@@ -58,18 +58,14 @@ class FunctionCoeff:
 
     @staticmethod
     def constant(size: int, value: RationalComplex | int | Fraction) -> "FunctionCoeff":
-        return FunctionCoeff((RationalComplex.coerce(value),) * _check_size(size))
+        return FunctionCoeff((RationalComplex.coerce(value),) * _int_in(size, "size", 0))
 
     @staticmethod
     def indicator(size: int, subset: Iterable[int]) -> "FunctionCoeff":
         """1 on the subset, whose items must be int points of 0..size-1, else 0."""
-        points = range(_check_size(size))
-        inside = set()
-        for x in subset:
-            if not (_is_int(x) and x in points):
-                raise ValueError(f"subset item {x!r} is not a point of 0..{size - 1}")
-            inside.add(x)
-        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in points))
+        _int_in(size, "size", 0)
+        inside = {_int_in(x, "subset item", 0, size) for x in subset}
+        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(size)))
 
     @staticmethod
     def one(size: int) -> "FunctionCoeff":
@@ -109,13 +105,6 @@ class FunctionCoeff:
 
     def __bool__(self) -> bool:
         return any(self.values)
-
-
-def _check_size(size: object) -> int:
-    """The number of points of a coefficient: an int (not a bool) of at least 0."""
-    if not (_is_int(size) and size >= 0):
-        raise ValueError(f"size {size!r} is not a nonnegative integer")
-    return size
 
 
 def _sizes_differ(f: FunctionCoeff, g: FunctionCoeff) -> None:

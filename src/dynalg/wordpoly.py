@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import mul
 from typing import Any, Callable, Hashable, Iterable
 
-from .dynsys import _is_int
+from .dynsys import _int_in
 
 
 class WordPoly:
@@ -117,8 +117,7 @@ def reweight_letters(p: WordPoly, weight: Callable[[Hashable], Any]) -> WordPoly
 
 def fourier_component(p: WordPoly, k: int) -> WordPoly:
     """The part supported on words of length exactly k, an int (not a bool) >= 0."""
-    if not (_is_int(k) and k >= 0):
-        raise ValueError(f"component degree must be nonnegative and an int, got {k!r}")
+    _int_in(k, "component degree", 0)
     return p._like({w: c for w, c in p.terms.items() if len(w) == k})
 
 
@@ -127,8 +126,7 @@ def cesaro_mean(p: WordPoly, k: int) -> WordPoly:
 
     The order k is an int (not a bool) of at least 1.
     """
-    if not (_is_int(k) and k >= 1):
-        raise ValueError(f"Cesaro order must be at least 1 and an int, got {k!r}")
+    _int_in(k, "Cesaro order", 1)
     return p._like(
         {w: c * Fraction(k - len(w), k) for w, c in p.terms.items() if len(w) < k}
     )

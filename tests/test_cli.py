@@ -58,7 +58,7 @@ def files(tmp_path):
 def test_parse_system_examples():
     assert parse_system('{"points":2,"maps":[[0,1],[1,0]]}') == TWO_POINT_MIXED
     assert parse_system('{"points":4,"maps":[[1,2,2,2],[1,3,3,3]]}') == FOUR_POINT_OVERLAP
-    with pytest.raises(FormatError, match="out of range"):
+    with pytest.raises(FormatError, match=r"^image of 1 under map 0 must be an int in 0\.\.1, got 2$"):
         parse_system('{"points":2,"maps":[[0,2]]}')
     with pytest.raises(FormatError, match="not valid structured text"):
         parse_system("{points: oops}")
@@ -71,9 +71,9 @@ def test_parse_system_examples():
 def test_parse_system_rejects_booleans():
     with pytest.raises(FormatError, match="count or a list"):
         parse_system_record('{"points": true, "maps": [[false]]}')
-    with pytest.raises(FormatError, match="not a point"):
+    with pytest.raises(FormatError, match=r"^image of 0 under map 0 must be an int in 0\.\.0, got False$"):
         parse_system_record('{"points": 1, "maps": [[false]]}')
-    with pytest.raises(FormatError, match="not a point"):
+    with pytest.raises(FormatError, match=r"^image of 1 under map 0 must be an int in 0\.\.1, got True$"):
         parse_system('{"points": 2, "maps": [[0, true]]}')
 
 
@@ -150,7 +150,7 @@ def test_parse_u1n_rejects_malformed():
     ident = '[[[1,0],[0,0]],[[0,0],[1,0]]]'
     assert np.array_equal(parse_u1n('{"n":1,"matrix":%s}' % ident).matrix, np.eye(2))
     for text, message in [
-        ('{"n":true,"matrix":[[[1,0]]]}', "positive count"),
+        ('{"n":true,"matrix":[[[1,0]]]}', "^field 'n' must be an int >= 1, got True$"),
         ('{"n":1,"matrix":[[[1,0,5],[0,0]],[[0,0],[1,0]]]}', "pairs"),
         ('{"n":1,"matrix":[[[true,0],[0,0]],[[0,0],[1,0]]]}', "pairs"),
         ('{"n":1,"matrix":[[["1",0],[0,0]],[[0,0],[1,0]]]}', "pairs"),

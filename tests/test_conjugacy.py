@@ -360,6 +360,21 @@ def test_inverse_witness_verifies_backwards():
     assert found >= 18
 
 
+def test_inverse_refuses_a_malformed_witness():
+    # each of these once inverted to a witness of the right shape, or raised IndexError
+    for gamma, alpha in (
+        ((0, 0), ((0,), (0,))),  # gamma is no bijection
+        ((0, 1), ((0, 0), (0, 1))),  # alpha_0 is no permutation
+        ((1, 0), ((True, False), (0, 1))),  # bools are not colours
+        ((0, 1), ((0,),)),  # one alpha_x for two points
+        ((1, 0), ((0, 1), (0,))),  # alpha_x of two lengths
+    ):
+        with pytest.raises(MalformedWitnessError):
+            PartitionWitness(gamma=gamma, alpha=alpha).inverse()
+    witness = PartitionWitness(gamma=(1, 2, 0), alpha=((1, 0), (0, 1), (1, 0)))
+    assert witness.inverse() == PartitionWitness(gamma=(2, 0, 1), alpha=((1, 0), (1, 0), (0, 1)))
+    assert PartitionWitness(gamma=(), alpha=()).inverse() == PartitionWitness(gamma=(), alpha=())
+
 def test_single_class_partition_implies_recoloured_conjugacy():
     rng = random.Random(53)
     checked = 0

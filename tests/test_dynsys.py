@@ -1,12 +1,18 @@
 import enum
 import itertools
 import random
+from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from dynalg import cli
 from dynalg.dynsys import (
     EdgeColoredGraph,
     FiniteSystem,
+    check_colour,
+    check_point,
     colored_graph,
     equivalence_classes,
     evaluate_word,
@@ -22,9 +28,11 @@ from dynalg.fixtures import (
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
+from dynalg.freeprod import FPPoly, U1nMatrix, check_lift_work, sample_ball_points, voiculescu_lift
 from dynalg.quotient import local_signature
-from dynalg.reps import build_colour_rep, nest_rep_exists
-from dynalg.semicrossed import SemicrossedElement
+from dynalg.reps import build_colour_rep, build_truncated_fock, nest_rep_exists
+from dynalg.semicrossed import FunctionCoeff, SemicrossedElement
+from dynalg.wordpoly import cesaro_mean, fourier_component
 
 from oracles import random_system
 
@@ -41,22 +49,22 @@ def test_system_validation():
 
 
 def test_system_validation_rejects_non_integers():
-    with pytest.raises(ValueError, match="not a point"):
+    with pytest.raises(ValueError, match=r"^image of 0 under map 0 must be an int in 0\.\.1, got 0\.0$"):
         FiniteSystem(2, ((0.0, 1.0), (1, 0)))
-    with pytest.raises(ValueError, match="not a point"):
+    with pytest.raises(ValueError, match=r"^image of 0 under map 0 must be an int in 0\.\.0, got False$"):
         FiniteSystem(size=1, tables=((False,),))
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match=r"^size must be an int >= 1, got True$"):
         FiniteSystem(size=True, tables=((0,),))
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match=r"^size must be an int >= 1, got 2\.0$"):
         FiniteSystem(size=2.0, tables=((0, 1),))
 
 
 def test_system_validation_names_the_first_bad_entry():
     for table, message in [
-        ((0, -1), "map 1 sends 1 to -1, out of range 0..1"),
-        ((0, 1.0), "map 1 sends 1 to 1.0, which is not a point"),
-        ((True, 0), "map 1 sends 0 to True, which is not a point"),
-        ((2, 1.0), "map 1 sends 0 to 2, out of range 0..1"),
+        ((0, -1), "image of 1 under map 1 must be an int in 0..1, got -1"),
+        ((0, 1.0), "image of 1 under map 1 must be an int in 0..1, got 1.0"),
+        ((True, 0), "image of 0 under map 1 must be an int in 0..1, got True"),
+        ((2, 1.0), "image of 0 under map 1 must be an int in 0..1, got 2"),
     ]:
         with pytest.raises(ValueError) as error:
             FiniteSystem(2, ((1, 0), table))
@@ -70,7 +78,7 @@ def test_system_validation_accepts_int_subclasses():
 
     system = FiniteSystem(2, ((Point.Q, Point.P), (0, 1)))
     assert system == FiniteSystem(2, ((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^image of 0 under map 0 must be an int in 0\.\.0, got <Point\.Q: 1>$"):
         FiniteSystem(1, ((Point.Q,),))
 
 
@@ -239,17 +247,17 @@ def test_edge_colored_graph_rejects_what_it_cannot_represent():
     with pytest.raises(ValueError, match=r"edge \(0, 5, 0\) has 5, which is not a vertex"):
         EdgeColoredGraph(vertices=(0, 1), edges=((0, 5, 0), (0, 1, 3)), colours=1)
     bad = [
-        (((0, 1), ((0, 1, 3),), 1), r"colour 3, outside 0..0"),
-        (((0, 1), ((0, 1, -1),), 2), r"colour -1, outside 0..1"),
-        (((0, 1), ((0, 1, True),), 2), r"colour True"),
+        (((0, 1), ((0, 1, 3),), 1), r"^colour of the edge from 0 to 1 must be an int in 0\.\.0, got 3$"),
+        (((0, 1), ((0, 1, -1),), 2), r"^colour of the edge from 0 to 1 must be an int in 0\.\.1, got -1$"),
+        (((0, 1), ((0, 1, True),), 2), r"^colour of the edge from 0 to 1 must be an int in 0\.\.1, got True$"),
         (((0, 1), ((7, 1, 0),), 1), r"has 7, which is not a vertex"),
         (((0, 1), ((True, 1, 0),), 1), r"has True, which is not a vertex"),
         (((0, 1, 0), (), 1), r"vertex 0 is listed twice"),
         (((0, 1.0), (), 1), r"vertex 1.0 is not an integer"),
         (((0, 1), ([0, 1, 0],), 1), r"is not a \(source, target, colour\) triple"),
         (((0, 1), ((0, 1),), 1), r"is not a \(source, target, colour\) triple"),
-        (((0,), (), -1), r"colours -1 is not a count"),
-        (((0,), (), True), r"colours True is not a count"),
+        (((0,), (), -1), r"^colours must be an int >= 0, got -1$"),
+        (((0,), (), True), r"^colours must be an int >= 0, got True$"),
     ]
     for args, message in bad:
         with pytest.raises(ValueError, match=message):
@@ -257,3 +265,68 @@ def test_edge_colored_graph_rejects_what_it_cannot_represent():
     # repeated edges and edge-free graphs stay legal
     assert EdgeColoredGraph((0, 1), ((0, 1, 0), (0, 1, 0)), 1).edges == ((0, 1, 0), (0, 1, 0))
     assert EdgeColoredGraph((3,), (), 0).vertices == (3,)
+
+
+def test_edge_colored_graph_stores_tuples():
+    # as FiniteSystem stores its tables, so graphs built from lists compare and hash
+    graph = EdgeColoredGraph((0, 1), ((0, 1, 0),), 1)
+    for vertices, edges in (([0, 1], [(0, 1, 0)]), (range(2), iter([(0, 1, 0)]))):
+        built = EdgeColoredGraph(vertices, edges, 1)
+        assert built == graph and hash(built) == hash(graph)
+        assert type(built.vertices) is type(built.edges) is tuple
+
+
+_U1N_1_ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+_GRAPH = colored_graph(full_subsystem(TWO_POINT_MIXED))
+_POLY = FPPoly.generator((2,), 0, 1)
+
+
+def _parse_u1n_n(n):
+    # the parsed file, so values no JSON text spells reach the rule too
+    with mock.patch.object(cli, "_load_json", return_value={"n": n, "matrix": _U1N_1_ROWS}):
+        return cli.parse_u1n("")
+
+
+# (entry point, call on the value, what, low, high): every int read in a range
+_INT_SITES = [
+    ("FiniteSystem size", lambda v: FiniteSystem(v, ((0,),)), "size", 1, None),
+    ("FiniteSystem entry", lambda v: FiniteSystem(2, ((0, v),)), "image of 1 under map 0", 0, 2),
+    ("EdgeColoredGraph colours", lambda v: EdgeColoredGraph((0,), (), v), "colours", 0, None),
+    ("EdgeColoredGraph edge colour", lambda v: EdgeColoredGraph((0, 1), ((0, 1, v),), 2),
+     "colour of the edge from 0 to 1", 0, 2),
+    ("check_point", lambda v: check_point(FOUR_POINT_OVERLAP, v), "point", 0, 4),
+    ("check_colour", lambda v: check_colour(FOUR_POINT_OVERLAP, v), "colour", 0, 2),
+    ("validate_word", lambda v: validate_word(FOUR_POINT_OVERLAP, (0, v)), "colour", 0, 2),
+    ("FunctionCoeff.constant size", lambda v: FunctionCoeff.constant(v, 1), "size", 0, None),
+    ("FunctionCoeff.indicator size", lambda v: FunctionCoeff.indicator(v, []), "size", 0, None),
+    ("FunctionCoeff.indicator item", lambda v: FunctionCoeff.indicator(3, [v]), "subset item", 0, 3),
+    ("FPPoly.make signature", lambda v: FPPoly.make((2, v), {}), "block size", 1, None),
+    ("FPPoly.make symbol block", lambda v: FPPoly.make((2, 3), {((v, 0),): 1}), "symbol block", 0, 2),
+    ("FPPoly.make symbol index", lambda v: FPPoly.make((2, 3), {((1, v),): 1}), "symbol index", 0, 3),
+    ("U1nMatrix n", lambda v: U1nMatrix(n=v, matrix=np.eye(2)), "n", 1, None),
+    ("voiculescu_lift order", lambda v: voiculescu_lift(U1nMatrix(n=1, matrix=np.eye(2)), v),
+     "truncation order", 0, None),
+    ("check_lift_work n", lambda v: check_lift_work(v, 2, 3), "dimension", 1, None),
+    ("check_lift_work order", lambda v: check_lift_work(2, v, 3), "truncation order", 0, None),
+    ("check_lift_work samples", lambda v: check_lift_work(2, 2, v), "sample count", 1, None),
+    ("sample_ball_points n", lambda v: sample_ball_points(random.Random(1), v, 2), "dimension", 1, None),
+    ("sample_ball_points count", lambda v: sample_ball_points(random.Random(1), 2, v),
+     "sample count", 0, None),
+    ("build_truncated_fock depth", lambda v: build_truncated_fock(_GRAPH, v), "depth", 1, None),
+    ("fourier_component", lambda v: fourier_component(_POLY, v), "component degree", 0, None),
+    ("cesaro_mean", lambda v: cesaro_mean(_POLY, v), "Cesaro order", 1, None),
+    ("parse_u1n n", _parse_u1n_n, "field 'n'", 1, None),
+]
+
+
+@pytest.mark.parametrize("site, call, what, low, high", _INT_SITES, ids=[row[0] for row in _INT_SITES])
+def test_every_int_entry_point_follows_one_int_rule(site, call, what, low, high):
+    span = f">= {low}" if high is None else f"in {low}..{high - 1}"
+    refused = [True, 2.0, Fraction(2), "2", np.int64(2), low - 1] + ([] if high is None else [high])
+    for value in refused:
+        with pytest.raises(ValueError) as error:
+            call(value)
+        assert str(error.value) == f"{what} must be an int {span}, got {value!r}"
+    bound = enum.IntEnum("Bound", {"LOW": low})
+    for value in [bound.LOW, low] + ([] if high is None else [high - 1]):
+        call(value)

@@ -2,6 +2,7 @@ import cmath
 import enum
 import math
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -411,7 +412,7 @@ def test_lift_dual_check_involutions_certify():
 
 def test_lift_dual_check_needs_samples_and_bounded_work():
     ident = U1nMatrix(n=2, matrix=np.eye(3, dtype=complex))
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(ValueError, match=r"^sample count must be an int >= 1, got 0$"):
         lift_dual_check(ident, 5, [])
     check_lift_work(3, 25, 30)  # the largest lift the benchmark runs
     for n, samples in ((1, 1), (2, 30), (3, 1000)):
@@ -420,8 +421,8 @@ def test_lift_dual_check_needs_samples_and_bounded_work():
         check_lift_work(n, order, samples)
         with pytest.raises(ValueError, match="work limit"):
             check_lift_work(n, order + 1, samples)
-    with pytest.raises(ValueError, match="work limit"):
-        check_lift_work(1, -5, 10**9)  # a negative order bounds nothing
+    with pytest.raises(ValueError, match=r"^truncation order must be an int >= 0, got -5$"):
+        check_lift_work(1, -5, 10**9)  # a negative order cannot shrink the work count
     with pytest.raises(ValueError, match="work limit"):
         lift_dual_check(ident, 10**9, [[0.1, 0.2]])
 
@@ -512,19 +513,36 @@ def test_sample_ball_points_matches_looped_draws():
 def test_ball_samples_need_int_sizes():
     # n and count are checked before any draw, so the generator is untouched
     rng = random.Random(5)
-    for n, count in ((0, 3), (-1, 3), (2.0, 3), (True, 3), (2, -1), (2, 1.5), (2, False)):
-        with pytest.raises(ValueError, match="dimension|sample count"):
+    for n, count, message in (
+        (0, 3, r"dimension must be an int >= 1, got 0"),
+        (-1, 3, r"dimension must be an int >= 1, got -1"),
+        (2.0, 3, r"dimension must be an int >= 1, got 2\.0"),
+        (True, 3, r"dimension must be an int >= 1, got True"),
+        (2, -1, r"sample count must be an int >= 0, got -1"),
+        (2, 1.5, r"sample count must be an int >= 0, got 1\.5"),
+        (2, False, r"sample count must be an int >= 0, got False"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sample_ball_points(rng, n, count)
     assert rng.getstate() == random.Random(5).getstate()
     assert sample_ball_points(rng, 2, 0).shape == (0, 2)
 
 
 def test_signatures_and_symbols_must_be_ints():
-    for signature in ((2.7,), (True,), (0,), (2, -1), ()):
-        with pytest.raises(ValueError, match="signature"):
+    for signature in ((2.7,), (True,), (0,), (2, -1)):
+        with pytest.raises(ValueError, match=rf"^block size must be an int >= 1, got {re.escape(repr(signature[-1]))}$"):
             FPPoly.make(signature, {})
-    for symbol in ((False, True), (0, 1.0), (0.0, 1), (0, 2), (1, 0), (-1, 0)):
-        with pytest.raises(ValueError, match="outside signature"):
+    with pytest.raises(ValueError, match="^a block signature needs at least one block$"):
+        FPPoly.make((), {})
+    for symbol, what in (
+        ((False, True), r"symbol block must be an int in 0\.\.0, got False"),
+        ((0, 1.0), r"symbol index must be an int in 0\.\.1, got 1\.0"),
+        ((0.0, 1), r"symbol block must be an int in 0\.\.0, got 0\.0"),
+        ((0, 2), r"symbol index must be an int in 0\.\.1, got 2"),
+        ((1, 0), r"symbol block must be an int in 0\.\.0, got 1"),
+        ((-1, 0), r"symbol block must be an int in 0\.\.0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{what}$"):
             FPPoly.make((2,), {(symbol,): 1})
     assert FPPoly.make([2], {((0, 1),): 1}).signature == (2,)
 
@@ -812,8 +830,11 @@ def test_ragged_samples_of_the_right_size_are_rejected():
 
 
 def test_lift_order_must_be_a_nonnegative_int():
-    for order in (True, 2.5, -1, "3", None, 2**1023, 10**400):
-        with pytest.raises(ValueError, match="truncation order must be a nonnegative int"):
+    for order in (True, 2.5, -1, "3", None):
+        with pytest.raises(ValueError, match=rf"^truncation order must be an int >= 0, got {re.escape(repr(order))}$"):
+            voiculescu_lift(_U1N_2, order)
+    for order in (2**1023, 10**400):  # the bound names no 308-digit number
+        with pytest.raises(ValueError, match=r"^truncation order must be below 2\*\*1023$"):
             voiculescu_lift(_U1N_2, order)
     assert voiculescu_lift(_U1N_2, 2**1023 - 1)[0].certified_tail == 0.0
     with pytest.raises(ValueError, match="truncation order"):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -267,10 +268,10 @@ def test_fock_depth_must_be_an_int_proper():
     mixed = colored_graph(full_subsystem(TWO_POINT_MIXED))
     # a float or bool depth is refused, not rounded up to a level count or read as 1
     for depth in (2.5, 2.0, True, False, "2", None):
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match=rf"^depth must be an int >= 1, got {re.escape(repr(depth))}$"):
             build_truncated_fock(mixed, depth)
     for depth in (0, -1):
-        with pytest.raises(ValueError, match="depth must be at least 1"):
+        with pytest.raises(ValueError, match=rf"^depth must be an int >= 1, got {depth}$"):
             build_truncated_fock(mixed, depth)
     assert build_truncated_fock(mixed, 3).depth == 3
 

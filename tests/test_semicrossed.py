@@ -266,7 +266,7 @@ def test_inputs_of_the_wrong_size_or_system_are_rejected():
             gauge(a, zs)
     with pytest.raises(ValueError, match="different system"):
         apply_hom(identity_hom(TWO_POINT_CONSTANT), a)
-    with pytest.raises(ValueError, match="component degree must be nonnegative"):
+    with pytest.raises(ValueError, match=r"^component degree must be an int >= 0, got -1$"):
         fourier_component(a, -1)
     with pytest.raises(ValueError, match="coefficient has 3 values, system has 2 points"):
         SemicrossedElement.make(TWO_POINT_MIXED, {(): FunctionCoeff.one(3)})
@@ -459,11 +459,11 @@ def test_orbit_representation_checks_apply_hom_at_large_sizes(size):
 
 
 def test_coefficient_sizes_follow_the_integer_rule():
-    # the one integer rule, dynsys._is_int, and a message naming the value
+    # the one int rule, dynsys._int_in, and a message naming the value
     for size in (-1, True, False, 2.0, "3", None):
-        with pytest.raises(ValueError, match=rf"^size {re.escape(repr(size))} is not"):
+        with pytest.raises(ValueError, match=rf"^size must be an int >= 0, got {re.escape(repr(size))}$"):
             FunctionCoeff.constant(size, 1)
-        with pytest.raises(ValueError, match=rf"^size {re.escape(repr(size))} is not"):
+        with pytest.raises(ValueError, match=rf"^size must be an int >= 0, got {re.escape(repr(size))}$"):
             FunctionCoeff.indicator(size, [0])
 
     class K(enum.IntEnum):
@@ -476,7 +476,7 @@ def test_coefficient_sizes_follow_the_integer_rule():
 
 def test_indicator_subsets_are_int_points():
     for item in (True, 1.0, 7, 3, -1, "1", None):
-        with pytest.raises(ValueError, match=rf"^subset item {re.escape(repr(item))} is not a point of 0\.\.2$"):
+        with pytest.raises(ValueError, match=rf"^subset item must be an int in 0\.\.2, got {re.escape(repr(item))}$"):
             FunctionCoeff.indicator(3, [0, item])
 
     class K(enum.IntEnum):

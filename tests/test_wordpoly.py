@@ -8,6 +8,7 @@ coefficients bit for bit, with the words in the oracle's order.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,9 +186,9 @@ def test_product_rejects_operands_over_other_contexts():
 def test_component_degree_and_cesaro_order_must_be_ints():
     p = random_dyadic_poly(random.Random(64), (2,), 3)
     for k in (True, 1.5, 1.0, "1", None, -1):
-        with pytest.raises(ValueError, match="component degree must be nonnegative"):
+        with pytest.raises(ValueError, match=rf"^component degree must be an int >= 0, got {re.escape(repr(k))}$"):
             fourier_component(p, k)
     for k in (True, 1.5, 1.0, "1", None, 0):
-        with pytest.raises(ValueError, match="Cesaro order must be at least 1"):
+        with pytest.raises(ValueError, match=rf"^Cesaro order must be an int >= 1, got {re.escape(repr(k))}$"):
             cesaro_mean(p, k)
     assert cesaro_mean(p, 1) == fourier_component(p, 0)
