@@ -21,7 +21,7 @@ _EXPORTS = {
         "decide_conjugate",
         "decide_partition",
         "decide_piecewise",
-        "verify_partition_witness",
+        "verify_witness",
     ),
     "dynsys": (
         "EdgeColoredGraph",

@@ -19,10 +19,11 @@ calls: ``check``, ``signature``, ``signature-compare`` and ``iso-build``
 never load numpy.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
-timing field.  Exit codes: 0 affirmative decision, 1 negative decision,
-2 usage or validation error.  A help request (-h, --help) is a report with
-a null decision and the help text in its ``usage`` field, exit 0, which
-:func:`main` prints as plain text.
+timing field, and :func:`read_witness` turns a ``check`` or ``iso-build``
+report back into its decider's witness.  Exit codes: 0 affirmative
+decision, 1 negative decision, 2 usage or validation error.  A help
+request (-h, --help) is a report with a null decision and the help text
+in its ``usage`` field, exit 0, which :func:`main` prints as plain text.
 """
 
 from __future__ import annotations
@@ -190,25 +191,43 @@ def _element_json(element: dynalg.semicrossed.SemicrossedElement) -> list[list[A
 
 # Each witness field has a fixed depth: gamma and recolor are permutations
 # (recolor may be None), alpha is one permutation per point.
-_FIELD_JSON = {
-    "gamma": list,
-    "recolor": lambda perm: None if perm is None else list(perm),
-    "alpha": lambda perms: [list(perm) for perm in perms],
-}
+_FIELD_DEPTH = {"gamma": 1, "recolor": 1, "alpha": 2}
+# The witness class of each check mode; an iso-build witness is a partition witness.
+_KINDS = {"conjugate": "ConjugacyWitness", "piecewise": "PiecewiseWitness", "partition": "PartitionWitness"}
+
+
+def _nested(value, depth: int, kind: type):
+    """``value`` with its one or two levels of sequences rebuilt as ``kind``; None stays."""
+    if value is None:
+        return None
+    return kind(value) if depth == 1 else kind(map(kind, value))
 
 
 def _witness_json(witness) -> dict[str, Any]:
     """A decider's witness as a JSON object, one key per dataclass field."""
     return {
-        f.name: _FIELD_JSON[f.name](getattr(witness, f.name)) for f in dataclasses.fields(witness)
+        f.name: _nested(getattr(witness, f.name), _FIELD_DEPTH[f.name], list)
+        for f in dataclasses.fields(witness)
     }
 
 
-def witness_to_partition(data: dict[str, Any]) -> dynalg.conjugacy.PartitionWitness:
-    """Rebuild a witness from its report form, for replaying verification."""
-    return dynalg.conjugacy.PartitionWitness(
-        gamma=tuple(data["gamma"]), alpha=tuple(tuple(p) for p in data["alpha"])
-    )
+def read_witness(report: dict[str, Any]):
+    """The decider's witness behind a ``check`` or ``iso-build`` report, or None
+    when the report has none; the inverse of :func:`_witness_json`.
+
+    The witness JSON does not say its kind (piecewise and partition witnesses
+    look alike), so the kind comes from the echoed command line, read by the
+    same table as the command itself.  A report of any other command raises
+    :class:`FormatError`.
+    """
+    args = _parse_args(report["command"])
+    if args.func not in (_cmd_check, _cmd_iso_build):
+        raise FormatError(f"a {report['command'][0]} report carries no decider witness")
+    if "witness" not in report:
+        return None
+    kind = getattr(dynalg.conjugacy, _KINDS[getattr(args, "mode", "partition")])
+    data = report["witness"]
+    return kind(*(_nested(data[f.name], _FIELD_DEPTH[f.name], tuple) for f in dataclasses.fields(kind)))
 
 
 # ---- commands ------------------------------------------------------------------
@@ -369,7 +388,7 @@ def _cmd_selftest(_args) -> tuple[bool, Any]:
     checks.append(("overlap fixture has overlapping ranges at point 1",
                    not disjoint and overlap == (0, 1, 1)))
     witness = conjugacy.decide_partition(split_a, split_b)
-    ok = witness is not None and conjugacy.verify_partition_witness(split_a, split_b, witness).passed
+    ok = witness is not None and conjugacy.verify_witness(split_a, split_b, witness).passed
     checks.append(("split fixtures carry a verified partition witness", ok))
     decision = reps.decide_tensor_vs_semicrossed(fixtures.FOUR_POINT_OVERLAP)
     rep = decision.obstruction
@@ -507,6 +526,15 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of a command line: from the table in one pass when it is well
+    formed, else from argparse, which words help and every usage error."""
+    if not (argv and argv[0] in _COMMANDS):  # no command, an unknown one or --help
+        return _build_parser()[0].parse_args(list(argv))
+    args = _read_args(argv[0], argv[1:])
+    return _build_parser()[1][argv[0]].parse_args(list(argv[1:])) if args is None else args
+
+
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and each command's own parser, by command name."""
@@ -543,12 +571,7 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
             command_echo = [a if isinstance(a, str) else repr(a) for a in argv]  # the report stays JSON
             return report(None, None, error=f"argv[{k}] must be a string, not {type(item).__name__}"), 2
     try:
-        if argv and argv[0] in _COMMANDS:
-            args = _read_args(argv[0], argv[1:])
-            if args is None:  # help, or not well formed: argparse reads it and words any error
-                args = _build_parser()[1][argv[0]].parse_args(list(argv[1:]))
-        else:  # no command, an unknown one or --help: the top level reports it
-            args = _build_parser()[0].parse_args(list(argv))
+        args = _parse_args(argv)
         decision, witness = args.func(args)
     except _Help as request:
         return report(None, None, usage=request.args[0]), 0

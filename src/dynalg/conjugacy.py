@@ -1,6 +1,7 @@
 """Exact deciders for conjugacy notions between finite systems.
 
-Three nested notions are decided here, each with a verifiable witness:
+Three nested notions are decided here, each with a witness that
+:func:`verify_witness` checks:
 
 * conjugacy: a point bijection gamma intertwines the maps index by
   index (optionally after one global recolouring of the map indices);
@@ -42,7 +43,7 @@ over all n! bijections would find.  The leaf reads the witness off the
 lists: the first entry at each point (piecewise), the least
 preimage-saturated colour field (partition, which may fail and
 backtrack), or the first entry of the shared list (conjugacy).  The
-partition leaf and :func:`verify_partition_witness` test the preimage
+partition leaf and :func:`verify_witness` test the preimage
 conditions by bucketing the points by sigma_i(x) and by tau_j(gamma x),
 so outside the search tree a decider call does linear work.  The worst
 case is still exponential: on highly symmetric systems refinement
@@ -350,21 +351,34 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     return _lex_search(a, b, seeds, [perms] * a.size, partial(_partition_alpha_field, a, b))
 
 
-def _check_fields(witness: PartitionWitness, size: int, arity: int) -> None:
-    """MalformedWitnessError unless gamma permutes 0..size-1 and each of
-    the size alpha_x permutes 0..arity-1."""
+def _check_fields(witness, size: int, arity: int) -> tuple[Permutation, ...]:
+    """The witness's colour field, one permutation per point.
+
+    A :class:`ConjugacyWitness` gives the constant field: ``recolor`` at
+    every point, or the identity when it is None; the other two kinds
+    give their ``alpha``.  Any other object raises TypeError, and a
+    witness raises :class:`MalformedWitnessError` unless gamma permutes
+    0..size-1 and ``recolor``, or each of the size alpha_x, permutes
+    0..arity-1.
+    """
+    if not isinstance(witness, (ConjugacyWitness, PiecewiseWitness, PartitionWitness)):
+        raise TypeError(f"{type(witness).__name__} is not a witness")
     gamma = witness.gamma
     if not _is_permutation(gamma, size):
         raise MalformedWitnessError(f"gamma {gamma} is not a bijection of 0..{size - 1}")
+    if isinstance(witness, ConjugacyWitness):
+        recolor = tuple(range(arity)) if witness.recolor is None else witness.recolor
+        if not _is_permutation(recolor, arity):
+            raise MalformedWitnessError(f"recolor {recolor} is not a colour permutation of 0..{arity - 1}")
+        return (recolor,) * size
     if len(witness.alpha) != size:
-        raise MalformedWitnessError(
-            f"alpha field has {len(witness.alpha)} entries, expected {size}"
-        )
+        raise MalformedWitnessError(f"alpha field has {len(witness.alpha)} entries, expected {size}")
     for x, perm in enumerate(witness.alpha):
         if not _is_permutation(perm, arity):
             raise MalformedWitnessError(
                 f"alpha[{x}] = {perm} is not a colour permutation of 0..{arity - 1}"
             )
+    return witness.alpha
 
 
 def _disagreements(keys: Sequence[int], values: Sequence[int]) -> list[tuple[int, int]]:
@@ -386,22 +400,25 @@ def _disagreements(keys: Sequence[int], values: Sequence[int]) -> list[tuple[int
     return sorted(pairs)
 
 
-def verify_partition_witness(
-    a: FiniteSystem, b: FiniteSystem, witness: PartitionWitness
-) -> WitnessReport:
-    """Check every witness condition independently of the decider.
+def verify_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:
+    """Check every condition of a witness of any kind, independently of the deciders.
 
-    Structural defects (wrong lengths, entries that are not ints,
-    non-permutations) raise :class:`MalformedWitnessError`.  Semantic
-    defects come back as a report listing each failed condition with a
-    counterexample, including the literal saturation identities on the
-    index sets V_{i,j} = {x : alpha_x(i) = j}.  The preimage conditions
-    bucket the points by sigma_i(x) and by tau_j(gamma x), so a witness
-    that passes costs O(arity * n) there; each failing pair is listed.
+    Every witness is read as gamma plus a colour field alpha (see
+    :func:`_check_fields`), and each kind must intertwine:
+    gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) at every point x and
+    colour i.  A :class:`PartitionWitness` must also meet the preimage
+    conditions and the literal saturation identities on the index sets
+    V_{i,j} = {x : alpha_x(i) = j}.  An object of another type raises
+    TypeError, and structural defects (wrong lengths, entries that are
+    not ints, non-permutations) raise :class:`MalformedWitnessError`.
+    Semantic defects come back as a report listing each failed condition
+    with a counterexample.  The preimage conditions bucket the points by
+    sigma_i(x) and by tau_j(gamma x), so a witness that passes costs
+    O(arity * n) there; each failing pair is listed.
     """
     _check_compatible(a, b)
-    _check_fields(witness, a.size, a.arity)
-    gamma, alpha = witness.gamma, witness.alpha
+    alpha = _check_fields(witness, a.size, a.arity)
+    gamma = witness.gamma
     n = a.arity
     failures: list[WitnessFailure] = []
 
@@ -415,6 +432,8 @@ def verify_partition_witness(
                         f"tau_{alpha[x][i]}(gamma({x})) = {b.tables[alpha[x][i]][gamma[x]]}",
                     )
                 )
+    if not isinstance(witness, PartitionWitness):
+        return WitnessReport(passed=not failures, failures=tuple(failures))
 
     for i in range(n):
         for x, y in _disagreements(a.tables[i], [p[i] for p in alpha]):

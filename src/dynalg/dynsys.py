@@ -16,7 +16,7 @@ quotient and representation layers.
 Every int that must lie in a range (a size, a point, a colour, and
 elsewhere a block size, a degree, an order or a depth) is read by one
 rule, :func:`_int_in`, which names the value and its range when it
-refuses one.
+refuses one, an int of more than 20 digits by its digit count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,18 @@ def _int_in(value: object, what: str, low: int, high: Optional[int] = None) -> i
     if (type(value) is int or _is_int(value)) and low <= value and (high is None or value < high):
         return value
     span = f">= {low}" if high is None else f"in {low}..{high - 1}"
-    raise ValueError(f"{what} must be an int {span}, got {value!r}")
+    raise ValueError(f"{what} must be an int {span}, got {_shown(value)}")
+
+
+def _shown(value: object) -> str:
+    """repr(value), but an int of more than 20 digits by its digit count, as
+    ``<401-digit int>`` or ``-<5001-digit int>``: the whole number would make
+    a message of hundreds of characters, and past the interpreter's integer
+    conversion limit it cannot be printed at all."""
+    if _is_int(value) and abs(value) >= 10**20:
+        from decimal import Decimal  # counts the digits without printing them
+        return f"{'-' if value < 0 else ''}<{Decimal(value).adjusted() + 1}-digit int>"
+    return repr(value)
 
 
 def _is_permutation(entries: Sequence[object], size: int) -> bool:

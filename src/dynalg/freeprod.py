@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynsys import _int_in, _is_permutation
+from .dynsys import _int_in, _is_permutation, _shown
 from .wordpoly import WordPoly, reweight_letters
 
 BlockSignature = tuple[int, ...]
@@ -624,7 +624,7 @@ def check_lift_work(n: int, order: int, samples: int) -> None:
     terms = (order + 1) * (1 + n * samples) + LIFT_SAMPLE_TERMS * samples
     if terms > MAX_LIFT_TERMS:
         raise ValueError(
-            f"a lift of order {order} at {samples} samples passes the work limit"
+            f"a lift of order {_shown(order)} at {_shown(samples)} samples passes the work limit"
             f" ({MAX_LIFT_TERMS} series terms); use a smaller degree or fewer samples"
         )
 

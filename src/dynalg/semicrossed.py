@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .conjugacy import PartitionWitness, _invert, verify_partition_witness
+from .conjugacy import PartitionWitness, _invert, verify_witness
 from .dynsys import FiniteSystem, Word, _int_in, check_colour, validate_word
 from .scalars import ONE, ZERO, RationalComplex, _product
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
@@ -250,7 +250,9 @@ class CovariantHom:
     witness: PartitionWitness
 
     def __post_init__(self) -> None:
-        report = verify_partition_witness(self.source, self.target, self.witness)
+        if not isinstance(self.witness, PartitionWitness):
+            raise TypeError(f"a hom is carried by a PartitionWitness, not {type(self.witness).__name__}")
+        report = verify_witness(self.source, self.target, self.witness)
         if not report.passed:
             conditions = ", ".join(sorted({f.condition for f in report.failures}))
             raise ValueError(f"witness fails verification: {conditions}")

@@ -139,6 +139,11 @@ FRACTION_PAIR_ONE = FractionPairComplex(Fraction(1))
 # ---- partition / conjugacy oracles ----------------------------------------
 
 
+def intertwines_at(a, b, gamma, x, perm) -> bool:
+    """gamma(sigma_i(x)) = tau_{perm(i)}(gamma(x)) for every colour i."""
+    return all(gamma[a.tables[i][x]] == b.tables[perm[i]][gamma[x]] for i in range(a.arity))
+
+
 def partition_conditions_hold(a, b, gamma, alpha) -> bool:
     """Literal set-form check of all witness conditions."""
     n = a.arity
@@ -179,11 +184,7 @@ def brute_force_piecewise(a, b) -> Optional[tuple[tuple, tuple]]:
     for gamma in itertools.permutations(range(a.size)):
         alpha = []
         for x in range(a.size):
-            fitting = [
-                p
-                for p in perms
-                if all(gamma[a.tables[i][x]] == b.tables[p[i]][gamma[x]] for i in range(a.arity))
-            ]
+            fitting = [p for p in perms if intertwines_at(a, b, gamma, x, p)]
             if not fitting:
                 break
             alpha.append(fitting[0])
@@ -204,11 +205,7 @@ def brute_force_conjugate(a, b, allow_recolor=False) -> Optional[tuple[tuple, Op
         recolourings = [tuple(range(a.arity))]
     for gamma in itertools.permutations(range(a.size)):
         for beta in recolourings:
-            if all(
-                gamma[a.tables[i][x]] == b.tables[beta[i]][gamma[x]]
-                for i in range(a.arity)
-                for x in range(a.size)
-            ):
+            if all(intertwines_at(a, b, gamma, x, beta) for x in range(a.size)):
                 return gamma, beta if allow_recolor else None
     return None
 

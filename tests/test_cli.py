@@ -17,10 +17,10 @@ from dynalg.cli import (
     parse_system,
     parse_system_record,
     parse_u1n,
+    read_witness,
     run_command,
-    witness_to_partition,
 )
-from dynalg.conjugacy import verify_partition_witness
+from dynalg.conjugacy import decide_conjugate, decide_partition, decide_piecewise, verify_witness
 from dynalg.dynsys import FiniteSystem, full_subsystem
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
@@ -36,16 +36,19 @@ from dynalg.reps import MAX_FOCK_SIZE
 from oracles import make_rng, relabelled_pair
 
 
+_FIXTURES = {
+    "mixed": TWO_POINT_MIXED,
+    "const": TWO_POINT_CONSTANT,
+    "overlap": FOUR_POINT_OVERLAP,
+    "split_a": FOUR_POINT_SPLIT_A,
+    "split_b": FOUR_POINT_SPLIT_B,
+}
+
+
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
-    for name, system in {
-        "mixed": TWO_POINT_MIXED,
-        "const": TWO_POINT_CONSTANT,
-        "overlap": FOUR_POINT_OVERLAP,
-        "split_a": FOUR_POINT_SPLIT_A,
-        "split_b": FOUR_POINT_SPLIT_B,
-    }.items():
+    for name, system in _FIXTURES.items():
         p = tmp_path / f"{name}.json"
         p.write_text(dump_system(system))
         paths[name] = str(p)
@@ -276,25 +279,13 @@ def test_check_decides_large_relabelled_pairs_in_every_mode(tmp_path):
         path.write_text(dump_system(system))
         paths.append(str(path))
     limit = sys.getrecursionlimit()
-    witnesses = {}
     for mode in ("conjugate", "piecewise", "partition"):
         report, code = run_command(["check", "--mode", mode, *paths])
         assert code == 0 and report["decision"] is True
-        witnesses[mode] = report["witness"]
+        witness = read_witness(report)
+        assert verify_witness(a, b, witness).passed, mode
+        assert getattr(witness, "recolor", None) is None  # no recolouring without --recolor
     assert sys.getrecursionlimit() == limit
-
-    gamma = witnesses["conjugate"]["gamma"]
-    assert witnesses["conjugate"]["recolor"] is None
-    assert all(
-        gamma[a.tables[i][x]] == b.tables[i][gamma[x]] for i in range(a.arity) for x in range(a.size)
-    )
-    gamma, alpha = witnesses["piecewise"]["gamma"], witnesses["piecewise"]["alpha"]
-    assert all(
-        gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]
-        for i in range(a.arity)
-        for x in range(a.size)
-    )
-    assert verify_partition_witness(a, b, witness_to_partition(witnesses["partition"])).passed
 
 
 def test_check_conjugate_modes(files):
@@ -321,8 +312,37 @@ def test_partition_witness_replays(files):
         ["check", "--mode", "partition", files["split_a"], files["split_b"]]
     )
     assert code == 0
-    witness = witness_to_partition(report["witness"])
-    assert verify_partition_witness(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).passed
+    witness = read_witness(report)
+    assert verify_witness(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).passed
+
+
+def test_read_witness_gives_back_the_deciders_witness(files, tmp_path):
+    # the swapped-colour copy of the mixed pair is conjugate only after recolouring
+    swapped = FiniteSystem(size=2, tables=TWO_POINT_MIXED.tables[::-1])
+    (tmp_path / "swapped.json").write_text(dump_system(swapped))
+    files, systems = {**files, "swapped": str(tmp_path / "swapped.json")}, {**_FIXTURES, "swapped": swapped}
+    deciders = {
+        ("check", "--mode", "conjugate"): decide_conjugate,
+        ("check", "--mode", "conjugate", "--recolor"): lambda a, b: decide_conjugate(a, b, allow_recolor=True),
+        ("check", "--mode=conjugate", "--recolor"): lambda a, b: decide_conjugate(a, b, allow_recolor=True),
+        ("check", "--mode", "piecewise"): decide_piecewise,
+        ("check", "--mode=piecewise"): decide_piecewise,  # argparse reads this line
+        ("check", "--mode", "partition"): decide_partition,
+        ("iso-build",): decide_partition,
+    }
+    found = 0
+    for pair in (("mixed", "mixed"), ("mixed", "const"), ("mixed", "swapped"), ("split_a", "split_b"),
+                 ("split_a", "split_a"), ("overlap", "split_b")):
+        a, b = (systems[name] for name in pair)
+        for command, decide in deciders.items():
+            report, _ = run_command([*command, *(files[name] for name in pair)])
+            witness = decide(a, b)
+            assert read_witness(report) == witness, (command, pair)
+            found += witness is not None
+    assert found > 15
+    report, _ = run_command(["signature", files["mixed"]])
+    with pytest.raises(FormatError, match="^a signature report carries no decider witness$"):
+        read_witness(report)
 
 
 def test_tensor_vs_semicrossed_command(files, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -7,15 +8,17 @@ from collections import Counter
 import pytest
 
 from dynalg.conjugacy import (
+    ConjugacyWitness,
     IncompatibleSystemsError,
     MalformedWitnessError,
     PartitionWitness,
+    PiecewiseWitness,
     _partition_alpha_field,
     _refined_colours,
     decide_conjugate,
     decide_partition,
     decide_piecewise,
-    verify_partition_witness,
+    verify_witness,
 )
 from dynalg.dynsys import FiniteSystem, equivalence_classes
 from dynalg.fixtures import (
@@ -30,11 +33,13 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    intertwines_at,
     least_rotation,
     make_rng,
     one_map_canonical_form,
     one_map_conjugate,
     pairwise_alpha_field,
+    partition_conditions_hold,
     pairwise_verify_partition_witness,
     random_mapping_pair,
     random_system,
@@ -93,33 +98,33 @@ def test_partition_examples():
 
 def test_verify_witness_examples():
     witness = decide_partition(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B)
-    assert verify_partition_witness(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).passed
+    assert verify_witness(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).passed
 
     # pointwise-valid but preimage-violating witness on the two-point pair
     sneaky = PartitionWitness(gamma=(0, 1), alpha=((0, 1), (1, 0)))
-    report = verify_partition_witness(TWO_POINT_MIXED, TWO_POINT_CONSTANT, sneaky)
+    report = verify_witness(TWO_POINT_MIXED, TWO_POINT_CONSTANT, sneaky)
     assert not report.passed
     assert {f.condition for f in report.failures} == {"tau-preimage", "tau-saturation"}
 
     identity = PartitionWitness(gamma=(0, 1), alpha=((0, 1), (0, 1)))
-    assert verify_partition_witness(TWO_POINT_MIXED, TWO_POINT_MIXED, identity).passed
+    assert verify_witness(TWO_POINT_MIXED, TWO_POINT_MIXED, identity).passed
 
 
 def test_verify_witness_rejects_malformed():
     with pytest.raises(MalformedWitnessError):
-        verify_partition_witness(
+        verify_witness(
             TWO_POINT_MIXED,
             TWO_POINT_MIXED,
             PartitionWitness(gamma=(0, 0), alpha=((0, 1), (0, 1))),
         )
     with pytest.raises(MalformedWitnessError):
-        verify_partition_witness(
+        verify_witness(
             TWO_POINT_MIXED,
             TWO_POINT_MIXED,
             PartitionWitness(gamma=(0, 1), alpha=((0, 1),)),
         )
     with pytest.raises(MalformedWitnessError):
-        verify_partition_witness(
+        verify_witness(
             TWO_POINT_MIXED,
             TWO_POINT_MIXED,
             PartitionWitness(gamma=(0, 1), alpha=((0, 0), (0, 1))),
@@ -138,7 +143,7 @@ def test_verify_witness_rejects_malformed():
 )
 def test_verify_witness_rejects_entries_that_are_not_ints(gamma, alpha):
     with pytest.raises(MalformedWitnessError):
-        verify_partition_witness(
+        verify_witness(
             TWO_POINT_MIXED, TWO_POINT_MIXED, PartitionWitness(gamma=gamma, alpha=alpha)
         )
 
@@ -168,7 +173,7 @@ def test_witness_soundness_random():
         witness = decide_partition(a, b)
         if witness is not None:
             found += 1
-            assert verify_partition_witness(a, b, witness).passed
+            assert verify_witness(a, b, witness).passed
     assert found > 20  # the generator must actually exercise the verifier
 
 
@@ -272,11 +277,7 @@ def test_large_scrambled_pairs_are_piecewise_matched():
     for _ in range(20):
         a, b = scrambled_pair(rng, rng.randint(10, 24), rng.randint(1, 3))
         witness = decide_piecewise(a, b)
-        assert witness is not None
-        gamma, alpha = witness.gamma, witness.alpha
-        for x in range(a.size):
-            for i in range(a.arity):
-                assert gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]
+        assert witness is not None and verify_witness(a, b, witness).passed
 
 
 def test_large_recoloured_copies_are_conjugate():
@@ -286,11 +287,7 @@ def test_large_recoloured_copies_are_conjugate():
         a = random_system(rng, size, arity)
         b = _relabel(a, _shuffled(rng, range(size)), _shuffled(rng, range(arity)))
         witness = decide_conjugate(a, b, allow_recolor=True)
-        assert witness is not None
-        gamma, beta = witness.gamma, witness.recolor
-        for i in range(arity):
-            for x in range(size):
-                assert gamma[a.tables[i][x]] == b.tables[beta[i]][gamma[x]]
+        assert witness is not None and verify_witness(a, b, witness).passed
 
 
 def test_large_verdicts_survive_relabelling():
@@ -307,7 +304,7 @@ def test_large_partition_witnesses_verify():
         witness = decide_partition(a, b)
         if witness is not None:
             found += 1
-            assert verify_partition_witness(a, b, witness).passed
+            assert verify_witness(a, b, witness).passed
     assert found >= 18
 
 
@@ -316,11 +313,7 @@ def _admissible(a, b, gamma, points):
     return [
         alpha
         for alpha in itertools.permutations(range(a.arity))
-        if all(
-            b.tables[alpha[i]][gamma[x]] == gamma[a.tables[i][x]]
-            for x in points
-            for i in range(a.arity)
-        )
+        if all(intertwines_at(a, b, gamma, x, alpha) for x in points)
     ]
 
 
@@ -351,7 +344,7 @@ def test_inverse_witness_verifies_backwards():
             continue
         found += 1
         inverse = witness.inverse()
-        assert verify_partition_witness(b, a, inverse).passed
+        assert verify_witness(b, a, inverse).passed
         assert inverse.inverse() == witness
         for i in range(a.arity):
             for j in range(a.arity):
@@ -420,11 +413,7 @@ def test_signature_seeds_prune_tiled_piecewise_pairs():
     assert decide_partition(a, b) is None
     assert time.perf_counter() - started < 0.25
     witness = decide_piecewise(a, b)
-    assert witness is not None
-    gamma, alpha = witness.gamma, witness.alpha
-    for x in range(a.size):
-        for i in range(a.arity):
-            assert gamma[a.tables[i][x]] == b.tables[alpha[x][i]][gamma[x]]
+    assert witness is not None and verify_witness(a, b, witness).passed
 
 
 def _kernel_pairs(rng, trials):
@@ -482,10 +471,7 @@ def test_refinement_stops_at_a_discrete_partition_the_next_round_refutes():
 
 
 def _fitting(a, b, gamma, x, perms):
-    return [
-        p for p in perms
-        if all(gamma[a.tables[i][x]] == b.tables[p[i]][gamma[x]] for i in range(a.arity))
-    ]
+    return [p for p in perms if intertwines_at(a, b, gamma, x, p)]
 
 
 def test_bucketed_colour_field_matches_pairwise_oracle():
@@ -527,11 +513,84 @@ def test_bucketed_verifier_matches_pairwise_oracle():
             PartitionWitness(gamma=tuple(gamma), alpha=tuple(rng.choice(perms) for _ in gamma))
         )
         for candidate in candidates:
-            report = verify_partition_witness(a, b, candidate)
+            report = verify_witness(a, b, candidate)
             assert report == pairwise_verify_partition_witness(a, b, candidate)
             failing += not report.passed
             preimage += sum(f.condition.endswith("preimage") for f in report.failures) > 1
     assert failing > 50 and preimage > 20
+
+
+def _oracle_holds(a, b, witness) -> bool:
+    """The witness's condition as the oracles state it."""
+    gamma = witness.gamma
+    if isinstance(witness, ConjugacyWitness):
+        beta = witness.recolor or tuple(range(a.arity))
+        return all(intertwines_at(a, b, gamma, x, beta) for x in range(a.size))
+    if isinstance(witness, PiecewiseWitness):
+        return all(intertwines_at(a, b, gamma, x, witness.alpha[x]) for x in range(a.size))
+    return partition_conditions_hold(a, b, gamma, witness.alpha)
+
+
+def test_verify_witness_matches_the_oracles_on_every_candidate():
+    # every gamma and every colour field at n <= 3 and arity <= 2
+    rng = make_rng(89)
+    verdicts = Counter()
+    for size, arity in itertools.product((1, 2, 3), (1, 2)):
+        perms = list(itertools.permutations(range(arity)))
+        for trial in range(8):
+            if trial % 2:
+                a, b = scrambled_pair(rng, size, arity, constant_recolor=trial % 4 == 1)
+            else:
+                a, b = random_system(rng, size, arity), random_system(rng, size, arity)
+            for gamma in itertools.permutations(range(size)):
+                candidates = [ConjugacyWitness(gamma, None)]
+                candidates += [ConjugacyWitness(gamma, beta) for beta in perms]
+                for alpha in itertools.product(perms, repeat=size):
+                    candidates += [PiecewiseWitness(gamma, alpha), PartitionWitness(gamma, alpha)]
+                for candidate in candidates:
+                    passed = verify_witness(a, b, candidate).passed
+                    assert passed == _oracle_holds(a, b, candidate), (a, b, candidate)
+                    verdicts[type(candidate).__name__, passed] += 1
+    assert len(verdicts) == 6 and min(verdicts.values()) > 20, verdicts
+
+
+def _mutants(rng, witness, size):
+    """The witness with two gamma entries swapped, and with one colour permutation changed."""
+    for _ in range(4):
+        gamma = list(witness.gamma)
+        x, y = rng.sample(range(size), 2)
+        gamma[x], gamma[y] = gamma[y], gamma[x]
+        yield dataclasses.replace(witness, gamma=tuple(gamma))
+        if isinstance(witness, ConjugacyWitness):
+            yield dataclasses.replace(witness, recolor=(witness.recolor or (0, 1))[::-1])
+        else:
+            alpha = list(witness.alpha)
+            x = rng.randrange(size)
+            alpha[x] = alpha[x][::-1]
+            yield dataclasses.replace(witness, alpha=tuple(alpha))
+
+
+def test_mutated_witnesses_fail_or_meet_the_oracle():
+    rng = make_rng(97)
+    failed = Counter()
+    for _ in range(3):
+        a, b = relabelled_pair(rng, 200, 2)
+        for mode, witness in (
+            ("conjugate", decide_conjugate(a, b)),
+            ("recolor", decide_conjugate(a, b, allow_recolor=True)),
+            ("piecewise", decide_piecewise(a, b)),
+            ("partition", decide_partition(a, b)),
+        ):
+            assert verify_witness(a, b, witness).passed
+            for mutant in _mutants(rng, witness, a.size):
+                passed = verify_witness(a, b, mutant).passed
+                assert passed == _oracle_holds(a, b, mutant), (mode, mutant)
+                failed[mode] += not passed
+    assert len(failed) == 4 and min(failed.values()) > 0, failed
+    with pytest.raises(MalformedWitnessError, match=r"^recolor \(0, 0\) is not a colour permutation of 0\.\.1$"):
+        verify_witness(a, b, ConjugacyWitness(gamma=tuple(range(a.size)), recolor=(0, 0)))
+    with pytest.raises(TypeError, match="^tuple is not a witness$"):
+        verify_witness(a, b, (witness.gamma, witness.alpha))
 
 
 def test_deciders_keep_no_copy_per_level():
@@ -577,13 +636,8 @@ def _one_map_verdicts(a, b):
         verdicts.append(witness is not None)
         if witness is None:
             continue
-        gamma = witness.gamma
-        assert all(gamma[a.tables[0][x]] == b.tables[0][gamma[x]] for x in range(a.size))
-        if decide is decide_partition:
-            assert verify_partition_witness(a, b, witness).passed
-        elif decide is decide_piecewise:
-            assert set(witness.alpha) == {(0,)}
-        else:
+        assert verify_witness(a, b, witness).passed
+        if decide is decide_conjugate:
             assert witness.recolor is None
     return verdicts
 

@@ -323,10 +323,18 @@ _INT_SITES = [
 def test_every_int_entry_point_follows_one_int_rule(site, call, what, low, high):
     span = f">= {low}" if high is None else f"in {low}..{high - 1}"
     refused = [True, 2.0, Fraction(2), "2", np.int64(2), low - 1] + ([] if high is None else [high])
-    for value in refused:
+    # past 20 digits an int is named by its digit count; 5,001 digits pass the str conversion limit
+    huge = [
+        (-(10**20) + 1, "-99999999999999999999"),
+        (-(10**20), "-<21-digit int>"),
+        (-(10**5000), "-<5001-digit int>"),
+    ]
+    if high is not None:
+        huge.append((10**5000, "<5001-digit int>"))
+    for value, shown in [(value, repr(value)) for value in refused] + huge:
         with pytest.raises(ValueError) as error:
             call(value)
-        assert str(error.value) == f"{what} must be an int {span}, got {value!r}"
+        assert str(error.value) == f"{what} must be an int {span}, got {shown}"
     bound = enum.IntEnum("Bound", {"LOW": low})
     for value in [bound.LOW, low] + ([] if high is None else [high - 1]):
         call(value)

@@ -425,6 +425,18 @@ def test_lift_dual_check_needs_samples_and_bounded_work():
         check_lift_work(1, -5, 10**9)  # a negative order cannot shrink the work count
     with pytest.raises(ValueError, match="work limit"):
         lift_dual_check(ident, 10**9, [[0.1, 0.2]])
+    # past 20 digits an order or a count is named by its digit count: 10**400 once made a
+    # 514-character message, and past 4,300 digits Python refused to print the number
+    limit = f"passes the work limit ({MAX_LIFT_TERMS} series terms); use a smaller degree or fewer samples"
+    for args, message in (
+        ((1, 10**19, 1), f"a lift of order 10000000000000000000 at 1 samples {limit}"),
+        ((1, 10**400, 1), f"a lift of order <401-digit int> at 1 samples {limit}"),
+        ((1, 10**5000, 1), f"a lift of order <5001-digit int> at 1 samples {limit}"),
+        ((1, 1, 10**5000), f"a lift of order 1 at <5001-digit int> samples {limit}"),
+    ):
+        with pytest.raises(ValueError) as error:
+            check_lift_work(*args)
+        assert str(error.value) == message
 
 
 def test_lift_check_space_does_not_grow_with_order():

@@ -99,6 +99,6 @@ def test_star_import_and_dir_list_the_exports():
 
 def test_every_readme_python_block_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.DOTALL | re.MULTILINE)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})

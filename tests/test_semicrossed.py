@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynalg.conjugacy import PartitionWitness, decide_partition
+from dynalg.conjugacy import PartitionWitness, decide_partition, decide_piecewise
 from dynalg.dynsys import evaluate_word
 from dynalg.fixtures import (
     FOUR_POINT_SPLIT_A,
@@ -360,13 +360,13 @@ def test_partition_isomorphism_verifies_only_the_forward_witness(monkeypatch):
     import dynalg.semicrossed as semicrossed
 
     checked = []
-    verify = semicrossed.verify_partition_witness
+    verify = semicrossed.verify_witness
 
     def counted(a, b, witness):
         checked.append((a, b, witness))
         return verify(a, b, witness)
 
-    monkeypatch.setattr(semicrossed, "verify_partition_witness", counted)
+    monkeypatch.setattr(semicrossed, "verify_witness", counted)
     homs = _partition_homs(random.Random(12), 40)
     assert len(homs) > 10
     assert checked == [(f.source, f.target, f.witness) for f, _ in homs]
@@ -407,6 +407,10 @@ def test_covariant_hom_is_its_verified_witness():
         CovariantHom(TWO_POINT_MIXED, TWO_POINT_MIXED, PartitionWitness((0, 0), ((0, 1),) * 2))
     witness = decide_partition(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B)
     assert CovariantHom(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, witness).witness == witness
+    # a piecewise witness that intertwines but is not preimage-saturated carries no hom
+    piecewise = decide_piecewise(TWO_POINT_MIXED, TWO_POINT_CONSTANT)
+    with pytest.raises(TypeError, match="^a hom is carried by a PartitionWitness, not PiecewiseWitness$"):
+        CovariantHom(TWO_POINT_MIXED, TWO_POINT_CONSTANT, piecewise)
 
 
 def test_repr_lists_terms_by_word_length():
