@@ -20,15 +20,20 @@ out-multigraphs with map colours forgotten: gamma maps the multiset
 that fact twice.
 
 * Colour refinement: the points of both systems are refined jointly
-  (1-dimensional Weisfeiler-Leman on the disjoint union), keyed by a
-  point's colour and the colour multisets of its images and preimages.
-  Point x may only be sent to a point of the same refined colour, and
-  differing colour multisets refute the pair without any search.
-  Refinement stops early once every class holds one point of each side,
-  since the search then has a single candidate per level.  The
-  partition decider seeds the refinement with the per-point entry
-  signatures (:func:`dynalg.quotient.local_signatures`), which every
-  partition witness preserves; the other two start from one colour.
+  (1-dimensional Weisfeiler-Leman on the disjoint union), cheapest
+  invariant first.  Stage one colours every point by its in-degree, one
+  count over the tables, which every witness preserves.  Stage two, for
+  the partition decider only, adds the per-point entry signatures
+  (:func:`dynalg.quotient.local_signatures`), which every partition
+  witness preserves; they are computed only for a pair whose in-degrees
+  balance.  Each later round keys a point by its colour and the colour
+  multisets of its images and preimages.  Point x may only be sent to a
+  point of the same refined colour, and differing colour multisets at
+  any stage refute the pair without any search.  Refinement stops early
+  once every class holds one point of each side, since the search then
+  has a single candidate per level.  Any equitable partition is constant
+  on in-degree, so stage one leaves the stable partition, and with it
+  the search, as the seeds alone would give.
 * Permutation lists: every point keeps the colour permutations, in
   lexicographic order, that agree with its edges assigned so far
   (conjugacy keeps one list shared by all points).  Each assignment
@@ -134,69 +139,79 @@ def _invert(perm: Permutation) -> Permutation:
 
 
 def _refined_colours(
-    a: FiniteSystem, b: FiniteSystem, seeds: Sequence[Hashable]
+    a: FiniteSystem, b: FiniteSystem, seeds: Optional[Callable[[], Sequence[Hashable]]] = None
 ) -> Optional[tuple[list[int], list[int]]]:
-    """Joint colour refinement of the points of ``a`` and ``b``.
+    """Joint colour refinement of the points of ``a`` and ``b``, cheapest stage first.
 
     The points form one disjoint union (those of ``b`` shifted by
-    ``a.size``) with starting colours ``seeds``, so colour ids are
-    comparable across the systems; ids are numbered by first occurrence.
-    Each round keys a point by its colour and the sorted colours of its
-    images and of its preimages, counted with multiplicity.  Returns the
-    colours of each side, or None as soon as the two colour multisets
-    differ.  It stops when the number of classes stops growing, or once
-    the balanced partition is discrete (n classes of one point per side):
-    a further round could then only refute, and the search, with one
-    candidate per level, refutes such a pair by itself.
+    ``a.size``), so colour ids, numbered by first occurrence, are
+    comparable across the systems.  Every witness preserves in-degree, so
+    stage one colours each point by its in-degree, one count over the
+    tables.  Stage two, only when ``seeds`` is given, calls it for the
+    starting colours of the points of ``a`` followed by those of ``b``
+    and recolours by (colour, seed).  Each later round keys a point by
+    its colour and the sorted colours of its images and of its
+    preimages, counted with multiplicity; the joint tables and the
+    preimage lists are built for the first round.  Returns the colours
+    of each side, or None as soon as the two colour multisets differ.
+    It stops when a round adds no class, or once the balanced partition
+    is discrete (n classes of one point per side): a further round could
+    then only refute, and the search, with one candidate per level,
+    refutes such a pair by itself.  Any equitable partition is constant
+    on in-degree, so the stable partition is the one the seeds alone
+    refine to.
     """
     n = a.size
-    out = list(zip(*a.tables)) + list(zip(*([v + n for v in t] for t in b.tables)))
-    into: list[list[int]] = [[] for _ in range(2 * n)]
-    for u, targets in enumerate(out):
-        for v in targets:
-            into[v].append(u)
-
-    keys: Sequence[Hashable] = seeds
-    classes = 0
+    keys: list = [0] * (2 * n)  # stage one: in-degrees
+    for shift, system in ((0, a), (n, b)):
+        for v in itertools.chain.from_iterable(system.tables):
+            keys[v + shift] += 1
+    classes = 0  # before the last round; 0 until the first
     while True:
         palette: dict[Hashable, int] = {}
         colour = [palette.setdefault(key, len(palette)) for key in keys]
-        if len(palette) == classes:
-            return colour[:n], colour[n:]
-        classes = len(palette)
         if sorted(colour[:n]) != sorted(colour[n:]):
             return None
-        if classes == n:
+        if len(palette) in (n, classes):
             return colour[:n], colour[n:]
+        if seeds is not None:
+            keys, seeds = list(zip(colour, seeds())), None
+            continue
+        if not classes:
+            tables = [ta + tuple(map(n.__add__, tb)) for ta, tb in zip(a.tables, b.tables)]
+            into: list[list[int]] = [[] for _ in range(2 * n)]
+            for table in tables:
+                for u, v in enumerate(table):
+                    into[v].append(u)
+        classes = len(palette)
         get = colour.__getitem__
-        keys = list(
-            zip(
-                colour,
-                [tuple(sorted(map(get, targets))) for targets in out],
-                [tuple(sorted(map(get, sources))) for sources in into],
-            )
-        )
+        images = [tuple(sorted(targets)) for targets in zip(*[map(get, table) for table in tables])]
+        keys = list(zip(colour, images, [tuple(sorted(map(get, sources))) for sources in into]))
 
 
 def _lex_search(
     a: FiniteSystem,
     b: FiniteSystem,
-    seeds: Sequence[Hashable],
+    seeds: Optional[Callable[[], Sequence[Hashable]]],
     start: list[list[Permutation]],
     leaf: Callable[[Permutation, list[list[Permutation]]], Optional[W]],
 ) -> Optional[W]:
     """Depth-first search for the least gamma whose leaf yields a witness.
 
-    ``seeds`` are the starting colours of the points of ``a`` followed
-    by those of ``b``.  ``start`` holds the starting colour permutation
-    lists, in lexicographic order: one list shared by every point, or
-    one per point.  Level x assigns gamma(x) and narrows the lists in
-    place: each edge p -> sigma_i(p) it completes keeps in the list of p
-    the alpha with tau_{alpha(i)}(gamma(p)) = gamma(sigma_i(p)), and a
-    value emptying a list is refused.  Every narrowing that drops an entry
-    pushes one (owner, previous list) record on an undo trail, and leaving
-    the level pops its records, so a level costs only the edges it
-    completes.  ``leaf`` receives gamma and the lists.  Only branches
+    The candidates of each point are the points of ``b`` with its colour
+    in :func:`_refined_colours`, which first splits by in-degree and then,
+    if ``seeds`` is given and the in-degrees balance, by the colours it
+    returns for the points of ``a`` followed by those of ``b``; a pair
+    that refinement refutes returns None before any level.  ``start``
+    holds the starting colour permutation lists, in lexicographic order:
+    one list shared by every point, or one per point.  Level x assigns
+    gamma(x) and narrows the lists in place: each edge p -> sigma_i(p) it
+    completes keeps in the list of p the alpha with
+    tau_{alpha(i)}(gamma(p)) = gamma(sigma_i(p)), and a value emptying a
+    list is refused.  Every narrowing that drops an entry pushes one
+    (owner, previous list) record on an undo trail, and leaving the level
+    pops its records, so a level costs only the edges it completes.
+    ``leaf`` receives gamma and the lists.  Only branches
     without a witness are pruned, so the first witness is the least.
     """
     colours = _refined_colours(a, b, seeds)
@@ -272,7 +287,7 @@ def decide_conjugate(
     def witness(gamma: Permutation, lists: list[list[Permutation]]) -> ConjugacyWitness:
         return ConjugacyWitness(gamma=gamma, recolor=lists[0][0] if allow_recolor else None)
 
-    return _lex_search(a, b, [0] * (2 * a.size), [betas], witness)
+    return _lex_search(a, b, None, [betas], witness)
 
 
 def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitness]:
@@ -292,7 +307,7 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
         return PiecewiseWitness(gamma=gamma, alpha=tuple(admissible[0] for admissible in lists))
 
     perms = list(itertools.permutations(range(a.arity)))
-    return _lex_search(a, b, [0] * (2 * a.size), [perms] * a.size, witness)
+    return _lex_search(a, b, None, [perms] * a.size, witness)
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -340,15 +355,16 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     """Search for a preimage-saturated pointwise witness.
 
     A partition witness sends every point to one with the same local
-    entry signature, so the signatures of both systems seed the colour
-    refinement.  Each bijection that survives the search is completed by
+    entry signature, so the signatures of both systems are the second
+    stage of the colour refinement, computed only once the in-degrees
+    balance.  Each bijection that survives the search is completed by
     the least preimage-saturated colour field, if one exists.  Returns
     the lexicographically least witness (gamma first, then alpha) or None.
     """
     _check_compatible(a, b)
     perms = list(itertools.permutations(range(a.arity)))
-    seeds = local_signatures(a) + local_signatures(b)
-    return _lex_search(a, b, seeds, [perms] * a.size, partial(_partition_alpha_field, a, b))
+    leaf = partial(_partition_alpha_field, a, b)
+    return _lex_search(a, b, lambda: local_signatures(a) + local_signatures(b), [perms] * a.size, leaf)
 
 
 def _check_fields(witness, size: int, arity: int) -> tuple[Permutation, ...]:

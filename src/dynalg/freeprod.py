@@ -113,24 +113,30 @@ def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = F
     must stay below it with ``open_ball``; a norm past the float range
     reads as inf, with no warning, and is refused.  The first bad row is
     named: ``what`` alone if it is the only row, else ``what`` and its index.
+    One row given as a tuple or list of plain ints, floats and complexes,
+    the common case, is read and measured without numpy's per-call set-up.
     """
-    try:
-        lam = _as_array(rows, f"{what} coordinate")
-    except ValueError:  # ragged or not finite: name the first bad row
-        for row in rows:
-            _check_signature(_as_array(row, f"{what} coordinate").reshape(-1).shape, (n,))
-        raise ValueError(f"{what}s must all have one shape") from None
-    lam = lam.reshape(len(rows), -1)
-    _check_signature(lam.shape[1:], (n,))
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(lam, axis=1)
-    outside = ~(norms < radius) if open_ball else ~(norms <= radius + _STRUCT_TOL)
-    if outside.any():
-        i = int(np.argmax(outside))
-        name = what if len(rows) == 1 else f"{what} {i}"
-        past = ">=" if open_ball else ">"
-        raise ValueError(f"{name} has norm {norms[i]:.4f} {past} {radius:g}")
-    return lam
+    row = rows[0] if len(rows) == 1 else None
+    if type(row) in (tuple, list) and {int, float, complex}.issuperset(map(type, row)):
+        lam = [[_as_finite(v, f"{what} coordinate") for v in row]]
+        norms = [math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in lam[0]))]
+    else:
+        try:
+            lam = _as_array(rows, f"{what} coordinate")
+        except ValueError:  # ragged or not finite: name the first bad row
+            for row in rows:
+                _check_signature(_as_array(row, f"{what} coordinate").reshape(-1).shape, (n,))
+            raise ValueError(f"{what}s must all have one shape") from None
+        lam = lam.reshape(len(rows), -1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(lam, axis=1).tolist()
+    _check_signature((len(lam[0]),), (n,))
+    for i, norm in enumerate(norms):
+        if not (norm < radius if open_ball else norm <= radius + _STRUCT_TOL):
+            name = what if len(rows) == 1 else f"{what} {i}"
+            past = ">=" if open_ball else ">"
+            raise ValueError(f"{name} has norm {norm:.4f} {past} {radius:g}")
+    return np.asarray(lam, dtype=complex)
 
 
 # A sum or product whose terms have total modulus below this is far from

@@ -19,10 +19,11 @@ The `entry signature` of a subset is the multiset of in-degrees per
 (colour, target vertex) of its transition graph.  Equal signatures are
 necessary for the compressions of two systems to correspond under any
 partition-style matching of points, which is what makes the per-point
-signature a sound starting colour for the partition search's colour
-refinement and a cheap separating invariant in its own right.
+signature a sound colour for the partition search's colour refinement
+and a cheap separating invariant in its own right.
 :func:`local_signatures` gives every point's signature in one pass over
-the tables, which is how the partition decider seeds its refinement.
+the tables; the partition decider calls it as the second stage of its
+refinement, once the two systems' in-degrees balance.
 """
 
 from __future__ import annotations
@@ -204,8 +205,24 @@ def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
 
 
 def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
-    """The local signature of every point, in point order, in one pass."""
-    return [_hood_signature(system.tables, x) for x in range(system.size)]
+    """The local signature of every point, in point order, in one pass.
+
+    The same counts as :func:`_hood_signature`, inlined: this runs once
+    per point of both systems on every partition search that in-degree
+    does not refute.
+    """
+    signatures = []
+    for x in range(system.size):
+        hood = {x, *[table[x] for table in system.tables]}
+        counts: list[int] = []
+        for table in system.tables:
+            indegree: dict[int, int] = {}
+            for u in hood:
+                if (y := table[u]) in hood:
+                    indegree[y] = indegree.get(y, 0) + 1
+            counts += indegree.values()
+        signatures.append(tuple(sorted(counts)))
+    return signatures
 
 
 def signatures_equivalent(s1: Iterable[int], s2: Iterable[int]) -> bool:

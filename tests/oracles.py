@@ -501,6 +501,29 @@ def relabelled_pair(
     return a, FiniteSystem(size=size, tables=tuple(tuple(t) for t in tables))
 
 
+def indegrees(system: FiniteSystem) -> list[int]:
+    """The number of (map, point) pairs landing on each point."""
+    counts = Counter(y for table in system.tables for y in table)
+    return [counts[x] for x in range(system.size)]
+
+
+def indegree_shifted_pair(
+    rng: random.Random, size: int, arity: int
+) -> tuple[FiniteSystem, FiniteSystem]:
+    """A :func:`relabelled_pair` in which the first entry of b's map 0 that
+    misses b's point of largest in-degree is sent onto that point.
+
+    b's largest in-degree grows by one, so the in-degree multisets differ
+    and no notion has a witness.
+    """
+    a, b = relabelled_pair(rng, size, arity)
+    degree = indegrees(b)
+    top = degree.index(max(degree))
+    table = list(b.tables[0])
+    table[next(x for x, y in enumerate(table) if y != top)] = top
+    return a, FiniteSystem(size=size, tables=(tuple(table),) + b.tables[1:])
+
+
 def classed_pair(
     rng: random.Random, size: int, arity: int, classes: int
 ) -> tuple[FiniteSystem, FiniteSystem, tuple, tuple]:

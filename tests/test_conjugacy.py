@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import dynalg.conjugacy
 from dynalg.conjugacy import (
     ConjugacyWitness,
     IncompatibleSystemsError,
@@ -33,6 +34,8 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    indegree_shifted_pair,
+    indegrees,
     intertwines_at,
     least_rotation,
     make_rng,
@@ -448,8 +451,9 @@ def test_refinement_matches_run_to_stability_oracle():
     rng = make_rng(67)
     for a, b in _kernel_pairs(rng, 300):
         n = a.size
-        for seeds in ([0] * (2 * n), local_signatures(a) + local_signatures(b)):
-            colours = _refined_colours(a, b, seeds)
+        signatures = local_signatures(a) + local_signatures(b)
+        for seeds, staged in (([0] * (2 * n), None), (signatures, lambda: signatures)):
+            colours = _refined_colours(a, b, staged)
             stable = stable_refined_colours(a, b, seeds)
             if colours is None:
                 assert stable is None
@@ -466,8 +470,56 @@ def test_refinement_stops_at_a_discrete_partition_the_next_round_refutes():
     b = FiniteSystem(size=2, tables=((1, 0),))
     seeds = ["p", "q", "p", "q"]
     assert stable_refined_colours(a, b, seeds) is None
-    assert _refined_colours(a, b, seeds) == ([0, 1], [0, 1])
+    assert _refined_colours(a, b, lambda: seeds) == ([0, 1], [0, 1])
     assert decide_piecewise(a, b) is None
+
+
+def test_indegree_in_the_seeds_leaves_the_stable_partition_unchanged():
+    # Every equitable partition is constant on in-degree, which is why the
+    # deciders may refine by in-degree before anything else.
+    rng = make_rng(71)
+    for a, b in _kernel_pairs(rng, 300):
+        degree = indegrees(a) + indegrees(b)
+        for seeds in ([0] * (2 * a.size), local_signatures(a) + local_signatures(b)):
+            plain = stable_refined_colours(a, b, seeds)
+            with_degree = stable_refined_colours(a, b, list(zip(seeds, degree)))
+            if plain is None or with_degree is None:
+                assert plain is with_degree is None
+            else:
+                assert _blocks(plain) == _blocks(with_degree)
+
+
+def test_signatures_are_computed_only_for_pairs_whose_indegrees_balance(monkeypatch):
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return local_signatures(system)
+
+    monkeypatch.setattr(dynalg.conjugacy, "local_signatures", counted)
+    rng = make_rng(79)
+    seen = Counter()
+    for a, b in _kernel_pairs(rng, 300):
+        calls.clear()
+        witness = decide_partition(a, b)
+        degree = indegrees(a)
+        balanced = sorted(degree) == sorted(indegrees(b))
+        # in-degree alone may already pair every point, which stops refinement
+        kind = "refuted" if not balanced else "discrete" if len(set(degree)) == a.size else "balanced"
+        seen[kind] += 1
+        if kind == "balanced":
+            assert calls == [a, b]
+        else:
+            assert calls == []
+        if kind == "refuted":
+            assert witness is None
+    assert len(seen) == 3
+    a, b = indegree_shifted_pair(make_rng(2000), 2000, 2)
+    calls.clear()
+    assert decide_conjugate(a, b, allow_recolor=True) is None
+    assert decide_piecewise(a, b) is None
+    assert decide_partition(a, b) is None
+    assert calls == []
 
 
 def _fitting(a, b, gamma, x, perms):
