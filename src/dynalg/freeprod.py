@@ -113,13 +113,16 @@ def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = F
     must stay below it with ``open_ball``; a norm past the float range
     reads as inf, with no warning, and is refused.  The first bad row is
     named: ``what`` alone if it is the only row, else ``what`` and its index.
-    One row given as a tuple or list of plain ints, floats and complexes,
-    the common case, is read and measured without numpy's per-call set-up.
+    Every norm is one rule, the float sum of squared moduli: a row read
+    whole by numpy and the same row read coordinate by coordinate give
+    the same verdict.  One row given as a tuple or list of floats,
+    complexes (numpy's float64 and complex128 among them) and plain
+    ints, as ``PolyballPoint`` blocks and ``polyball_auto_apply`` points
+    arrive, is read without numpy's per-call set-up.
     """
     row = rows[0] if len(rows) == 1 else None
-    if type(row) in (tuple, list) and {int, float, complex}.issuperset(map(type, row)):
-        lam = [[_as_finite(v, f"{what} coordinate") for v in row]]
-        norms = [math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in lam[0]))]
+    if type(row) in (tuple, list) and all(type(v) is int or isinstance(v, (float, complex)) for v in row):
+        values = [[_as_finite(v, f"{what} coordinate") for v in row]]
     else:
         try:
             lam = _as_array(rows, f"{what} coordinate")
@@ -127,16 +130,15 @@ def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = F
             for row in rows:
                 _check_signature(_as_array(row, f"{what} coordinate").reshape(-1).shape, (n,))
             raise ValueError(f"{what}s must all have one shape") from None
-        lam = lam.reshape(len(rows), -1)
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(lam, axis=1).tolist()
-    _check_signature((len(lam[0]),), (n,))
-    for i, norm in enumerate(norms):
+        values = lam.reshape(len(rows), -1).tolist()
+    _check_signature((len(values[0]),), (n,))
+    for i, row in enumerate(values):
+        norm = math.sqrt(sum(c.real * c.real + c.imag * c.imag for c in row))  # inf past the float range
         if not (norm < radius if open_ball else norm <= radius + _STRUCT_TOL):
             name = what if len(rows) == 1 else f"{what} {i}"
             past = ">=" if open_ball else ">"
             raise ValueError(f"{name} has norm {norm:.4f} {past} {radius:g}")
-    return np.asarray(lam, dtype=complex)
+    return np.array(values, dtype=complex)
 
 
 # A sum or product whose terms have total modulus below this is far from

@@ -205,24 +205,9 @@ def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
 
 
 def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
-    """The local signature of every point, in point order, in one pass.
-
-    The same counts as :func:`_hood_signature`, inlined: this runs once
-    per point of both systems on every partition search that in-degree
-    does not refute.
-    """
-    signatures = []
-    for x in range(system.size):
-        hood = {x, *[table[x] for table in system.tables]}
-        counts: list[int] = []
-        for table in system.tables:
-            indegree: dict[int, int] = {}
-            for u in hood:
-                if (y := table[u]) in hood:
-                    indegree[y] = indegree.get(y, 0) + 1
-            counts += indegree.values()
-        signatures.append(tuple(sorted(counts)))
-    return signatures
+    """The local signature of every point, in point order, in one pass."""
+    tables = system.tables
+    return [_signature(tables, {x, *[table[x] for table in tables]}) for x in range(system.size)]
 
 
 def signatures_equivalent(s1: Iterable[int], s2: Iterable[int]) -> bool:

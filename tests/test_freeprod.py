@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dynalg.freeprod
+
 from dynalg.freeprod import (
     BallMobius,
     FPPoly,
@@ -813,6 +815,45 @@ def test_every_ball_entry_point_follows_one_ball_rule(name):
     if not centre:
         with pytest.raises(ValueError, match=r"^point signature \(3,\) does not match \(2,\)$"):
             call((0.1, 0.2, 0.3))
+
+
+def test_sampled_blocks_and_mapped_points_are_read_without_numpy(monkeypatch):
+    # Blocks cut from sample_ball_points rows hold numpy complex128s, and
+    # polyball_auto_apply passes tuples of those through mobius_apply.
+    rng = random.Random(11)
+    rows = zip(sample_ball_points(rng, 2, 20), sample_ball_points(rng, 3, 20))
+    blocks = [(tuple(u), tuple(v)) for u, v in rows]
+    points = [PolyballPoint(b) for b in blocks]
+    auto = PolyballAuto((BallMobius.involution((0.3, 0.1j)), BallMobius.involution((0.1, 0.2, -0.1j))), (0, 1))
+    images = [polyball_auto_apply(auto, p) for p in points]
+
+    def numpy_read(*args):
+        raise AssertionError("a single row was read by numpy")
+
+    monkeypatch.setattr(dynalg.freeprod, "_as_array", numpy_read)
+    assert [PolyballPoint(b) for b in blocks] == points
+    assert [polyball_auto_apply(auto, p) for p in points] == images
+
+
+def test_a_row_gets_one_verdict_however_it_is_given():
+    # Norms within a few ulps of the closed radius's tolerance: a tuple of
+    # floats (read coordinate by coordinate), the same row as an ndarray and
+    # as one of two rows (read by numpy) are accepted or refused together.
+    rng = random.Random(12)
+    edge = 1 + 1e-12
+    for _ in range(200):
+        v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(rng.randint(1, 5))])
+        v *= edge / np.linalg.norm(v)
+        for k in range(-3, 4):
+            row = v * (1 + k * 2.0**-52)
+            verdicts = set()
+            for rows in ((tuple(row.tolist()),), row[None, :], [tuple(row.tolist()), row]):
+                try:
+                    dynalg.freeprod._ball_rows(rows, len(row), "point")
+                    verdicts.add(True)
+                except ValueError:
+                    verdicts.add(False)
+            assert len(verdicts) == 1
 
 
 def test_gauge_tuples_need_one_row_per_block():
