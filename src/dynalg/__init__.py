@@ -4,7 +4,8 @@ the symbolic and matrix models of their associated operator algebras.
 Importing the package loads none of its modules: each exported name, and
 each submodule reached as an attribute (``dynalg.reps``), is imported on
 first access, so a caller pays only for the layers it uses; numpy comes
-in with ``freeprod`` and ``reps`` alone.
+in with ``freeprod``, and with the dense matrix views of ``reps`` on their
+first call.
 """
 
 __version__ = "0.1.0"

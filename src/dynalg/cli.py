@@ -15,8 +15,11 @@ same table, reads every other line and words all help text and usage errors.
 Integer flags and ``--subset`` items are ASCII digits only.
 Commands reach the library through the package (``dynalg.reps``), which
 imports a module on first use, so a command loads only the layers it
-calls: ``check``, ``signature``, ``signature-compare`` and ``iso-build``
-never load numpy.
+calls.  Only ``lift`` and ``selftest`` load numpy: ``tensor-vs-semicrossed``
+reports the obstruction's row norm exactly, off the first row of its
+generator images (:meth:`dynalg.reps.NestRep.generator_row_norm`), and
+``fock`` checks the path-space relations on partial maps, so neither builds
+a dense matrix.
 Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field, and :func:`read_witness` turns a ``check`` or ``iso-build``
@@ -287,11 +290,9 @@ def _cmd_tensor(args) -> tuple[bool, Any]:
         ]
         return True, {"bumps": bumps}
     z, (x1, i), (x2, j) = decision.overlap
-    rep = decision.obstruction
-    norm = dynalg.reps.row_norm([rep.generator_image(k) for k in range(system.arity)])
     return False, {
         "overlap": {"point": z, "preimages": [[x1, i], [x2, j]]},
-        "row_norm": norm,
+        "row_norm": decision.obstruction.generator_row_norm(),
     }
 
 

@@ -14,7 +14,11 @@ is the numerical obstruction separating the row-contractive completion
 from the unconstrained one.  That dichotomy drives
 :func:`decide_tensor_vs_semicrossed`: the completions agree exactly
 when the map ranges are pairwise disjoint, and on the disjoint side the
-range indicators are the separating bump functions.
+range indicators are the separating bump functions.  The row operator
+of the generator tuple is zero off its first row, so its norm is
+exactly that row's Euclidean norm, the square root of the slot count:
+:meth:`NestRep.generator_row_norm` reads it without building a matrix,
+and :func:`row_norm` gives the same value by a dense SVD.
 
 Truncated path-space families: for an edge-coloured graph, the space
 spanned by composable edge paths of length at most D (plus one vacuum
@@ -37,25 +41,31 @@ as it places the paths.  Building costs one path extension per basis
 path, each a tuple of the path's length.  Checking a built family then
 costs O(basis size) set work; on any other basis it first costs one
 grading pass and one path lookup per edge extension.
+
+Only the dense views load numpy, on their first call:
+:meth:`NestRep.function_image`, :meth:`NestRep.generator_image`,
+:func:`rep_apply`, :func:`row_norm` and :meth:`CKFamily.edge_operator`.
+Everything else here is pure Python.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .dynsys import (
     Edge, EdgeColoredGraph, FiniteSystem, _int_in, check_colour, check_point, map_range,
     ranges_pairwise_disjoint,
 )
-from .freeprod import _as_array
 from .matching import lex_least_injective
 from .semicrossed import FunctionCoeff, SemicrossedElement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidSlotError(ValueError):
@@ -83,15 +93,30 @@ class NestRep:
         return (self.base,) + tuple(p for p, _ in self.slots)
 
     def function_image(self, f: FunctionCoeff) -> np.ndarray:
+        import numpy as np
+
         values = [complex(f.values[p]) for p in self.points]
         return np.diag(np.array(values, dtype=complex))
 
     def generator_image(self, colour: int) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for j, (_, c) in enumerate(self.slots):
             if c == colour:
                 out[0, j + 1] = 1.0
         return out
+
+    def generator_row_norm(self) -> float:
+        """Row norm of the generator tuple (s_0, ..., s_{arity-1}), read off the first row.
+
+        The row operator [s_0 ... s_{arity-1}] is zero off its first row,
+        which holds one 1 per slot of colour below the arity, so its
+        largest singular value is exactly the square root of that count:
+        what :func:`row_norm` of the generator images gives, without them.
+        """
+        colours = range(self.system.arity)
+        return math.sqrt(sum(c in colours for _, c in self.slots))
 
 
 def build_colour_rep(
@@ -128,6 +153,8 @@ def rep_apply(rep: NestRep, element: SemicrossedElement) -> np.ndarray:
     """Multiplicative linear extension of the generator and function images."""
     if element.system != rep.system:
         raise ValueError("element lives over a different system")
+    import numpy as np
+
     acc = np.zeros((rep.dim, rep.dim), dtype=complex)
     for word, coeff in element.terms.items():
         mat = rep.function_image(coeff)
@@ -156,13 +183,22 @@ def nest_rep_exists(
 
 
 def row_norm(mats: Sequence[np.ndarray]) -> float:
-    """Largest singular value of the horizontal concatenation [T_1 ... T_k].
+    """Largest singular value of the horizontal concatenation [T_1 ... T_k], by a dense SVD.
 
-    Entries are numbers read by :func:`dynalg.freeprod._as_array`.
+    Each T_k must be a 2-D matrix of numbers read by
+    :func:`dynalg.freeprod._as_array`; any other entry raises ValueError
+    naming its index and shape.
     """
     if not mats:
         raise ValueError("need at least one matrix")
+    import numpy as np
+
+    from .freeprod import _as_array
+
     mats = [_as_array(m, "matrix entry") for m in mats]
+    for k, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ValueError(f"entry {k} has shape {m.shape}, not that of a matrix")
     rows = {m.shape[0] for m in mats}
     if len(rows) != 1:
         raise ValueError(f"row counts differ: {sorted(rows)}")
@@ -295,6 +331,8 @@ class CKFamily:
 
     def edge_operator(self, edge: Edge) -> np.ndarray:
         """S_e as a dense 0/1 matrix: a view of :meth:`edge_map`."""
+        import numpy as np
+
         pairs = self.edge_map(edge)
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         out[list(pairs.values()), list(pairs.keys())] = 1

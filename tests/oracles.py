@@ -957,3 +957,52 @@ def looped_lift_deviation(x: U1nMatrix, order: int, samples) -> float:
         image = (y[1:, 1:] @ lam + y[1:, 0]) / (y[0, 0] + np.vdot(y[0, 1:].conj(), lam))
         deviation = max(deviation, float(np.max(np.abs(mu - image))))
     return deviation
+
+
+# ---- the truncated Fock space over words, independent of dynalg.reps ------------
+
+
+def fock_words(n: int, depth: int) -> list[tuple[int, ...]]:
+    """The words in the letters 0..n-1 of length <= depth, by length, then lexicographically."""
+    words, level = [()], [()]
+    for _ in range(depth):
+        level = [(j,) + w for j in range(n) for w in level]
+        words += level
+    return words
+
+
+def creation_maps(n: int, depth: int) -> list[dict[int, int]]:
+    """Left creation L_j e_w = e_{jw} compressed to the words of length <= depth,
+    one partial map of positions in :func:`fock_words` per letter j."""
+    words = fock_words(n, depth)
+    position = {w: k for k, w in enumerate(words)}
+    return [{k: position[(j,) + w] for k, w in enumerate(words) if len(w) < depth} for j in range(n)]
+
+
+def creation_operators(n: int, depth: int) -> list[np.ndarray]:
+    """The maps of :func:`creation_maps` as dense 0/1 matrices."""
+    dim = len(fock_words(n, depth))
+    ops = []
+    for pairs in creation_maps(n, depth):
+        op = np.zeros((dim, dim))
+        op[list(pairs.values()), list(pairs.keys())] = 1.0
+        ops.append(op)
+    return ops
+
+
+def lift_at(x: U1nMatrix, row: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The lifted generators of ``x`` with the square matrices ``row`` in place of the L_k.
+
+    Each :func:`voiculescu_lift` series is read from its factored fields as
+    (x0_bar I - sum_k shift_k R_k)^-1 (sum_k affine_vector_k R_k + affine_scalar I),
+    the inverse solved exactly.  At the creation operators of a truncated
+    Fock space the shift part is nilpotent, so this is the series summed
+    to any order at least the depth, with no tail.
+    """
+    eye = np.eye(len(row[0]))
+    out = []
+    for s in voiculescu_lift(x, 0):  # every field but the order and tail is order-free
+        shift = sum(c * r for c, r in zip(s.shift, row))
+        affine = sum(c * r for c, r in zip(s.affine_vector, row)) + s.affine_scalar * eye
+        out.append(np.linalg.solve(s.x0_bar * eye - shift, affine))
+    return out

@@ -37,7 +37,9 @@ from dynalg.freeprod import (
 from dynalg.reps import row_norm
 from dynalg.scalars import qc
 from dynalg.wordpoly import cesaro_mean, fourier_component
-from oracles import looped_ball_samples, looped_lift_deviation, truncated_series_value
+from oracles import (
+    creation_operators, lift_at, looped_ball_samples, looped_lift_deviation, truncated_series_value,
+)
 
 SIG = (2, 3)
 
@@ -500,6 +502,35 @@ def test_lift_array_pass_matches_looped_oracle():
             for p in samples:
                 point = PolyballPoint((tuple(p),))
                 assert abs(s.evaluate(point) - truncated_series_value(s, point)) <= 1e-12
+
+
+# The lift as an operator map: compressing to the words of length <= D is
+# multiplicative on the analytic algebra, so these identities hold exactly there.
+
+
+def test_lift_at_truncated_creation_operators_leaves_a_rank_one_defect():
+    rng = random.Random(52)
+    for n, depth in ((1, 6), (2, 4), (3, 3)):
+        ops = creation_operators(n, depth)
+        for _ in range(3):
+            phi = lift_at(random_u1n(rng, n, "mixed"), ops)
+            # I - sum Phi_j Phi_j* compresses the rank-one defect of a pure row isometry
+            eigenvalues = np.linalg.eigvalsh(np.eye(len(ops[0])) - sum(p @ p.conj().T for p in phi))
+            assert np.abs(eigenvalues[:-1]).max() <= 1e-12
+            assert eigenvalues[-1] > 0.5
+
+
+def test_lift_composes_as_the_reversed_matrix_product():
+    rng = random.Random(53)
+    for n, depth in ((1, 6), (2, 4), (3, 3)):
+        ops = creation_operators(n, depth)
+        for _ in range(2):
+            x, y = random_u1n(rng, n, "mixed"), random_u1n(rng, n, "mixed")
+            composed = lift_at(x, lift_at(y, ops))
+            yx = lift_at(U1nMatrix(n=n, matrix=y.matrix @ x.matrix), ops)
+            xy = lift_at(U1nMatrix(n=n, matrix=x.matrix @ y.matrix), ops)
+            assert max(np.abs(c - e).max() for c, e in zip(composed, yx)) <= 1e-12
+            assert max(np.abs(c - e).max() for c, e in zip(composed, xy)) > 1e-3
 
 
 def test_sample_ball_points_matches_looped_draws():

@@ -18,9 +18,11 @@ import dynalg
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 
-# The FOUR_POINT_SPLIT pair, a partition-matchable pair of systems.
+# The FOUR_POINT_SPLIT pair, a partition-matchable pair of systems whose
+# ranges overlap, and the identity in U(1, 1).
 SPLIT_A = '{"points": 4, "maps": [[1, 0, 2, 3], [0, 1, 3, 2]]}'
 SPLIT_B = '{"points": 4, "maps": [[1, 0, 3, 2], [0, 1, 2, 3]]}'
+IDENTITY_U11 = '{"n": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
 
 HEAVY = ("numpy", "dynalg.freeprod", "dynalg.reps", "dynalg.semicrossed")
 
@@ -50,20 +52,19 @@ RUN = "import sys\nfrom dynalg.cli import run_command\nprint(run_command(sys.arg
     (["signature", "{a}"], set()),
     (["signature-compare", "{a}", "{b}"], set()),
     (["iso-build", "{a}", "{b}"], {"dynalg.semicrossed"}),
+    # the path-space commands read partial maps and the obstruction's first row
+    (["fock", "{a}", "--depth", "2"], {"dynalg.reps", "dynalg.semicrossed"}),
+    (["tensor-vs-semicrossed", "{a}"], {"dynalg.reps", "dynalg.semicrossed"}),
+    (["lift", "--u1n", "{u}", "--degree", "2", "--samples", "3"], {"numpy", "dynalg.freeprod"}),
+    (["selftest"], set(HEAVY)),
 ])
 def test_commands_load_only_the_layers_they_call(tmp_path, command, allowed):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a, b, u = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "u.json"
     a.write_text(SPLIT_A)
     b.write_text(SPLIT_B)
-    argv = [arg.format(a=a, b=b) for arg in command]
+    u.write_text(IDENTITY_U11)
+    argv = [arg.format(a=a, b=b, u=u) for arg in command]
     assert loaded_after(RUN, *argv) & set(HEAVY) == allowed
-
-
-def test_path_space_commands_load_numpy_when_they_run(tmp_path):
-    a = tmp_path / "a.json"
-    a.write_text(SPLIT_A)
-    assert loaded_after("import dynalg.cli") & set(HEAVY) == set()
-    assert loaded_after(RUN, "fock", str(a), "--depth", "2") >= set(HEAVY)
 
 
 def test_submodules_load_on_attribute_access():

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_m
 
 from oracles import (
     compress_block,
+    creation_maps,
     dense_ck_report,
     dense_edge_operator,
+    fock_words,
     random_element,
     random_system,
     scan_ck_report,
@@ -188,6 +191,16 @@ def test_row_norm_examples():
         row_norm([np.zeros((2, 2)), np.zeros((3, 3))])
     with pytest.raises(ValueError):
         row_norm([])
+    # every entry must be a matrix: no scalar, vector or 3-D array is read as one
+    for mats, k, shape in (
+        ([5], 0, ()),
+        ([[1, 1]], 0, (2,)),
+        ([np.zeros((2, 2)), np.zeros(2)], 1, (2,)),
+        ([np.eye(2), np.zeros((2, 1, 1))], 1, (2, 1, 1)),
+    ):
+        message = f"entry {k} has shape {shape}, not that of a matrix"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            row_norm(mats)
 
 
 def test_row_norm_two_routes():
@@ -208,6 +221,28 @@ def test_row_norm_two_routes():
         gram = sum(m @ m.conj().T for m in mats)
         independent = math.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0))
         assert abs(direct - independent) < 1e-10
+
+
+def test_generator_row_norm_is_the_dense_row_norm():
+    rng = random.Random(49)
+    seen: Counter = Counter()
+    for _ in range(300):
+        sys = random_system(rng, rng.randint(1, 4), rng.randint(1, 3))
+        base = rng.randrange(sys.size)
+        admissible = [(p, c) for c in range(sys.arity) for p in range(sys.size) if sys.tables[c][p] == base]
+        if not admissible:
+            continue
+        slots = [rng.choice(admissible) for _ in range(rng.randint(1, 3))]
+        rep = build_colour_rep(sys, base, slots)
+        dense = row_norm([rep.generator_image(k) for k in range(sys.arity)])
+        assert abs(rep.generator_row_norm() - dense) <= 1e-12
+        colours = [c for _, c in slots]
+        seen["repeated colour"] += len(set(colours)) < len(colours)
+        seen["slot at the base"] += base in (p for p, _ in slots)
+        seen[("arity", sys.arity)] += 1
+        seen[("slots", len(slots))] += 1
+    assert len(seen) == 8 and all(seen.values()), seen
+    assert build_colour_rep(TWO_POINT_MIXED, 0, []).generator_row_norm() == 0.0
 
 
 def test_shared_base_point_forces_row_norm_obstruction():
@@ -233,6 +268,7 @@ def test_decide_tensor_vs_semicrossed():
     assert overlap.overlap == (1, (0, 0), (0, 1))
     mats = [overlap.obstruction.generator_image(k) for k in range(2)]
     assert abs(row_norm(mats) - math.sqrt(2)) < 1e-12
+    assert overlap.obstruction.generator_row_norm() == math.sqrt(2)
 
     disjoint = decide_tensor_vs_semicrossed(THREE_POINT_DISJOINT)
     assert disjoint.isomorphic
@@ -297,6 +333,18 @@ def test_loop_family_shift_structure():
     assert report.monochrome_cuntz_ok and report.defect_structure_ok
     (defect,) = report.defects
     assert defect.vacuum_positions and not defect.off_colour_positions
+
+
+def test_one_vertex_family_carries_the_left_creation_maps():
+    # n loops at one vertex: a path is the word of its edge colours, outermost first
+    for n, depth in ((1, 6), (2, 5), (3, 3)):
+        graph = EdgeColoredGraph(vertices=(0,), edges=tuple((0, 0, j) for j in range(n)), colours=n)
+        family = build_truncated_fock(graph, depth)
+        position = {w: k for k, w in enumerate(fock_words(n, depth))}
+        word_at = [position[tuple(e[2] for e in edges)] for _, edges in family.basis]
+        assert sorted(word_at) == list(range(len(position)))
+        for j, pairs in enumerate(creation_maps(n, depth)):
+            assert {word_at[k]: word_at[v] for k, v in family.edge_map((0, 0, j)).items()} == pairs
 
 
 def test_two_point_mixed_family_relations():
