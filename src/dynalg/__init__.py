@@ -70,7 +70,6 @@ _EXPORTS = {
         "CKFamily",
         "CKReport",
         "NestRep",
-        "build_colour_rep",
         "build_truncated_fock",
         "check_ck_relations",
         "decide_tensor_vs_semicrossed",

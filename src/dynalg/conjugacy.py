@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
 
-from .dynsys import FiniteSystem, _is_permutation
+from .dynsys import FiniteSystem, _int_in, _is_permutation
 from .matching import W, lex_first
 from .quotient import local_signatures
 
@@ -95,7 +95,10 @@ class PartitionWitness:
     alpha: tuple[Permutation, ...]
 
     def index_set(self, i: int, j: int) -> frozenset[int]:
-        """V_{i,j}: the points whose colour field sends i to j."""
+        """V_{i,j}: the points whose colour field sends i to j, for colours i, j."""
+        arity = len(self.alpha[0]) if self.alpha else 0
+        _int_in(i, "colour i", 0, arity)
+        _int_in(j, "colour j", 0, arity)
         return frozenset(x for x, perm in enumerate(self.alpha) if perm[i] == j)
 
     def inverse(self) -> "PartitionWitness":

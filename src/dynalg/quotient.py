@@ -192,16 +192,11 @@ def entry_signature(sub: SubSystem) -> EntrySignature:
     return _signature(sub.parent.tables, set(sub.points))
 
 
-def _hood_signature(tables: Sequence[Sequence[int]], x: int) -> EntrySignature:
-    """Entry signature of {x} u {images of x}."""
-    hood = {x}
-    hood.update(table[x] for table in tables)
-    return _signature(tables, hood)
-
-
 def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
     """Entry signature of the one-step neighbourhood {x} u {images of x}."""
-    return _hood_signature(sys.tables, check_point(sys, x))
+    tables = sys.tables
+    x = check_point(sys, x)
+    return _signature(tables, {x, *[table[x] for table in tables]})
 
 
 def local_signatures(system: FiniteSystem) -> list[EntrySignature]:

@@ -3,9 +3,10 @@
 Two families of matrices are built here.
 
 First-row representations: given a base point x and slots (x_j, c_j)
-with sigma_{c_j}(x_j) = x, functions act diagonally through their values
-at (x, x_1, ..., x_m) and the colour generator s_k acts by the 0/1
-matrix whose first row marks the slots carrying colour k.  All images
+with sigma_{c_j}(x_j) = x, which :class:`NestRep` checks on
+construction, functions act diagonally through their values at
+(x, x_1, ..., x_m) and the colour generator s_k acts by the 0/1 matrix
+whose first row marks the slots carrying colour k.  All images
 live in the pattern algebra of matrices supported on the diagonal and
 the first row.  With pairwise distinct slot colours every generator
 image has norm 0 or 1; two slots sharing the base point under different
@@ -62,7 +63,7 @@ from .dynsys import (
     ranges_pairwise_disjoint,
 )
 from .matching import lex_least_injective
-from .semicrossed import FunctionCoeff, SemicrossedElement
+from .semicrossed import FunctionCoeff, SemicrossedElement, _size_differs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,11 +75,32 @@ class InvalidSlotError(ValueError):
 
 @dataclass(frozen=True)
 class NestRep:
-    """A first-row representation at a base point with preimage slots."""
+    """A first-row representation at a base point with preimage slots.
+
+    The base is read by :func:`check_point`, and each slot (p, c) by
+    :func:`check_point` and :func:`check_colour` and must satisfy
+    sigma_c(p) = base; any other slot raises :class:`InvalidSlotError`
+    naming it.  The slots are stored as a tuple; colours may repeat.
+    """
 
     system: FiniteSystem
     base: int
     slots: tuple[tuple[int, int], ...]  # (point, colour) with sigma_colour(point) = base
+
+    def __post_init__(self) -> None:
+        sys, base = self.system, check_point(self.system, self.base)
+        slots = tuple(self.slots)
+        for p, c in slots:
+            try:
+                check_point(sys, p)
+                check_colour(sys, c)
+            except ValueError as exc:
+                raise InvalidSlotError(f"slot ({p!r}, {c!r}): {exc}") from None
+            if sys.tables[c][p] != base:
+                raise InvalidSlotError(
+                    f"slot ({p}, {c}): map {c} sends {p} to {sys.tables[c][p]}, not {base}"
+                )
+        object.__setattr__(self, "slots", slots)
 
     @property
     def m(self) -> int:
@@ -95,12 +117,15 @@ class NestRep:
     def function_image(self, f: FunctionCoeff) -> np.ndarray:
         import numpy as np
 
+        if f.size != self.system.size:
+            _size_differs(f, self.system)
         values = [complex(f.values[p]) for p in self.points]
         return np.diag(np.array(values, dtype=complex))
 
     def generator_image(self, colour: int) -> np.ndarray:
         import numpy as np
 
+        check_colour(self.system, colour)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for j, (_, c) in enumerate(self.slots):
             if c == colour:
@@ -111,42 +136,11 @@ class NestRep:
         """Row norm of the generator tuple (s_0, ..., s_{arity-1}), read off the first row.
 
         The row operator [s_0 ... s_{arity-1}] is zero off its first row,
-        which holds one 1 per slot of colour below the arity, so its
-        largest singular value is exactly the square root of that count:
-        what :func:`row_norm` of the generator images gives, without them.
+        which holds one 1 per slot, so its largest singular value is
+        exactly the square root of the slot count: what :func:`row_norm`
+        of the generator images gives, without them.
         """
-        colours = range(self.system.arity)
-        return math.sqrt(sum(c in colours for _, c in self.slots))
-
-
-def build_colour_rep(
-    sys: FiniteSystem,
-    base: int,
-    slots: Sequence[tuple[int, int]],
-    require_distinct_colours: bool = False,
-) -> NestRep:
-    """Validate the slots and build the representation.
-
-    Every slot (p, c) must satisfy sigma_c(p) = base.  With
-    ``require_distinct_colours`` the slot colours must be pairwise
-    distinct (forcing m <= arity), which is exactly the situation in
-    which every generator image is a contraction.
-    """
-    check_point(sys, base)
-    for p, c in slots:
-        try:
-            check_point(sys, p)
-            check_colour(sys, c)
-        except ValueError as exc:
-            raise InvalidSlotError(f"slot ({p!r}, {c!r}): {exc}") from None
-        if sys.tables[c][p] != base:
-            raise InvalidSlotError(
-                f"slot ({p}, {c}): map {c} sends {p} to {sys.tables[c][p]}, not {base}"
-            )
-    colours = [c for _, c in slots]
-    if require_distinct_colours and len(set(colours)) != len(colours):
-        raise InvalidSlotError("slot colours must be pairwise distinct")
-    return NestRep(system=sys, base=base, slots=tuple(slots))
+        return math.sqrt(len(self.slots))
 
 
 def rep_apply(rep: NestRep, element: SemicrossedElement) -> np.ndarray:
@@ -237,7 +231,7 @@ def decide_tensor_vs_semicrossed(sys: FiniteSystem) -> TensorSemicrossedDecision
     i, j, z = witness
     x1 = min(x for x in range(sys.size) if sys.tables[i][x] == z)
     x2 = min(x for x in range(sys.size) if sys.tables[j][x] == z)
-    rep = build_colour_rep(sys, z, [(x1, i), (x2, j)])
+    rep = NestRep(sys, z, ((x1, i), (x2, j)))
     return TensorSemicrossedDecision(
         isomorphic=False,
         bump_functions=None,

@@ -111,6 +111,10 @@ def _sizes_differ(f: FunctionCoeff, g: FunctionCoeff) -> None:
     raise ValueError(f"coefficients have {f.size} and {g.size} values; a pointwise operation needs equal sizes")
 
 
+def _size_differs(f: FunctionCoeff, system: FiniteSystem) -> None:
+    raise ValueError(f"coefficient has {f.size} values, system has {system.size} points")
+
+
 _new = object.__new__
 _set = object.__setattr__
 
@@ -157,9 +161,7 @@ class SemicrossedElement(WordPoly):
             if not isinstance(coeff, FunctionCoeff):
                 raise TypeError(f"coefficient {coeff!r} is not a FunctionCoeff")
             if coeff.size != system.size:
-                raise ValueError(
-                    f"coefficient has {coeff.size} values, system has {system.size} points"
-                )
+                _size_differs(coeff, system)
             if not coeff.is_zero():
                 clean[w] = coeff
         return SemicrossedElement(system=system, terms=clean)
@@ -273,7 +275,9 @@ class CovariantHom:
         )
 
     def function_image(self, f: FunctionCoeff) -> FunctionCoeff:
-        """f o gamma^-1."""
+        """f o gamma^-1, for f on the source's points."""
+        if f.size != self.source.size:
+            _size_differs(f, self.source)
         return _coeff(tuple(f.values[x] for x in _invert(self.witness.gamma)))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dynalg import cli
+from dynalg.conjugacy import PartitionWitness
 from dynalg.dynsys import (
     EdgeColoredGraph,
     FiniteSystem,
@@ -30,7 +31,7 @@ from dynalg.fixtures import (
 )
 from dynalg.freeprod import FPPoly, U1nMatrix, check_lift_work, sample_ball_points, voiculescu_lift
 from dynalg.quotient import local_signature
-from dynalg.reps import build_colour_rep, build_truncated_fock, nest_rep_exists
+from dynalg.reps import NestRep, build_truncated_fock, nest_rep_exists
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement
 from dynalg.wordpoly import cesaro_mean, fourier_component
 
@@ -105,7 +106,7 @@ def test_points_and_colours_must_be_ints():
         lambda: local_signature(a, True),
         lambda: local_signature(a, 2),
         lambda: SemicrossedElement.generator(a, True),
-        lambda: build_colour_rep(a, True, []),
+        lambda: NestRep(a, True, ()),
         lambda: nest_rep_exists(a, 1.0, [0]),
         lambda: nest_rep_exists(a, 0, [True]),
     ):
@@ -279,6 +280,8 @@ def test_edge_colored_graph_stores_tuples():
 _U1N_1_ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 _GRAPH = colored_graph(full_subsystem(TWO_POINT_MIXED))
 _POLY = FPPoly.generator((2,), 0, 1)
+_REP = NestRep(FOUR_POINT_OVERLAP, 1, ((0, 0), (0, 1)))
+_WITNESS = PartitionWitness(gamma=(0, 1, 2, 3), alpha=((0, 1), (1, 0), (0, 1), (1, 0)))
 
 
 def _parse_u1n_n(n):
@@ -297,6 +300,10 @@ _INT_SITES = [
     ("check_point", lambda v: check_point(FOUR_POINT_OVERLAP, v), "point", 0, 4),
     ("check_colour", lambda v: check_colour(FOUR_POINT_OVERLAP, v), "colour", 0, 2),
     ("validate_word", lambda v: validate_word(FOUR_POINT_OVERLAP, (0, v)), "colour", 0, 2),
+    ("NestRep base", lambda v: NestRep(FOUR_POINT_OVERLAP, v, ()), "point", 0, 4),
+    ("NestRep.generator_image", _REP.generator_image, "colour", 0, 2),
+    ("PartitionWitness.index_set i", lambda v: _WITNESS.index_set(v, 0), "colour i", 0, 2),
+    ("PartitionWitness.index_set j", lambda v: _WITNESS.index_set(0, v), "colour j", 0, 2),
     ("FunctionCoeff.constant size", lambda v: FunctionCoeff.constant(v, 1), "size", 0, None),
     ("FunctionCoeff.indicator size", lambda v: FunctionCoeff.indicator(v, []), "size", 0, None),
     ("FunctionCoeff.indicator item", lambda v: FunctionCoeff.indicator(3, [v]), "subset item", 0, 3),

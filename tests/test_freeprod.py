@@ -479,14 +479,19 @@ def test_lift_dual_check_rejects_malformed_samples():
                 lift_dual_check(x, 5, np.array(samples, dtype=complex))
 
 
-def random_u1n(rng, n, kind):
-    """A seeded involution, rotation or mixed matrix in U(1, n)."""
+def random_mobius(rng, n, kind="mixed"):
+    """A seeded involution, rotation or mixed automorphism of the n-ball."""
     a = np.zeros(n) if kind == "rotation" else np.array(sample_ball_points(rng, n, 1, 0.8)[0])
     if kind == "involution":
-        return mobius_to_u1n(BallMobius.involution(a))
+        return BallMobius.involution(a)
     g = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)])
     q, r = np.linalg.qr(g)
-    return mobius_to_u1n(BallMobius(a=a, unitary=q * (np.diag(r) / np.abs(np.diag(r)))))
+    return BallMobius(a=a, unitary=q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def random_u1n(rng, n, kind):
+    """A seeded involution, rotation or mixed matrix in U(1, n)."""
+    return mobius_to_u1n(random_mobius(rng, n, kind))
 
 
 def test_lift_array_pass_matches_looped_oracle():
@@ -531,6 +536,39 @@ def test_lift_composes_as_the_reversed_matrix_product():
             xy = lift_at(U1nMatrix(n=n, matrix=x.matrix @ y.matrix), ops)
             assert max(np.abs(c - e).max() for c, e in zip(composed, yx)) <= 1e-12
             assert max(np.abs(c - e).max() for c, e in zip(composed, xy)) > 1e-3
+
+
+def _polyball_lift(matrices, perm, rows):
+    """Block i's lifted generators at the row of block perm[i]."""
+    return [lift_at(x, rows[perm[i]]) for i, x in enumerate(matrices)]
+
+
+def test_polyball_lift_composes_blocks_and_permutations():
+    # T^A at T^B is T^C: block i of C has matrix X^B_{pA[i]} X^A_i and reads
+    # block pB[pA[i]], by the one-block identity applied block by block.
+    rng = random.Random(54)
+    for sizes, perm_a, perm_b in (((1, 1, 1), (1, 2, 0), (1, 0, 2)), ((2, 2), (1, 0), (1, 0))):
+        ops = creation_operators(sum(sizes), 3)  # 40 and 85 rows
+        starts = np.cumsum((0,) + sizes)
+        rows = [ops[start:stop] for start, stop in zip(starts, starts[1:])]
+        perm_c = [perm_b[k] for k in perm_a]
+        for _ in range(2):
+            a, b = (PolyballAuto(tuple(random_mobius(rng, n) for n in sizes), p) for p in (perm_a, perm_b))
+            xa, xb = ([mobius_to_u1n(m) for m in auto.block_maps] for auto in (a, b))
+            composed = _polyball_lift(xa, a.block_perm, _polyball_lift(xb, b.block_perm, rows))
+
+            def distance(factors, perm):
+                products = [U1nMatrix(n=x.n, matrix=x.matrix @ y.matrix) for x, y in factors]
+                expected = _polyball_lift(products, perm, rows)
+                return max(np.abs(c - e).max() for t, u in zip(composed, expected) for c, e in zip(t, u))
+
+            factors = [(xb[k], xa[i]) for i, k in enumerate(perm_a)]
+            assert distance(factors, perm_c) <= 1e-12
+            # the factors of each block swapped, or B's matrix taken at block i
+            assert distance([(x, y) for y, x in factors], perm_c) > 1e-3
+            assert distance(list(zip(xb, xa)), perm_c) > 1e-3
+            if len(sizes) == 3:  # two blocks' permutations commute
+                assert distance(factors, [perm_a[k] for k in perm_b]) > 1e-3
 
 
 def test_sample_ball_points_matches_looped_draws():
@@ -846,24 +884,6 @@ def test_every_ball_entry_point_follows_one_ball_rule(name):
     if not centre:
         with pytest.raises(ValueError, match=r"^point signature \(3,\) does not match \(2,\)$"):
             call((0.1, 0.2, 0.3))
-
-
-def test_sampled_blocks_and_mapped_points_are_read_without_numpy(monkeypatch):
-    # Blocks cut from sample_ball_points rows hold numpy complex128s, and
-    # polyball_auto_apply passes tuples of those through mobius_apply.
-    rng = random.Random(11)
-    rows = zip(sample_ball_points(rng, 2, 20), sample_ball_points(rng, 3, 20))
-    blocks = [(tuple(u), tuple(v)) for u, v in rows]
-    points = [PolyballPoint(b) for b in blocks]
-    auto = PolyballAuto((BallMobius.involution((0.3, 0.1j)), BallMobius.involution((0.1, 0.2, -0.1j))), (0, 1))
-    images = [polyball_auto_apply(auto, p) for p in points]
-
-    def numpy_read(*args):
-        raise AssertionError("a single row was read by numpy")
-
-    monkeypatch.setattr(dynalg.freeprod, "_as_array", numpy_read)
-    assert [PolyballPoint(b) for b in blocks] == points
-    assert [polyball_auto_apply(auto, p) for p in points] == images
 
 
 def test_a_row_gets_one_verdict_however_it_is_given():

@@ -17,7 +17,7 @@ from dynalg.reps import (
     CKFamily,
     MAX_FOCK_SIZE,
     InvalidSlotError,
-    build_colour_rep,
+    NestRep,
     build_truncated_fock,
     check_ck_relations,
     decide_tensor_vs_semicrossed,
@@ -26,7 +26,7 @@ from dynalg.reps import (
     row_norm,
 )
 from dynalg.scalars import qc
-from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
+from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, identity_hom, pullback, sc_multiply
 
 from oracles import (
     compress_block,
@@ -48,41 +48,66 @@ LOOP_GRAPH = EdgeColoredGraph(vertices=(0,), edges=((0, 0, 0),), colours=1)
 # ---- first-row representations -------------------------------------------------
 
 
-def test_build_colour_rep_examples():
-    rep = build_colour_rep(TWO_POINT_CONSTANT, 0, [(0, 0), (1, 0)])
+def test_nest_rep_examples():
+    rep = NestRep(TWO_POINT_CONSTANT, 0, [(0, 0), (1, 0)])
+    assert rep.slots == ((0, 0), (1, 0))  # stored as a tuple
     assert np.array_equal(rep.generator_image(0).real, [[0, 1, 1], [0, 0, 0], [0, 0, 0]])
     assert not rep.generator_image(1).any()
 
-    rep2 = build_colour_rep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
+    rep2 = NestRep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
     assert np.array_equal(rep2.generator_image(0).real[0], [0, 1, 0])
     assert np.array_equal(rep2.generator_image(1).real[0], [0, 0, 1])
 
-    empty = build_colour_rep(TWO_POINT_MIXED, 1, [])
+    empty = NestRep(TWO_POINT_MIXED, 1, [])
     assert empty.dim == 1
     f = FunctionCoeff((qc(3), qc(7)))
     assert np.array_equal(empty.function_image(f), [[7.0]])
 
 
-def test_build_colour_rep_rejects_bad_slots():
-    with pytest.raises(InvalidSlotError):
-        build_colour_rep(FOUR_POINT_OVERLAP, 2, [(1, 1)])  # map 1 sends 1 to 3
-    with pytest.raises(InvalidSlotError):
-        build_colour_rep(TWO_POINT_CONSTANT, 0, [(0, 0), (1, 0)], require_distinct_colours=True)
-    # distinct colours accepted
-    rep = build_colour_rep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)], require_distinct_colours=True)
+def test_nest_rep_rejects_bad_slots():
+    with pytest.raises(InvalidSlotError, match=r"^slot \(1, 1\): map 1 sends 1 to 3, not 2$"):
+        NestRep(FOUR_POINT_OVERLAP, 2, [(1, 1)])
+    # a colour past the arity, and a slot its map does not send to the base
+    with pytest.raises(InvalidSlotError, match=r"^slot \(0, 5\): colour must be an int in 0\.\.1, got 5$"):
+        NestRep(FOUR_POINT_OVERLAP, 1, ((0, 0), (0, 5), (3, 1)))
+    with pytest.raises(InvalidSlotError, match=r"^slot \(3, 1\): map 1 sends 3 to 3, not 1$"):
+        NestRep(FOUR_POINT_OVERLAP, 1, ((0, 0), (3, 1)))
+    # repeated colours are accepted
+    rep = NestRep(TWO_POINT_CONSTANT, 0, [(0, 0), (1, 0)])
     assert rep.m == 2
 
 
-def test_build_colour_rep_slots_must_be_int_points_and_colours():
+def test_nest_rep_slots_must_be_int_points_and_colours():
     # map 0 of TWO_POINT_MIXED sends 1 to 1, so (1, 0) is a valid slot at base 1
-    assert build_colour_rep(TWO_POINT_MIXED, 1, [(1, 0)]).slots == ((1, 0),)
-    for slot in ((True, 0), (1, False), (1.0, 0), (1, 0.0), (2, 0), (1, 2), (-1, 0), ("1", 0)):
-        with pytest.raises(InvalidSlotError, match="slot"):
-            build_colour_rep(TWO_POINT_MIXED, 1, [slot])
+    assert NestRep(TWO_POINT_MIXED, 1, [(1, 0)]).slots == ((1, 0),)
+    for slot, error in (
+        ((True, 0), "point must be an int in 0..1, got True"),
+        ((1, False), "colour must be an int in 0..1, got False"),
+        ((1.0, 0), "point must be an int in 0..1, got 1.0"),
+        ((1, 0.0), "colour must be an int in 0..1, got 0.0"),
+        ((2, 0), "point must be an int in 0..1, got 2"),
+        ((1, 2), "colour must be an int in 0..1, got 2"),
+        ((-1, 0), "point must be an int in 0..1, got -1"),
+        (("1", 0), "point must be an int in 0..1, got '1'"),
+    ):
+        message = f"slot ({slot[0]!r}, {slot[1]!r}): {error}"
+        with pytest.raises(InvalidSlotError, match=f"^{re.escape(message)}$"):
+            NestRep(TWO_POINT_MIXED, 1, [slot])
+
+
+def test_function_images_need_one_value_per_point():
+    rep = NestRep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
+    hom = identity_hom(FOUR_POINT_OVERLAP)
+    for size in (2, 3, 5, 6):
+        f = FunctionCoeff.constant(size, 1)
+        message = f"coefficient has {size} values, system has 4 points"
+        for image in (rep.function_image, hom.function_image):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                image(f)
 
 
 def test_rep_apply_function_and_products():
-    rep = build_colour_rep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
+    rep = NestRep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
     sys = FOUR_POINT_OVERLAP
     f = FunctionCoeff((qc(2), qc(3), qc(5), qc(7)))
     diag = rep_apply(rep, SemicrossedElement.from_function(sys, f))
@@ -101,7 +126,7 @@ def test_rep_apply_function_and_products():
 
 
 def test_rep_apply_covariance_random_functions():
-    rep = build_colour_rep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
+    rep = NestRep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
     sys = FOUR_POINT_OVERLAP
     rng = random.Random(41)
     for _ in range(100):
@@ -148,7 +173,7 @@ def test_nest_rep_images_stay_in_pattern():
                     slots.append((p, c))
         if not slots:
             continue
-        rep = build_colour_rep(sys, base, slots)
+        rep = NestRep(sys, base, slots)
         el = random_element(rng, sys, 3)
         mat = rep_apply(rep, el)
         off = mat.copy()
@@ -166,9 +191,8 @@ def test_distinct_colour_images_are_contractions():
         assignment = nest_rep_exists(sys, base, preimages)
         if assignment is None:
             continue
-        rep = build_colour_rep(
-            sys, base, list(zip(preimages, assignment)), require_distinct_colours=True
-        )
+        assert len(set(assignment)) == len(assignment)
+        rep = NestRep(sys, base, list(zip(preimages, assignment)))
         for k in range(sys.arity):
             norm = np.linalg.norm(rep.generator_image(k), 2)
             assert norm in (0.0, 1.0)
@@ -183,7 +207,7 @@ def test_nest_rep_exists_examples():
 def test_row_norm_examples():
     iso = np.eye(3, dtype=complex)
     assert abs(row_norm([iso]) - 1.0) < 1e-15
-    rep = build_colour_rep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
+    rep = NestRep(FOUR_POINT_OVERLAP, 1, [(0, 0), (0, 1)])
     mats = [rep.generator_image(k) for k in range(2)]
     assert abs(row_norm(mats) - math.sqrt(2)) < 1e-12
     assert row_norm([np.zeros((2, 2))] * 3) == 0.0
@@ -233,7 +257,7 @@ def test_generator_row_norm_is_the_dense_row_norm():
         if not admissible:
             continue
         slots = [rng.choice(admissible) for _ in range(rng.randint(1, 3))]
-        rep = build_colour_rep(sys, base, slots)
+        rep = NestRep(sys, base, slots)
         dense = row_norm([rep.generator_image(k) for k in range(sys.arity)])
         assert abs(rep.generator_row_norm() - dense) <= 1e-12
         colours = [c for _, c in slots]
@@ -242,7 +266,7 @@ def test_generator_row_norm_is_the_dense_row_norm():
         seen[("arity", sys.arity)] += 1
         seen[("slots", len(slots))] += 1
     assert len(seen) == 8 and all(seen.values()), seen
-    assert build_colour_rep(TWO_POINT_MIXED, 0, []).generator_row_norm() == 0.0
+    assert NestRep(TWO_POINT_MIXED, 0, []).generator_row_norm() == 0.0
 
 
 def test_shared_base_point_forces_row_norm_obstruction():
@@ -255,7 +279,7 @@ def test_shared_base_point_forces_row_norm_obstruction():
         i, j, z = witness
         x1 = min(x for x in range(sys.size) if sys.tables[i][x] == z)
         x2 = min(x for x in range(sys.size) if sys.tables[j][x] == z)
-        rep = build_colour_rep(sys, z, [(x1, i), (x2, j)])
+        rep = NestRep(sys, z, [(x1, i), (x2, j)])
         mats = [rep.generator_image(k) for k in range(sys.arity)]
         assert row_norm(mats) >= math.sqrt(2) - 1e-12
         for m in mats:
