@@ -36,7 +36,8 @@ that fact twice.
   the search, as the seeds alone would give.
 * Permutation lists: every point keeps the colour permutations, in
   lexicographic order, that agree with its edges assigned so far
-  (conjugacy keeps one list shared by all points).  Each assignment
+  (conjugacy keeps one list shared by all points, which holds the
+  identity alone unless recolouring is allowed).  Each assignment
   narrows the lists of the edges it completes, in place and with an undo
   trail, and a branch dies once a list is empty.  A per-point list is
   empty exactly when its assigned images no longer fit in the target's
@@ -284,8 +285,7 @@ def decide_conjugate(
     or None.
     """
     _check_compatible(a, b)
-    perms = list(itertools.permutations(range(a.arity)))
-    betas = perms if allow_recolor else [tuple(range(a.arity))]
+    betas = list(itertools.permutations(range(a.arity))) if allow_recolor else [tuple(range(a.arity))]
 
     def witness(gamma: Permutation, lists: list[list[Permutation]]) -> ConjugacyWitness:
         return ConjugacyWitness(gamma=gamma, recolor=lists[0][0] if allow_recolor else None)

@@ -78,11 +78,14 @@ def _as_array(values: object, what: str) -> np.ndarray:
     is read value by value, so an error names the caller's value: text,
     bools, Python objects such as ``Fraction`` or huge ints, a value that
     is not finite, and every list, since ``np.asarray([0.5, True])`` would
-    read the bool as 1.0.
+    read the bool as 1.0.  A ragged sequence is refused by ``what``.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iufc" and np.isfinite(values).all():
         return values.astype(complex)
-    shape = np.shape(values)  # ValueError for a ragged sequence
+    try:
+        shape = np.shape(values)
+    except ValueError:  # numpy's message for a ragged sequence names no value
+        raise ValueError(f"{what}s must all have one shape") from None
     read = [_as_finite(v, what) for v in np.asarray(values, dtype=object).flat]
     return np.array(read, dtype=complex).reshape(shape)
 
@@ -119,8 +122,9 @@ def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = F
     try:
         lam = _as_array(rows, f"{what} coordinate")
     except ValueError:  # ragged or not finite: name the first bad row
-        for row in rows:
-            _check_signature(_as_array(row, f"{what} coordinate").reshape(-1).shape, (n,))
+        for i, row in enumerate(rows):
+            name = what if len(rows) == 1 else f"{what} {i}"
+            _check_signature(_as_array(row, f"{name} coordinate").reshape(-1).shape, (n,))
         raise ValueError(f"{what}s must all have one shape") from None
     lam = lam.reshape(len(rows), -1)
     _check_signature(lam.shape[1:], (n,))
@@ -131,30 +135,6 @@ def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = F
             past = ">=" if open_ball else ">"
             raise ValueError(f"{name} has norm {norm:.4f} {past} {radius:g}")
     return lam
-
-
-# A sum or product whose terms have total modulus below this is far from
-# the float range, so none of its coefficients can have overflowed.
-_NO_OVERFLOW = 1e300
-
-
-def _l1(p: "FPPoly") -> float:
-    """The sum of the moduli of the coefficients."""
-    return sum(map(abs, p.terms.values()))
-
-
-def _finite_result(p: "FPPoly", bound: float = math.inf) -> "FPPoly":
-    """``p``, an arithmetic result, if its coefficients are finite, as
-    :meth:`FPPoly.make` requires of inputs; ValueError if one overflowed.
-
-    ``bound`` caps the total modulus of the terms summed into any one
-    coefficient: below ``_NO_OVERFLOW`` none can have overflowed and
-    nothing is scanned.  Without a bound every coefficient is scanned.
-    """
-    if not bound < _NO_OVERFLOW:
-        for c in p.terms.values():
-            _finite_value(c)
-    return p
 
 
 def _finite_value(c: complex, what: str = "coefficient") -> complex:
@@ -168,9 +148,10 @@ def _finite_value(c: complex, what: str = "coefficient") -> complex:
 class FPPoly(WordPoly):
     """Finitely supported complex polynomial in block free generators.
 
-    Coefficients are finite: :meth:`make` refuses other inputs, and sums,
-    products, :meth:`scale` and :func:`fp_gauge` refuse a result that
-    overflowed the float range.
+    Coefficients are finite: :meth:`make` refuses other inputs, and every
+    result the kernel builds (sums, products, :meth:`scale`,
+    :func:`fp_gauge`, components and Cesaro means) passes :meth:`_like`,
+    which refuses one whose coefficients overflowed the float range.
     """
 
     signature: BlockSignature
@@ -178,15 +159,17 @@ class FPPoly(WordPoly):
 
     __hash__ = WordPoly.__hash__
 
-    def __add__(self, other: "FPPoly") -> "FPPoly":
-        return _finite_result(super().__add__(other), _l1(self) + _l1(other))
-
-    def __mul__(self, other: "FPPoly") -> "FPPoly":
-        return _finite_result(super().__mul__(other), _l1(self) * _l1(other))
+    def _like(self, terms: dict[FPWord, complex]) -> "FPPoly":
+        # A part that is inf or nan makes the sum's part inf or nan, so a
+        # finite sum clears every coefficient; only a non-finite one is scanned.
+        total = sum(terms.values())
+        if total - total:
+            for c in terms.values():
+                _finite_value(c)
+        return super()._like(terms)
 
     def scale(self, value: complex) -> "FPPoly":
-        c = _as_finite(value, "scale factor")
-        return _finite_result(super().scale(c), _l1(self) * abs(c))
+        return super().scale(_as_finite(value, "scale factor"))
 
     @staticmethod
     def make(signature: Sequence[int], terms: Mapping[FPWord, complex]) -> "FPPoly":
@@ -225,23 +208,23 @@ def fp_gauge(p: FPPoly, zs: Sequence[Sequence[complex]]) -> FPPoly:
     """Scale generator (i, j) by zs[i][j] throughout; a homomorphism."""
     zs = [_as_array(zrow, "gauge parameter").tolist() for zrow in zs]
     _check_signature(tuple(len(zrow) for zrow in zs), p.signature)
-    return _finite_result(reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]]))
+    return reweight_letters(p, lambda symbol: zs[symbol[0]][symbol[1]])
 
 
 @dataclass(frozen=True)
 class PolyballPoint:
     """A tuple of vectors, one per block, each in the closed unit ball.
 
-    Each block is read by the ball rule of :func:`_ball_rows`.
+    The block sizes are a signature by the rule of :meth:`FPPoly.make`,
+    and each block is read by the ball rule of :func:`_ball_rows`.
     """
 
     blocks: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(
-            tuple(_ball_rows((b,), len(b), f"block {i}")[0].tolist()) for i, b in enumerate(self.blocks)
-        )
-        object.__setattr__(self, "blocks", blocks)
+        sig = _validate_signature([len(b) for b in self.blocks])
+        rows = (_ball_rows((b,), n, f"block {i}")[0].tolist() for i, (b, n) in enumerate(zip(self.blocks, sig)))
+        object.__setattr__(self, "blocks", tuple(map(tuple, rows)))
 
     @property
     def signature(self) -> BlockSignature:
@@ -331,7 +314,7 @@ class BallMobius:
     unitary: np.ndarray
 
     def __post_init__(self) -> None:
-        n = np.size(self.a)
+        n = _int_in(_as_array(self.a, "centre coordinate").size, "dimension", 1)
         a = _ball_rows((self.a,), n, "centre", open_ball=True)[0]
         u = _as_array(self.unitary, "unitary entry")
         object.__setattr__(self, "a", a)
@@ -347,7 +330,7 @@ class BallMobius:
 
     @staticmethod
     def involution(a: Sequence[complex]) -> "BallMobius":
-        return BallMobius(a=a, unitary=np.eye(np.size(a), dtype=complex))
+        return BallMobius(a=a, unitary=np.eye(_as_array(a, "centre coordinate").size, dtype=complex))
 
 
 def mobius_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
@@ -378,7 +361,7 @@ class PolyballAuto:
     block_perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_block_perm(self.block_perm, [m.dim for m in self.block_maps])
+        _check_block_perm(self.block_perm, _validate_signature([m.dim for m in self.block_maps]))
 
 
 def polyball_auto_apply(auto: PolyballAuto, point: PolyballPoint) -> PolyballPoint:

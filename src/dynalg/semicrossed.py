@@ -137,6 +137,8 @@ def _ends(sys: FiniteSystem, word: Word) -> Sequence[int]:
 
 def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> FunctionCoeff:
     """f o sigma_w, the composition with the word's map (rightmost letter first)."""
+    if f.size != sys.size:
+        _size_differs(f, sys)
     return _coeff(tuple(f.values[y] for y in _ends(sys, validate_word(sys, word))))
 
 

@@ -484,6 +484,17 @@ def scrambled_pair(
     return a, b
 
 
+def relabelled(system: FiniteSystem, rng: random.Random) -> FiniteSystem:
+    """The system's copy under a point bijection drawn by ``rng.shuffle``, colours kept."""
+    gamma = list(range(system.size))
+    rng.shuffle(gamma)
+    tables = [[0] * system.size for _ in system.tables]
+    for i, table in enumerate(system.tables):
+        for x, y in enumerate(table):
+            tables[i][gamma[x]] = gamma[y]
+    return FiniteSystem(size=system.size, tables=tuple(tuple(t) for t in tables))
+
+
 def relabelled_pair(
     rng: random.Random, size: int, arity: int
 ) -> tuple[FiniteSystem, FiniteSystem]:
@@ -492,13 +503,35 @@ def relabelled_pair(
     The pair is conjugate index by index, so every notion has a witness.
     """
     a = random_system(rng, size, arity)
-    gamma = list(range(size))
-    rng.shuffle(gamma)
-    tables = [[0] * size for _ in range(arity)]
-    for i, table in enumerate(a.tables):
-        for x, y in enumerate(table):
-            tables[i][gamma[x]] = gamma[y]
-    return a, FiniteSystem(size=size, tables=tuple(tuple(t) for t in tables))
+    return a, relabelled(a, rng)
+
+
+def disjoint_union(*systems: FiniteSystem) -> FiniteSystem:
+    """The systems side by side, each shifted past the points of those before it."""
+    offsets = list(itertools.accumulate((s.size for s in systems), initial=0))
+    return FiniteSystem(
+        size=offsets[-1],
+        tables=tuple(
+            tuple(start + y for start, s in zip(offsets, systems) for y in s.tables[i])
+            for i in range(systems[0].arity)
+        ),
+    )
+
+
+def padded_pair(
+    a: FiniteSystem, b: FiniteSystem, c: FiniteSystem, rng: random.Random
+) -> tuple[FiniteSystem, FiniteSystem]:
+    """a beside c against b beside a copy of c relabelled by ``rng``.
+
+    Piecewise matching is isomorphism of the out-multigraphs, and a
+    multigraph is the multiset of its connected components, so by
+    cancellation (Lovasz, Acta Math. Hungar. 1967) the padded pair is
+    piecewise matched exactly when (a, b) is.  Conjugacy and partition
+    matching each imply piecewise matching, so a core pair the
+    brute-force oracles refute gives a pair no mode matches at any size;
+    with b = a the pair is conjugate by construction.
+    """
+    return disjoint_union(a, c), disjoint_union(b, relabelled(c, rng))
 
 
 def indegrees(system: FiniteSystem) -> list[int]:

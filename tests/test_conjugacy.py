@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -34,6 +35,7 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    disjoint_union,
     indegree_shifted_pair,
     indegrees,
     intertwines_at,
@@ -41,6 +43,7 @@ from oracles import (
     make_rng,
     one_map_canonical_form,
     one_map_conjugate,
+    padded_pair,
     pairwise_alpha_field,
     partition_conditions_hold,
     pairwise_verify_partition_witness,
@@ -397,21 +400,10 @@ def test_signature_necessity_for_found_witnesses():
             assert local_signature(a, x) == local_signature(b, witness.gamma[x])
 
 
-def _tiled(system: FiniteSystem, copies: int) -> FiniteSystem:
-    """The disjoint union of ``copies`` copies of ``system``."""
-    n = system.size
-    return FiniteSystem(
-        size=n * copies,
-        tables=tuple(
-            tuple(c * n + y for c in range(copies) for y in table) for table in system.tables
-        ),
-    )
-
-
 def test_signature_seeds_prune_tiled_piecewise_pairs():
     # Piecewise matched but not partition matched: the local signatures
     # differ at every point, so the partition search refutes at the root.
-    a, b = _tiled(TWO_POINT_MIXED, 6), _tiled(TWO_POINT_CONSTANT, 6)
+    a, b = disjoint_union(*[TWO_POINT_MIXED] * 6), disjoint_union(*[TWO_POINT_CONSTANT] * 6)
     started = time.perf_counter()
     assert decide_partition(a, b) is None
     assert time.perf_counter() - started < 0.25
@@ -657,6 +649,54 @@ def test_deciders_keep_no_copy_per_level():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, (decide.__name__, peak)
+
+
+def test_conjugate_mode_builds_no_colour_permutations_without_recolouring():
+    # arity 9 has 362,880 colour permutations, and building their list
+    # peaked at about 43 MB here; the search itself needs under 2 MB
+    a, b = relabelled_pair(make_rng(1000), 1000, 9)
+    tracemalloc.start()
+    try:
+        witness = decide_conjugate(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert witness.recolor is None and verify_witness(a, b, witness).passed
+
+
+# ---- padded pairs: verdicts known by construction at n = 2,006 ---------------
+
+# Two 3-cycles against one 6-cycle, each beside an identity map.
+TWO_TRIANGLES = FiniteSystem(size=6, tables=((1, 2, 0, 4, 5, 3), tuple(range(6))))
+HEXAGON = FiniteSystem(size=6, tables=((1, 2, 3, 4, 5, 0), tuple(range(6))))
+
+_MODES = {
+    "conjugate": decide_conjugate,
+    "recolor": partial(decide_conjugate, allow_recolor=True),
+    "piecewise": decide_piecewise,
+    "partition": decide_partition,
+}
+
+
+def test_cycle_core_balances_indegrees_and_no_oracle_matches_it():
+    assert sorted(indegrees(TWO_TRIANGLES)) == sorted(indegrees(HEXAGON))
+    assert brute_force_conjugate(TWO_TRIANGLES, HEXAGON) is None
+    assert brute_force_conjugate(TWO_TRIANGLES, HEXAGON, allow_recolor=True) is None
+    assert brute_force_piecewise(TWO_TRIANGLES, HEXAGON) is None
+    assert brute_force_partition(TWO_TRIANGLES, HEXAGON) is None
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_padded_cycle_pair_is_refuted_and_its_control_found(mode):
+    # The in-degree count cannot refute the padded pair: the search must.
+    c = random_system(make_rng(2000), 2000, 2)
+    a, b = padded_pair(TWO_TRIANGLES, HEXAGON, c, random.Random(1))
+    assert sorted(indegrees(a)) == sorted(indegrees(b))
+    assert _MODES[mode](a, b) is None
+    a, b = padded_pair(TWO_TRIANGLES, TWO_TRIANGLES, c, random.Random(1))
+    witness = _MODES[mode](a, b)
+    assert witness is not None and verify_witness(a, b, witness).passed
 
 
 # ---- one map: every notion is isomorphism of functional digraphs ------------

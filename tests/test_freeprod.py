@@ -615,8 +615,24 @@ def test_signatures_and_symbols_must_be_ints():
     for signature in ((2.7,), (True,), (0,), (2, -1)):
         with pytest.raises(ValueError, match=rf"^block size must be an int >= 1, got {re.escape(repr(signature[-1]))}$"):
             FPPoly.make(signature, {})
-    with pytest.raises(ValueError, match="^a block signature needs at least one block$"):
-        FPPoly.make((), {})
+    # every polyball object reads its block sizes by the same rule
+    for refused in (
+        lambda: PolyballPoint(((),)),
+        lambda: PolyballPoint(((0.5,), ())),
+        lambda: BallMobius.involution([]),
+        lambda: BallMobius(a=np.zeros(0), unitary=np.eye(0)),
+    ):
+        with pytest.raises(ValueError, match=r"^(block size|dimension) must be an int >= 1, got 0$"):
+            refused()
+    for empty in (
+        lambda: FPPoly.make((), {}),
+        lambda: PolyballPoint(()),
+        lambda: PolyballAuto((), ()),
+    ):
+        with pytest.raises(ValueError, match="^a block signature needs at least one block$"):
+            empty()
+    mobius = BallMobius.involution([0.5])
+    assert PolyballAuto((mobius,), (0,)).block_maps == (mobius,)
     for symbol, what in (
         ((False, True), r"symbol block must be an int in 0\.\.0, got False"),
         ((0, 1.0), r"symbol index must be an int in 0\.\.1, got 1\.0"),
@@ -761,8 +777,11 @@ def test_arithmetic_results_keep_finite_coefficients():
     for name, call in overflows.items():
         with pytest.raises(ValueError, match="overflowed"):
             call()
-    # large results that stay in range pass, including past the bound that skips the scan
+    # large results that stay in range pass, including those whose coefficient sum overflows
     assert fp_multiply(big, big.scale(1e-100)).terms == {(): 1e300}
+    pair = FPPoly.make((2,), {((0, 0),): 1e308, ((0, 1),): 1e308})
+    assert (pair * FPPoly.unit((2,))).terms == pair.terms
+    assert (pair + FPPoly.zero((2,))).terms == pair.terms
     assert big.scale(1e108).terms == {(): 1e308}
     assert (big.scale(1e108) - big.scale(1e108)).terms == {}
 
@@ -876,6 +895,10 @@ def test_every_ball_entry_point_follows_one_ball_rule(name):
                 call(sphere)
         else:
             call(sphere)
+    # a ragged row is named, not left to numpy's message; an ndarray cannot be ragged
+    if "ndarray" not in name:
+        with pytest.raises(ValueError, match=rf"^{row} coordinates must all have one shape$"):
+            call((0.6, [0.8]))
     # a norm past the float range reads as inf, with no numpy warning (warnings are errors here)
     for huge in ((1e200, 0.0), (0.0, complex(1e308, 1e308))):
         with pytest.raises(ValueError, match=rf"^{row} has norm inf {past} {radius:g}$"):

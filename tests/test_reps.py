@@ -101,7 +101,7 @@ def test_function_images_need_one_value_per_point():
     for size in (2, 3, 5, 6):
         f = FunctionCoeff.constant(size, 1)
         message = f"coefficient has {size} values, system has 4 points"
-        for image in (rep.function_image, hom.function_image):
+        for image in (rep.function_image, hom.function_image, lambda f: pullback(f, (0,), FOUR_POINT_OVERLAP)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 image(f)
 
