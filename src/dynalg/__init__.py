@@ -29,12 +29,16 @@ _EXPORTS = {
         "FiniteSystem",
         "SubSystem",
         "colored_graph",
+        "entry_signature",
         "equivalence_classes",
         "evaluate_word",
         "full_subsystem",
+        "local_signature",
+        "local_signatures",
         "map_range",
         "ranges_pairwise_disjoint",
         "restrict",
+        "signatures_equivalent",
     ),
     "freeprod": (
         "BallMobius",
@@ -57,15 +61,7 @@ _EXPORTS = {
         "sample_ball_points",
         "voiculescu_lift",
     ),
-    "quotient": (
-        "FreeEdgePoly",
-        "QuotientMatrix",
-        "entry_signature",
-        "local_signature",
-        "local_signatures",
-        "quotient_map",
-        "signatures_equivalent",
-    ),
+    "quotient": ("FreeEdgePoly", "QuotientMatrix", "quotient_map"),
     "reps": (
         "CKFamily",
         "CKReport",

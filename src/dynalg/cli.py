@@ -45,7 +45,8 @@ import dynalg
 
 from . import __version__
 from .dynsys import (
-    FiniteSystem, _int_in, _is_int, colored_graph, full_subsystem, ranges_pairwise_disjoint, restrict,
+    FiniteSystem, _int_in, _is_int, colored_graph, entry_signature, full_subsystem, local_signature,
+    ranges_pairwise_disjoint, restrict, signatures_equivalent,
 )
 
 
@@ -151,19 +152,17 @@ def parse_u1n(text: str) -> dynalg.freeprod.U1nMatrix:
             and all(isinstance(row, list) and len(row) == n + 1 for row in rows)
         ):
             raise FormatError(f"field 'matrix' must be {n + 1}x{n + 1}")
-        if not all(_is_pair(entry) for row in rows for entry in row):
+        if not all(isinstance(entry, list) and len(entry) == 2 for row in rows for entry in row):
             raise FormatError("field 'matrix' must hold [re, im] pairs of numbers")
-        return dynalg.freeprod.U1nMatrix(n=n, matrix=[[complex(*e) for e in row] for row in rows])
-    except (ValueError, OverflowError) as exc:
+        part = dynalg.freeprod._as_finite
+        matrix = [
+            [complex(part(re, f"matrix[{r}][{c}] real part").real, part(im, f"matrix[{r}][{c}] imaginary part").real)
+             for c, (re, im) in enumerate(row)]
+            for r, row in enumerate(rows)
+        ]
+        return dynalg.freeprod.U1nMatrix(n=n, matrix=matrix)
+    except (TypeError, ValueError) as exc:
         raise FormatError(str(exc)) from None
-
-
-def _is_pair(entry: Any) -> bool:
-    return (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(v, float) or _is_int(v) for v in entry)
-    )
 
 
 def dump_u1n(x: dynalg.freeprod.U1nMatrix) -> str:
@@ -265,8 +264,8 @@ def _cmd_check(args) -> tuple[bool, Any]:
 def _signature(system: FiniteSystem, point: Optional[int]) -> tuple:
     """The local signature at ``point``, or the full entry signature without one."""
     if point is not None:
-        return dynalg.quotient.local_signature(system, point)
-    return dynalg.quotient.entry_signature(full_subsystem(system))
+        return local_signature(system, point)
+    return entry_signature(full_subsystem(system))
 
 
 def _cmd_signature(args) -> tuple[Optional[bool], Any]:
@@ -277,7 +276,7 @@ def _cmd_signature(args) -> tuple[Optional[bool], Any]:
 def _cmd_signature_compare(args) -> tuple[bool, Any]:
     s1 = _signature(parse_system(_read(args.system_a)), args.point)
     s2 = _signature(parse_system(_read(args.system_b)), args.point)
-    return dynalg.quotient.signatures_equivalent(s1, s2), {"left": list(s1), "right": list(s2)}
+    return signatures_equivalent(s1, s2), {"left": list(s1), "right": list(s2)}
 
 
 def _cmd_tensor(args) -> tuple[bool, Any]:
@@ -368,7 +367,7 @@ def _cmd_fock(args) -> tuple[bool, Any]:
 
 
 def _cmd_selftest(_args) -> tuple[bool, Any]:
-    conjugacy, fixtures, quotient, reps = dynalg.conjugacy, dynalg.fixtures, dynalg.quotient, dynalg.reps
+    conjugacy, fixtures, reps = dynalg.conjugacy, dynalg.fixtures, dynalg.reps
     mixed, constant = fixtures.TWO_POINT_MIXED, fixtures.TWO_POINT_CONSTANT
     split_a, split_b = fixtures.FOUR_POINT_SPLIT_A, fixtures.FOUR_POINT_SPLIT_B
     checks: list[tuple[str, bool]] = []
@@ -381,9 +380,7 @@ def _cmd_selftest(_args) -> tuple[bool, Any]:
     )
     checks.append(
         ("two-point signatures separate",
-         not quotient.signatures_equivalent(
-             quotient.local_signature(mixed, 0), quotient.local_signature(constant, 0)
-         ))
+         not signatures_equivalent(local_signature(mixed, 0), local_signature(constant, 0)))
     )
     disjoint, overlap = ranges_pairwise_disjoint(fixtures.FOUR_POINT_OVERLAP)
     checks.append(("overlap fixture has overlapping ranges at point 1",

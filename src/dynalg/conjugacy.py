@@ -24,7 +24,7 @@ that fact twice.
   invariant first.  Stage one colours every point by its in-degree, one
   count over the tables, which every witness preserves.  Stage two, for
   the partition decider only, adds the per-point entry signatures
-  (:func:`dynalg.quotient.local_signatures`), which every partition
+  (:func:`dynalg.dynsys.local_signatures`), which every partition
   witness preserves; they are computed only for a pair whose in-degrees
   balance.  Each later round keys a point by its colour and the colour
   multisets of its images and preimages.  Point x may only be sent to a
@@ -49,11 +49,13 @@ over all n! bijections would find.  The leaf reads the witness off the
 lists: the first entry at each point (piecewise), the least
 preimage-saturated colour field (partition, which may fail and
 backtrack), or the first entry of the shared list (conjugacy).  The
-partition leaf and :func:`verify_witness` test the preimage
-conditions by bucketing the points by sigma_i(x) and by tau_j(gamma x),
-so outside the search tree a decider call does linear work.  The worst
-case is still exponential: on highly symmetric systems refinement
-separates nothing and many branches survive to the leaves.
+partition leaf and :func:`verify_witness` test each preimage condition
+once, by comparing every point with the first point of its fibre under
+sigma_i and under tau_j o gamma (:func:`_bucket_heads`), so outside the
+search tree a decider call does linear work, and so does verifying any
+witness, good or bad.  The worst case is still exponential: on highly
+symmetric systems refinement separates nothing and many branches
+survive to the leaves.
 """
 
 from __future__ import annotations
@@ -63,9 +65,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
 
-from .dynsys import FiniteSystem, _int_in, _is_permutation
+from .dynsys import FiniteSystem, _int_in, _is_permutation, local_signatures
 from .matching import W, lex_first
-from .quotient import local_signatures
 
 Permutation = tuple[int, ...]
 
@@ -400,25 +401,6 @@ def _check_fields(witness, size: int, arity: int) -> tuple[Permutation, ...]:
     return witness.alpha
 
 
-def _disagreements(keys: Sequence[int], values: Sequence[int]) -> list[tuple[int, int]]:
-    """The pairs x < y with equal keys but different values, in (x, y) order.
-
-    Points are bucketed by key, and pairs are listed only inside the
-    buckets whose values disagree, so a consistent field costs O(n).
-    """
-    buckets: dict[int, list[int]] = {}
-    for x, key in enumerate(keys):
-        buckets.setdefault(key, []).append(x)
-    pairs = [
-        (x, y)
-        for bucket in buckets.values()
-        if len({values[x] for x in bucket}) > 1
-        for x, y in itertools.combinations(bucket, 2)
-        if values[x] != values[y]
-    ]
-    return sorted(pairs)
-
-
 def verify_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:
     """Check every condition of a witness of any kind, independently of the deciders.
 
@@ -426,14 +408,17 @@ def verify_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:
     :func:`_check_fields`), and each kind must intertwine:
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) at every point x and
     colour i.  A :class:`PartitionWitness` must also meet the preimage
-    conditions and the literal saturation identities on the index sets
-    V_{i,j} = {x : alpha_x(i) = j}.  An object of another type raises
+    conditions: alpha_x(i) is constant on each fibre of sigma_i, and
+    alpha_x^-1(j) on each fibre of tau_j o gamma.  As every alpha_x is a
+    permutation, these are exactly the saturation identities on the index
+    sets V_{i,j} = {x : alpha_x(i) = j}.  An object of another type raises
     TypeError, and structural defects (wrong lengths, entries that are
     not ints, non-permutations) raise :class:`MalformedWitnessError`.
     Semantic defects come back as a report listing each failed condition
-    with a counterexample.  The preimage conditions bucket the points by
-    sigma_i(x) and by tau_j(gamma x), so a witness that passes costs
-    O(arity * n) there; each failing pair is listed.
+    with a counterexample: an intertwining failure per point and colour,
+    and a preimage failure per point and colour whose value differs from
+    that of the first point in its fibre.  So even a bad witness costs
+    O(arity * n).
     """
     _check_compatible(a, b)
     alpha = _check_fields(witness, a.size, a.arity)
@@ -455,51 +440,26 @@ def verify_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:
         return WitnessReport(passed=not failures, failures=tuple(failures))
 
     for i in range(n):
-        for x, y in _disagreements(a.tables[i], [p[i] for p in alpha]):
-            failures.append(
-                WitnessFailure(
-                    "sigma-preimage",
-                    f"sigma_{i} merges {x} and {y} but alpha_{x}({i}) = "
-                    f"{alpha[x][i]} differs from alpha_{y}({i}) = {alpha[y][i]}",
+        for x, y in enumerate(_bucket_heads(a.tables[i])):
+            if alpha[y][i] != alpha[x][i]:
+                failures.append(
+                    WitnessFailure(
+                        "sigma-preimage",
+                        f"sigma_{i} merges {y} and {x} but alpha_{y}({i}) = "
+                        f"{alpha[y][i]} differs from alpha_{x}({i}) = {alpha[x][i]}",
+                    )
                 )
-            )
 
     inv = [_invert(p) for p in alpha]
     for j in range(n):
-        for x, y in _disagreements([b.tables[j][g] for g in gamma], [p[j] for p in inv]):
-            failures.append(
-                WitnessFailure(
-                    "tau-preimage",
-                    f"tau_{j} merges gamma({x}) and gamma({y}) but "
-                    f"alpha_{x}^-1({j}) = {inv[x][j]} differs from "
-                    f"alpha_{y}^-1({j}) = {inv[y][j]}",
-                )
-            )
-
-    # Literal set form of the saturation conditions.
-    gamma_inv = _invert(gamma)
-    for i in range(n):
-        for j in range(n):
-            v = witness.index_set(i, j)
-            sigma_image = {a.tables[i][x] for x in v}
-            saturated = {x for x in range(a.size) if a.tables[i][x] in sigma_image}
-            if saturated != set(v):
-                extra = min(saturated ^ set(v))
+        for x, y in enumerate(_bucket_heads([b.tables[j][g] for g in gamma])):
+            if inv[y][j] != inv[x][j]:
                 failures.append(
                     WitnessFailure(
-                        "sigma-saturation",
-                        f"sigma_{i}^-1(sigma_{i}(V_{i},{j})) != V_{i},{j}: point {extra}",
-                    )
-                )
-            tau_image = {b.tables[j][gamma[x]] for x in v}
-            pulled = {gamma_inv[y] for y in range(b.size) if b.tables[j][y] in tau_image}
-            if pulled != set(v):
-                extra = min(pulled ^ set(v))
-                failures.append(
-                    WitnessFailure(
-                        "tau-saturation",
-                        f"gamma^-1(tau_{j}^-1(tau_{j}(gamma(V_{i},{j})))) != V_{i},{j}:"
-                        f" point {extra}",
+                        "tau-preimage",
+                        f"tau_{j} merges gamma({y}) and gamma({x}) but "
+                        f"alpha_{y}^-1({j}) = {inv[y][j]} differs from "
+                        f"alpha_{x}^-1({j}) = {inv[x][j]}",
                     )
                 )
 

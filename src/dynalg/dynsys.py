@@ -13,6 +13,17 @@ stays inside the subset.  The defined entries of a sub-system form an
 edge-coloured directed graph, the combinatorial skeleton used by the
 quotient and representation layers.
 
+The `entry signature` of a subset is the multiset of in-degrees per
+(colour, target vertex) of its transition graph, counted straight off
+the tables.  Equal signatures are necessary for the compressions of two
+systems to correspond under any partition-style matching of points,
+which is what makes the per-point signature a sound colour for the
+partition search's colour refinement and a cheap separating invariant
+in its own right.  :func:`local_signatures` gives every point's
+signature in one pass over the tables; the partition decider calls it
+as the second stage of its refinement, once the two systems' in-degrees
+balance.
+
 Every int that must lie in a range (a size, a point, a colour, and
 elsewhere a block size, a degree, an order or a depth) is read by one
 rule, :func:`_int_in`, which names the value and its range when it
@@ -262,3 +273,41 @@ def colored_graph(sub: SubSystem) -> EdgeColoredGraph:
         if (y := table[x]) in inside
     )
     return EdgeColoredGraph(vertices=sub.points, edges=edges, colours=sub.arity)
+
+
+EntrySignature = tuple[int, ...]
+
+
+def _signature(tables: Sequence[Sequence[int]], points: set[int]) -> EntrySignature:
+    """Entry signature of a set of points, counted straight off the tables."""
+    counts: list[int] = []
+    for table in tables:
+        indegree: dict[int, int] = {}
+        for u in points:
+            if (y := table[u]) in points:
+                indegree[y] = indegree.get(y, 0) + 1
+        counts += indegree.values()
+    return tuple(sorted(counts))
+
+
+def entry_signature(sub: SubSystem) -> EntrySignature:
+    """Multiset (as a sorted tuple) of in-degrees per (colour, target)."""
+    return _signature(sub.parent.tables, set(sub.points))
+
+
+def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
+    """Entry signature of the one-step neighbourhood {x} u {images of x}."""
+    tables = sys.tables
+    x = check_point(sys, x)
+    return _signature(tables, {x, *[table[x] for table in tables]})
+
+
+def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
+    """The local signature of every point, in point order, in one pass."""
+    tables = system.tables
+    return [_signature(tables, {x, *[table[x] for table in tables]}) for x in range(system.size)]
+
+
+def signatures_equivalent(s1: Iterable[int], s2: Iterable[int]) -> bool:
+    """Multiset equality of two signatures."""
+    return sorted(s1) == sorted(s2)

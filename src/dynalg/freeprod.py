@@ -54,20 +54,22 @@ def _validate_signature(signature: Sequence[int]) -> BlockSignature:
 
 
 def _as_finite(value: object, what: str) -> complex:
-    """A number as ``complex``: TypeError for text and bools, which complex()
-    would read, and ValueError unless both parts are finite (an int too large
-    for a float is not)."""
+    """A number as ``complex``: TypeError naming ``what`` for anything else,
+    text and bools too, which complex() would read, and ValueError unless
+    both parts are finite (an int too large for a float is not)."""
     c = value
     if type(c) is not complex:
-        if isinstance(value, (str, bool, np.bool_)):
-            raise TypeError(f"{what} {value!r} is not a number")
         try:
+            if isinstance(value, (str, bool, np.bool_)):
+                raise TypeError  # complex() would read it
             c = complex(value)
+        except TypeError:
+            raise TypeError(f"{what} {value!r} is not a number") from None
         except OverflowError:
             c = complex(math.inf)
     # c - c is 0 exactly when both parts are finite; inf - inf is nan.
     if c - c:
-        raise ValueError(f"{what} {value!r} is not finite")
+        raise ValueError(f"{what} {_shown(value)} is not finite")
     return c
 
 

@@ -1,4 +1,4 @@
-"""Finite matrix quotients of symbolic elements and entry signatures.
+"""Finite matrix quotients of symbolic elements.
 
 Compressing a symbolic element to a finite subset of points yields a
 square matrix indexed by the subset, with rows for targets and columns
@@ -15,23 +15,15 @@ diagonal, a colour generator lands on the edges with zero columns
 wherever the map leaves the subset, and compression is multiplicative:
 the edge words record exactly which paths survive.
 
-The `entry signature` of a subset is the multiset of in-degrees per
-(colour, target vertex) of its transition graph.  Equal signatures are
-necessary for the compressions of two systems to correspond under any
-partition-style matching of points, which is what makes the per-point
-signature a sound colour for the partition search's colour refinement
-and a cheap separating invariant in its own right.
-:func:`local_signatures` gives every point's signature in one pass over
-the tables; the partition decider calls it as the second stage of its
-refinement, once the two systems' in-degrees balance.
+The entry signatures of subsets and points, which count off a system's
+tables and need none of this compression, live in :mod:`dynalg.dynsys`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .dynsys import Edge, FiniteSystem, SubSystem, _is_int, check_point
+from .dynsys import Edge, SubSystem, _is_int
 from .scalars import ONE, RationalComplex, RationalLike
 from .wordpoly import WordPoly
 
@@ -170,41 +162,3 @@ def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
             for y in sub.points
         ),
     )
-
-
-EntrySignature = tuple[int, ...]
-
-
-def _signature(tables: Sequence[Sequence[int]], points: set[int]) -> EntrySignature:
-    """Entry signature of a set of points, counted straight off the tables."""
-    counts: list[int] = []
-    for table in tables:
-        indegree: dict[int, int] = {}
-        for u in points:
-            if (y := table[u]) in points:
-                indegree[y] = indegree.get(y, 0) + 1
-        counts += indegree.values()
-    return tuple(sorted(counts))
-
-
-def entry_signature(sub: SubSystem) -> EntrySignature:
-    """Multiset (as a sorted tuple) of in-degrees per (colour, target)."""
-    return _signature(sub.parent.tables, set(sub.points))
-
-
-def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
-    """Entry signature of the one-step neighbourhood {x} u {images of x}."""
-    tables = sys.tables
-    x = check_point(sys, x)
-    return _signature(tables, {x, *[table[x] for table in tables]})
-
-
-def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
-    """The local signature of every point, in point order, in one pass."""
-    tables = system.tables
-    return [_signature(tables, {x, *[table[x] for table in tables]}) for x in range(system.size)]
-
-
-def signatures_equivalent(s1: Iterable[int], s2: Iterable[int]) -> bool:
-    """Multiset equality of two signatures."""
-    return sorted(s1) == sorted(s2)

@@ -21,7 +21,7 @@ from dynalg.cli import (
     run_command,
 )
 from dynalg.conjugacy import decide_conjugate, decide_partition, decide_piecewise, verify_witness
-from dynalg.dynsys import FiniteSystem, full_subsystem
+from dynalg.dynsys import FiniteSystem, entry_signature, full_subsystem
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
     FOUR_POINT_SPLIT_A,
@@ -30,7 +30,6 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.freeprod import BallMobius, mobius_to_u1n
-from dynalg.quotient import entry_signature
 from dynalg.reps import MAX_FOCK_SIZE
 
 from oracles import make_rng, relabelled_pair
@@ -155,12 +154,13 @@ def test_parse_u1n_rejects_malformed():
     for text, message in [
         ('{"n":true,"matrix":[[[1,0]]]}', "^field 'n' must be an int >= 1, got True$"),
         ('{"n":1,"matrix":[[[1,0,5],[0,0]],[[0,0],[1,0]]]}', "pairs"),
-        ('{"n":1,"matrix":[[[true,0],[0,0]],[[0,0],[1,0]]]}', "pairs"),
-        ('{"n":1,"matrix":[[["1",0],[0,0]],[[0,0],[1,0]]]}', "pairs"),
+        ('{"n":1,"matrix":[[[true,0],[0,0]],[[0,0],[1,0]]]}', r"^matrix\[0\]\[0\] real part True is not a number$"),
+        ('{"n":1,"matrix":[[["1",0],[0,0]],[[0,0],[1,0]]]}', r"^matrix\[0\]\[0\] real part '1' is not a number$"),
         ('{"n":1,"matrix":[[[1,0],[0,0]],[[0,0]]]}', "2x2"),
         ('{"n":1,"matrix":[[[NaN,0],[0,0]],[[0,0],[1,0]]]}', "finite"),
         ('{"n":1,"matrix":[[[1e999,0],[0,0]],[[0,0],[1,0]]]}', "finite"),
-        ('{"n":1,"matrix":[[[1%s,0],[0,0]],[[0,0],[1,0]]]}' % ("0" * 400), "too large"),
+        ('{"n":1,"matrix":[[[1,0],[0,0]],[[0,1e400],[1,0]]]}', r"^matrix\[1\]\[0\] imaginary part inf is not finite$"),
+        ('{"n":1,"matrix":[[[1%s,0],[0,0]],[[0,0],[1,0]]]}' % ("0" * 400), r"^matrix\[0\]\[0\] real part <401-digit int> is not finite$"),
         ('{"n":1', "not valid structured text"),
         ('{"n":1}', "'n' and 'matrix' are required"),
         ("[1]", "'n' and 'matrix' are required"),

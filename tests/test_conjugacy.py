@@ -22,14 +22,13 @@ from dynalg.conjugacy import (
     decide_piecewise,
     verify_witness,
 )
-from dynalg.dynsys import FiniteSystem, equivalence_classes
+from dynalg.dynsys import FiniteSystem, equivalence_classes, local_signature, local_signatures
 from dynalg.fixtures import (
     FOUR_POINT_SPLIT_A,
     FOUR_POINT_SPLIT_B,
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
-from dynalg.quotient import local_signature, local_signatures
 
 from oracles import (
     brute_force_conjugate,
@@ -110,7 +109,7 @@ def test_verify_witness_examples():
     sneaky = PartitionWitness(gamma=(0, 1), alpha=((0, 1), (1, 0)))
     report = verify_witness(TWO_POINT_MIXED, TWO_POINT_CONSTANT, sneaky)
     assert not report.passed
-    assert {f.condition for f in report.failures} == {"tau-preimage", "tau-saturation"}
+    assert {f.condition for f in report.failures} == {"tau-preimage"}
 
     identity = PartitionWitness(gamma=(0, 1), alpha=((0, 1), (0, 1)))
     assert verify_witness(TWO_POINT_MIXED, TWO_POINT_MIXED, identity).passed
@@ -562,6 +561,19 @@ def test_bucketed_verifier_matches_pairwise_oracle():
             failing += not report.passed
             preimage += sum(f.condition.endswith("preimage") for f in report.failures) > 1
     assert failing > 50 and preimage > 20
+
+
+def test_a_bad_witness_on_one_fibre_gets_one_failure_per_point():
+    # sigma_0 = tau_0 sends all n points to 0, so listing every disagreeing
+    # pair would name about n^2 / 2 pairs per preimage condition
+    n = 1000
+    system = FiniteSystem(size=n, tables=((0,) * n, tuple(range(n))))
+    alpha = tuple((1, 0) if x % 2 == 0 else (0, 1) for x in range(n))
+    report = verify_witness(system, system, PartitionWitness(gamma=tuple(range(n)), alpha=alpha))
+    counts = Counter(f.condition for f in report.failures)
+    # both colours of every even point but 0, and every odd point once per map
+    assert counts == {"intertwining": n - 2, "sigma-preimage": n // 2, "tau-preimage": n // 2}
+    assert len(report.failures) <= 3 * system.arity * n
 
 
 def _oracle_holds(a, b, witness) -> bool:

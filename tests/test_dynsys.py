@@ -18,6 +18,7 @@ from dynalg.dynsys import (
     equivalence_classes,
     evaluate_word,
     full_subsystem,
+    local_signature,
     map_range,
     ranges_pairwise_disjoint,
     restrict,
@@ -30,7 +31,6 @@ from dynalg.fixtures import (
     TWO_POINT_MIXED,
 )
 from dynalg.freeprod import FPPoly, U1nMatrix, check_lift_work, sample_ball_points, voiculescu_lift
-from dynalg.quotient import local_signature
 from dynalg.reps import NestRep, build_truncated_fock, nest_rep_exists
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement
 from dynalg.wordpoly import cesaro_mean, fourier_component

@@ -647,6 +647,17 @@ def test_signatures_and_symbols_must_be_ints():
 
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: FPPoly.make((1,), {(): [1]}), r"^coefficient \[1\] is not a number$"),
+    (lambda: FPPoly.unit((1,)).scale(None), r"^scale factor None is not a number$"),
+    (lambda: fp_gauge(FPPoly.unit((1,)), [[None]]), r"^gauge parameter None is not a number$"),
+    (lambda: PolyballPoint(((None,),)), r"^block 0 coordinate None is not a number$"),
+], ids=["list-coefficient", "none-scale", "none-gauge", "none-coordinate"])
+def test_values_complex_cannot_read_are_named_as_not_numbers(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()
+
+
 def test_coefficients_are_finite_numbers():
     for coeff in ("2", "1+2j", "nan", True, False, np.bool_(True)):
         with pytest.raises(TypeError, match="is not a number"):

@@ -4,19 +4,20 @@ import re
 
 import pytest
 
-from dynalg.dynsys import FiniteSystem, full_subsystem, restrict
+from dynalg.dynsys import (
+    FiniteSystem,
+    entry_signature,
+    full_subsystem,
+    local_signature,
+    restrict,
+    signatures_equivalent,
+)
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
     TWO_POINT_CONSTANT,
     TWO_POINT_MIXED,
 )
-from dynalg.quotient import (
-    FreeEdgePoly,
-    entry_signature,
-    local_signature,
-    quotient_map,
-    signatures_equivalent,
-)
+from dynalg.quotient import FreeEdgePoly, quotient_map
 from dynalg.scalars import ONE, qc
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
 
