@@ -154,12 +154,14 @@ def parse_u1n(text: str) -> dynalg.freeprod.U1nMatrix:
             raise FormatError(f"field 'matrix' must be {n + 1}x{n + 1}")
         if not all(isinstance(entry, list) and len(entry) == 2 for row in rows for entry in row):
             raise FormatError("field 'matrix' must hold [re, im] pairs of numbers")
+        import numpy as np  # lift alone reads a matrix file
+
         part = dynalg.freeprod._as_finite
-        matrix = [
+        matrix = np.array([
             [complex(part(re, f"matrix[{r}][{c}] real part").real, part(im, f"matrix[{r}][{c}] imaginary part").real)
              for c, (re, im) in enumerate(row)]
             for r, row in enumerate(rows)
-        ]
+        ])  # a complex ndarray of finite entries, which U1nMatrix converts whole
         return dynalg.freeprod.U1nMatrix(n=n, matrix=matrix)
     except (TypeError, ValueError) as exc:
         raise FormatError(str(exc)) from None
@@ -338,8 +340,6 @@ def _cmd_fock(args) -> tuple[bool, Any]:
             subset = [_digits(v) for v in args.subset.split(",")]
         except argparse.ArgumentTypeError:
             raise FormatError("--subset must be a comma-separated list of points") from None
-        if len(set(subset)) != len(subset):
-            raise FormatError("--subset lists a point twice")
     else:
         subset = list(range(system.size))
     graph = colored_graph(restrict(system, subset))

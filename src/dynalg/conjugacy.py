@@ -37,7 +37,11 @@ that fact twice.
 * Permutation lists: every point keeps the colour permutations, in
   lexicographic order, that agree with its edges assigned so far
   (conjugacy keeps one list shared by all points, which holds the
-  identity alone unless recolouring is allowed).  Each assignment
+  identity alone unless recolouring is allowed).  Every full list comes
+  from :func:`_colour_permutations`, which refuses, before building any,
+  lists that would hold more than :data:`MAX_PERMUTATION_ENTRIES`
+  entries: every pair of ten or more maps in those modes, and fewer maps
+  on many points.  Each assignment
   narrows the lists of the edges it completes, in place and with an undo
   trail, and a branch dies once a list is empty.  A per-point list is
   empty exactly when its assigned images no longer fit in the target's
@@ -61,6 +65,7 @@ survive to the leaves.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
@@ -134,6 +139,29 @@ def _check_compatible(a: FiniteSystem, b: FiniteSystem) -> None:
             f"systems differ in shape: {a.size} points/{a.arity} maps"
             f" vs {b.size} points/{b.arity} maps"
         )
+
+
+# A full list holds arity! permutations of arity ints each, and each list
+# owner (a point, or the one list that --recolor shares) starts from all of
+# them.  At 10 * 10! entries no pair of ten maps is admitted in any mode; the
+# largest admitted relabelled pairs measured (9 maps at 91 points, 8 at 892,
+# 7 at 7,193, 6 at 50,394) took 1.5-4.5 s and at most 200 MB peak RSS in
+# piecewise mode on a 2-core x86 VM (Python 3.11).
+MAX_PERMUTATION_ENTRIES = 36_288_000
+
+
+def _colour_permutations(arity: int, owners: int = 1) -> list[list[Permutation]]:
+    """``owners`` references to one list of every colour permutation of
+    0..arity-1, in lexicographic order.  ValueError, before any is built, when
+    the lists would hold more than MAX_PERMUTATION_ENTRIES entries, counted as
+    arity! * (arity + owners)."""
+    if math.factorial(min(arity, 12)) * (arity + owners) > MAX_PERMUTATION_ENTRIES:  # 12! alone passes the bound
+        raise ValueError(
+            f"the {arity}! colour permutations of {arity} maps, listed"
+            f" {'once' if owners == 1 else f'at {owners} points'}, pass the list"
+            f" limit ({MAX_PERMUTATION_ENTRIES} entries); use fewer maps"
+        )
+    return [list(itertools.permutations(range(arity)))] * owners
 
 
 def _invert(perm: Permutation) -> Permutation:
@@ -283,15 +311,16 @@ def decide_conjugate(
     also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Every point
     shares one permutation list, so beta is the first entry left in it.
     Returns the lexicographically least witness (gamma first, then beta)
-    or None.
+    or None.  With ``allow_recolor``, ValueError before any search when the
+    list of colour permutations would pass MAX_PERMUTATION_ENTRIES.
     """
     _check_compatible(a, b)
-    betas = list(itertools.permutations(range(a.arity))) if allow_recolor else [tuple(range(a.arity))]
+    betas = _colour_permutations(a.arity) if allow_recolor else [[tuple(range(a.arity))]]
 
     def witness(gamma: Permutation, lists: list[list[Permutation]]) -> ConjugacyWitness:
         return ConjugacyWitness(gamma=gamma, recolor=lists[0][0] if allow_recolor else None)
 
-    return _lex_search(a, b, None, [betas], witness)
+    return _lex_search(a, b, None, betas, witness)
 
 
 def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitness]:
@@ -303,15 +332,15 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     piecewise matching.  Each point keeps its own permutation list, so
     at a leaf every list holds exactly the admissible alpha_x and the
     leaf takes the first of each.  Returns the lexicographically least
-    witness.
+    witness; ValueError before any search when the lists would pass
+    MAX_PERMUTATION_ENTRIES.
     """
     _check_compatible(a, b)
 
     def witness(gamma: Permutation, lists: list[list[Permutation]]) -> PiecewiseWitness:
         return PiecewiseWitness(gamma=gamma, alpha=tuple(admissible[0] for admissible in lists))
 
-    perms = list(itertools.permutations(range(a.arity)))
-    return _lex_search(a, b, None, [perms] * a.size, witness)
+    return _lex_search(a, b, None, _colour_permutations(a.arity, a.size), witness)
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -363,12 +392,14 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     stage of the colour refinement, computed only once the in-degrees
     balance.  Each bijection that survives the search is completed by
     the least preimage-saturated colour field, if one exists.  Returns
-    the lexicographically least witness (gamma first, then alpha) or None.
+    the lexicographically least witness (gamma first, then alpha) or None;
+    ValueError before any search when the colour permutation lists would
+    pass MAX_PERMUTATION_ENTRIES.
     """
     _check_compatible(a, b)
-    perms = list(itertools.permutations(range(a.arity)))
+    start = _colour_permutations(a.arity, a.size)
     leaf = partial(_partition_alpha_field, a, b)
-    return _lex_search(a, b, lambda: local_signatures(a) + local_signatures(b), [perms] * a.size, leaf)
+    return _lex_search(a, b, lambda: local_signatures(a) + local_signatures(b), start, leaf)
 
 
 def _check_fields(witness, size: int, arity: int) -> tuple[Permutation, ...]:

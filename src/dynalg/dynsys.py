@@ -27,7 +27,11 @@ balance.
 Every int that must lie in a range (a size, a point, a colour, and
 elsewhere a block size, a degree, an order or a depth) is read by one
 rule, :func:`_int_in`, which names the value and its range when it
-refuses one, an int of more than 20 digits by its digit count.
+refuses one, an int of more than 20 digits by its digit count.  Every set
+of points (the subset of :func:`restrict`, the support of an indicator) is
+read by that int rule and then by one rule, :func:`_distinct`, which
+refuses a point listed twice, as it refuses a repeated vertex of an
+:class:`EdgeColoredGraph`.
 """
 
 from __future__ import annotations
@@ -71,6 +75,16 @@ def _is_permutation(entries: Sequence[object], size: int) -> bool:
     """Ints proper (no bools or floats) listing 0..size-1 once each."""
     ints = len(entries) == size and all(map(_is_int, entries))
     return ints and sorted(entries) == list(range(size))
+
+
+def _distinct(items: Iterable[int], what: str) -> set[int]:
+    """The items as a set; ValueError naming the first one listed twice."""
+    seen: set[int] = set()
+    for x in items:
+        if x in seen:
+            raise ValueError(f"{what} {x} is listed twice")
+        seen.add(x)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -140,13 +154,10 @@ class EdgeColoredGraph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(self.edges))
         _int_in(self.colours, "colours", 0)
-        seen: set[int] = set()
         for v in self.vertices:
             if not (type(v) is int or _is_int(v)):
                 raise ValueError(f"vertex {v!r} is not an integer")
-            if v in seen:
-                raise ValueError(f"vertex {v} is listed twice")
-            seen.add(v)
+        seen = _distinct(self.vertices, "vertex")
         colours = range(self.colours)
         for edge in self.edges:
             if not (type(edge) is tuple and len(edge) == 3):
@@ -249,8 +260,9 @@ def equivalence_classes(sys: FiniteSystem) -> tuple[frozenset[int], ...]:
 
 
 def restrict(sys: FiniteSystem, subset: Iterable[int]) -> SubSystem:
-    """Restrict the system to a subset, with maps defined where they stay inside."""
-    pts = tuple(sorted({check_point(sys, x) for x in subset}))
+    """Restrict the system to a subset of distinct points, with maps defined
+    where they stay inside."""
+    pts = tuple(sorted(_distinct([check_point(sys, x) for x in subset], "point")))
     if not pts:
         raise ValueError("cannot restrict to an empty subset")
     return SubSystem(parent=sys, points=pts)

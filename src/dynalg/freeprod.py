@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -139,11 +139,17 @@ def _ball_rows(rows, n: int, what: str, radius: float = 1.0, open_ball: bool = F
     return lam
 
 
-def _finite_value(c: complex, what: str = "coefficient") -> complex:
-    """``c``, a computed value, if both parts are finite; ValueError if it overflowed."""
-    if c - c:  # nonzero exactly when a part is inf or nan
-        raise ValueError(f"{what} {c!r} overflowed the float range")
-    return c
+def _finite_values(values: Collection[complex], what: str = "coefficient") -> None:
+    """ValueError naming the first computed value that overflowed the float range.
+
+    A part that is inf or nan makes the sum's part inf or nan, so a finite
+    sum clears every value, and only a sum that is not finite is scanned.
+    """
+    total = sum(values)
+    if total - total:  # nonzero exactly when a part is inf or nan
+        for c in values:
+            if c - c:
+                raise ValueError(f"{what} {c!r} overflowed the float range")
 
 
 @dataclass(frozen=True)
@@ -162,12 +168,7 @@ class FPPoly(WordPoly):
     __hash__ = WordPoly.__hash__
 
     def _like(self, terms: dict[FPWord, complex]) -> "FPPoly":
-        # A part that is inf or nan makes the sum's part inf or nan, so a
-        # finite sum clears every coefficient; only a non-finite one is scanned.
-        total = sum(terms.values())
-        if total - total:
-            for c in terms.values():
-                _finite_value(c)
+        _finite_values(terms.values())
         return super()._like(terms)
 
     def scale(self, value: complex) -> "FPPoly":
@@ -245,7 +246,8 @@ def eval_character(p: FPPoly, point: PolyballPoint) -> complex:
         for block, index in word:
             value *= point.coordinate(block, index)
         total += value
-    return _finite_value(total, "character value")
+    _finite_values((total,), "character value")
+    return total
 
 
 def abelianize(p: FPPoly) -> dict[tuple[int, ...], complex]:
@@ -266,7 +268,8 @@ def abelianize(p: FPPoly) -> dict[tuple[int, ...], complex]:
             degree[position[symbol]] += 1
         key = tuple(degree)
         out[key] = out.get(key, 0.0) + coeff
-    return {k: _finite_value(v) for k, v in out.items() if v != 0}
+    _finite_values(out.values())
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def kernel_eval(point: PolyballPoint, z: PolyballPoint) -> complex:

@@ -40,7 +40,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .conjugacy import PartitionWitness, _invert, verify_witness
-from .dynsys import FiniteSystem, Word, _int_in, check_colour, validate_word
+from .dynsys import FiniteSystem, Word, _distinct, _int_in, check_colour, validate_word
 from .scalars import ONE, ZERO, RationalComplex, _product
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
@@ -62,9 +62,9 @@ class FunctionCoeff:
 
     @staticmethod
     def indicator(size: int, subset: Iterable[int]) -> "FunctionCoeff":
-        """1 on the subset, whose items must be int points of 0..size-1, else 0."""
+        """1 on the subset, whose items must be distinct int points of 0..size-1, else 0."""
         _int_in(size, "size", 0)
-        inside = {_int_in(x, "subset item", 0, size) for x in subset}
+        inside = _distinct([_int_in(x, "subset item", 0, size) for x in subset], "subset item")
         return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(size)))
 
     @staticmethod
@@ -346,11 +346,7 @@ def partition_isomorphism(
     """The mutually inverse hom pair of a witness and of its inverse.
 
     The reverse map sends f to f o gamma and t_j to sum_i s_i chi_{V_{i,j}}.
-    An invalid witness raises ``ValueError``.
+    Both homs are built, and so both witnesses verified, by the one
+    constructor; an invalid witness raises ``ValueError``.
     """
-    forward = CovariantHom(a, b, witness)
-    # The inverse of a verified witness verifies, so the reverse hom is
-    # built without repeating the check.
-    reverse = object.__new__(CovariantHom)
-    reverse.__dict__.update(source=b, target=a, witness=witness.inverse())
-    return forward, reverse
+    return CovariantHom(a, b, witness), CovariantHom(b, a, witness.inverse())

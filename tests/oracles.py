@@ -437,6 +437,27 @@ def random_mapping_pair(n: int) -> tuple[FiniteSystem, FiniteSystem]:
     return FiniteSystem(n, (tuple(table),)), FiniteSystem(n, (tuple(relabelled),))
 
 
+def cycle_pair(n: int, k: int, l: int, seed: int) -> tuple[FiniteSystem, FiniteSystem]:
+    """One map of n/k disjoint k-cycles against one of n/l disjoint l-cycles.
+
+    Each cycle runs over a block of consecutive points, and each system is
+    then relabelled by a shuffle of random.Random(seed).  For one map every
+    notion is conjugacy (the only colour permutation is the identity), and
+    two permutations are conjugate exactly when their cycle types agree, so
+    the pair is matched in every mode exactly when k = l.  In-degrees are
+    all 1 on both sides, so that count never refutes it.
+    """
+    if n % k or n % l:
+        raise ValueError(f"{k} and {l} must divide {n}")
+    rng = random.Random(seed)
+
+    def cycles(length: int) -> FiniteSystem:
+        table = tuple(x + 1 if (x + 1) % length else x + 1 - length for x in range(n))
+        return relabelled(FiniteSystem(n, (table,)), rng)
+
+    return cycles(k), cycles(l)
+
+
 def one_map_conjugate(a: FiniteSystem, b: FiniteSystem) -> bool:
     """Whether two one-map systems are conjugate, by their canonical forms."""
     ids: dict = {}

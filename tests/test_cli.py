@@ -20,7 +20,9 @@ from dynalg.cli import (
     read_witness,
     run_command,
 )
-from dynalg.conjugacy import decide_conjugate, decide_partition, decide_piecewise, verify_witness
+from dynalg.conjugacy import (
+    MAX_PERMUTATION_ENTRIES, decide_conjugate, decide_partition, decide_piecewise, verify_witness,
+)
 from dynalg.dynsys import FiniteSystem, entry_signature, full_subsystem
 from dynalg.fixtures import (
     FOUR_POINT_OVERLAP,
@@ -146,6 +148,19 @@ def test_u1n_round_trip():
     assert np.allclose(x.matrix, x2.matrix)
     with pytest.raises(FormatError):
         parse_u1n('{"n":1,"matrix":[[[1,0],[0,0]],[[0,0],[2,0]]]}')  # not in U(1,1)
+
+
+def test_parse_u1n_reads_each_entry_once(monkeypatch):
+    # the file's parts are read by _as_finite, and U1nMatrix then converts
+    # the complex array whole, reading no entry a second time
+    import dynalg.freeprod
+
+    x = mobius_to_u1n(BallMobius.involution([0.3, 0.1]))
+    read = []
+    as_finite = dynalg.freeprod._as_finite
+    monkeypatch.setattr(dynalg.freeprod, "_as_finite", lambda v, what: read.append(what) or as_finite(v, what))
+    assert np.array_equal(parse_u1n(dump_u1n(x)).matrix, x.matrix)
+    assert len(read) == 2 * 3 * 3 and all(what.startswith("matrix[") for what in read)
 
 
 def test_parse_u1n_rejects_malformed():
@@ -286,6 +301,22 @@ def test_check_decides_large_relabelled_pairs_in_every_mode(tmp_path):
         assert verify_witness(a, b, witness).passed, mode
         assert getattr(witness, "recolor", None) is None  # no recolouring without --recolor
     assert sys.getrecursionlimit() == limit
+
+
+def test_check_refuses_twelve_maps_except_in_plain_conjugate_mode(tmp_path):
+    # 12! colour permutations pass the list bound; plain conjugate mode lists none
+    a, b = relabelled_pair(make_rng(100), 100, 12)
+    paths = []
+    for name, system in (("a", a), ("b", b)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dump_system(system))
+        paths.append(str(path))
+    for flags in (["--mode", "piecewise"], ["--mode", "partition"], ["--mode", "conjugate", "--recolor"]):
+        report, code = run_command(["check", *flags, *paths])
+        assert code == 2 and "12! colour permutations" in report["error"], flags
+        assert str(MAX_PERMUTATION_ENTRIES) in report["error"], flags
+    report, code = run_command(["check", "--mode", "conjugate", *paths])
+    assert code == 0 and verify_witness(a, b, read_witness(report)).passed
 
 
 def test_check_conjugate_modes(files):
@@ -518,8 +549,9 @@ def test_integer_flags_take_ascii_digits_only(files, tmp_path, text):
 
 
 def test_fock_rejects_repeated_subset_points(files):
+    # refused by restrict, which reads every point set by one rule
     report, code = run_command(["fock", files["overlap"], "--subset", "1,1", "--depth", "2"])
-    assert code == 2 and "twice" in report["error"]
+    assert code == 2 and "twice" in report["error"] and "point 1" in report["error"]
 
 
 def test_selftest_command():

@@ -34,6 +34,7 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    cycle_pair,
     disjoint_union,
     indegree_shifted_pair,
     indegrees,
@@ -711,6 +712,41 @@ def test_padded_cycle_pair_is_refuted_and_its_control_found(mode):
     assert witness is not None and verify_witness(a, b, witness).passed
 
 
+# ---- colour permutation lists: one bounded build -----------------------------
+
+
+@pytest.mark.parametrize("arity", [10, 12])
+@pytest.mark.parametrize("mode", ["recolor", "piecewise", "partition"])
+def test_colour_permutation_lists_are_refused_past_the_bound(mode, arity):
+    # 10! = 3,628,800 and 12! = 479,001,600 permutations; before the bound,
+    # --recolor on this arity-10 pair took 4.5 s and a 448 MB tracemalloc peak
+    a, b = relabelled_pair(make_rng(1000), 20, arity)
+    message = rf"^the {arity}! colour permutations of {arity} maps, listed .* \(36288000 entries\)"
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=message):
+            _MODES[mode](a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 0.1 and peak < 2**20, peak
+
+
+def test_colour_permutation_entries_count_every_list_owner(monkeypatch):
+    # arity! permutations of arity ints each, and arity! entries per owner
+    perms = list(itertools.permutations(range(3)))
+    assert dynalg.conjugacy._colour_permutations(3) == [perms]
+    lists = dynalg.conjugacy._colour_permutations(3, 4)
+    assert lists == [perms] * 4 and all(entry is lists[0] for entry in lists)
+    monkeypatch.setattr(dynalg.conjugacy, "MAX_PERMUTATION_ENTRIES", 6 * (3 + 4))
+    assert dynalg.conjugacy._colour_permutations(3, 4) == [perms] * 4
+    with pytest.raises(ValueError, match=r"^the 3! colour permutations of 3 maps, listed at 5 points,"):
+        dynalg.conjugacy._colour_permutations(3, 5)
+    with pytest.raises(ValueError, match=r"listed once, pass the list limit \(42 entries\); use fewer maps$"):
+        dynalg.conjugacy._colour_permutations(7)
+
+
 # ---- one map: every notion is isomorphism of functional digraphs ------------
 
 
@@ -771,6 +807,41 @@ def test_deciders_agree_with_the_one_map_oracle_on_perturbed_pairs():
             assert _one_map_verdicts(a, c) == [expected] * 3
             verdicts[expected] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_cycle_pairs_match_exactly_when_the_cycle_lengths_agree():
+    # the verdict by construction, against the brute-force oracles at n = 6
+    # and the one-map canonical form up to n = 600
+    for k, l in itertools.product(_divisors(6), repeat=2):
+        a, b = cycle_pair(6, k, l, seed=k * 7 + l)
+        assert sorted(indegrees(a)) == sorted(indegrees(b))
+        found = [
+            brute_force_conjugate(a, b) is not None,
+            brute_force_conjugate(a, b, allow_recolor=True) is not None,
+            brute_force_piecewise(a, b) is not None,
+            brute_force_partition(a, b) is not None,
+        ]
+        assert found == [k == l] * 4, (k, l)
+    for n in (12, 60, 210, 600):
+        for k, l in itertools.product(_divisors(n)[:6], repeat=2):
+            assert one_map_conjugate(*cycle_pair(n, k, l, seed=n + k + l)) == (k == l), (n, k, l)
+    with pytest.raises(ValueError):
+        cycle_pair(6, 4, 3, seed=1)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("n, k, l", [(12, 3, 3), (6, 3, 6), (12, 3, 6)])
+def test_deciders_give_the_cycle_pair_verdicts(mode, n, k, l):
+    # every point has in-degree 1 and refinement separates nothing, so the
+    # search alone decides; 3-cycles against 6-cycles at n = 18 take 8-10 s
+    a, b = cycle_pair(n, k, l, seed=n)
+    witness = _MODES[mode](a, b)
+    assert (witness is not None) == (k == l)
+    assert witness is None or verify_witness(a, b, witness).passed
 
 
 # ---- two maps: ROADMAP item 5's class counts ---------------------------------

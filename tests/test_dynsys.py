@@ -209,6 +209,11 @@ def test_restrict_examples():
         restrict(TWO_POINT_MIXED, set())
     with pytest.raises(ValueError):
         restrict(TWO_POINT_MIXED, {0, 7})
+    # a point set is read by one rule, dynsys._point_set: distinct points
+    assert restrict(FOUR_POINT_OVERLAP, iter([3, 1])).points == (1, 3)
+    for subset in ([0, 0], [1, 0, 1]):
+        with pytest.raises(ValueError, match=rf"^point {subset[-1]} is listed twice$"):
+            restrict(TWO_POINT_MIXED, subset)
 
 
 def test_colored_graph_examples():

@@ -797,6 +797,17 @@ def test_arithmetic_results_keep_finite_coefficients():
     assert (big.scale(1e108) - big.scale(1e108)).terms == {}
 
 
+def test_abelianize_follows_the_one_overflow_rule():
+    # the rule of FPPoly._like: the sum is taken once, and only a non-finite
+    # sum is scanned, so the first overflowed entry is named as before
+    merged = FPPoly.make((2,), {((0, 0), (0, 1)): 1e308, ((0, 1), (0, 0)): 1e308, ((0, 0),): 1.0})
+    with pytest.raises(ValueError, match=r"^coefficient \(inf\+0j\) overflowed the float range$"):
+        abelianize(merged)
+    # entries in range pass, even when their sum overflows
+    pair = FPPoly.make((2,), {((0, 0),): 1e308, ((0, 1),): 1e308, ((0, 1), (0, 0)): 1.0})
+    assert abelianize(pair) == {(1, 0): 1e308, (0, 1): 1e308, (1, 1): 1.0}
+
+
 def test_ball_sample_radius_is_a_real_number_in_the_unit_interval():
     rng = random.Random(5)
     for radius, error in (

@@ -356,7 +356,8 @@ def _partition_homs(rng, pairs):
     return homs
 
 
-def test_partition_isomorphism_verifies_only_the_forward_witness(monkeypatch):
+def test_partition_isomorphism_verifies_both_witnesses(monkeypatch):
+    # both homs come from the one constructor, so each verifies its witness
     import dynalg.semicrossed as semicrossed
 
     checked = []
@@ -369,10 +370,11 @@ def test_partition_isomorphism_verifies_only_the_forward_witness(monkeypatch):
     monkeypatch.setattr(semicrossed, "verify_witness", counted)
     homs = _partition_homs(random.Random(12), 40)
     assert len(homs) > 10
-    assert checked == [(f.source, f.target, f.witness) for f, _ in homs]
+    assert len(checked) == 2 * len(homs)
+    assert checked == [(h.source, h.target, h.witness) for pair in homs for h in pair]
     for forward, reverse in homs:
-        checked_reverse = CovariantHom(forward.target, forward.source, forward.witness.inverse())
-        assert reverse == checked_reverse and hash(reverse) == hash(checked_reverse)
+        assert reverse.witness == forward.witness.inverse()
+        assert (reverse.source, reverse.target) == (forward.target, forward.source)
 
 
 def test_apply_hom_matches_multiplicative_oracle():
@@ -486,8 +488,12 @@ def test_indicator_subsets_are_int_points():
     class K(enum.IntEnum):
         ONE = 1
 
-    assert FunctionCoeff.indicator(3, iter([K.ONE, 2, 2])).values == (qc(0), ONE, ONE)
+    assert FunctionCoeff.indicator(3, iter([K.ONE, 2])).values == (qc(0), ONE, ONE)
     assert FunctionCoeff.indicator(3, set()).is_zero()
+    # the one point-set rule, dynsys._point_set: a repeated point is named
+    for size, subset in ((2, [1, 1]), (3, iter([K.ONE, 2, 1]))):
+        with pytest.raises(ValueError, match=r"^subset item 1 is listed twice$"):
+            FunctionCoeff.indicator(size, subset)
 
 
 def test_element_coefficients_must_be_function_coeffs():
