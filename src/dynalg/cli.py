@@ -201,10 +201,12 @@ _KINDS = {"conjugate": "ConjugacyWitness", "piecewise": "PiecewiseWitness", "par
 
 
 def _nested(value, depth: int, kind: type):
-    """``value`` with its one or two levels of sequences rebuilt as ``kind``; None stays."""
+    """``value`` with its one or two levels of sequences rebuilt as ``kind``; None
+    stays, and so does an inner item that is no tuple or list, for the witness
+    check to refuse."""
     if value is None:
         return None
-    return kind(value) if depth == 1 else kind(map(kind, value))
+    return kind(value) if depth == 1 else kind(kind(v) if isinstance(v, (tuple, list)) else v for v in value)
 
 
 def _witness_json(witness) -> dict[str, Any]:
@@ -222,16 +224,27 @@ def read_witness(report: dict[str, Any]):
     The witness JSON does not say its kind (piecewise and partition witnesses
     look alike), so the kind comes from the echoed command line, read by the
     same table as the command itself.  A report of any other command raises
-    :class:`FormatError`.
+    :class:`FormatError`, and so does a malformed one, naming the field:
+    ``command`` must be a list of strings and ``witness`` an object holding
+    every field of its kind, each a list (``recolor`` may be null).  Any
+    fault inside a field is left to :func:`dynalg.conjugacy.verify_witness`.
     """
-    args = _parse_args(report["command"])
+    command = report.get("command") if isinstance(report, dict) else None
+    if not (isinstance(command, list) and all(isinstance(item, str) for item in command)):
+        raise FormatError("field 'command' must be a list of strings")
+    args = _parse_args(command)
     if args.func not in (_cmd_check, _cmd_iso_build):
-        raise FormatError(f"a {report['command'][0]} report carries no decider witness")
+        raise FormatError(f"a {command[0]} report carries no decider witness")
     if "witness" not in report:
         return None
     kind = getattr(dynalg.conjugacy, _KINDS[getattr(args, "mode", "partition")])
-    data = report["witness"]
-    return kind(*(_nested(data[f.name], _FIELD_DEPTH[f.name], tuple) for f in dataclasses.fields(kind)))
+    data, names = report["witness"], [f.name for f in dataclasses.fields(kind)]
+    if not isinstance(data, dict):
+        raise FormatError("field 'witness' must be an object")
+    for name in names:
+        if name not in data or not (isinstance(data[name], list) or name == "recolor" and data[name] is None):
+            raise FormatError(f"witness field '{name}' must be a list" + " or null" * (name == "recolor"))
+    return kind(*(_nested(data[name], _FIELD_DEPTH[name], tuple) for name in names))
 
 
 # ---- commands ------------------------------------------------------------------
@@ -305,16 +318,14 @@ def _cmd_iso_build(args) -> tuple[bool, Any]:
         return False, None
     semicrossed = dynalg.semicrossed
     forward, reverse = semicrossed.partition_isomorphism(a, b, witness)
-    generator, apply_hom = semicrossed.SemicrossedElement.generator, semicrossed.apply_hom
-    round_trip_ok = all(
-        apply_hom(reverse, apply_hom(forward, generator(a, i))) == generator(a, i)
-        for i in range(a.arity)
-    )
+    images, generator = forward.generator_images, semicrossed.SemicrossedElement.generator
     return True, {
         **_witness_json(witness),
-        "forward_generators": [_element_json(e) for e in forward.generator_images],
+        "forward_generators": [_element_json(e) for e in images],
         "reverse_generators": [_element_json(e) for e in reverse.generator_images],
-        "round_trip_on_generators": round_trip_ok,
+        "round_trip_on_generators": all(
+            semicrossed.apply_hom(reverse, image) == generator(a, i) for i, image in enumerate(images)
+        ),
     }
 
 

@@ -68,7 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, NoReturn, Optional, Sequence
 
 from .dynsys import FiniteSystem, _int_in, _is_permutation, local_signatures
 from .matching import W, lex_first
@@ -102,11 +102,15 @@ class PartitionWitness:
     alpha: tuple[Permutation, ...]
 
     def index_set(self, i: int, j: int) -> frozenset[int]:
-        """V_{i,j}: the points whose colour field sends i to j, for colours i, j."""
-        arity = len(self.alpha[0]) if self.alpha else 0
+        """V_{i,j}: the points whose colour field sends i to j, for colours i, j.
+
+        Raises :class:`MalformedWitnessError` as :meth:`inverse` does.
+        """
+        alpha = _check_fields(self)
+        arity = len(alpha[0]) if alpha else 0
         _int_in(i, "colour i", 0, arity)
         _int_in(j, "colour j", 0, arity)
-        return frozenset(x for x, perm in enumerate(self.alpha) if perm[i] == j)
+        return frozenset(x for x, perm in enumerate(alpha) if perm[i] == j)
 
     def inverse(self) -> "PartitionWitness":
         """The witness from b back to a: gamma^-1, with alpha'_y = alpha_{gamma^-1 y}^-1.
@@ -114,11 +118,9 @@ class PartitionWitness:
         Raises :class:`MalformedWitnessError` unless gamma and every alpha_x
         are permutations, one alpha_x per point, all of one length.
         """
-        _check_fields(self, len(self.gamma), len(self.alpha[0]) if self.alpha else 0)
+        alpha = _check_fields(self)
         gamma_inv = _invert(self.gamma)
-        return PartitionWitness(
-            gamma=gamma_inv, alpha=tuple(_invert(self.alpha[x]) for x in gamma_inv)
-        )
+        return PartitionWitness(gamma=gamma_inv, alpha=tuple(_invert(alpha[x]) for x in gamma_inv))
 
 
 @dataclass(frozen=True)
@@ -402,7 +404,7 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     return _lex_search(a, b, lambda: local_signatures(a) + local_signatures(b), start, leaf)
 
 
-def _check_fields(witness, size: int, arity: int) -> tuple[Permutation, ...]:
+def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:
     """The witness's colour field, one permutation per point.
 
     A :class:`ConjugacyWitness` gives the constant field: ``recolor`` at
@@ -410,26 +412,41 @@ def _check_fields(witness, size: int, arity: int) -> tuple[Permutation, ...]:
     give their ``alpha``.  Any other object raises TypeError, and a
     witness raises :class:`MalformedWitnessError` unless gamma permutes
     0..size-1 and ``recolor``, or each of the size alpha_x, permutes
-    0..arity-1.
+    0..arity-1.  Every permutation, and ``alpha`` itself, must be a tuple
+    or a list (:func:`dynalg.dynsys._is_permutation`).  A partition
+    witness read against itself leaves size and arity None: gamma's
+    length sets the size and alpha_0's the arity, each read only once
+    the field is known to be a tuple or a list.
     """
     if not isinstance(witness, (ConjugacyWitness, PiecewiseWitness, PartitionWitness)):
         raise TypeError(f"{type(witness).__name__} is not a witness")
     gamma = witness.gamma
+    if size is None:
+        size = len(gamma) if isinstance(gamma, (tuple, list)) else 0
     if not _is_permutation(gamma, size):
-        raise MalformedWitnessError(f"gamma {gamma} is not a bijection of 0..{size - 1}")
+        _refuse("gamma", gamma, "bijection", size)
     if isinstance(witness, ConjugacyWitness):
         recolor = tuple(range(arity)) if witness.recolor is None else witness.recolor
         if not _is_permutation(recolor, arity):
-            raise MalformedWitnessError(f"recolor {recolor} is not a colour permutation of 0..{arity - 1}")
+            _refuse("recolor", recolor, "colour permutation", arity)
         return (recolor,) * size
-    if len(witness.alpha) != size:
-        raise MalformedWitnessError(f"alpha field has {len(witness.alpha)} entries, expected {size}")
-    for x, perm in enumerate(witness.alpha):
+    alpha = witness.alpha
+    if not isinstance(alpha, (tuple, list)):
+        raise MalformedWitnessError(f"alpha field {alpha!r} is not a tuple or list")
+    if len(alpha) != size:
+        raise MalformedWitnessError(f"alpha field has {len(alpha)} entries, expected {size}")
+    if arity is None:
+        arity = len(alpha[0]) if alpha and isinstance(alpha[0], (tuple, list)) else 0
+    for x, perm in enumerate(alpha):
         if not _is_permutation(perm, arity):
-            raise MalformedWitnessError(
-                f"alpha[{x}] = {perm} is not a colour permutation of 0..{arity - 1}"
-            )
-    return witness.alpha
+            _refuse(f"alpha[{x}] =", perm, "colour permutation", arity)
+    return alpha
+
+
+def _refuse(what: str, entries: object, kind: str, size: int) -> NoReturn:
+    """The :class:`MalformedWitnessError` for ``entries`` that fail :func:`_is_permutation`."""
+    shape = f"a {kind} of 0..{size - 1}" if isinstance(entries, (tuple, list)) else "a tuple or list"
+    raise MalformedWitnessError(f"{what} {entries!r} is not {shape}")
 
 
 def verify_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:

@@ -71,9 +71,10 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
-def _is_permutation(entries: Sequence[object], size: int) -> bool:
-    """Ints proper (no bools or floats) listing 0..size-1 once each."""
-    ints = len(entries) == size and all(map(_is_int, entries))
+def _is_permutation(entries: object, size: int) -> bool:
+    """A tuple or list of ints proper (no bools or floats) listing 0..size-1
+    once each; a dict, a range or any other object is none."""
+    ints = isinstance(entries, (tuple, list)) and len(entries) == size and all(map(_is_int, entries))
     return ints and sorted(entries) == list(range(size))
 
 

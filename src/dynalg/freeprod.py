@@ -339,18 +339,12 @@ class BallMobius:
 
 
 def mobius_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
-    """Apply the automorphism at a point of the closed ball; the open ball
-    maps onto the open ball."""
-    lam = _ball_rows((point,), m.dim, "point")[0]
-    a = m.a
-    norm_a_sq = float(np.vdot(a, a).real)
-    if norm_a_sq == 0.0:
-        base = -lam
-    else:
-        s = math.sqrt(1.0 - norm_a_sq)
-        proj = (np.vdot(a, lam) / norm_a_sq) * a  # component of lam along a
-        base = (a - proj - s * (lam - proj)) / (1.0 - np.vdot(a, lam))
-    return m.unitary @ base
+    """Apply the automorphism at a point of the closed ball, through its
+    U(1, n) matrix acting by :func:`frac_linear`; the open ball maps onto
+    the open ball.  The matrix is used unchecked: the 1e-12 form check of
+    :class:`U1nMatrix` can refuse a centre near the sphere that
+    :class:`BallMobius` accepts."""
+    return _frac_linear_rows(_mobius_matrix(m), _ball_rows((point,), m.dim, "point"))[0]
 
 
 @dataclass(frozen=True)
@@ -423,7 +417,14 @@ def _indefinite_form(n: int) -> np.ndarray:
 
 
 def mobius_to_u1n(m: BallMobius) -> U1nMatrix:
-    """The matrix whose fractional linear action equals the automorphism.
+    """The matrix whose fractional linear action equals the automorphism,
+    built by :func:`_mobius_matrix` and checked by :class:`U1nMatrix`."""
+    return U1nMatrix(n=m.dim, matrix=_mobius_matrix(m))
+
+
+def _mobius_matrix(m: BallMobius) -> np.ndarray:
+    """The U(1, n) matrix of the automorphism, unchecked: the one builder
+    behind :func:`mobius_to_u1n` and :func:`mobius_apply`.
 
     The involution at ``a`` contributes (1/s) [[1, -a*], [a, -(P + sQ)]]
     with P the projection onto a, Q its complement and s = sqrt(1-|a|^2);
@@ -446,7 +447,7 @@ def mobius_to_u1n(m: BallMobius) -> U1nMatrix:
     x /= s
     u_part = np.eye(n + 1, dtype=complex)
     u_part[1:, 1:] = m.unitary
-    return U1nMatrix(n=n, matrix=u_part @ x)
+    return u_part @ x
 
 
 def _frac_linear_rows(m: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -245,8 +245,9 @@ class CovariantHom:
     s_i to sum_j t_j chi_{gamma(V_{i,j})}.  :func:`apply_hom` reads
     images off walks, which match the multiplicative extension only for
     an intertwining witness, so the witness is verified on construction.
-    The images of point masses and generators are derived views, which
-    :func:`covariance_defects` checks independently.
+    The point-mass images chi_{gamma(x)} are read off gamma, and the
+    generator images off the walk of each s_i; :func:`covariance_defects`
+    still checks the covariance relation on them.
     """
 
     source: FiniteSystem
@@ -267,14 +268,8 @@ class CovariantHom:
 
     @property
     def generator_images(self) -> tuple[SemicrossedElement, ...]:
-        w, size, arity = self.witness, self.target.size, self.source.arity
-        return tuple(
-            SemicrossedElement.make(self.target, {
-                (j,): FunctionCoeff.indicator(size, {w.gamma[x] for x in w.index_set(i, j)})
-                for j in range(arity)
-            })
-            for i in range(arity)
-        )
+        """The image of each generator s_i, read off its walk by :func:`apply_hom`."""
+        return tuple(apply_hom(self, SemicrossedElement.generator(self.source, i)) for i in range(self.source.arity))
 
     def function_image(self, f: FunctionCoeff) -> FunctionCoeff:
         """f o gamma^-1, for f on the source's points."""

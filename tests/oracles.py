@@ -8,6 +8,7 @@ or backtracking the library uses.  The deciders must agree with these.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from collections import Counter
@@ -19,7 +20,7 @@ import numpy as np
 
 from dynalg.conjugacy import WitnessFailure, WitnessReport
 from dynalg.dynsys import EdgeColoredGraph, FiniteSystem, SubSystem, entry_signature, evaluate_word, restrict
-from dynalg.freeprod import NCSeries, PolyballPoint, U1nMatrix, voiculescu_lift
+from dynalg.freeprod import BallMobius, NCSeries, PolyballPoint, U1nMatrix, voiculescu_lift
 from dynalg.quotient import FreeEdgePoly, QuotientMatrix
 from dynalg.reps import CKReport, ColourDefect
 from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, pullback, sc_multiply
@@ -714,17 +715,28 @@ def random_element(
 def multiplicative_hom_image(hom, element: SemicrossedElement) -> SemicrossedElement:
     """A hom's image of an element as a product of images, one letter at a time.
 
-    Each function coefficient maps to the sum of its values times the
-    point-mass images, each generator to its generator image, and s_w f
-    to the product of these images in the order of the word.
+    The images are the paper's, built here from the witness alone and not
+    read off the hom: the point mass at x maps to chi_{gamma(x)}, and the
+    generator s_i to sum_j t_j chi_{gamma(V_{i,j})} with V_{i,j} from
+    ``witness.index_set``.  Each function coefficient maps to the sum of
+    its values times the point-mass images, and s_w f to the product of
+    these images in the order of the word.
     """
-    gens = hom.generator_images
+    witness, size, arity = hom.witness, hom.target.size, hom.source.arity
+    point_masses = [FunctionCoeff.indicator(size, {y}) for y in witness.gamma]
+    gens = [
+        SemicrossedElement.make(hom.target, {
+            (j,): FunctionCoeff.indicator(size, {witness.gamma[x] for x in witness.index_set(i, j)})
+            for j in range(arity)
+        })
+        for i in range(arity)
+    ]
     acc = SemicrossedElement.zero(hom.target)
     for word, coeff in element.terms.items():
-        image = FunctionCoeff.constant(hom.target.size, 0)
+        image = FunctionCoeff.constant(size, 0)
         for x, value in enumerate(coeff.values):
             if not value.is_zero():
-                image = image + hom.point_mass_images[x].scale(value)
+                image = image + point_masses[x].scale(value)
         term = SemicrossedElement.from_function(hom.target, image)
         for letter in reversed(word):
             term = sc_multiply(gens[letter], term)
@@ -979,6 +991,26 @@ def looped_ball_samples(rng: random.Random, n: int, count: int, radius: float = 
         scale = radius * rng.random() ** (1.0 / (2 * n))
         points.append(tuple(vec / norm * scale))
     return points
+
+
+def mobius_formula_apply(m: BallMobius, point: Sequence[complex]) -> np.ndarray:
+    """The automorphism at a point by the involution formula, with no matrix:
+    the reference for dynalg.freeprod.mobius_apply and frac_linear.
+
+    With P the projection onto the centre a, Q = I - P and s = sqrt(1 - |a|^2),
+    the involution sends lambda to (a - P lambda - s Q lambda) / (1 - <lambda, a>),
+    and -lambda when a = 0; the unitary then acts on the left.
+    """
+    lam = np.asarray(point, dtype=complex)
+    a = m.a
+    norm_a_sq = float(np.vdot(a, a).real)
+    if norm_a_sq == 0.0:
+        base = -lam
+    else:
+        s = math.sqrt(1.0 - norm_a_sq)
+        proj = (np.vdot(a, lam) / norm_a_sq) * a  # component of lam along a
+        base = (a - proj - s * (lam - proj)) / (1.0 - np.vdot(a, lam))
+    return m.unitary @ base
 
 
 def truncated_series_value(series: NCSeries, point: PolyballPoint) -> complex:

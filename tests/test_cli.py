@@ -21,7 +21,8 @@ from dynalg.cli import (
     run_command,
 )
 from dynalg.conjugacy import (
-    MAX_PERMUTATION_ENTRIES, decide_conjugate, decide_partition, decide_piecewise, verify_witness,
+    MAX_PERMUTATION_ENTRIES, MalformedWitnessError, decide_conjugate, decide_partition, decide_piecewise,
+    verify_witness,
 )
 from dynalg.dynsys import FiniteSystem, entry_signature, full_subsystem
 from dynalg.fixtures import (
@@ -374,6 +375,32 @@ def test_read_witness_gives_back_the_deciders_witness(files, tmp_path):
     report, _ = run_command(["signature", files["mixed"]])
     with pytest.raises(FormatError, match="^a signature report carries no decider witness$"):
         read_witness(report)
+
+
+def test_read_witness_refuses_malformed_reports(files):
+    report, _ = run_command(["check", "--mode", "conjugate", "--recolor", files["mixed"], files["mixed"]])
+    iso, _ = run_command(["iso-build", files["split_a"], files["split_b"]])
+    assert report["witness"]["recolor"] is not None and "alpha" in iso["witness"]
+    command = "^field 'command' must be a list of strings$"
+    for bad, message in (
+        ({k: v for k, v in iso.items() if k != "command"}, command),
+        ({**iso, "command": "check"}, command),
+        ({**iso, "command": ["iso-build", 3]}, command),
+        ([iso], command),
+        ({**iso, "witness": [1, 2]}, "^field 'witness' must be an object$"),
+        ({**iso, "witness": {"gamma": [0, 1, 2, 3]}}, "^witness field 'alpha' must be a list$"),
+        ({**iso, "witness": {**iso["witness"], "gamma": None}}, "^witness field 'gamma' must be a list$"),
+        ({**iso, "witness": {**iso["witness"], "alpha": {"0": [0, 1]}}}, "^witness field 'alpha' must be a list$"),
+        ({**report, "witness": {"gamma": [0, 1]}}, "^witness field 'recolor' must be a list or null$"),
+        ({**report, "witness": {**report["witness"], "recolor": 1}}, "^witness field 'recolor' must be a list or null$"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            read_witness(bad)
+    # past the field types, faults are the witness check's to refuse
+    assert read_witness({**report, "witness": {**report["witness"], "recolor": None}}).recolor is None
+    odd = read_witness({**iso, "witness": {**iso["witness"], "alpha": [[0, 1], 1, [0, 1], [0, 1]]}})
+    with pytest.raises(MalformedWitnessError, match=r"^alpha\[1\] = 1 is not a tuple or list$"):
+        verify_witness(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, odd)
 
 
 def test_tensor_vs_semicrossed_command(files, tmp_path):

@@ -135,6 +135,18 @@ def test_verify_witness_rejects_malformed():
             TWO_POINT_MIXED,
             PartitionWitness(gamma=(0, 1), alpha=((0, 0), (0, 1))),
         )
+    # every permutation, and the alpha field, is a tuple or a list: a dict or an int is none
+    for witness, message in (
+        (ConjugacyWitness(gamma={0: 0, 1: 1}, recolor=None), r"^gamma \{0: 0, 1: 1\} is not a tuple or list$"),
+        (ConjugacyWitness(gamma=5, recolor=None), r"^gamma 5 is not a tuple or list$"),
+        (ConjugacyWitness(gamma=(0, 1), recolor=3), r"^recolor 3 is not a tuple or list$"),
+        (ConjugacyWitness(gamma=(0, 1), recolor=range(2)), r"^recolor range\(0, 2\) is not a tuple or list$"),
+        (PiecewiseWitness(gamma=(0, 1), alpha=(0, 1)), r"^alpha\[0\] = 0 is not a tuple or list$"),
+        (PartitionWitness(gamma=(0, 1), alpha=5), r"^alpha field 5 is not a tuple or list$"),
+        (PartitionWitness(gamma=(0, 1), alpha={0: (0, 1), 1: (0, 1)}), r"^alpha field \{0: \(0, 1\)"),
+    ):
+        with pytest.raises(MalformedWitnessError, match=message):
+            verify_witness(TWO_POINT_MIXED, TWO_POINT_MIXED, witness)
 
 
 @pytest.mark.parametrize(
@@ -367,9 +379,15 @@ def test_inverse_refuses_a_malformed_witness():
         ((1, 0), ((True, False), (0, 1))),  # bools are not colours
         ((0, 1), ((0,),)),  # one alpha_x for two points
         ((1, 0), ((0, 1), (0,))),  # alpha_x of two lengths
+        ((0, 1), 5),  # the alpha field is no tuple or list
+        (5, ((0, 1), (0, 1))),  # gamma is no tuple or list
+        ((0, 1), (0, 1)),  # alpha_0 is no tuple or list
+        ({0: 0, 1: 1}, ((0, 1), (0, 1))),  # a dict is no permutation
     ):
         with pytest.raises(MalformedWitnessError):
             PartitionWitness(gamma=gamma, alpha=alpha).inverse()
+        with pytest.raises(MalformedWitnessError):
+            PartitionWitness(gamma=gamma, alpha=alpha).index_set(0, 0)
     witness = PartitionWitness(gamma=(1, 2, 0), alpha=((1, 0), (0, 1), (1, 0)))
     assert witness.inverse() == PartitionWitness(gamma=(2, 0, 1), alpha=((1, 0), (1, 0), (0, 1)))
     assert PartitionWitness(gamma=(), alpha=()).inverse() == PartitionWitness(gamma=(), alpha=())

@@ -38,7 +38,8 @@ from dynalg.reps import row_norm
 from dynalg.scalars import qc
 from dynalg.wordpoly import cesaro_mean, fourier_component
 from oracles import (
-    creation_operators, lift_at, looped_ball_samples, looped_lift_deviation, truncated_series_value,
+    creation_operators, lift_at, looped_ball_samples, looped_lift_deviation, mobius_formula_apply,
+    truncated_series_value,
 )
 
 SIG = (2, 3)
@@ -272,7 +273,9 @@ def test_mobius_to_u1n_structure_and_postcondition():
         assert abs(x.x0) > np.linalg.norm(x.eta1)
         for p in sample_ball_points(rng, 2, 5, 0.95):
             lam = np.array(p)
-            assert np.linalg.norm(frac_linear(x, lam) - mobius_apply(m, lam)) < 1e-10
+            # mobius_apply acts through the same matrix, so the reference is the involution formula
+            assert np.linalg.norm(frac_linear(x, lam) - mobius_formula_apply(m, lam)) < 1e-10
+            assert np.linalg.norm(mobius_apply(m, lam) - mobius_formula_apply(m, lam)) < 1e-10
 
 
 def test_frac_linear_examples_and_ball_preservation():
@@ -507,6 +510,23 @@ def test_lift_array_pass_matches_looped_oracle():
             for p in samples:
                 point = PolyballPoint((tuple(p),))
                 assert abs(s.evaluate(point) - truncated_series_value(s, point)) <= 1e-12
+
+
+def test_inverse_coeffs_sum_to_the_evaluated_series():
+    # readers outside the package (perfbench/checks.series_value) sum the series term by term
+    rng = random.Random(32)
+    order = 12
+    for case in range(9):
+        n = 1 + case % 3
+        x = random_u1n(rng, n, ("involution", "rotation", "mixed")[case // 3])
+        for s in voiculescu_lift(x, order):
+            coeffs = s.inverse_coeffs
+            assert len(coeffs) == order + 1
+            for p in sample_ball_points(rng, n, 5, 0.95):
+                shift = sum(c * l for c, l in zip(s.shift, p))
+                affine = sum(c * l for c, l in zip(s.affine_vector, p)) + s.affine_scalar
+                value = sum(c * shift**k for k, c in enumerate(coeffs)) * affine
+                assert abs(value - s.evaluate(PolyballPoint((tuple(p),)))) <= 1e-12
 
 
 # The lift as an operator map: compressing to the words of length <= D is
@@ -841,7 +861,8 @@ def test_block_permutations_must_be_int_permutations():
     m0 = BallMobius.involution([0.2, 0.1])
     m1 = BallMobius.involution([-0.3, 0.0])
     p = FPPoly.generator((2, 2), 0, 1)
-    for perm in ((True, False), (1.0, 0.0), (0, 0), (0,), ("1", "0")):
+    # a permutation is a tuple or a list: a dict or an int is none
+    for perm in ((True, False), (1.0, 0.0), (0, 0), (0,), ("1", "0"), 5, {0: 1, 1: 0}, range(2)):
         with pytest.raises(ValueError, match="not a permutation of the blocks"):
             PolyballAuto(block_maps=(m0, m1), block_perm=perm)
         with pytest.raises(ValueError, match="not a permutation of the blocks"):
