@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, NoReturn, Optional, Sequence
 
-from .dynsys import FiniteSystem, _int_in, _is_permutation, local_signatures
+from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, local_signatures
 from .matching import W, lex_first
 
 Permutation = tuple[int, ...]
@@ -432,21 +432,41 @@ def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = No
         return (recolor,) * size
     alpha = witness.alpha
     if not isinstance(alpha, (tuple, list)):
-        raise MalformedWitnessError(f"alpha field {alpha!r} is not a tuple or list")
+        raise MalformedWitnessError(f"alpha field has type {type(alpha).__name__}, not a tuple or list")
     if len(alpha) != size:
         raise MalformedWitnessError(f"alpha field has {len(alpha)} entries, expected {size}")
     if arity is None:
         arity = len(alpha[0]) if alpha and isinstance(alpha[0], (tuple, list)) else 0
     for x, perm in enumerate(alpha):
         if not _is_permutation(perm, arity):
-            _refuse(f"alpha[{x}] =", perm, "colour permutation", arity)
+            _refuse(f"alpha[{x}]", perm, "colour permutation", arity)
     return alpha
 
 
 def _refuse(what: str, entries: object, kind: str, size: int) -> NoReturn:
-    """The :class:`MalformedWitnessError` for ``entries`` that fail :func:`_is_permutation`."""
-    shape = f"a {kind} of 0..{size - 1}" if isinstance(entries, (tuple, list)) else "a tuple or list"
-    raise MalformedWitnessError(f"{what} {entries!r} is not {shape}")
+    """The :class:`MalformedWitnessError` for ``entries`` that fail :func:`_is_permutation`.
+
+    It names the first entry at fault, or the length when every entry is a
+    distinct int in range, never the whole list: a gamma at n = 10,000 would
+    take some 30,000 characters.
+    """
+    if not isinstance(entries, (tuple, list)):
+        raise MalformedWitnessError(f"{what} has type {type(entries).__name__}, not a tuple or list")
+    first: dict[int, int] = {}  # the position of each entry's first listing
+    for k, entry in enumerate(entries):
+        if not _is_int(entry):
+            fault = f"{what}[{k}] has type {type(entry).__name__}"
+        elif not 0 <= entry < size:
+            fault = f"{what}[{k}] = {_shown(entry)} is out of range"
+        elif entry in first:
+            fault = f"{what}[{k}] = {entry} repeats {what}[{first[entry]}]"
+        else:
+            first[entry] = k
+            continue
+        break
+    else:
+        fault = f"its length is {len(entries)}"
+    raise MalformedWitnessError(f"{what} is not a {kind} of 0..{size - 1}: {fault}")
 
 
 def verify_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:

@@ -164,9 +164,8 @@ def nest_rep_exists(
     """Assign pairwise distinct colours sending each listed point to the base.
 
     Returns the lexicographically least assignment (one colour per
-    listed point) or None, found by backtracking over the admissible
-    colours in increasing order (exponential in the number of listed
-    points in the worst case).
+    listed point) or None, by :func:`dynalg.matching.lex_least_injective`
+    in polynomial time.
     """
     check_point(sys, base)
     options = []

@@ -399,8 +399,26 @@ def test_read_witness_refuses_malformed_reports(files):
     # past the field types, faults are the witness check's to refuse
     assert read_witness({**report, "witness": {**report["witness"], "recolor": None}}).recolor is None
     odd = read_witness({**iso, "witness": {**iso["witness"], "alpha": [[0, 1], 1, [0, 1], [0, 1]]}})
-    with pytest.raises(MalformedWitnessError, match=r"^alpha\[1\] = 1 is not a tuple or list$"):
+    with pytest.raises(MalformedWitnessError, match=r"^alpha\[1\] has type int, not a tuple or list$"):
         verify_witness(FOUR_POINT_SPLIT_A, FOUR_POINT_SPLIT_B, odd)
+
+
+def test_a_refused_gamma_is_named_by_its_first_fault_not_printed_whole():
+    n = 10_000
+    rotation = FiniteSystem(n, (tuple(range(1, n)) + (0,),))
+    for k, entry, fault in (
+        (7_000, 6_999, "gamma[7000] = 6999 repeats gamma[6999]"),
+        (n - 1, 10**30, "gamma[9999] = <31-digit int> is out of range"),
+        (3, "3", "gamma[3] has type str"),
+    ):
+        gamma = list(range(n))
+        gamma[k] = entry
+        report = {"command": ["check", "--mode", "conjugate", "a.json", "b.json"],
+                  "witness": {"gamma": gamma, "recolor": None}}
+        with pytest.raises(MalformedWitnessError) as refused:
+            verify_witness(rotation, rotation, read_witness(report))
+        assert str(refused.value) == f"gamma is not a bijection of 0..9999: {fault}"
+        assert len(str(refused.value)) <= 200
 
 
 def test_tensor_vs_semicrossed_command(files, tmp_path):

@@ -137,13 +137,14 @@ def test_verify_witness_rejects_malformed():
         )
     # every permutation, and the alpha field, is a tuple or a list: a dict or an int is none
     for witness, message in (
-        (ConjugacyWitness(gamma={0: 0, 1: 1}, recolor=None), r"^gamma \{0: 0, 1: 1\} is not a tuple or list$"),
-        (ConjugacyWitness(gamma=5, recolor=None), r"^gamma 5 is not a tuple or list$"),
-        (ConjugacyWitness(gamma=(0, 1), recolor=3), r"^recolor 3 is not a tuple or list$"),
-        (ConjugacyWitness(gamma=(0, 1), recolor=range(2)), r"^recolor range\(0, 2\) is not a tuple or list$"),
-        (PiecewiseWitness(gamma=(0, 1), alpha=(0, 1)), r"^alpha\[0\] = 0 is not a tuple or list$"),
-        (PartitionWitness(gamma=(0, 1), alpha=5), r"^alpha field 5 is not a tuple or list$"),
-        (PartitionWitness(gamma=(0, 1), alpha={0: (0, 1), 1: (0, 1)}), r"^alpha field \{0: \(0, 1\)"),
+        (ConjugacyWitness(gamma={0: 0, 1: 1}, recolor=None), r"^gamma has type dict, not a tuple or list$"),
+        (ConjugacyWitness(gamma=5, recolor=None), r"^gamma has type int, not a tuple or list$"),
+        (ConjugacyWitness(gamma=(0,), recolor=None), r"^gamma is not a bijection of 0\.\.1: its length is 1$"),
+        (ConjugacyWitness(gamma=(0, 1), recolor=3), r"^recolor has type int, not a tuple or list$"),
+        (ConjugacyWitness(gamma=(0, 1), recolor=range(2)), r"^recolor has type range, not a tuple or list$"),
+        (PiecewiseWitness(gamma=(0, 1), alpha=(0, 1)), r"^alpha\[0\] has type int, not a tuple or list$"),
+        (PartitionWitness(gamma=(0, 1), alpha=5), r"^alpha field has type int, not a tuple or list$"),
+        (PartitionWitness(gamma=(0, 1), alpha={0: (0, 1), 1: (0, 1)}), r"^alpha field has type dict, not a tuple or list$"),
     ):
         with pytest.raises(MalformedWitnessError, match=message):
             verify_witness(TWO_POINT_MIXED, TWO_POINT_MIXED, witness)
@@ -662,7 +663,7 @@ def test_mutated_witnesses_fail_or_meet_the_oracle():
                 assert passed == _oracle_holds(a, b, mutant), (mode, mutant)
                 failed[mode] += not passed
     assert len(failed) == 4 and min(failed.values()) > 0, failed
-    with pytest.raises(MalformedWitnessError, match=r"^recolor \(0, 0\) is not a colour permutation of 0\.\.1$"):
+    with pytest.raises(MalformedWitnessError, match=r"^recolor is not a colour permutation of 0\.\.1: recolor\[1\] = 0 repeats recolor\[0\]$"):
         verify_witness(a, b, ConjugacyWitness(gamma=tuple(range(a.size)), recolor=(0, 0)))
     with pytest.raises(TypeError, match="^tuple is not a witness$"):
         verify_witness(a, b, (witness.gamma, witness.alpha))
