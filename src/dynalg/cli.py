@@ -24,7 +24,9 @@ Reports are JSON with a stable field order (command, decision, witness,
 timing_ms, version); two runs on identical inputs differ at most in the
 timing field, and :func:`read_witness` turns a ``check`` or ``iso-build``
 report back into its decider's witness.  Exit codes: 0 affirmative
-decision, 1 negative decision, 2 usage or validation error.  A help
+decision, 1 negative decision, 2 usage or validation error, 4 a fault of
+the program (a report with a null decision and the error, the traceback
+on stderr); 3 is kept for a decision left undecided.  A help
 request (-h, --help) is a report with a null decision and the help text
 in its ``usage`` field, exit 0, which :func:`main` prints as plain text.
 """
@@ -33,10 +35,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
+import os
 import random
+import stat
 import sys
 import time
 from typing import Any, Optional, Sequence
@@ -63,16 +68,37 @@ def parse_system(text: str) -> FiniteSystem:
     return system
 
 
+_DECODER = json.JSONDecoder()
+_BLANK = " \t\n\r"  # the whitespace JSON allows around a value
+
+
 def _load_json(text: str) -> Any:
-    """The parsed text; malformed or too deeply nested text is a :class:`FormatError`."""
+    """The parsed text; malformed or too deeply nested text is a :class:`FormatError`.
+
+    One scan by the decoder's ``raw_decode``, which refuses what
+    :func:`json.loads` refuses with the same message, without its two
+    whitespace regex passes.
+    """
     try:
-        return json.loads(text)
+        if text[:1] == "\ufeff":
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data, end = _DECODER.raw_decode(text, len(text) - len(text.lstrip(_BLANK)))
+        if end != len(text) and (rest := text[end:].lstrip(_BLANK)):
+            raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
+        return data
     except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"not valid structured text: {exc}") from None
 
 
 def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
     data = _load_json(text)
+    # A count of points and no labels: FiniteSystem alone checks the tables.
+    # Anything it refuses goes the general way below, which names the fault.
+    if type(data) is dict and type(data.get("points")) is int and "labels" not in data:
+        try:
+            return FiniteSystem(size=data["points"], tables=data.get("maps")), None
+        except (TypeError, ValueError):
+            pass
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     if "points" not in data or "maps" not in data:
@@ -251,10 +277,27 @@ def read_witness(report: dict[str, Any]):
 
 
 def _read(path: str) -> str:
-    """The file's text; bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError."""
+    """The file's text; bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError.
+
+    One read, sized by ``fstat``, takes a regular file whole; a file that
+    reads longer than its size (a pipe, or one still growing) is read on
+    to its end.  A directory is refused as :func:`open` refuses it, naming
+    the path.
+    """
     try:
-        with open(path, "rb", buffering=0) as handle:
-            data = handle.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            status = os.fstat(fd)
+            if stat.S_ISDIR(status.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            data = os.read(fd, status.st_size + 1)
+            if len(data) > status.st_size:
+                chunks = [data]
+                while chunk := os.read(fd, 1 << 16):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
     return data.decode("utf-8")
@@ -470,6 +513,29 @@ _COMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict[str, Any]], ...]]] = 
 }
 
 
+def _spec(command: str) -> tuple:
+    """How :func:`_read_args` reads ``command``, taken from its declared table
+    once: its handler; each flag's dest, whether it is a switch, its converter
+    and its choices; the positionals' names; the required flags' dests; and
+    each optional flag's dest and default."""
+    _, func, declared = _COMMANDS[command]
+    flags, positionals, required, defaults = {}, [], [], []
+    for name, options in declared:
+        if name[0] != "-":
+            positionals.append(name)
+            continue
+        dest, switch = name.lstrip("-").replace("-", "_"), options.get("action") == "store_true"
+        flags[name] = (dest, switch, options.get("type"), options.get("choices"))
+        if options.get("required"):
+            required.append(dest)
+        else:
+            defaults.append((dest, options.get("default", False if switch else None)))
+    return func, flags, tuple(positionals), frozenset(required), tuple(defaults)
+
+
+_SPECS = {command: _spec(command) for command in _COMMANDS}
+
+
 def _read_args(command: str, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
     """The namespace ``command``'s parser gives for a well-formed line, read in one pass.
 
@@ -481,46 +547,42 @@ def _read_args(command: str, tokens: Sequence[str]) -> Optional[argparse.Namespa
     command's argparse parser then reads the line, so argparse alone words help
     and usage errors.
     """
-    _, func, declared = _COMMANDS[command]
-    flags = {name: options for name, options in declared if name[0] == "-"}
-    positionals = iter([name for name, _ in declared if name[0] != "-"])
-    texts: dict[str, Any] = {}  # declared name -> its text, or True for a switch given
+    func, flags, positionals, required, defaults = _SPECS[command]
+    values: dict[str, Any] = {"func": func}
+    count = 0  # positionals read
     tokens = iter(tokens)
     for token in tokens:
         if token[:1] != "-":
-            name = next(positionals, None)
-            if name is None:
+            if count == len(positionals):
                 return None
-            texts[name] = token
-        elif token in flags and token not in texts:
-            if flags[token].get("action") == "store_true":
-                texts[token] = True
-                continue
-            value = next(tokens, None)
-            if value is None or value[:1] == "-":
-                return None
-            texts[token] = value
-        else:
-            return None
-    values: dict[str, Any] = {"func": func}
-    for name, options in declared:
-        switch = options.get("action") == "store_true"
-        dest = name if name[0] != "-" else name.lstrip("-").replace("-", "_")
-        if name not in texts:
-            if name[0] != "-" or options.get("required"):
-                return None
-            values[dest] = options.get("default", False if switch else None)
+            values[positionals[count]] = token
+            count += 1
             continue
-        value = texts[name]
-        if not switch and "type" in options:
+        flag = flags.get(token)
+        if flag is None or flag[0] in values:
+            return None
+        dest, switch, convert, choices = flag
+        if switch:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-":
+            return None
+        if convert is not None:
             try:
-                value = options["type"](value)
+                value = convert(value)
             except (argparse.ArgumentTypeError, TypeError, ValueError):  # what argparse catches
                 return None
-        if "choices" in options and value not in options["choices"]:
+        if choices is not None and value not in choices:
             return None
         values[dest] = value
-    return argparse.Namespace(**values)
+    if count < len(positionals) or not required <= values.keys():
+        return None
+    for dest, default in defaults:
+        values.setdefault(dest, default)
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 class _Help(Exception):
@@ -557,6 +619,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
+def _report(command: list, started: float, decision, witness=None, **text) -> dict[str, Any]:
+    """A report in its stable field order; ``text`` is an error or the usage."""
+    out: dict[str, Any] = {"command": command, "decision": decision}
+    if witness is not None:
+        out["witness"] = witness
+    out.update(text)
+    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    out["version"] = __version__
+    return out
+
+
 def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
     """Execute one command; returns (report, exit code) without printing.
 
@@ -564,35 +637,39 @@ def run_command(argv: Sequence[str]) -> tuple[dict[str, Any], int]:
     report echoes it by its ``repr``.
     """
     started = time.perf_counter()
-    command_echo = list(argv)
-
-    def report(decision, witness, **text) -> dict[str, Any]:  # text: an error or the usage
-        out: dict[str, Any] = {"command": command_echo, "decision": decision}
-        if witness is not None:
-            out["witness"] = witness
-        out.update(text)
-        out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        out["version"] = __version__
-        return out
-
     for k, item in enumerate(argv):
         if not isinstance(item, str):
-            command_echo = [a if isinstance(a, str) else repr(a) for a in argv]  # the report stays JSON
-            return report(None, None, error=f"argv[{k}] must be a string, not {type(item).__name__}"), 2
+            echo = [a if isinstance(a, str) else repr(a) for a in argv]  # the report stays JSON
+            return _report(echo, started, None, error=f"argv[{k}] must be a string, not {type(item).__name__}"), 2
     try:
         args = _parse_args(argv)
         decision, witness = args.func(args)
     except _Help as request:
-        return report(None, None, usage=request.args[0]), 0
+        return _report(list(argv), started, None, usage=request.args[0]), 0
     except ValueError as exc:  # FormatError and IncompatibleSystemsError among them
-        return report(None, None, error=str(exc)), 2
+        return _report(list(argv), started, None, error=str(exc)), 2
     if decision is None:
-        return report(None, witness), 0
-    return report(bool(decision), witness), 0 if decision else 1
+        return _report(list(argv), started, None, witness), 0
+    return _report(list(argv), started, bool(decision), witness), 0 if decision else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    report, code = run_command(sys.argv[1:] if argv is None else argv)
+    """Run one command and print its report; the exit code.
+
+    A fault of the program itself, any exception but a ``ValueError``, must
+    not read as a negative decision: it prints a report with a null decision
+    and an error naming the exception, sends the traceback to stderr, and
+    exits 4.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    started = time.perf_counter()
+    try:
+        report, code = run_command(argv)
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        report, code = _report(list(argv), started, None, error=f"internal error: {type(exc).__name__}: {exc}"), 4
     sys.stdout.write(report["usage"] if "usage" in report else json.dumps(report, indent=2) + "\n")
     return code
 

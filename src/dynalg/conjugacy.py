@@ -22,26 +22,30 @@ that fact twice.
 * Colour refinement: the points of both systems are refined jointly
   (1-dimensional Weisfeiler-Leman on the disjoint union), cheapest
   invariant first.  Stage one colours every point by its in-degree, one
-  count over the tables, which every witness preserves.  Stage two, for
-  the partition decider only, adds the per-point entry signatures
-  (:func:`dynalg.dynsys.local_signatures`), which every partition
-  witness preserves; they are computed only for a pair whose in-degrees
-  balance.  Each later round keys a point by its colour and the colour
+  count over the tables, which every witness preserves; a pair whose
+  sorted in-degrees differ is refuted before anything else is built.
+  The partition decider then adds, in order, two stages that every
+  partition witness preserves: the sorted sizes of the fibres through
+  each point (:func:`dynalg.dynsys.fibre_sizes`), then the per-point
+  entry signatures (:func:`dynalg.dynsys.local_signatures`).  Each stage
+  is computed only for a pair whose colours balance after the stage
+  before it.  Each later round keys a point by its colour and the colour
   multisets of its images and preimages.  Point x may only be sent to a
   point of the same refined colour, and differing colour multisets at
   any stage refute the pair without any search.  Refinement stops early
   once every class holds one point of each side, since the search then
   has a single candidate per level.  Any equitable partition is constant
   on in-degree, so stage one leaves the stable partition, and with it
-  the search, as the seeds alone would give.
+  the search, as the later stages alone would give.
 * Permutation lists: every point keeps the colour permutations, in
   lexicographic order, that agree with its edges assigned so far
   (conjugacy keeps one list shared by all points, which holds the
   identity alone unless recolouring is allowed).  Every full list comes
-  from :func:`_colour_permutations`, which refuses, before building any,
-  lists that would hold more than :data:`MAX_PERMUTATION_ENTRIES`
-  entries: every pair of ten or more maps in those modes, and fewer maps
-  on many points.  Each assignment
+  from :func:`_colour_permutations`, which refuses, before refinement
+  and before building any, lists that would hold more than
+  :data:`MAX_PERMUTATION_ENTRIES` entries: every pair of ten or more maps
+  in those modes, and fewer maps on many points.  The lists are built
+  only for a pair that refinement does not refute.  Each assignment
   narrows the lists of the edges it completes, in place and with an undo
   trail, and a branch dies once a list is empty.  A per-point list is
   empty exactly when its assigned images no longer fit in the target's
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, NoReturn, Optional, Sequence
 
-from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, local_signatures
+from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes, local_signatures
 from .matching import W, lex_first
 
 Permutation = tuple[int, ...]
@@ -152,18 +156,19 @@ def _check_compatible(a: FiniteSystem, b: FiniteSystem) -> None:
 MAX_PERMUTATION_ENTRIES = 36_288_000
 
 
-def _colour_permutations(arity: int, owners: int = 1) -> list[list[Permutation]]:
-    """``owners`` references to one list of every colour permutation of
-    0..arity-1, in lexicographic order.  ValueError, before any is built, when
-    the lists would hold more than MAX_PERMUTATION_ENTRIES entries, counted as
-    arity! * (arity + owners)."""
+def _colour_permutations(arity: int, owners: int = 1) -> Callable[[], list[list[Permutation]]]:
+    """A call that builds ``owners`` references to one list of every colour
+    permutation of 0..arity-1, in lexicographic order.  ValueError now, before
+    any is built, when the lists would hold more than MAX_PERMUTATION_ENTRIES
+    entries, counted as arity! * (arity + owners); the deciders check first and
+    build only once refinement has not refuted the pair."""
     if math.factorial(min(arity, 12)) * (arity + owners) > MAX_PERMUTATION_ENTRIES:  # 12! alone passes the bound
         raise ValueError(
             f"the {arity}! colour permutations of {arity} maps, listed"
             f" {'once' if owners == 1 else f'at {owners} points'}, pass the list"
             f" limit ({MAX_PERMUTATION_ENTRIES} entries); use fewer maps"
         )
-    return [list(itertools.permutations(range(arity)))] * owners
+    return lambda: [list(itertools.permutations(range(arity)))] * owners
 
 
 def _invert(perm: Permutation) -> Permutation:
@@ -173,8 +178,11 @@ def _invert(perm: Permutation) -> Permutation:
     return tuple(inv)
 
 
+Stage = Callable[[FiniteSystem], Sequence[Hashable]]
+
+
 def _refined_colours(
-    a: FiniteSystem, b: FiniteSystem, seeds: Optional[Callable[[], Sequence[Hashable]]] = None
+    a: FiniteSystem, b: FiniteSystem, stages: tuple[Stage, ...] = ()
 ) -> Optional[tuple[list[int], list[int]]]:
     """Joint colour refinement of the points of ``a`` and ``b``, cheapest stage first.
 
@@ -182,25 +190,33 @@ def _refined_colours(
     ``a.size``), so colour ids, numbered by first occurrence, are
     comparable across the systems.  Every witness preserves in-degree, so
     stage one colours each point by its in-degree, one count over the
-    tables.  Stage two, only when ``seeds`` is given, calls it for the
-    starting colours of the points of ``a`` followed by those of ``b``
-    and recolours by (colour, seed).  Each later round keys a point by
-    its colour and the sorted colours of its images and of its
-    preimages, counted with multiplicity; the joint tables and the
-    preimage lists are built for the first round.  Returns the colours
-    of each side, or None as soon as the two colour multisets differ.
-    It stops when a round adds no class, or once the balanced partition
-    is discrete (n classes of one point per side): a further round could
-    then only refute, and the search, with one candidate per level,
-    refutes such a pair by itself.  Any equitable partition is constant
-    on in-degree, so the stable partition is the one the seeds alone
-    refine to.
+    tables, and a pair whose sorted in-degrees differ is refuted before
+    any palette is built.  Each of ``stages`` in turn, as long as the
+    colours before it balance, maps a system to the starting colours of
+    its points, and the points are recoloured by (colour, stage colour).
+    Each later round keys a point by its colour and the sorted colours of
+    its images and of its preimages, counted with multiplicity; the joint
+    tables and the preimage lists are built for the first round.  Returns
+    the colours of each side, or None as soon as the two colour multisets
+    differ.  It stops when a round adds no class, or once the balanced
+    partition is discrete (n classes of one point per side): a further
+    round could then only refute, and the search, with one candidate per
+    level, refutes such a pair by itself.  Any equitable partition is
+    constant on in-degree, so the stable partition is the one the stages
+    alone refine to.
     """
     n = a.size
-    keys: list = [0] * (2 * n)  # stage one: in-degrees
-    for shift, system in ((0, a), (n, b)):
-        for v in itertools.chain.from_iterable(system.tables):
-            keys[v + shift] += 1
+    degrees = []
+    for system in (a, b):
+        degree = [0] * n
+        for table in system.tables:
+            for v in table:
+                degree[v] += 1
+        degrees.append(degree)
+    if sorted(degrees[0]) != sorted(degrees[1]):
+        return None
+    keys: list = degrees[0] + degrees[1]
+    stages = iter(stages)
     classes = 0  # before the last round; 0 until the first
     while True:
         palette: dict[Hashable, int] = {}
@@ -209,8 +225,9 @@ def _refined_colours(
             return None
         if len(palette) in (n, classes):
             return colour[:n], colour[n:]
-        if seeds is not None:
-            keys, seeds = list(zip(colour, seeds())), None
+        stage = next(stages, None)
+        if stage is not None:
+            keys = list(zip(colour, [*stage(a), *stage(b)]))
             continue
         if not classes:
             tables = [ta + tuple(map(n.__add__, tb)) for ta, tb in zip(a.tables, b.tables)]
@@ -227,18 +244,17 @@ def _refined_colours(
 def _lex_search(
     a: FiniteSystem,
     b: FiniteSystem,
-    seeds: Optional[Callable[[], Sequence[Hashable]]],
-    start: list[list[Permutation]],
+    stages: tuple[Stage, ...],
+    start: Callable[[], list[list[Permutation]]],
     leaf: Callable[[Permutation, list[list[Permutation]]], Optional[W]],
 ) -> Optional[W]:
     """Depth-first search for the least gamma whose leaf yields a witness.
 
     The candidates of each point are the points of ``b`` with its colour
-    in :func:`_refined_colours`, which first splits by in-degree and then,
-    if ``seeds`` is given and the in-degrees balance, by the colours it
-    returns for the points of ``a`` followed by those of ``b``; a pair
-    that refinement refutes returns None before any level.  ``start``
-    holds the starting colour permutation lists, in lexicographic order:
+    in :func:`_refined_colours`, which splits by in-degree and then by
+    each of ``stages`` in turn; a pair that refinement refutes returns
+    None before any level, and before ``start`` is called.  ``start``
+    builds the starting colour permutation lists, in lexicographic order:
     one list shared by every point, or one per point.  Level x assigns
     gamma(x) and narrows the lists in place: each edge p -> sigma_i(p) it
     completes keeps in the list of p the alpha with
@@ -249,7 +265,7 @@ def _lex_search(
     ``leaf`` receives gamma and the lists.  Only branches
     without a witness are pruned, so the first witness is the least.
     """
-    colours = _refined_colours(a, b, seeds)
+    colours = _refined_colours(a, b, stages)
     if colours is None:
         return None
     ca, cb = colours
@@ -257,7 +273,8 @@ def _lex_search(
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
-    shared = len(start) == 1
+    lists = start()
+    shared = len(lists) == 1
     # Assigning x completes the edges p -> y = sigma_i(p) with max(p, y) == x;
     # each narrows the list of its owner k.
     new_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
@@ -268,7 +285,6 @@ def _lex_search(
     tables_b = b.tables
     gamma = [-1] * n
     used = [False] * n
-    lists = list(start)
     trail: list[tuple[int, list[Permutation]]] = []
     marks: list[int] = []  # the trail's length on entering each assigned level
 
@@ -317,12 +333,12 @@ def decide_conjugate(
     list of colour permutations would pass MAX_PERMUTATION_ENTRIES.
     """
     _check_compatible(a, b)
-    betas = _colour_permutations(a.arity) if allow_recolor else [[tuple(range(a.arity))]]
+    betas = _colour_permutations(a.arity) if allow_recolor else lambda: [[tuple(range(a.arity))]]
 
     def witness(gamma: Permutation, lists: list[list[Permutation]]) -> ConjugacyWitness:
         return ConjugacyWitness(gamma=gamma, recolor=lists[0][0] if allow_recolor else None)
 
-    return _lex_search(a, b, None, betas, witness)
+    return _lex_search(a, b, (), betas, witness)
 
 
 def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitness]:
@@ -342,7 +358,7 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     def witness(gamma: Permutation, lists: list[list[Permutation]]) -> PiecewiseWitness:
         return PiecewiseWitness(gamma=gamma, alpha=tuple(admissible[0] for admissible in lists))
 
-    return _lex_search(a, b, None, _colour_permutations(a.arity, a.size), witness)
+    return _lex_search(a, b, (), _colour_permutations(a.arity, a.size), witness)
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -389,10 +405,11 @@ def _partition_alpha_field(
 def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitness]:
     """Search for a preimage-saturated pointwise witness.
 
-    A partition witness sends every point to one with the same local
-    entry signature, so the signatures of both systems are the second
-    stage of the colour refinement, computed only once the in-degrees
-    balance.  Each bijection that survives the search is completed by
+    A partition witness sends every point to one with the same sorted
+    fibre sizes (:func:`dynalg.dynsys.fibre_sizes`) and the same local
+    entry signature, so these are the second and third stages of the
+    colour refinement, each computed only once the stage before it
+    balances.  Each bijection that survives the search is completed by
     the least preimage-saturated colour field, if one exists.  Returns
     the lexicographically least witness (gamma first, then alpha) or None;
     ValueError before any search when the colour permutation lists would
@@ -401,7 +418,7 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     _check_compatible(a, b)
     start = _colour_permutations(a.arity, a.size)
     leaf = partial(_partition_alpha_field, a, b)
-    return _lex_search(a, b, lambda: local_signatures(a) + local_signatures(b), start, leaf)
+    return _lex_search(a, b, (fibre_sizes, local_signatures), start, leaf)
 
 
 def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:

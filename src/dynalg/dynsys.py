@@ -21,8 +21,9 @@ which is what makes the per-point signature a sound colour for the
 partition search's colour refinement and a cheap separating invariant
 in its own right.  :func:`local_signatures` gives every point's
 signature in one pass over the tables; the partition decider calls it
-as the second stage of its refinement, once the two systems' in-degrees
-balance.
+as the third stage of its refinement, once the two systems' in-degrees
+and then their :func:`fibre_sizes` (the sorted sizes of the fibres
+through each point, which every partition witness also keeps) balance.
 
 Every int that must lie in a range (a size, a point, a colour, and
 elsewhere a block size, a degree, an order or a depth) is read by one
@@ -88,6 +89,9 @@ def _distinct(items: Iterable[int], what: str) -> set[int]:
     return seen
 
 
+_INT = {int}
+
+
 @dataclass(frozen=True)
 class FiniteSystem:
     """A finite point set with ``arity`` total self-maps.
@@ -100,18 +104,20 @@ class FiniteSystem:
     tables: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", tuple(tuple(t) for t in self.tables))
-        _int_in(self.size, "size", 1)
-        if len(self.tables) < 1:
+        size, tables = self.size, tuple(map(tuple, self.tables))
+        object.__setattr__(self, "tables", tables)
+        _int_in(size, "size", 1)
+        if not tables:
             raise ValueError("a system needs at least one map")
-        for i, table in enumerate(self.tables):
-            if len(table) != self.size:
-                raise ValueError(f"map {i} has {len(table)} entries; expected {self.size} entries")
-            if all(type(y) is int for y in table) and 0 <= min(table) and max(table) < self.size:
+        for i, table in enumerate(tables):
+            if len(table) != size:
+                raise ValueError(f"map {i} has {len(table)} entries; expected {size} entries")
+            # one pass over the entry types, then the range
+            if {*map(type, table)} == _INT and 0 <= min(table) and max(table) < size:
                 continue
             # Name the first bad entry; int subclasses other than bool pass here.
             for x, y in enumerate(table):
-                _int_in(y, f"image of {x} under map {i}", 0, self.size)
+                _int_in(y, f"image of {x} under map {i}", 0, size)
 
     @property
     def arity(self) -> int:
@@ -319,6 +325,22 @@ def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
     """The local signature of every point, in point order, in one pass."""
     tables = system.tables
     return [_signature(tables, {x, *[table[x] for table in tables]}) for x in range(system.size)]
+
+
+def fibre_sizes(system: FiniteSystem) -> list[tuple[int, ...]]:
+    """For every point x, in point order, the sorted sizes of the fibres
+    through x, one per map: the size of sigma_i^-1(sigma_i(x)) for each i.
+
+    A partition witness maps each sigma_i-fibre of x onto a tau_j-fibre of
+    gamma(x) (with j = alpha_x(i)), so it keeps these multisets.
+    """
+    columns = []
+    for table in system.tables:
+        count = [0] * system.size
+        for y in table:
+            count[y] += 1
+        columns.append(map(count.__getitem__, table))
+    return [tuple(sorted(sizes)) for sizes in zip(*columns)]
 
 
 def signatures_equivalent(s1: Iterable[int], s2: Iterable[int]) -> bool:

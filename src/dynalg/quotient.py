@@ -64,7 +64,8 @@ class FreeEdgePoly(WordPoly):
 
     @staticmethod
     def generator(edge: Edge) -> "FreeEdgePoly":
-        return FreeEdgePoly({(edge,): ONE})
+        """The one-edge word, read by the rule of :meth:`make`."""
+        return FreeEdgePoly.make({(edge,): ONE})
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
-from dynalg.cli import dump_system, dump_u1n, parse_system, read_witness
+import dynalg.conjugacy
+from dynalg.cli import dump_system, dump_u1n, main, parse_system, read_witness
 from dynalg.conjugacy import verify_witness
 from dynalg.dynsys import FiniteSystem
 from dynalg.freeprod import BallMobius, mobius_to_u1n
@@ -36,7 +38,7 @@ from dynalg.scalars import ONE
 from dynalg.semicrossed import sc_multiply
 
 from oracles import (
-    indegree_shifted_pair, indegrees, make_rng, orbit_apply, random_element, random_mapping_pair,
+    classed_pair, indegree_shifted_pair, indegrees, make_rng, orbit_apply, random_element, random_mapping_pair,
     random_system, relabelled_pair,
 )
 
@@ -96,7 +98,7 @@ def cli(*args: str) -> tuple[str, ...]:
 
 
 def call(function: Callable[[], None]) -> tuple[str, ...]:
-    """Runs a function of this module, which raises to exit 1."""
+    """Runs a function of this module, which raises to exit 1 (or exits as it chooses)."""
     return ("-c", f"import sys; sys.path.insert(0, {str(TESTS)!r}); import scale; scale.{function.__name__}()")
 
 
@@ -145,6 +147,14 @@ def same_reports(run: Result) -> None:
     """Every run printed the same report, apart from its timing_ms line."""
     kept = [[line for line in out.splitlines() if not line.startswith('  "timing_ms": ')] for out in run.outs]
     expect(all(lines == kept[0] for lines in kept), "the reports differ")
+
+
+def crash_reported(run: Result) -> None:
+    """The report of a crash: a null decision, the error naming the exception, and a traceback."""
+    report = run.report()
+    expect(report["decision"] is None, f"decision {report['decision']!r}")
+    expect(report["error"].startswith("internal error: KeyError: "), f"error {report['error']!r}")
+    expect(run.errs[0].startswith("Traceback"), "no traceback on stderr")
 
 
 def fock_relations_hold(run: Result) -> None:
@@ -200,6 +210,13 @@ def arity_12() -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=None)
+def classed_200() -> dict[str, str]:
+    """Three maps on 200 points in two classes, partition-matched by construction."""
+    a, b, _, _ = classed_pair(random.Random(2), 200, 3, 2)
+    return dumped(a, b)
+
+
+@functools.lru_cache(maxsize=None)
 def indegree_shifted_100000() -> dict[str, str]:
     a, b = indegree_shifted_pair(make_rng(100000), 100000, 2)
     expect(sorted(indegrees(a)) != sorted(indegrees(b)), "the in-degrees balance")
@@ -217,6 +234,20 @@ def exact_products() -> None:
         for u in ((), (2,), (0, 1)):
             expect(orbit_apply(product, x, {u: ONE}) == orbit_apply(a, x, orbit_apply(b, x, {u: ONE})),
                    f"pi_x(a b) differs from pi_x(a) pi_x(b) at x = {x}, word {u}")
+
+
+def crashing_check() -> None:
+    """main on a check whose decider raises KeyError: it exits with main's code."""
+    def crash(a, b):
+        raise KeyError("injected")
+
+    dynalg.conjugacy.decide_partition = crash
+    with tempfile.TemporaryDirectory(prefix="dynalg-crash-") as folder:
+        paths = [str(Path(folder, name)) for name in ("a.json", "b.json")]
+        for path, text in zip(paths, (SPLIT_A, SPLIT_B)):
+            Path(path).write_text(text, encoding="utf-8")
+        code = main(["check", "--mode", "partition", *paths])
+    sys.exit(code)
 
 
 def nest_rep_past_the_colours() -> None:
@@ -272,6 +303,9 @@ ROWS: tuple[Row, ...] = (
     Row("usage: 100,000 nested brackets", cli("signature", "{deep}"), deep, exit=2),
     Row("usage: --depth 1_0", cli("fock", "{rotation}", "--depth", "1_0"), rotation, exit=2),
     Row("usage: --help", cli("--help"), checks=(starts_with("usage:"),)),
+    Row("usage: a directory as a system file", cli("signature", str(TESTS)), exit=2,
+        checks=(says(f"cannot read {TESTS}: [Errno 21] Is a directory: '{TESTS}'"),)),
+    Row("crash: exit 4 with a report", call(crashing_check), exit=4, timeout=10, checks=(crash_reported,)),
     # lines the declared table does not read still go through argparse
     Row("usage: --dep 3", cli("fock", "{rotation}", "--dep", "3"), rotation),
     Row("usage: --depth=3", cli("fock", "{rotation}", "--depth=3"), rotation),
@@ -287,6 +321,10 @@ ROWS: tuple[Row, ...] = (
     hash_seeded(("tensor-vs-semicrossed", "{named}"), exit=1),
     *decided("relabelled n=10000", relabelled_10000),
     *decided("random mapping n=400", random_mapping_400),
+    Row("classed 3 maps n=200: check --mode partition", cli("check", "--mode", "partition", "{a}", "{b}"),
+        classed_200, timeout=10, checks=(replay,)),
+    Row("classed 3 maps n=200: iso-build", cli("iso-build", "{a}", "{b}"), classed_200, timeout=10,
+        checks=(round_trip, replay)),
     # 12! = 479,001,600 permutations, past dynalg.conjugacy.MAX_PERMUTATION_ENTRIES: the modes
     # that list them exit 2 naming the bound, and plain conjugate mode lists none
     *(Row(f"arity 12: {flags(args)}", cli(*args), arity_12, exit=2, timeout=10,

@@ -1,13 +1,16 @@
 import argparse
 import json
 import math
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynalg.conjugacy
 from dynalg import cli
 from dynalg.cli import (
     FormatError,
@@ -814,6 +817,55 @@ def test_system_files_are_read_as_strict_utf8(tmp_path):
     latin.write_bytes('{"points": ["\u00e9", "b"], "maps": [[1, 0]]}'.encode("latin-1"))
     report, code = run_command(["signature", str(latin)])
     assert code == 2 and "utf-8" in report["error"]
+
+
+def test_unreadable_inputs_exit_2_naming_the_path(tmp_path):
+    missing, folder, latin = tmp_path / "missing.json", tmp_path / "folder", tmp_path / "latin.json"
+    folder.mkdir()
+    latin.write_bytes(b'{"points": ["\xe9"], "maps": [[0]]}')
+    readable = tmp_path / "point.json"
+    readable.write_text('{"points": 1, "maps": [[0]]}')
+    for path, error in (
+        (missing, f"cannot read {missing}: [Errno 2] No such file or directory: {str(missing)!r}"),
+        (folder, f"cannot read {folder}: [Errno 21] Is a directory: {str(folder)!r}"),
+        (latin, "'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte"),
+    ):
+        for argv in (["signature", str(path)], ["check", "--mode", "piecewise", str(readable), str(path)]):
+            report, code = run_command(argv)
+            assert code == 2 and report["error"] == error, argv
+
+
+def test_a_file_longer_than_its_stat_size_is_read_to_its_end(tmp_path):
+    # a pipe's size reads as 0, so the first read, sized by fstat, cannot take
+    # it whole; this one spans several reads
+    size = 30_000
+    text = json.dumps({"points": size, "maps": [[(x + 1) % size for x in range(size)]]})
+    fifo = tmp_path / "pipe.json"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        report, code = run_command(["signature", str(fifo)])
+    finally:
+        writer.join()
+    assert len(text) > 3 * 2**16
+    assert code == 0 and report["witness"]["signature"] == [1] * size
+
+
+def test_a_crash_exits_4_with_a_report_not_a_negative_decision(files, monkeypatch, capsys):
+    # exit 1 means "no": a fault of the program must not look like one
+    def crash(a, b):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(dynalg.conjugacy, "decide_partition", crash)
+    argv = ["check", "--mode", "partition", files["split_a"], files["split_b"]]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert list(report) == ["command", "decision", "error", "timing_ms", "version"]
+    assert report["command"] == argv and report["decision"] is None
+    assert report["error"] == "internal error: KeyError: 'boom'"
+    assert err.startswith("Traceback") and err.endswith("KeyError: 'boom'\n")
 
 
 def test_names_in_a_file_without_names_are_unknown():

@@ -22,7 +22,7 @@ from dynalg.conjugacy import (
     decide_piecewise,
     verify_witness,
 )
-from dynalg.dynsys import FiniteSystem, equivalence_classes, local_signature, local_signatures
+from dynalg.dynsys import FiniteSystem, equivalence_classes, fibre_sizes, local_signature, local_signatures
 from dynalg.fixtures import (
     FOUR_POINT_SPLIT_A,
     FOUR_POINT_SPLIT_B,
@@ -463,8 +463,13 @@ def test_refinement_matches_run_to_stability_oracle():
     for a, b in _kernel_pairs(rng, 300):
         n = a.size
         signatures = local_signatures(a) + local_signatures(b)
-        for seeds, staged in (([0] * (2 * n), None), (signatures, lambda: signatures)):
-            colours = _refined_colours(a, b, staged)
+        fibres = fibre_sizes(a) + fibre_sizes(b)
+        for seeds, stages in (
+            ([0] * (2 * n), ()),
+            (signatures, (local_signatures,)),
+            (list(zip(fibres, signatures)), (fibre_sizes, local_signatures)),
+        ):
+            colours = _refined_colours(a, b, stages)
             stable = stable_refined_colours(a, b, seeds)
             if colours is None:
                 assert stable is None
@@ -481,7 +486,7 @@ def test_refinement_stops_at_a_discrete_partition_the_next_round_refutes():
     b = FiniteSystem(size=2, tables=((1, 0),))
     seeds = ["p", "q", "p", "q"]
     assert stable_refined_colours(a, b, seeds) is None
-    assert _refined_colours(a, b, lambda: seeds) == ([0, 1], [0, 1])
+    assert _refined_colours(a, b, (lambda system: seeds[:2],)) == ([0, 1], [0, 1])
     assert decide_piecewise(a, b) is None
 
 
@@ -513,9 +518,10 @@ def test_signatures_are_computed_only_for_pairs_whose_indegrees_balance(monkeypa
     for a, b in _kernel_pairs(rng, 300):
         calls.clear()
         witness = decide_partition(a, b)
-        degree = indegrees(a)
-        balanced = sorted(degree) == sorted(indegrees(b))
-        # in-degree alone may already pair every point, which stops refinement
+        # the stages before the signatures: in-degree, then fibre sizes
+        degree = list(zip(indegrees(a), fibre_sizes(a)))
+        balanced = sorted(degree) == sorted(zip(indegrees(b), fibre_sizes(b)))
+        # those stages alone may already pair every point, which stops refinement
         kind = "refuted" if not balanced else "discrete" if len(set(degree)) == a.size else "balanced"
         seen[kind] += 1
         if kind == "balanced":
@@ -531,6 +537,37 @@ def test_signatures_are_computed_only_for_pairs_whose_indegrees_balance(monkeypa
     assert decide_piecewise(a, b) is None
     assert decide_partition(a, b) is None
     assert calls == []
+
+
+def test_fibre_sizes_count_each_fibre_through_a_point():
+    rng = make_rng(83)
+    for a, b in _kernel_pairs(rng, 60):
+        for system in (a, b):
+            expected = [
+                tuple(sorted(table.count(table[x]) for table in system.tables)) for x in range(system.size)
+            ]
+            assert fibre_sizes(system) == expected
+
+
+def test_every_partition_witness_maps_fibre_sizes_onto_fibre_sizes():
+    # A partition witness maps each sigma_i-fibre of x onto the tau_j-fibre of
+    # gamma(x), j = alpha_x(i), which is why decide_partition refines by them.
+    # Every witness of each pair is listed: gamma, then each field whose
+    # alpha_x intertwine at x, kept when the preimage conditions hold.
+    rng = make_rng(89)
+    witnesses = 0
+    for trial in range(200):
+        size, arity = rng.randint(1, 5), rng.randint(1, 3)
+        a, b = scrambled_pair(rng, size, arity) if trial % 2 else relabelled_pair(rng, size, arity)
+        perms = list(itertools.permutations(range(arity)))
+        fa, fb = fibre_sizes(a), fibre_sizes(b)
+        for gamma in itertools.permutations(range(size)):
+            fitting = [[p for p in perms if intertwines_at(a, b, gamma, x, p)] for x in range(size)]
+            for alpha in itertools.product(*fitting):
+                if partition_conditions_hold(a, b, gamma, alpha):
+                    witnesses += 1
+                    assert [fb[g] for g in gamma] == fa, (a, b, gamma, alpha)
+    assert witnesses > 300
 
 
 def _fitting(a, b, gamma, x, perms):
@@ -755,11 +792,11 @@ def test_colour_permutation_lists_are_refused_past_the_bound(mode, arity):
 def test_colour_permutation_entries_count_every_list_owner(monkeypatch):
     # arity! permutations of arity ints each, and arity! entries per owner
     perms = list(itertools.permutations(range(3)))
-    assert dynalg.conjugacy._colour_permutations(3) == [perms]
-    lists = dynalg.conjugacy._colour_permutations(3, 4)
+    assert dynalg.conjugacy._colour_permutations(3)() == [perms]
+    lists = dynalg.conjugacy._colour_permutations(3, 4)()
     assert lists == [perms] * 4 and all(entry is lists[0] for entry in lists)
     monkeypatch.setattr(dynalg.conjugacy, "MAX_PERMUTATION_ENTRIES", 6 * (3 + 4))
-    assert dynalg.conjugacy._colour_permutations(3, 4) == [perms] * 4
+    assert dynalg.conjugacy._colour_permutations(3, 4)() == [perms] * 4
     with pytest.raises(ValueError, match=r"^the 3! colour permutations of 3 maps, listed at 5 points,"):
         dynalg.conjugacy._colour_permutations(3, 5)
     with pytest.raises(ValueError, match=r"listed once, pass the list limit \(42 entries\); use fewer maps$"):

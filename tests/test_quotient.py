@@ -274,6 +274,15 @@ def test_free_edge_poly_arithmetic():
     assert e1.scale(ONE) == e1
 
 
+def test_edge_generators_are_read_by_the_edge_rule():
+    # a generator is the one-edge word, refused where make refuses it
+    assert FreeEdgePoly.generator((0, 1, 0)) == FreeEdgePoly.make({((0, 1, 0),): ONE})
+    for edge in ("x", (1, 2, True), (0, 1), (0, 1.0, 0), None):
+        word = (edge,)
+        with pytest.raises(ValueError, match=rf"^edge word {re.escape(repr(word))} is not a tuple of"):
+            FreeEdgePoly.generator(edge)
+
+
 def test_edge_polys_read_exact_coefficients_and_edge_triples():
     # coefficients by RationalComplex.coerce, as FunctionCoeff reads them
     assert FreeEdgePoly.make({(): 1}) == FreeEdgePoly.scalar(qc(1)) == FreeEdgePoly.scalar(1)
