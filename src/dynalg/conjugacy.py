@@ -37,26 +37,32 @@ that fact twice.
   has a single candidate per level.  Any equitable partition is constant
   on in-degree, so stage one leaves the stable partition, and with it
   the search, as the later stages alone would give.
-* Permutation lists: every point keeps the colour permutations, in
-  lexicographic order, that agree with its edges assigned so far
-  (conjugacy keeps one list shared by all points, which holds the
-  identity alone unless recolouring is allowed).  Every full list comes
-  from :func:`_colour_permutations`, which refuses, before refinement
-  and before building any, lists that would hold more than
-  :data:`MAX_PERMUTATION_ENTRIES` entries: every pair of ten or more maps
-  in those modes, and fewer maps on many points.  The lists are built
-  only for a pair that refinement does not refute.  Each assignment
-  narrows the lists of the edges it completes, in place and with an undo
-  trail, and a branch dies once a list is empty.  A per-point list is
-  empty exactly when its assigned images no longer fit in the target's
-  image multiset.
+* Colour masks: every point keeps one bit mask per colour i, whose bit j
+  is set while alpha_x(i) = j still agrees with its edges assigned so far
+  (conjugacy keeps one set of masks shared by all points, which allows
+  the identity alone unless recolouring is allowed).  The masks are built
+  only for a pair that refinement does not refute.  Each assignment ANDs
+  the mask of every edge it completes with the colours j whose map
+  tau_j sends the image of the edge's source to the image of its target,
+  in place and with an undo trail.  A branch dies once a mask is empty,
+  or once more colours of one owner hold the same mask than it has bits.
+  A point's narrowed masks are pairwise equal or disjoint, one per image
+  point, and the others are full, so by Hall's theorem (Hall 1935) the
+  count is exact there: it refuses a branch exactly when no alpha_x
+  agrees with the assigned images, that is, when they no longer fit in
+  the target's image multiset.  On the masks that recolouring shares the
+  count is only necessary, and the leaf decides.  No colour permutation
+  is listed, so no arity is refused.
 
 Both only remove branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
 over all n! bijections would find.  The leaf reads the witness off the
-lists: the first entry at each point (piecewise), the least
-preimage-saturated colour field (partition, which may fail and
-backtrack), or the first entry of the shared list (conjugacy).  The
+masks: at each point, each colour in turn takes the least colour of its
+mask left (piecewise); the least preimage-saturated colour field the
+masks allow (partition, which may fail and backtrack); the least
+permutation the shared masks allow, by
+:func:`dynalg.matching.lex_least_injective` (conjugacy with recolouring,
+which may fail and backtrack), or the identity.  The
 partition leaf and :func:`verify_witness` test each preimage condition
 once, by comparing every point with the first point of its fibre under
 sigma_i and under tau_j o gamma (:func:`_bucket_heads`), so outside the
@@ -68,14 +74,12 @@ survive to the leaves.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, NoReturn, Optional, Sequence
 
 from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes, local_signatures
-from .matching import W, lex_first
+from .matching import W, lex_first, lex_least_injective
 
 Permutation = tuple[int, ...]
 
@@ -145,30 +149,6 @@ def _check_compatible(a: FiniteSystem, b: FiniteSystem) -> None:
             f"systems differ in shape: {a.size} points/{a.arity} maps"
             f" vs {b.size} points/{b.arity} maps"
         )
-
-
-# A full list holds arity! permutations of arity ints each, and each list
-# owner (a point, or the one list that --recolor shares) starts from all of
-# them.  At 10 * 10! entries no pair of ten maps is admitted in any mode; the
-# largest admitted relabelled pairs measured (9 maps at 91 points, 8 at 892,
-# 7 at 7,193, 6 at 50,394) took 1.5-4.5 s and at most 200 MB peak RSS in
-# piecewise mode on a 2-core x86 VM (Python 3.11).
-MAX_PERMUTATION_ENTRIES = 36_288_000
-
-
-def _colour_permutations(arity: int, owners: int = 1) -> Callable[[], list[list[Permutation]]]:
-    """A call that builds ``owners`` references to one list of every colour
-    permutation of 0..arity-1, in lexicographic order.  ValueError now, before
-    any is built, when the lists would hold more than MAX_PERMUTATION_ENTRIES
-    entries, counted as arity! * (arity + owners); the deciders check first and
-    build only once refinement has not refuted the pair."""
-    if math.factorial(min(arity, 12)) * (arity + owners) > MAX_PERMUTATION_ENTRIES:  # 12! alone passes the bound
-        raise ValueError(
-            f"the {arity}! colour permutations of {arity} maps, listed"
-            f" {'once' if owners == 1 else f'at {owners} points'}, pass the list"
-            f" limit ({MAX_PERMUTATION_ENTRIES} entries); use fewer maps"
-        )
-    return lambda: [list(itertools.permutations(range(arity)))] * owners
 
 
 def _invert(perm: Permutation) -> Permutation:
@@ -245,25 +225,28 @@ def _lex_search(
     a: FiniteSystem,
     b: FiniteSystem,
     stages: tuple[Stage, ...],
-    start: Callable[[], list[list[Permutation]]],
-    leaf: Callable[[Permutation, list[list[Permutation]]], Optional[W]],
+    start: list[int],
+    shared: bool,
+    leaf: Callable[[Permutation, list[list[int]]], Optional[W]],
 ) -> Optional[W]:
     """Depth-first search for the least gamma whose leaf yields a witness.
 
     The candidates of each point are the points of ``b`` with its colour
     in :func:`_refined_colours`, which splits by in-degree and then by
     each of ``stages`` in turn; a pair that refinement refutes returns
-    None before any level, and before ``start`` is called.  ``start``
-    builds the starting colour permutation lists, in lexicographic order:
-    one list shared by every point, or one per point.  Level x assigns
-    gamma(x) and narrows the lists in place: each edge p -> sigma_i(p) it
-    completes keeps in the list of p the alpha with
-    tau_{alpha(i)}(gamma(p)) = gamma(sigma_i(p)), and a value emptying a
-    list is refused.  Every narrowing that drops an entry pushes one
-    (owner, previous list) record on an undo trail, and leaving the level
-    pops its records, so a level costs only the edges it completes.
-    ``leaf`` receives gamma and the lists.  Only branches
-    without a witness are pruned, so the first witness is the least.
+    None before any level, and before any mask is built.  ``start``
+    holds the starting colour masks, one int per colour i with bit j set
+    while alpha(i) = j is allowed; every point shares one copy of them
+    when ``shared``, and else keeps its own.  Level x assigns gamma(x)
+    and narrows the masks in place: each edge p -> sigma_i(p) it
+    completes ANDs mask i of p's owner with the colours j with
+    tau_j(gamma(p)) = gamma(sigma_i(p)).  A value is refused when a mask
+    empties, or when more of the owner's colours hold the narrowed mask
+    than it has bits.  Every narrowing pushes one (owner, colour,
+    previous mask) record on an undo trail, and leaving the level pops
+    its records, so a level costs only the edges it completes.  ``leaf``
+    receives gamma and the masks.  Only branches without a witness are
+    pruned, so the first witness is the least.
     """
     colours = _refined_colours(a, b, stages)
     if colours is None:
@@ -273,19 +256,21 @@ def _lex_search(
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
-    lists = start()
-    shared = len(lists) == 1
+    masks = [list(start) for _ in range(1 if shared else n)]
     # Assigning x completes the edges p -> y = sigma_i(p) with max(p, y) == x;
-    # each narrows the list of its owner k.
-    new_edges: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    # each narrows mask i of its owner, the masks of p or the shared ones.
+    new_edges: list[list[tuple[list[int], int, int, int]]] = [[] for _ in range(n)]
     for p in range(n):
         for i, table in enumerate(a.tables):
             y = table[p]
-            new_edges[max(p, y)].append((0 if shared else p, p, i, y))
-    tables_b = b.tables
+            new_edges[max(p, y)].append((masks[0 if shared else p], p, i, y))
+    hits: list[dict[int, int]] = [{} for _ in range(n)]  # hits[u][v]: the colours j with tau_j(u) = v
+    for j, table in enumerate(b.tables):
+        for u, v in enumerate(table):
+            hits[u][v] = hits[u].get(v, 0) | 1 << j
     gamma = [-1] * n
     used = [False] * n
-    trail: list[tuple[int, list[Permutation]]] = []
+    trail: list[tuple[list[int], int, int]] = []
     marks: list[int] = []  # the trail's length on entering each assigned level
 
     def free(x: int) -> list[int]:
@@ -293,22 +278,21 @@ def _lex_search(
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            k, previous = trail.pop()
-            lists[k] = previous
+            owner, i, previous = trail.pop()
+            owner[i] = previous
 
     def enter(x: int, v: int) -> bool:
         gamma[x] = v
         mark = len(trail)
-        for k, p, i, y in new_edges[x]:
-            gp, gy = gamma[p], gamma[y]
-            current = lists[k]
-            narrowed = [alpha for alpha in current if tables_b[alpha[i]][gp] == gy]
-            if len(narrowed) < len(current):
-                if not narrowed:
+        for owner, p, i, y in new_edges[x]:
+            current = owner[i]
+            narrowed = current & hits[gamma[p]].get(gamma[y], 0)
+            if narrowed != current:
+                if not narrowed or owner.count(narrowed) >= narrowed.bit_count():
                     undo(mark)
                     return False
-                trail.append((k, current))
-                lists[k] = narrowed
+                trail.append((owner, i, current))
+                owner[i] = narrowed
         used[v] = True
         marks.append(mark)
         return True
@@ -317,7 +301,12 @@ def _lex_search(
         used[gamma[x]] = False
         undo(marks.pop())
 
-    return lex_first(n, free, enter, leave, lambda: leaf(tuple(gamma), lists))
+    return lex_first(n, free, enter, leave, lambda: leaf(tuple(gamma), masks))
+
+
+def _bits(mask: int) -> list[int]:
+    """The colours j whose bit is set in ``mask``, least first."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def decide_conjugate(
@@ -327,18 +316,38 @@ def decide_conjugate(
 
     With ``allow_recolor`` a single global colour permutation beta is
     also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Every point
-    shares one permutation list, so beta is the first entry left in it.
-    Returns the lexicographically least witness (gamma first, then beta)
-    or None.  With ``allow_recolor``, ValueError before any search when the
-    list of colour permutations would pass MAX_PERMUTATION_ENTRIES.
+    shares one set of colour masks, so beta is the least permutation they
+    allow (:func:`dynalg.matching.lex_least_injective`); a gamma whose
+    masks allow none is passed over.  Returns the lexicographically least
+    witness (gamma first, then beta) or None.
     """
     _check_compatible(a, b)
-    betas = _colour_permutations(a.arity) if allow_recolor else lambda: [[tuple(range(a.arity))]]
+    if not allow_recolor:
+        identity = [1 << i for i in range(a.arity)]
+        return _lex_search(a, b, (), identity, True, lambda gamma, _: ConjugacyWitness(gamma=gamma, recolor=None))
 
-    def witness(gamma: Permutation, lists: list[list[Permutation]]) -> ConjugacyWitness:
-        return ConjugacyWitness(gamma=gamma, recolor=lists[0][0] if allow_recolor else None)
+    def witness(gamma: Permutation, masks: list[list[int]]) -> Optional[ConjugacyWitness]:
+        beta = lex_least_injective(list(map(_bits, masks[0])))
+        return None if beta is None else ConjugacyWitness(gamma=gamma, recolor=beta)
 
-    return _lex_search(a, b, (), betas, witness)
+    return _lex_search(a, b, (), [(1 << a.arity) - 1] * a.arity, True, witness)
+
+
+def _least_fit(masks: list[int]) -> Permutation:
+    """The least alpha with alpha(i) in masks[i] for every colour i.
+
+    The masks must be pairwise equal or disjoint, each held by no more
+    colours than it has bits, so each colour in turn takes the least
+    colour of its mask left.
+    """
+    taken = 0
+    alpha = []
+    for mask in masks:
+        least = mask & ~taken
+        least &= -least
+        taken |= least
+        alpha.append(least.bit_length() - 1)
+    return tuple(alpha)
 
 
 def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitness]:
@@ -347,18 +356,17 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     At every point x the colour permutation alpha_x must satisfy
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) for all i.  In a
     finite discrete space that pointwise condition is the whole of
-    piecewise matching.  Each point keeps its own permutation list, so
-    at a leaf every list holds exactly the admissible alpha_x and the
-    leaf takes the first of each.  Returns the lexicographically least
-    witness; ValueError before any search when the lists would pass
-    MAX_PERMUTATION_ENTRIES.
+    piecewise matching.  Each point keeps its own colour masks, so at a
+    leaf they allow exactly the admissible alpha_x, and the leaf takes the
+    least of each (:func:`_least_fit`).  Returns the lexicographically
+    least witness or None.
     """
     _check_compatible(a, b)
 
-    def witness(gamma: Permutation, lists: list[list[Permutation]]) -> PiecewiseWitness:
-        return PiecewiseWitness(gamma=gamma, alpha=tuple(admissible[0] for admissible in lists))
+    def witness(gamma: Permutation, masks: list[list[int]]) -> PiecewiseWitness:
+        return PiecewiseWitness(gamma=gamma, alpha=tuple(map(_least_fit, masks)))
 
-    return _lex_search(a, b, (), _colour_permutations(a.arity, a.size), witness)
+    return _lex_search(a, b, (), [(1 << a.arity) - 1] * a.arity, False, witness)
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -368,38 +376,35 @@ def _bucket_heads(keys: Sequence[int]) -> list[int]:
 
 
 def _partition_alpha_field(
-    a: FiniteSystem, b: FiniteSystem, gamma: Permutation, options: list[list[Permutation]]
+    a: FiniteSystem, b: FiniteSystem, gamma: Permutation, masks: list[list[int]]
 ) -> Optional[PartitionWitness]:
-    """Complete gamma by the least field of ``options`` that meets the preimage conditions.
+    """Complete gamma by the least field that ``masks`` allow and that meets the preimage conditions.
 
-    Point x's permutation must agree, on colour i, with every earlier point
-    in its sigma_i-preimage bucket, and on inverse colour j with every earlier
-    point in its tau_j o gamma-preimage bucket.  The earlier points of a
-    bucket already agree with its first point, so comparing with that one
-    point is exact, and each offer costs O(arity).
+    One :func:`dynalg.matching.lex_first` walk assigns the values
+    alpha_x(i), point by point and colour by colour, each j from
+    masks[x][i] not yet taken at x.  The value must agree with the first
+    point y of x's sigma_i-preimage bucket, and with the first point y of
+    its tau_j o gamma-preimage bucket, that is, alpha_y(i) = j in both
+    cases; the bucket heads replace any inverse of alpha.  The earlier
+    points of a bucket already agree with its first point, so comparing
+    with that one point is exact, and each offer costs O(arity).
     """
-    inverses = {p: _invert(p) for ok in options for p in ok}
-    sigma_heads = list(enumerate(_bucket_heads(table) for table in a.tables))
-    tau_heads = list(enumerate(_bucket_heads([table[g] for g in gamma]) for table in b.tables))
-    chosen: list[Permutation] = []
+    arity = a.arity
+    sigma_at = [y * arity + i for heads in zip(*map(_bucket_heads, a.tables)) for i, y in enumerate(heads)]
+    tau_heads = [_bucket_heads([table[g] for g in gamma]) for table in b.tables]
+    field = [-1] * len(sigma_at)  # alpha_x(i) at position x * arity + i; read up to the level's own
 
-    def enter(x: int, perm: Permutation) -> bool:
-        for i, heads in sigma_heads:
-            y = heads[x]
-            if y < x and perm[i] != chosen[y][i]:
-                return False
-        pinv = inverses[perm]
-        for j, heads in tau_heads:
-            y = heads[x]
-            if y < x and pinv[j] != inverses[chosen[y]][j]:
-                return False
-        chosen.append(perm)
-        return True
+    def enter(k: int, j: int) -> bool:
+        x, i = divmod(k, arity)
+        field[k] = j
+        return j not in field[k - i:k] and field[sigma_at[k]] == field[tau_heads[j][x] * arity + i] == j
 
     def witness() -> PartitionWitness:
-        return PartitionWitness(gamma=gamma, alpha=tuple(chosen))
+        return PartitionWitness(gamma=gamma, alpha=tuple(zip(*[iter(field)] * arity)))
 
-    return lex_first(a.size, lambda x: options[x], enter, lambda _x: chosen.pop(), witness)
+    flat = [mask for owner in masks for mask in owner]
+    options = {mask: _bits(mask) for mask in set(flat)}
+    return lex_first(len(field), lambda k: options[flat[k]], enter, lambda _k: None, witness)
 
 
 def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitness]:
@@ -410,15 +415,13 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     entry signature, so these are the second and third stages of the
     colour refinement, each computed only once the stage before it
     balances.  Each bijection that survives the search is completed by
-    the least preimage-saturated colour field, if one exists.  Returns
-    the lexicographically least witness (gamma first, then alpha) or None;
-    ValueError before any search when the colour permutation lists would
-    pass MAX_PERMUTATION_ENTRIES.
+    the least preimage-saturated colour field its masks allow, if one
+    exists.  Returns the lexicographically least witness (gamma first,
+    then alpha) or None.
     """
     _check_compatible(a, b)
-    start = _colour_permutations(a.arity, a.size)
-    leaf = partial(_partition_alpha_field, a, b)
-    return _lex_search(a, b, (fibre_sizes, local_signatures), start, leaf)
+    stages = (fibre_sizes, local_signatures)
+    return _lex_search(a, b, stages, [(1 << a.arity) - 1] * a.arity, False, partial(_partition_alpha_field, a, b))
 
 
 def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:

@@ -325,14 +325,11 @@ ROWS: tuple[Row, ...] = (
         classed_200, timeout=10, checks=(replay,)),
     Row("classed 3 maps n=200: iso-build", cli("iso-build", "{a}", "{b}"), classed_200, timeout=10,
         checks=(round_trip, replay)),
-    # 12! = 479,001,600 permutations, past dynalg.conjugacy.MAX_PERMUTATION_ENTRIES: the modes
-    # that list them exit 2 naming the bound, and plain conjugate mode lists none
-    *(Row(f"arity 12: {flags(args)}", cli(*args), arity_12, exit=2, timeout=10,
-          checks=(says("list limit (36288000 entries)"),))
+    # 12! = 479,001,600 colour permutations, which no mode lists
+    *(Row(f"arity 12: {flags(args)}", cli(*args), arity_12, timeout=10, checks=(replay,))
       for args in (("check", "--mode", "piecewise", "{a}", "{b}"), ("check", "--mode", "partition", "{a}", "{b}"),
-                   ("check", "--mode", "conjugate", "--recolor", "{a}", "{b}"))),
-    Row("arity 12: check --mode conjugate", cli("check", "--mode", "conjugate", "{a}", "{b}"), arity_12, timeout=10,
-        checks=(replay,)),
+                   ("check", "--mode", "conjugate", "--recolor", "{a}", "{b}"),
+                   ("check", "--mode", "conjugate", "{a}", "{b}"))),
     *(Row(f"in-degree shifted n=100000: check --mode {mode}", cli("check", "--mode", mode, "{a}", "{b}"),
           indegree_shifted_100000, exit=1, timeout=10, checks=(refuted,)) for mode in MODES),
     Row("exact products n=2000", call(exact_products), timeout=10),

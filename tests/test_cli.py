@@ -24,7 +24,7 @@ from dynalg.cli import (
     run_command,
 )
 from dynalg.conjugacy import (
-    MAX_PERMUTATION_ENTRIES, MalformedWitnessError, decide_conjugate, decide_partition, decide_piecewise,
+    MalformedWitnessError, decide_conjugate, decide_partition, decide_piecewise,
     verify_witness,
 )
 from dynalg.dynsys import FiniteSystem, entry_signature, full_subsystem
@@ -307,20 +307,17 @@ def test_check_decides_large_relabelled_pairs_in_every_mode(tmp_path):
     assert sys.getrecursionlimit() == limit
 
 
-def test_check_refuses_twelve_maps_except_in_plain_conjugate_mode(tmp_path):
-    # 12! colour permutations pass the list bound; plain conjugate mode lists none
+def test_check_decides_twelve_maps_in_every_mode(tmp_path):
+    # 12! colour permutations, which no mode lists
     a, b = relabelled_pair(make_rng(100), 100, 12)
     paths = []
     for name, system in (("a", a), ("b", b)):
         path = tmp_path / f"{name}.json"
         path.write_text(dump_system(system))
         paths.append(str(path))
-    for flags in (["--mode", "piecewise"], ["--mode", "partition"], ["--mode", "conjugate", "--recolor"]):
-        report, code = run_command(["check", *flags, *paths])
-        assert code == 2 and "12! colour permutations" in report["error"], flags
-        assert str(MAX_PERMUTATION_ENTRIES) in report["error"], flags
-    report, code = run_command(["check", "--mode", "conjugate", *paths])
-    assert code == 0 and verify_witness(a, b, read_witness(report)).passed
+    for flags in (["conjugate"], ["conjugate", "--recolor"], ["piecewise"], ["partition"]):
+        report, code = run_command(["check", "--mode", *flags, *paths])
+        assert code == 0 and verify_witness(a, b, read_witness(report)).passed, flags
 
 
 def test_check_conjugate_modes(files):

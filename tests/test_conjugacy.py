@@ -34,8 +34,10 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    classed_pair,
     cycle_pair,
     disjoint_union,
+    fitting_partition,
     indegree_shifted_pair,
     indegrees,
     intertwines_at,
@@ -570,8 +572,17 @@ def test_every_partition_witness_maps_fibre_sizes_onto_fibre_sizes():
     assert witnesses > 300
 
 
-def _fitting(a, b, gamma, x, perms):
-    return [p for p in perms if intertwines_at(a, b, gamma, x, p)]
+def _admissible_masks(a, b, gamma):
+    """Bit j of masks[x][i] set exactly when tau_j(gamma x) = gamma(sigma_i x)."""
+    return [
+        [sum(1 << j for j, tau in enumerate(b.tables) if tau[gamma[x]] == gamma[sigma[x]]) for sigma in a.tables]
+        for x in range(a.size)
+    ]
+
+
+def _allowed(perms, masks):
+    """The permutations, in order, with alpha(i) in masks[i] for every colour i."""
+    return [p for p in perms if all(mask >> j & 1 for mask, j in zip(masks, p))]
 
 
 def test_bucketed_colour_field_matches_pairwise_oracle():
@@ -579,15 +590,17 @@ def test_bucketed_colour_field_matches_pairwise_oracle():
     found = refused = 0
     for a, b in _kernel_pairs(rng, 240):
         perms = list(itertools.permutations(range(a.arity)))
+        full = (1 << a.arity) - 1
         gamma = list(range(a.size))
         rng.shuffle(gamma)
         witness = decide_piecewise(a, b)
         for g in {tuple(gamma), witness.gamma if witness else tuple(gamma)}:
-            admissible = [_fitting(a, b, g, x, perms) for x in range(a.size)]
-            sampled = [sorted(rng.sample(perms, rng.randint(1, len(perms)))) for _ in g]
-            for options in (admissible, sampled):
-                field = _partition_alpha_field(a, b, g, options)
-                expected = pairwise_alpha_field(a, b, g, options)
+            admissible = _admissible_masks(a, b, g)
+            # each point allows at least one permutation, drawn at random, and random other bits
+            sampled = [[1 << j | rng.randint(0, full) for j in rng.choice(perms)] for _ in g]
+            for masks in (admissible, sampled):
+                field = _partition_alpha_field(a, b, g, masks)
+                expected = pairwise_alpha_field(a, b, g, [_allowed(perms, row) for row in masks])
                 assert (field.alpha if field else None) == expected
                 assert field is None or field.gamma == g
                 found += field is not None
@@ -768,39 +781,83 @@ def test_padded_cycle_pair_is_refuted_and_its_control_found(mode):
     assert witness is not None and verify_witness(a, b, witness).passed
 
 
-# ---- colour permutation lists: one bounded build -----------------------------
+# ---- colour masks: no colour permutation is listed -----------------------------
 
 
-@pytest.mark.parametrize("arity", [10, 12])
-@pytest.mark.parametrize("mode", ["recolor", "piecewise", "partition"])
-def test_colour_permutation_lists_are_refused_past_the_bound(mode, arity):
-    # 10! = 3,628,800 and 12! = 479,001,600 permutations; before the bound,
-    # --recolor on this arity-10 pair took 4.5 s and a 448 MB tracemalloc peak
-    a, b = relabelled_pair(make_rng(1000), 20, arity)
-    message = rf"^the {arity}! colour permutations of {arity} maps, listed .* \(36288000 entries\)"
-    tracemalloc.start()
+@pytest.mark.parametrize("arity, size", [(10, 20), (12, 20), (12, 1000)], ids=["10", "12", "12-n1000"])
+@pytest.mark.parametrize("mode", _MODES)
+def test_many_maps_are_decided_in_every_mode(mode, arity, size):
+    # 12! = 479,001,600 colour permutations; when every mode but plain
+    # conjugacy listed them, these pairs were refused before any search
+    a, b = relabelled_pair(make_rng(1000), size, arity)
     started = time.perf_counter()
+    witness = _MODES[mode](a, b)
+    assert time.perf_counter() - started < 1
+    assert witness is not None and verify_witness(a, b, witness).passed
+    tracemalloc.start()  # a second run, as tracing slows every allocation
     try:
-        with pytest.raises(ValueError, match=message):
-            _MODES[mode](a, b)
+        assert _MODES[mode](a, b) == witness
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - started < 0.1 and peak < 2**20, peak
+    assert peak < 16 * 2**20, peak
 
 
-def test_colour_permutation_entries_count_every_list_owner(monkeypatch):
-    # arity! permutations of arity ints each, and arity! entries per owner
-    perms = list(itertools.permutations(range(3)))
-    assert dynalg.conjugacy._colour_permutations(3)() == [perms]
-    lists = dynalg.conjugacy._colour_permutations(3, 4)()
-    assert lists == [perms] * 4 and all(entry is lists[0] for entry in lists)
-    monkeypatch.setattr(dynalg.conjugacy, "MAX_PERMUTATION_ENTRIES", 6 * (3 + 4))
-    assert dynalg.conjugacy._colour_permutations(3, 4)() == [perms] * 4
-    with pytest.raises(ValueError, match=r"^the 3! colour permutations of 3 maps, listed at 5 points,"):
-        dynalg.conjugacy._colour_permutations(3, 5)
-    with pytest.raises(ValueError, match=r"listed once, pass the list limit \(42 entries\); use fewer maps$"):
-        dynalg.conjugacy._colour_permutations(7)
+def _wide_pairs(rng, trials, max_size):
+    """Random, scrambled, relabelled and classed pairs, n <= max_size and arity 4-6.
+
+    With this many maps the images of a point collide at most points, so
+    a point's colour masks share bits.
+    """
+    for trial in range(trials):
+        size, arity = rng.randint(1, max_size), rng.randint(4, 6)
+        kind = trial % 4
+        if kind == 0:
+            yield random_system(rng, size, arity), random_system(rng, size, arity)
+        elif kind == 1:
+            yield scrambled_pair(rng, size, arity, constant_recolor=trial % 8 == 1)
+        elif kind == 2:
+            yield relabelled_pair(rng, size, arity)
+        else:
+            yield classed_pair(rng, size, arity, rng.randint(1, size))[:2]
+
+
+def test_wide_pairs_match_the_brute_force_oracles():
+    rng = make_rng(401)
+    verdicts = Counter()
+    for a, b in _wide_pairs(rng, 80, 5):
+        for allow in (False, True):
+            witness = decide_conjugate(a, b, allow_recolor=allow)
+            got = None if witness is None else (witness.gamma, witness.recolor)
+            assert got == brute_force_conjugate(a, b, allow_recolor=allow)
+            verdicts["recolor" if allow else "conjugate", got is not None] += 1
+        witness = decide_piecewise(a, b)
+        got = None if witness is None else (witness.gamma, witness.alpha)
+        assert got == brute_force_piecewise(a, b)
+        verdicts["piecewise", got is not None] += 1
+    for a, b in _wide_pairs(rng, 120, 3):
+        witness = decide_partition(a, b)
+        got = None if witness is None else (witness.gamma, witness.alpha)
+        assert got == fitting_partition(a, b)
+        assert got is None or partition_conditions_hold(a, b, *got)
+        verdicts["partition", got is not None] += 1
+    assert len(verdicts) == 8 and min(verdicts.values()) > 10, verdicts
+
+
+def test_two_colours_cannot_share_one_matching_colour(monkeypatch):
+    # sigma_0 = sigma_1 sends each point of a to the other, twice; tau_0 and
+    # tau_1 send each point of b to both points.  In-degrees balance and
+    # refinement separates nothing, and each edge leaves its colour one bit,
+    # so no mask empties: only the count refutes, two colours on one bit.
+    a = FiniteSystem(size=2, tables=((1, 0), (1, 0)))
+    b = FiniteSystem(size=2, tables=((0, 1), (1, 0)))
+    read = []
+    monkeypatch.setattr(dynalg.conjugacy, "_least_fit", lambda masks: read.append(masks) or (0, 1))
+    assert _refined_colours(a, b) == ([0, 0], [0, 0])
+    assert brute_force_piecewise(a, b) is None
+    assert decide_piecewise(a, b) is None
+    assert read == []
+    assert decide_conjugate(a, b, allow_recolor=True) is decide_partition(a, b) is None
 
 
 # ---- one map: every notion is isomorphism of functional digraphs ------------
