@@ -58,24 +58,25 @@ Both only remove branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
 over all n! bijections would find.  The leaf reads the witness off the
 masks: at each point, each colour in turn takes the least colour of its
-mask left (piecewise); the least preimage-saturated colour field the
-masks allow (partition, which may fail and backtrack); the least
-permutation the shared masks allow, by
+mask left (piecewise); the least permutation the shared masks allow, by
 :func:`dynalg.matching.lex_least_injective` (conjugacy with recolouring,
-which may fail and backtrack), or the identity.  The
-partition leaf and :func:`verify_witness` test each preimage condition
-once, by comparing every point with the first point of its fibre under
-sigma_i and under tau_j o gamma (:func:`_bucket_heads`), so outside the
-search tree a decider call does linear work, and so does verifying any
-witness, good or bad.  The worst case is still exponential: on highly
-symmetric systems refinement separates nothing and many branches
-survive to the leaves.
+which may fail and backtrack), or the identity.  The partition leaf reads
+no masks: with gamma fixed, the colours i that share a point z and a
+fibre F = sigma_i^-1(z) must take the colours of b's group at gamma(z)
+with fibre gamma(F), and the groups are independent, so one pass over
+them gives the least field or shows there is none
+(:func:`_partition_alpha_field`).  :func:`verify_witness` tests each
+preimage condition once, by comparing every point with the first point of
+its fibre under sigma_i and under tau_j o gamma (:func:`_bucket_heads`).
+So outside the search tree a decider call does linear work, and so does
+verifying any witness, good or bad.  The worst case is still exponential:
+on highly symmetric systems refinement separates nothing and many
+branches survive to the leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Hashable, NoReturn, Optional, Sequence
 
 from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes, local_signatures
@@ -375,36 +376,43 @@ def _bucket_heads(keys: Sequence[int]) -> list[int]:
     return [head.setdefault(key, x) for x, key in enumerate(keys)]
 
 
-def _partition_alpha_field(
-    a: FiniteSystem, b: FiniteSystem, gamma: Permutation, masks: list[list[int]]
-) -> Optional[PartitionWitness]:
-    """Complete gamma by the least field that ``masks`` allow and that meets the preimage conditions.
+def _fibre_groups(tables: Sequence[Sequence[int]]) -> dict[tuple[int, tuple[int, ...]], list[int]]:
+    """The colours i of each group (z, F), least first: those whose fibre sigma_i^-1(z) is F, non-empty."""
+    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for i, table in enumerate(tables):
+        fibres: dict[int, list[int]] = {}
+        for x, z in enumerate(table):
+            fibres.setdefault(z, []).append(x)
+        for z, fibre in fibres.items():
+            groups.setdefault((z, tuple(fibre)), []).append(i)
+    return groups
 
-    One :func:`dynalg.matching.lex_first` walk assigns the values
-    alpha_x(i), point by point and colour by colour, each j from
-    masks[x][i] not yet taken at x.  The value must agree with the first
-    point y of x's sigma_i-preimage bucket, and with the first point y of
-    its tau_j o gamma-preimage bucket, that is, alpha_y(i) = j in both
-    cases; the bucket heads replace any inverse of alpha.  The earlier
-    points of a bucket already agree with its first point, so comparing
-    with that one point is exact, and each offer costs O(arity).
+
+def _partition_alpha_field(a: FiniteSystem, b: FiniteSystem, gamma: Permutation) -> Optional[PartitionWitness]:
+    """Complete gamma by the least colour field that meets the preimage conditions, or None.
+
+    The sigma_i-condition makes alpha_x(i) one colour j on the whole fibre
+    F = sigma_i^-1(z) through x, and intertwining with the tau_j-condition
+    makes tau_j^-1(gamma(z)) exactly gamma(F).  So the colours of a's group
+    (z, F) (:func:`_fibre_groups`) may take exactly the colours of b's group
+    (gamma(z), gamma(F)), one each; two colours that take one j at a point
+    share a group, so the groups are independent.  Each group gives its
+    colours, in increasing order, the least colours of its image group, on
+    every point of F, and gamma has no field when an image group has fewer
+    colours.  b's groups are read on b pulled back along gamma, whose group
+    (z, F) is b's (gamma(z), gamma(F)).
     """
-    arity = a.arity
-    sigma_at = [y * arity + i for heads in zip(*map(_bucket_heads, a.tables)) for i, y in enumerate(heads)]
-    tau_heads = [_bucket_heads([table[g] for g in gamma]) for table in b.tables]
-    field = [-1] * len(sigma_at)  # alpha_x(i) at position x * arity + i; read up to the level's own
-
-    def enter(k: int, j: int) -> bool:
-        x, i = divmod(k, arity)
-        field[k] = j
-        return j not in field[k - i:k] and field[sigma_at[k]] == field[tau_heads[j][x] * arity + i] == j
-
-    def witness() -> PartitionWitness:
-        return PartitionWitness(gamma=gamma, alpha=tuple(zip(*[iter(field)] * arity)))
-
-    flat = [mask for owner in masks for mask in owner]
-    options = {mask: _bits(mask) for mask in set(flat)}
-    return lex_first(len(field), lambda k: options[flat[k]], enter, lambda _k: None, witness)
+    inverse = _invert(gamma)
+    images = _fibre_groups([[inverse[table[g]] for g in gamma] for table in b.tables])
+    alpha = [[0] * a.arity for _ in gamma]
+    for (z, fibre), colours in _fibre_groups(a.tables).items():
+        image = images.get((z, fibre), ())
+        if len(image) < len(colours):
+            return None
+        for x in fibre:
+            for i, j in zip(colours, image):
+                alpha[x][i] = j
+    return PartitionWitness(gamma=gamma, alpha=tuple(map(tuple, alpha)))
 
 
 def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitness]:
@@ -415,13 +423,14 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     entry signature, so these are the second and third stages of the
     colour refinement, each computed only once the stage before it
     balances.  Each bijection that survives the search is completed by
-    the least preimage-saturated colour field its masks allow, if one
-    exists.  Returns the lexicographically least witness (gamma first,
-    then alpha) or None.
+    the least preimage-saturated colour field, read off the fibre groups
+    of both systems (:func:`_partition_alpha_field`), if one exists.
+    Returns the lexicographically least witness (gamma first, then alpha)
+    or None.
     """
     _check_compatible(a, b)
-    stages = (fibre_sizes, local_signatures)
-    return _lex_search(a, b, stages, [(1 << a.arity) - 1] * a.arity, False, partial(_partition_alpha_field, a, b))
+    full = [(1 << a.arity) - 1] * a.arity
+    return _lex_search(a, b, (fibre_sizes, local_signatures), full, False, lambda g, _: _partition_alpha_field(a, b, g))
 
 
 def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:

@@ -183,13 +183,20 @@ def fitting_partition(a, b) -> Optional[tuple[tuple, tuple]]:
     witness intertwines at every point, so the result is
     :func:`brute_force_partition`'s, found without listing the arity!^n
     fields that fail at some point: at arity 6 and n = 3 those are 720^3.
+    A gamma is passed over at the first point where no permutation
+    intertwines, before the later points are listed.
     """
     perms = list(itertools.permutations(range(a.arity)))
     for gamma in itertools.permutations(range(a.size)):
-        fitting = [[p for p in perms if intertwines_at(a, b, gamma, x, p)] for x in range(a.size)]
-        field = pairwise_alpha_field(a, b, gamma, fitting)
-        if field is not None:
-            return gamma, field
+        fitting = []
+        for x in range(a.size):
+            fitting.append([p for p in perms if intertwines_at(a, b, gamma, x, p)])
+            if not fitting[-1]:
+                break
+        else:
+            field = pairwise_alpha_field(a, b, gamma, fitting)
+            if field is not None:
+                return gamma, field
     return None
 
 

@@ -217,6 +217,14 @@ def classed_200() -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=None)
+def classed_200_arity_8() -> dict[str, str]:
+    """Eight maps on 200 points in six classes, so most images collide: a
+    chronological walk over its 1,600 colour positions ran past 10 s here."""
+    a, b, _, _ = classed_pair(random.Random(0), 200, 8, 6)
+    return dumped(a, b)
+
+
+@functools.lru_cache(maxsize=None)
 def indegree_shifted_100000() -> dict[str, str]:
     a, b = indegree_shifted_pair(make_rng(100000), 100000, 2)
     expect(sorted(indegrees(a)) != sorted(indegrees(b)), "the in-degrees balance")
@@ -324,6 +332,10 @@ ROWS: tuple[Row, ...] = (
     Row("classed 3 maps n=200: check --mode partition", cli("check", "--mode", "partition", "{a}", "{b}"),
         classed_200, timeout=10, checks=(replay,)),
     Row("classed 3 maps n=200: iso-build", cli("iso-build", "{a}", "{b}"), classed_200, timeout=10,
+        checks=(round_trip, replay)),
+    Row("classed 8 maps n=200: check --mode partition", cli("check", "--mode", "partition", "{a}", "{b}"),
+        classed_200_arity_8, timeout=10, checks=(replay,)),
+    Row("classed 8 maps n=200: iso-build", cli("iso-build", "{a}", "{b}"), classed_200_arity_8, timeout=10,
         checks=(round_trip, replay)),
     # 12! = 479,001,600 colour permutations, which no mode lists
     *(Row(f"arity 12: {flags(args)}", cli(*args), arity_12, timeout=10, checks=(replay,))

@@ -551,11 +551,23 @@ def test_fibre_sizes_count_each_fibre_through_a_point():
             assert fibre_sizes(system) == expected
 
 
+def _fibre_groups(system):
+    """(z, F) -> the colours i, least first, whose fibre sigma_i^-1(z) is the non-empty set F."""
+    groups = {}
+    for i, table in enumerate(system.tables):
+        for z in set(table):
+            groups.setdefault((z, frozenset(x for x, y in enumerate(table) if y == z)), []).append(i)
+    return groups
+
+
 def test_every_partition_witness_maps_fibre_sizes_onto_fibre_sizes():
     # A partition witness maps each sigma_i-fibre of x onto the tau_j-fibre of
     # gamma(x), j = alpha_x(i), which is why decide_partition refines by them.
-    # Every witness of each pair is listed: gamma, then each field whose
-    # alpha_x intertwine at x, kept when the preimage conditions hold.
+    # So on each fibre F of z, the colours whose fibre at z is F take exactly
+    # the colours whose fibre at gamma(z) is gamma(F), which is how the
+    # partition leaf reads its field.  Every witness of each pair is listed:
+    # gamma, then each field whose alpha_x intertwine at x, kept when the
+    # preimage conditions hold.
     rng = make_rng(89)
     witnesses = 0
     for trial in range(200):
@@ -563,12 +575,16 @@ def test_every_partition_witness_maps_fibre_sizes_onto_fibre_sizes():
         a, b = scrambled_pair(rng, size, arity) if trial % 2 else relabelled_pair(rng, size, arity)
         perms = list(itertools.permutations(range(arity)))
         fa, fb = fibre_sizes(a), fibre_sizes(b)
+        ga, gb = _fibre_groups(a), _fibre_groups(b)
         for gamma in itertools.permutations(range(size)):
             fitting = [[p for p in perms if intertwines_at(a, b, gamma, x, p)] for x in range(size)]
             for alpha in itertools.product(*fitting):
                 if partition_conditions_hold(a, b, gamma, alpha):
                     witnesses += 1
                     assert [fb[g] for g in gamma] == fa, (a, b, gamma, alpha)
+                    for (z, fibre), colours in ga.items():
+                        image = gb.get((gamma[z], frozenset(gamma[x] for x in fibre)), [])
+                        assert all(sorted(alpha[x][i] for i in colours) == image for x in fibre), (a, b, gamma, alpha)
     assert witnesses > 300
 
 
@@ -590,22 +606,18 @@ def test_bucketed_colour_field_matches_pairwise_oracle():
     found = refused = 0
     for a, b in _kernel_pairs(rng, 240):
         perms = list(itertools.permutations(range(a.arity)))
-        full = (1 << a.arity) - 1
         gamma = list(range(a.size))
         rng.shuffle(gamma)
         witness = decide_piecewise(a, b)
         for g in {tuple(gamma), witness.gamma if witness else tuple(gamma)}:
-            admissible = _admissible_masks(a, b, g)
-            # each point allows at least one permutation, drawn at random, and random other bits
-            sampled = [[1 << j | rng.randint(0, full) for j in rng.choice(perms)] for _ in g]
-            for masks in (admissible, sampled):
-                field = _partition_alpha_field(a, b, g, masks)
-                expected = pairwise_alpha_field(a, b, g, [_allowed(perms, row) for row in masks])
-                assert (field.alpha if field else None) == expected
-                assert field is None or field.gamma == g
-                found += field is not None
-                refused += field is None
-    assert found > 50 and refused > 50
+            # the oracle searches every field that intertwines, the leaf reads its groups
+            field = _partition_alpha_field(a, b, g)
+            expected = pairwise_alpha_field(a, b, g, [_allowed(perms, row) for row in _admissible_masks(a, b, g)])
+            assert (field.alpha if field else None) == expected
+            assert field is None or field.gamma == g
+            found += field is not None
+            refused += field is None
+    assert found > 50 and refused > 50, (found, refused)
 
 
 def test_bucketed_verifier_matches_pairwise_oracle():
@@ -842,6 +854,43 @@ def test_wide_pairs_match_the_brute_force_oracles():
         assert got is None or partition_conditions_hold(a, b, *got)
         verdicts["partition", got is not None] += 1
     assert len(verdicts) == 8 and min(verdicts.values()) > 10, verdicts
+
+
+def test_colliding_maps_match_the_fitting_oracle():
+    # Classed pairs at arity 4-6: every map sends a class into an image block
+    # of its own, so most images collide and a point may allow every colour
+    # permutation.  Odd trials pair two independent classed systems instead of
+    # a system and its copy, which the search mostly refutes.
+    rng = make_rng(409)
+    verdicts = Counter()
+    for trial in range(120):
+        size, arity = rng.randint(1, 5), rng.randint(4, 6)
+        a, b = classed_pair(rng, size, arity, rng.randint(1, size))[:2]
+        if trial % 2:
+            b = classed_pair(rng, size, arity, rng.randint(1, size))[0]
+        witness = decide_partition(a, b)
+        got = None if witness is None else (witness.gamma, witness.alpha)
+        assert got == fitting_partition(a, b)
+        verdicts[got is not None] += 1
+    assert len(verdicts) == 2 and min(verdicts.values()) > 20, verdicts
+
+
+def test_six_maps_through_one_point_need_no_field_search():
+    # Four points send all six maps to one point, so each allows all 720
+    # colour permutations: a walk over the field positions that backtracks
+    # chronologically re-enumerates them, for minutes on this classed pair.
+    a = FiniteSystem(size=6, tables=(
+        (3, 5, 1, 2, 0, 4), (3, 5, 1, 2, 0, 4), (3, 5, 1, 2, 0, 1),
+        (3, 5, 1, 2, 0, 1), (3, 5, 4, 2, 0, 4), (3, 5, 1, 2, 0, 4),
+    ))
+    b = FiniteSystem(size=6, tables=(
+        (4, 5, 3, 1, 0, 4), (2, 5, 3, 1, 0, 4), (2, 5, 3, 1, 0, 2),
+        (4, 5, 3, 1, 0, 4), (2, 5, 3, 1, 0, 4), (2, 5, 3, 1, 0, 4),
+    ))
+    started = time.perf_counter()
+    witness = decide_partition(a, b)
+    assert time.perf_counter() - started < 1
+    assert witness is not None and verify_witness(a, b, witness).passed
 
 
 def test_two_colours_cannot_share_one_matching_colour(monkeypatch):
