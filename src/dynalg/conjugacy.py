@@ -11,13 +11,14 @@ Three nested notions are decided here, each with a witness that
   in addition saturated under preimages on both sides, i.e. points with
   a common image under a map must agree on that map's recolouring.
 
-All three deciders share one depth-first search on the iterative walk
-:func:`dynalg.matching.lex_first`.  Level x assigns gamma(x) in increasing
-order, so bijections are met in lexicographic one-line-notation order.
-Every witness of every notion makes gamma an isomorphism of the
-out-multigraphs with map colours forgotten: gamma maps the multiset
-{sigma_i(x)} onto {tau_j(gamma x)} at every point.  The search uses
-that fact twice.
+All three deciders share one depth-first search, :func:`_lex_search`, a
+single loop over an explicit stack of levels.  Level x assigns gamma(x)
+in increasing order, so bijections are met in lexicographic
+one-line-notation order.  Every witness of every notion makes gamma an
+isomorphism of the out-multigraphs with map colours forgotten: gamma maps
+the multiset {sigma_i(x)} onto {tau_j(gamma x)} at every point.  A
+conjugacy witness is moreover an isomorphism of the graph whose edges are
+keyed by map index.  The search uses these facts three times.
 
 * Colour refinement: the points of both systems are refined jointly
   (1-dimensional Weisfeiler-Leman on the disjoint union), cheapest
@@ -37,30 +38,33 @@ that fact twice.
   has a single candidate per level.  Any equitable partition is constant
   on in-degree, so stage one leaves the stable partition, and with it
   the search, as the later stages alone would give.
-* Colour masks: every point keeps one bit mask per colour i, whose bit j
-  is set while alpha_x(i) = j still agrees with its edges assigned so far
-  (conjugacy keeps one set of masks shared by all points, which allows
-  the identity alone unless recolouring is allowed).  The masks are built
-  only for a pair that refinement does not refute.  Each assignment ANDs
-  the mask of every edge it completes with the colours j whose map
-  tau_j sends the image of the edge's source to the image of its target,
-  in place and with an undo trail.  A branch dies once a mask is empty,
-  or once more colours of one owner hold the same mask than it has bits.
-  A point's narrowed masks are pairwise equal or disjoint, one per image
-  point, and the others are full, so by Hall's theorem (Hall 1935) the
-  count is exact there: it refuses a branch exactly when no alpha_x
-  agrees with the assigned images, that is, when they no longer fit in
-  the target's image multiset.  On the masks that recolouring shares the
-  count is only necessary, and the leaf decides.  No colour permutation
-  is listed, so no arity is refused.
+* The pair check: assigning x completes every pair (p, y) that some map
+  of a joins, with max(p, y) = x.  The maps of b joining gamma(p) to
+  gamma(y), read as one bit mask per pair of points, must be the maps
+  joining p to y (conjugacy), or as many of them (every other notion).
+  At a leaf, where every pair is complete and every point has as many
+  images on both sides, gamma is then exactly an isomorphism of the graph
+  keyed by map index (conjugacy) or of the out-multigraph (the others).
+  Conjugacy with recolouring also keeps one mask per map i of the maps j
+  that beta(i) may still be, shared by all points and narrowed by every
+  pair the search completes, with an undo trail; a branch dies once a
+  mask is empty or more maps hold one mask than it has bits.  Where
+  refinement leaves a class of two or more points, these masks start from
+  the maps of b joining the same sorted (colour, image colour) pairs, and
+  an empty one refutes the pair before any level.
+* Looking one edge ahead, also only where some class holds two or more
+  points: gamma(x) = v is refused when a later neighbour y of x has no
+  free point of its colour among the images of v (y an image of x) or the
+  preimages of v (x an image of y).
 
-Both only remove branches that contain no witness, so the first leaf
+Each only removes branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
-over all n! bijections would find.  The leaf reads the witness off the
+over all n! bijections would find.  The leaf reads the witness off b's
 masks: at each point, each colour in turn takes the least colour of its
-mask left (piecewise); the least permutation the shared masks allow, by
-:func:`dynalg.matching.lex_least_injective` (conjugacy with recolouring,
-which may fail and backtrack), or the identity.  The partition leaf reads
+mask left (piecewise), or the least permutation the shared masks allow,
+by :func:`dynalg.matching.lex_least_injective` (conjugacy with
+recolouring, which may fail and backtrack), or the identity.  No colour
+permutation is listed, so no arity is refused.  The partition leaf reads
 no masks: with gamma fixed, the colours i that share a point z and a
 fibre F = sigma_i^-1(z) must take the colours of b's group at gamma(z)
 with fibre gamma(F), and the groups are independent, so one pass over
@@ -77,12 +81,13 @@ branches survive to the leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, NoReturn, Optional, Sequence
+from typing import Callable, Hashable, NoReturn, Optional, Sequence, TypeVar
 
 from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes, local_signatures
-from .matching import W, lex_first, lex_least_injective
+from .matching import lex_least_injective
 
 Permutation = tuple[int, ...]
+W = TypeVar("W")
 
 
 class IncompatibleSystemsError(ValueError):
@@ -222,34 +227,50 @@ def _refined_colours(
         keys = list(zip(colour, images, [tuple(sorted(map(get, sources))) for sources in into]))
 
 
-def _lex_search(
-    a: FiniteSystem,
-    b: FiniteSystem,
-    stages: tuple[Stage, ...],
-    start: list[int],
-    shared: bool,
-    leaf: Callable[[Permutation, list[list[int]]], Optional[W]],
-) -> Optional[W]:
+def _joins(tables: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """For each point u, the maps joining u to each of its images v, as a bit mask of their indices."""
+    joins: list[dict[int, int]] = [{} for _ in tables[0]]
+    for j, table in enumerate(tables):
+        bit = 1 << j
+        for joined, v in zip(joins, table):
+            joined[v] = joined.get(v, 0) | bit
+    return joins
+
+
+Leaf = Callable[[Permutation, list[dict[int, int]], list[int]], Optional[W]]
+
+
+def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> Optional[W]:
     """Depth-first search for the least gamma whose leaf yields a witness.
 
-    The candidates of each point are the points of ``b`` with its colour
-    in :func:`_refined_colours`, which splits by in-degree and then by
-    each of ``stages`` in turn; a pair that refinement refutes returns
-    None before any level, and before any mask is built.  ``start``
-    holds the starting colour masks, one int per colour i with bit j set
-    while alpha(i) = j is allowed; every point shares one copy of them
-    when ``shared``, and else keeps its own.  Level x assigns gamma(x)
-    and narrows the masks in place: each edge p -> sigma_i(p) it
-    completes ANDs mask i of p's owner with the colours j with
-    tau_j(gamma(p)) = gamma(sigma_i(p)).  A value is refused when a mask
-    empties, or when more of the owner's colours hold the narrowed mask
-    than it has bits.  Every narrowing pushes one (owner, colour,
-    previous mask) record on an undo trail, and leaving the level pops
-    its records, so a level costs only the edges it completes.  ``leaf``
-    receives gamma and the masks.  Only branches without a witness are
-    pruned, so the first witness is the least.
+    ``mode`` is "conjugate", "recolor", "piecewise" or "partition".  The
+    candidates of each point are the points of ``b`` of its colour in
+    :func:`_refined_colours`, which splits by in-degree and, in partition
+    mode, then by fibre sizes and local signatures; a pair that
+    refinement refutes returns None before any level.
+
+    Level x gives gamma(x) its least free candidate left.  Each pair
+    (p, y) joined by some map of ``a`` is checked at level max(p, y): the
+    mask of the maps of ``b`` joining gamma(p) to gamma(y) (:func:`_joins`)
+    must equal the mask from p to y in conjugate mode, and have as many
+    bits in every other mode.  In recolor mode the same pair ANDs the
+    shared mask of each map joining p to y with that mask, in place; a
+    mask that empties, or that more maps hold than it has bits, refuses
+    the value, and leaving a level pops its records off an undo trail.
+    Where some class holds two or more points, the shared masks start from
+    the maps of ``b`` with the same sorted (colour, image colour) pairs,
+    and an empty one refutes the pair; there too a value v is refused for
+    x when a later neighbour of x has no free point of its colour among
+    the images of v (an out-neighbour) or its preimages (an in-neighbour).
+
+    The levels are one explicit stack of candidate iterators, so no size
+    reaches the recursion limit, and a refused value or leaf is taken back
+    at the top of the loop.  ``leaf`` receives gamma, the masks of ``b``'s
+    joins, and the shared masks (empty outside recolor mode).  Only
+    branches without a witness are pruned, so the first witness is the
+    least.
     """
-    colours = _refined_colours(a, b, stages)
+    colours = _refined_colours(a, b, (fibre_sizes, local_signatures) if mode == "partition" else ())
     if colours is None:
         return None
     ca, cb = colours
@@ -257,52 +278,88 @@ def _lex_search(
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
-    masks = [list(start) for _ in range(1 if shared else n)]
-    # Assigning x completes the edges p -> y = sigma_i(p) with max(p, y) == x;
-    # each narrows mask i of its owner, the masks of p or the shared ones.
-    new_edges: list[list[tuple[list[int], int, int, int]]] = [[] for _ in range(n)]
-    for p in range(n):
+    branching = len(by_colour) < n
+    exact, recolor = mode == "conjugate", mode == "recolor"
+    joins, joins_a = _joins(b.tables), _joins(a.tables)
+    # each pair (p, y) joined by a map of a, at its level max(p, y), with the mask or the
+    # number of the maps joining it; in recolor mode once per map i, whose mask it narrows
+    pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    if recolor:
         for i, table in enumerate(a.tables):
-            y = table[p]
-            new_edges[max(p, y)].append((masks[0 if shared else p], p, i, y))
-    hits: list[dict[int, int]] = [{} for _ in range(n)]  # hits[u][v]: the colours j with tau_j(u) = v
-    for j, table in enumerate(b.tables):
-        for u, v in enumerate(table):
-            hits[u][v] = hits[u].get(v, 0) | 1 << j
+            for p, y in enumerate(table):
+                pairs[p if p > y else y].append((p, y, joins_a[p][y].bit_count(), i))
+    else:
+        for p, joined in enumerate(joins_a):
+            for y, mask in joined.items():
+                pairs[p if p > y else y].append((p, y, mask if exact else mask.bit_count(), 0))
+    shared: list[int] = [(1 << a.arity) - 1] * a.arity if recolor else []
+    if recolor and branching:
+        kinds: dict[tuple, int] = {}
+        for j, table in enumerate(b.tables):
+            kind = tuple(sorted(zip(cb, map(cb.__getitem__, table))))
+            kinds[kind] = kinds.get(kind, 0) | 1 << j
+        shared = [kinds.get(tuple(sorted(zip(ca, map(ca.__getitem__, table)))), 0) for table in a.tables]
+        if not all(shared):
+            return None
+    # near[v][out, c]: the images (out) or preimages of v in b of colour c; ahead[x]:
+    # the keys (out, colour) of the later neighbours of x in a
+    ahead: list[list[tuple[bool, int]]] = [[] for _ in range(n)]
+    if branching:
+        near: list[dict[tuple[bool, int], list[int]]] = [{} for _ in range(n)]
+        for u, joined in enumerate(joins):
+            for w in joined:
+                near[u].setdefault((True, cb[w]), []).append(w)
+                near[w].setdefault((False, cb[u]), []).append(u)
+        for p, joined in enumerate(joins_a):
+            for y in joined:
+                if y > p:
+                    ahead[p].append((True, ca[y]))
+                elif y < p:
+                    ahead[y].append((False, ca[p]))
+        ahead = [list(dict.fromkeys(keys)) for keys in ahead]
     gamma = [-1] * n
     used = [False] * n
-    trail: list[tuple[list[int], int, int]] = []
+    trail: list[tuple[int, int]] = []  # (map, previous mask) for each narrowing of the shared masks
     marks: list[int] = []  # the trail's length on entering each assigned level
-
-    def free(x: int) -> list[int]:
-        return [v for v in by_colour[ca[x]] if not used[v]]
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            owner, i, previous = trail.pop()
-            owner[i] = previous
-
-    def enter(x: int, v: int) -> bool:
+    stack = [iter(by_colour[ca[0]])]
+    while stack:
+        x = len(stack) - 1
+        if len(marks) > x:  # back at level x: take its value back
+            used[gamma[x]] = False
+            mark = marks.pop()
+            while len(trail) > mark:
+                i, shared[i] = trail.pop()
+        for v in stack[x]:
+            if not used[v]:
+                break
+        else:
+            stack.pop()
+            continue
         gamma[x] = v
-        mark = len(trail)
-        for owner, p, i, y in new_edges[x]:
-            current = owner[i]
-            narrowed = current & hits[gamma[p]].get(gamma[y], 0)
-            if narrowed != current:
-                if not narrowed or owner.count(narrowed) >= narrowed.bit_count():
-                    undo(mark)
-                    return False
-                trail.append((owner, i, current))
-                owner[i] = narrowed
         used[v] = True
-        marks.append(mark)
-        return True
-
-    def leave(x: int) -> None:
-        used[gamma[x]] = False
-        undo(marks.pop())
-
-    return lex_first(n, free, enter, leave, lambda: leaf(tuple(gamma), masks))
+        marks.append(len(trail))
+        for p, y, want, i in pairs[x]:
+            got = joins[gamma[p]].get(gamma[y], 0)
+            if (got if exact else got.bit_count()) != want:
+                break
+            if recolor:
+                current = shared[i]
+                narrowed = current & got
+                if narrowed != current:
+                    if not narrowed or shared.count(narrowed) >= narrowed.bit_count():
+                        break
+                    trail.append((i, current))
+                    shared[i] = narrowed
+        else:
+            for key in ahead[x]:
+                if all(used[w] for w in near[v].get(key, ())):
+                    break  # a later neighbour of x has no free candidate left
+            else:
+                if x + 1 < n:
+                    stack.append(iter(by_colour[ca[x + 1]]))
+                elif (found := leaf(tuple(gamma), joins, shared)) is not None:
+                    return found
+    return None
 
 
 def _bits(mask: int) -> list[int]:
@@ -316,22 +373,22 @@ def decide_conjugate(
     """Search for gamma with gamma o sigma_i = tau_i o gamma for all i.
 
     With ``allow_recolor`` a single global colour permutation beta is
-    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Every point
-    shares one set of colour masks, so beta is the least permutation they
-    allow (:func:`dynalg.matching.lex_least_injective`); a gamma whose
-    masks allow none is passed over.  Returns the lexicographically least
+    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  The search
+    keeps one colour mask per map, shared by every point, so beta is the
+    least permutation they allow
+    (:func:`dynalg.matching.lex_least_injective`); a gamma whose masks
+    allow none is passed over.  Returns the lexicographically least
     witness (gamma first, then beta) or None.
     """
     _check_compatible(a, b)
     if not allow_recolor:
-        identity = [1 << i for i in range(a.arity)]
-        return _lex_search(a, b, (), identity, True, lambda gamma, _: ConjugacyWitness(gamma=gamma, recolor=None))
+        return _lex_search(a, b, "conjugate", lambda gamma, *_: ConjugacyWitness(gamma=gamma, recolor=None))
 
-    def witness(gamma: Permutation, masks: list[list[int]]) -> Optional[ConjugacyWitness]:
-        beta = lex_least_injective(list(map(_bits, masks[0])))
+    def witness(gamma: Permutation, _: list[dict[int, int]], shared: list[int]) -> Optional[ConjugacyWitness]:
+        beta = lex_least_injective(list(map(_bits, shared)))
         return None if beta is None else ConjugacyWitness(gamma=gamma, recolor=beta)
 
-    return _lex_search(a, b, (), [(1 << a.arity) - 1] * a.arity, True, witness)
+    return _lex_search(a, b, "recolor", witness)
 
 
 def _least_fit(masks: list[int]) -> Permutation:
@@ -357,17 +414,18 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     At every point x the colour permutation alpha_x must satisfy
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) for all i.  In a
     finite discrete space that pointwise condition is the whole of
-    piecewise matching.  Each point keeps its own colour masks, so at a
-    leaf they allow exactly the admissible alpha_x, and the leaf takes the
-    least of each (:func:`_least_fit`).  Returns the lexicographically
-    least witness or None.
+    piecewise matching.  At a leaf the masks of the maps of b joining
+    gamma(x) to gamma(sigma_i(x)) allow exactly the admissible alpha_x,
+    and the leaf takes the least of each (:func:`_least_fit`).  Returns
+    the lexicographically least witness or None.
     """
     _check_compatible(a, b)
 
-    def witness(gamma: Permutation, masks: list[list[int]]) -> PiecewiseWitness:
-        return PiecewiseWitness(gamma=gamma, alpha=tuple(map(_least_fit, masks)))
+    def witness(gamma: Permutation, joins: list[dict[int, int]], _: list[int]) -> PiecewiseWitness:
+        alpha = tuple(_least_fit([joins[g][gamma[t[x]]] for t in a.tables]) for x, g in enumerate(gamma))
+        return PiecewiseWitness(gamma=gamma, alpha=alpha)
 
-    return _lex_search(a, b, (), [(1 << a.arity) - 1] * a.arity, False, witness)
+    return _lex_search(a, b, "piecewise", witness)
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -429,8 +487,7 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     or None.
     """
     _check_compatible(a, b)
-    full = [(1 << a.arity) - 1] * a.arity
-    return _lex_search(a, b, (fibre_sizes, local_signatures), full, False, lambda g, _: _partition_alpha_field(a, b, g))
+    return _lex_search(a, b, "partition", lambda gamma, *_: _partition_alpha_field(a, b, gamma))
 
 
 def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:

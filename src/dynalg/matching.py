@@ -1,55 +1,13 @@
-"""The one backtracking walk of the package, and lex-least distinct representatives.
+"""Lex-least distinct representatives, in polynomial time.
 
-:func:`lex_first` runs every depth-first search in :mod:`dynalg.conjugacy`;
-each caller keeps its own state and rules.  It keeps one candidate iterator
-per level on an explicit stack, so no input size reaches the interpreter's
-recursion limit.  :func:`lex_least_injective` needs no search: it fixes one
-position at a time by augmenting paths, in polynomial time.
+:func:`lex_least_injective` picks the least recolouring of a
+``--recolor`` witness from the colours each map may still take.  It needs
+no search: it fixes one position at a time by augmenting paths.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
-W = TypeVar("W")
-
-
-def lex_first(
-    depth: int,
-    candidates: Callable[[int], Iterable[T]],
-    enter: Callable[[int, T], bool],
-    leave: Callable[[int], object],
-    leaf: Callable[[], Optional[W]],
-) -> Optional[W]:
-    """The first non-None ``leaf()`` in lexicographic order of the candidates.
-
-    On reaching level k < ``depth`` the walk asks ``candidates(k)`` for the
-    values to offer there, in order; ``enter(k, v)`` takes v or returns
-    False, changing nothing, to refuse it.  With every level taken,
-    ``leaf()`` reads the state.  A None leaf, like a level whose values run
-    out, backtracks: ``leave(k)`` undoes level k's value.
-    """
-    if depth == 0:
-        return leaf()
-    stack = [iter(candidates(0))]
-    while stack:
-        level = len(stack) - 1
-        for value in stack[level]:
-            if enter(level, value):
-                break
-        else:
-            stack.pop()
-            if level:
-                leave(level - 1)
-            continue
-        if level + 1 < depth:
-            stack.append(iter(candidates(level + 1)))
-        elif (found := leaf()) is not None:
-            return found
-        else:
-            leave(level)
-    return None
+from typing import Optional, Sequence
 
 
 def lex_least_injective(options: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:

@@ -289,13 +289,33 @@ def _inverse(perm):
 
 
 def pairwise_alpha_field(a: FiniteSystem, b: FiniteSystem, gamma, options):
-    """Least field from ``options`` meeting the preimage conditions, each point
-    tested against every earlier one; returns the field or None."""
-    chosen: list = []
+    """Least field from ``options`` meeting the preimage conditions, or None.
+
+    Two points constrain each other only when they share a fibre, of some
+    sigma_i or of some tau_j o gamma.  So the points fall into components
+    linked by shared fibres, and the least field takes the least choice of
+    every component.  Each component is searched on its own, its points in
+    increasing order, each permutation tested against the earlier points
+    that share a fibre with it.
+    """
+    fibres: dict = {}
+    for i, table in enumerate(a.tables):
+        for x in range(a.size):
+            fibres.setdefault(("sigma", i, table[x]), []).append(x)
+    for j, table in enumerate(b.tables):
+        for x in range(a.size):
+            fibres.setdefault(("tau", j, table[gamma[x]]), []).append(x)
+    linked: list[set] = [set() for _ in range(a.size)]
+    for points in fibres.values():
+        for x in points:
+            linked[x].update(points)
+    chosen: list = [None] * a.size
 
     def fits(x, perm) -> bool:
         pinv = _inverse(perm)
-        for y in range(x):
+        for y in sorted(linked[x]):
+            if y >= x:
+                break
             other, oinv = chosen[y], _inverse(chosen[y])
             for i in range(a.arity):
                 if a.tables[i][x] == a.tables[i][y] and perm[i] != other[i]:
@@ -305,19 +325,33 @@ def pairwise_alpha_field(a: FiniteSystem, b: FiniteSystem, gamma, options):
                     return False
         return True
 
-    def extend(x):
-        if x == a.size:
-            return tuple(chosen)
+    def extend(component, k) -> bool:
+        if k == len(component):
+            return True
+        x = component[k]
         for perm in options[x]:
             if fits(x, perm):
-                chosen.append(perm)
-                found = extend(x + 1)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
+                chosen[x] = perm
+                if extend(component, k + 1):
+                    return True
+        chosen[x] = None
+        return False
 
-    return extend(0)
+    seen: set = set()
+    for start in range(a.size):
+        if start in seen:
+            continue
+        component, stack = [], [start]
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            component.append(x)
+            for y in linked[x] - seen:
+                seen.add(y)
+                stack.append(y)
+        if not extend(sorted(component), 0):
+            return None
+    return tuple(chosen)
 
 
 def pairwise_verify_partition_witness(a: FiniteSystem, b: FiniteSystem, witness) -> WitnessReport:

@@ -38,8 +38,8 @@ from dynalg.scalars import ONE
 from dynalg.semicrossed import sc_multiply
 
 from oracles import (
-    classed_pair, indegree_shifted_pair, indegrees, make_rng, orbit_apply, random_element, random_mapping_pair,
-    random_system, relabelled_pair,
+    classed_pair, cycle_pair, indegree_shifted_pair, indegrees, make_rng, orbit_apply, random_element,
+    random_mapping_pair, random_system, relabelled_pair,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -205,6 +205,25 @@ def random_mapping_400() -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=None)
+def random_mapping_1000() -> dict[str, str]:
+    """random_mapping_pair(1000): without looking one edge ahead the search ran past 10 s."""
+    return dumped(*random_mapping_pair(1000))
+
+
+@functools.lru_cache(maxsize=None)
+def cycles_192() -> dict[str, str]:
+    """64 3-cycles against a relabelled copy: in-degree 1 everywhere, so refinement separates nothing."""
+    return dumped(*cycle_pair(192, 3, 3, seed=192))
+
+
+@functools.lru_cache(maxsize=None)
+def one_map_classed_200(seed: int) -> dict[str, str]:
+    """One map on 200 points in three classes, partition-matched by construction."""
+    a, b, _, _ = classed_pair(random.Random(seed), 200, 1, 3)
+    return dumped(a, b)
+
+
+@functools.lru_cache(maxsize=None)
 def arity_12() -> dict[str, str]:
     return dumped(*relabelled_pair(make_rng(1000), 1000, 12))
 
@@ -274,11 +293,16 @@ OFF_THE_TABLES = r"\| +(numpy|dynalg\.(freeprod|reps|semicrossed|quotient|scalar
 OFF_THE_PARTIAL_MAPS = r"\| +(numpy|dynalg\.freeprod)$"
 
 
+def checked(name: str, inputs: Callable[[], Mapping[str, str]], modes: Sequence[str] = MODES) -> list[Row]:
+    """check in each of the modes within 10 s, every witness replayed."""
+    return [Row(f"{name}: check --mode {mode}", cli("check", "--mode", mode, "{a}", "{b}"), inputs, timeout=10,
+                checks=(replay,)) for mode in modes]
+
+
 def decided(name: str, inputs: Callable[[], Mapping[str, str]]) -> list[Row]:
     """check in every mode and iso-build within 10 s each, every witness replayed."""
     return [
-        *(Row(f"{name}: check --mode {mode}", cli("check", "--mode", mode, "{a}", "{b}"), inputs,
-              timeout=10, checks=(replay,)) for mode in MODES),
+        *checked(name, inputs),
         Row(f"{name}: iso-build", cli("iso-build", "{a}", "{b}"), inputs, timeout=10, checks=(round_trip, replay)),
     ]
 
@@ -329,14 +353,20 @@ ROWS: tuple[Row, ...] = (
     hash_seeded(("tensor-vs-semicrossed", "{named}"), exit=1),
     *decided("relabelled n=10000", relabelled_10000),
     *decided("random mapping n=400", random_mapping_400),
-    Row("classed 3 maps n=200: check --mode partition", cli("check", "--mode", "partition", "{a}", "{b}"),
-        classed_200, timeout=10, checks=(replay,)),
+    *checked("random mapping n=1000", random_mapping_1000),
+    *checked("3-cycles against 3-cycles n=192", cycles_192),
+    *(row for seed in (3, 12) for row in checked(f"classed 1 map n=200 seed {seed}",
+                                                 functools.partial(one_map_classed_200, seed), ("partition",))),
+    *checked("classed 3 maps n=200", classed_200, ("partition",)),
     Row("classed 3 maps n=200: iso-build", cli("iso-build", "{a}", "{b}"), classed_200, timeout=10,
         checks=(round_trip, replay)),
-    Row("classed 8 maps n=200: check --mode partition", cli("check", "--mode", "partition", "{a}", "{b}"),
-        classed_200_arity_8, timeout=10, checks=(replay,)),
+    *checked("classed 8 maps n=200", classed_200_arity_8, ("partition",)),
     Row("classed 8 maps n=200: iso-build", cli("iso-build", "{a}", "{b}"), classed_200_arity_8, timeout=10,
         checks=(round_trip, replay)),
+    # no map of b joins the colour pairs of any map of a, so the seeded masks refute the pair at the root;
+    # unseeded, the search entered 10.6 M nodes
+    Row("classed 8 maps n=200: check --mode conjugate --recolor", cli("check", "--mode", "conjugate", "--recolor",
+        "{a}", "{b}"), classed_200_arity_8, exit=1, timeout=10, checks=(refuted,)),
     # 12! = 479,001,600 colour permutations, which no mode lists
     *(Row(f"arity 12: {flags(args)}", cli(*args), arity_12, timeout=10, checks=(replay,))
       for args in (("check", "--mode", "piecewise", "{a}", "{b}"), ("check", "--mode", "partition", "{a}", "{b}"),

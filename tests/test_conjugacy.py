@@ -896,8 +896,9 @@ def test_six_maps_through_one_point_need_no_field_search():
 def test_two_colours_cannot_share_one_matching_colour(monkeypatch):
     # sigma_0 = sigma_1 sends each point of a to the other, twice; tau_0 and
     # tau_1 send each point of b to both points.  In-degrees balance and
-    # refinement separates nothing, and each edge leaves its colour one bit,
-    # so no mask empties: only the count refutes, two colours on one bit.
+    # refinement separates nothing, so only the search can refute: two maps
+    # of a join each pair of points, and one map of b joins its image, so
+    # the pair check refuses every gamma before a leaf.
     a = FiniteSystem(size=2, tables=((1, 0), (1, 0)))
     b = FiniteSystem(size=2, tables=((0, 1), (1, 0)))
     read = []
@@ -907,6 +908,24 @@ def test_two_colours_cannot_share_one_matching_colour(monkeypatch):
     assert decide_piecewise(a, b) is None
     assert read == []
     assert decide_conjugate(a, b, allow_recolor=True) is decide_partition(a, b) is None
+
+
+def test_a_refused_partition_leaf_passes_to_the_next_gamma(monkeypatch):
+    # gamma = (1, 0, 2) passes every pair check, but no colour field meets
+    # the preimage conditions there, so its leaf refuses it and the search
+    # goes on to (2, 0, 1), which has one.  A partition leaf stands in for
+    # a --recolor one: at a recolor leaf the shared masks are pairwise equal
+    # or disjoint, and the count kept as they narrow has checked each class,
+    # so no seeded pair was found whose first leaf admits no beta.
+    a = FiniteSystem(size=3, tables=((2, 2, 2), (1, 0, 1), (0, 1, 0)))
+    b = FiniteSystem(size=3, tables=((0, 2, 2), (1, 1, 1), (2, 0, 0)))
+    leaf = dynalg.conjugacy._partition_alpha_field
+    leaves = []
+    monkeypatch.setattr(dynalg.conjugacy, "_partition_alpha_field",
+                        lambda *args: leaves.append(leaf(*args)) or leaves[-1])
+    witness = decide_partition(a, b)
+    assert leaves[0] is None and len(leaves) == 2
+    assert (witness.gamma, witness.alpha) == brute_force_partition(a, b) == ((2, 0, 1), ((1, 2, 0),) * 3)
 
 
 # ---- one map: every notion is isomorphism of functional digraphs ------------
@@ -944,7 +963,7 @@ def _one_map_verdicts(a, b):
     return verdicts
 
 
-@pytest.mark.parametrize("n", [100, 200, 400])
+@pytest.mark.parametrize("n", [100, 200, 400, 1000])
 def test_deciders_find_relabelled_random_mappings(n):
     a, b = random_mapping_pair(n)
     assert one_map_conjugate(a, b)
@@ -955,7 +974,7 @@ def test_deciders_agree_with_the_one_map_oracle_on_perturbed_pairs():
     # One entry of the relabelled copy is redirected; the oracle says
     # whether the pair is still conjugate.
     verdicts = Counter()
-    for n in (3, 4, 5, 6, 8, 12, 20, 50, 100):
+    for n in (3, 4, 5, 6, 8, 12, 20, 50, 100, 1000):
         a, b = random_mapping_pair(n)
         rng = random.Random(n + 1)
         for _ in range(12):
