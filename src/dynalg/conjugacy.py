@@ -40,18 +40,20 @@ keyed by map index.  The search uses these facts three times.
   the search, as the later stages alone would give.
 * The pair check: assigning x completes every pair (p, y) that some map
   of a joins, with max(p, y) = x.  The maps of b joining gamma(p) to
-  gamma(y), read as one bit mask per pair of points, must be the maps
-  joining p to y (conjugacy), or as many of them (every other notion).
-  At a leaf, where every pair is complete and every point has as many
-  images on both sides, gamma is then exactly an isomorphism of the graph
-  keyed by map index (conjugacy) or of the out-multigraph (the others).
-  Conjugacy with recolouring also keeps one mask per map i of the maps j
-  that beta(i) may still be, shared by all points and narrowed by every
-  pair the search completes, with an undo trail; a branch dies once a
-  mask is empty or more maps hold one mask than it has bits.  Where
-  refinement leaves a class of two or more points, these masks start from
-  the maps of b joining the same sorted (colour, image colour) pairs, and
-  an empty one refutes the pair before any level.
+  gamma(y), read as one bit mask per pair of points, must be as many as
+  the maps joining p to y.  At a leaf, where every pair is complete and
+  every point has as many images on both sides, gamma is then exactly an
+  isomorphism of the out-multigraph.  Both conjugacy modes also keep one
+  mask per map i of the maps j that beta(i) may still be, shared by all
+  points and narrowed by every pair the search completes, with an undo
+  trail; a branch dies once a mask is empty or more maps hold one mask
+  than it has bits.  Conjugacy with recolouring starts each mask from
+  every map of b, and plain conjugacy from map i alone, so there every
+  map joining p to y must join gamma(p) to gamma(y) under its own index,
+  and the search finds isomorphisms of the graph keyed by map index.
+  Where refinement leaves a class of two or more points, the masks start
+  only from the maps of b joining the same sorted (colour, image colour)
+  pairs, and an empty one refutes the pair before any level.
 * Looking one edge ahead, also only where some class holds two or more
   points: gamma(x) = v is refused when a later neighbour y of x has no
   free point of its colour among the images of v (y an image of x) or the
@@ -59,12 +61,15 @@ keyed by map index.  The search uses these facts three times.
 
 Each only removes branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
-over all n! bijections would find.  The leaf reads the witness off b's
-masks: at each point, each colour in turn takes the least colour of its
-mask left (piecewise), or the least permutation the shared masks allow,
-by :func:`dynalg.matching.lex_least_injective` (conjugacy with
-recolouring, which may fail and backtrack), or the identity.  No colour
-permutation is listed, so no arity is refused.  The partition leaf reads
+over all n! bijections would find.  The leaf reads the witness off the
+masks: at each point, each colour in turn takes the least colour of b's
+mask left (piecewise), and each map in turn the least map of its shared
+mask left (both conjugacy modes).  At a conjugacy leaf the shared mask of
+map i is exactly the set of maps of b equal to sigma_i under gamma, so
+the masks are pairwise equal or disjoint and this greedy choice is the
+least beta; the leaf fails, and the search goes on, when more maps hold
+one mask than it has bits.  No colour permutation is listed, so no arity
+is refused.  The partition leaf reads
 no masks: with gamma fixed, the colours i that share a point z and a
 fibre F = sigma_i^-1(z) must take the colours of b's group at gamma(z)
 with fibre gamma(F), and the groups are independent, so one pass over
@@ -84,7 +89,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, NoReturn, Optional, Sequence, TypeVar
 
 from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes, local_signatures
-from .matching import lex_least_injective
 
 Permutation = tuple[int, ...]
 W = TypeVar("W")
@@ -252,21 +256,24 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     Level x gives gamma(x) its least free candidate left.  Each pair
     (p, y) joined by some map of ``a`` is checked at level max(p, y): the
     mask of the maps of ``b`` joining gamma(p) to gamma(y) (:func:`_joins`)
-    must equal the mask from p to y in conjugate mode, and have as many
-    bits in every other mode.  In recolor mode the same pair ANDs the
-    shared mask of each map joining p to y with that mask, in place; a
-    mask that empties, or that more maps hold than it has bits, refuses
-    the value, and leaving a level pops its records off an undo trail.
-    Where some class holds two or more points, the shared masks start from
-    the maps of ``b`` with the same sorted (colour, image colour) pairs,
-    and an empty one refutes the pair; there too a value v is refused for
-    x when a later neighbour of x has no free point of its colour among
-    the images of v (an out-neighbour) or its preimages (an in-neighbour).
+    must have as many bits as the mask from p to y.  In the two conjugacy
+    modes the pair is checked once per map i joining p to y, and ANDs map
+    i's shared mask with that mask, in place; a mask that empties, or that
+    more maps hold than it has bits, refuses the value, and leaving a
+    level pops its records off an undo trail.  The shared mask of map i
+    starts as every map of ``b`` in recolor mode and as map i alone in
+    conjugate mode, which the check then holds to the same mask as the
+    maps from p to y.  Where some class holds two or more points, the
+    shared masks start only from the maps of ``b`` with the same sorted
+    (colour, image colour) pairs, and an empty one refutes the pair;
+    there too a value v is refused for x when a later neighbour of x has
+    no free point of its colour among the images of v (an out-neighbour)
+    or its preimages (an in-neighbour).
 
     The levels are one explicit stack of candidate iterators, so no size
     reaches the recursion limit, and a refused value or leaf is taken back
     at the top of the loop.  ``leaf`` receives gamma, the masks of ``b``'s
-    joins, and the shared masks (empty outside recolor mode).  Only
+    joins, and the shared masks (empty outside the conjugacy modes).  Only
     branches without a witness are pruned, so the first witness is the
     least.
     """
@@ -279,26 +286,28 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
     branching = len(by_colour) < n
-    exact, recolor = mode == "conjugate", mode == "recolor"
+    conjugacy = mode in ("conjugate", "recolor")
     joins, joins_a = _joins(b.tables), _joins(a.tables)
-    # each pair (p, y) joined by a map of a, at its level max(p, y), with the mask or the
-    # number of the maps joining it; in recolor mode once per map i, whose mask it narrows
+    # each pair (p, y) joined by a map of a, at its level max(p, y), with the number of the maps
+    # joining it; in a conjugacy mode once per map i, whose shared mask it narrows
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    if recolor:
+    if conjugacy:
         for i, table in enumerate(a.tables):
             for p, y in enumerate(table):
                 pairs[p if p > y else y].append((p, y, joins_a[p][y].bit_count(), i))
     else:
         for p, joined in enumerate(joins_a):
             for y, mask in joined.items():
-                pairs[p if p > y else y].append((p, y, mask if exact else mask.bit_count(), 0))
-    shared: list[int] = [(1 << a.arity) - 1] * a.arity if recolor else []
-    if recolor and branching:
+                pairs[p if p > y else y].append((p, y, mask.bit_count(), 0))
+    # beta(i) may be any map of b under recolouring, and only i without it
+    shared = [(1 << a.arity) - 1 if mode == "recolor" else 1 << i for i in range(a.arity)] if conjugacy else []
+    if conjugacy and branching:
         kinds: dict[tuple, int] = {}
         for j, table in enumerate(b.tables):
             kind = tuple(sorted(zip(cb, map(cb.__getitem__, table))))
             kinds[kind] = kinds.get(kind, 0) | 1 << j
-        shared = [kinds.get(tuple(sorted(zip(ca, map(ca.__getitem__, table)))), 0) for table in a.tables]
+        shared = [seed & kinds.get(tuple(sorted(zip(ca, map(ca.__getitem__, table)))), 0)
+                  for seed, table in zip(shared, a.tables)]
         if not all(shared):
             return None
     # near[v][out, c]: the images (out) or preimages of v in b of colour c; ahead[x]:
@@ -340,16 +349,13 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
         marks.append(len(trail))
         for p, y, want, i in pairs[x]:
             got = joins[gamma[p]].get(gamma[y], 0)
-            if (got if exact else got.bit_count()) != want:
+            if got.bit_count() != want:
                 break
-            if recolor:
-                current = shared[i]
-                narrowed = current & got
-                if narrowed != current:
-                    if not narrowed or shared.count(narrowed) >= narrowed.bit_count():
-                        break
-                    trail.append((i, current))
-                    shared[i] = narrowed
+            if conjugacy and (narrowed := shared[i] & got) != shared[i]:
+                if not narrowed or shared.count(narrowed) >= narrowed.bit_count():
+                    break
+                trail.append((i, shared[i]))
+                shared[i] = narrowed
         else:
             for key in ahead[x]:
                 if all(used[w] for w in near[v].get(key, ())):
@@ -362,41 +368,37 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     return None
 
 
-def _bits(mask: int) -> list[int]:
-    """The colours j whose bit is set in ``mask``, least first."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
-
-
 def decide_conjugate(
     a: FiniteSystem, b: FiniteSystem, allow_recolor: bool = False
 ) -> Optional[ConjugacyWitness]:
     """Search for gamma with gamma o sigma_i = tau_i o gamma for all i.
 
     With ``allow_recolor`` a single global colour permutation beta is
-    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  The search
-    keeps one colour mask per map, shared by every point, so beta is the
-    least permutation they allow
-    (:func:`dynalg.matching.lex_least_injective`); a gamma whose masks
-    allow none is passed over.  Returns the lexicographically least
-    witness (gamma first, then beta) or None.
+    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Both run one
+    search, which keeps one mask per map i of the maps of b that beta(i)
+    may still be, shared by every point; without recolouring, map i's mask
+    starts as i alone.  At a leaf each mask is exactly the set of maps of
+    b that equal sigma_i under gamma, so the masks are pairwise equal or
+    disjoint, and beta is the least fit of them (:func:`_least_fit`); a
+    gamma for which some class of equal maps of a outnumbers its class in
+    b is passed over.  Returns the lexicographically least witness (gamma
+    first, then beta) or None.
     """
     _check_compatible(a, b)
-    if not allow_recolor:
-        return _lex_search(a, b, "conjugate", lambda gamma, *_: ConjugacyWitness(gamma=gamma, recolor=None))
 
     def witness(gamma: Permutation, _: list[dict[int, int]], shared: list[int]) -> Optional[ConjugacyWitness]:
-        beta = lex_least_injective(list(map(_bits, shared)))
-        return None if beta is None else ConjugacyWitness(gamma=gamma, recolor=beta)
+        beta = _least_fit(shared)
+        return None if -1 in beta else ConjugacyWitness(gamma=gamma, recolor=beta if allow_recolor else None)
 
-    return _lex_search(a, b, "recolor", witness)
+    return _lex_search(a, b, "recolor" if allow_recolor else "conjugate", witness)
 
 
 def _least_fit(masks: list[int]) -> Permutation:
     """The least alpha with alpha(i) in masks[i] for every colour i.
 
-    The masks must be pairwise equal or disjoint, each held by no more
-    colours than it has bits, so each colour in turn takes the least
-    colour of its mask left.
+    The masks must be pairwise equal or disjoint.  Each colour in turn
+    takes the least colour of its mask left, and -1 where none is left,
+    which happens exactly when more colours hold a mask than it has bits.
     """
     taken = 0
     alpha = []

@@ -1,8 +1,12 @@
 """Lex-least distinct representatives, in polynomial time.
 
-:func:`lex_least_injective` picks the least recolouring of a
-``--recolor`` witness from the colours each map may still take.  It needs
-no search: it fixes one position at a time by augmenting paths.
+:func:`lex_least_injective` picks the least pairwise distinct colours
+that send each listed point to a base point, for
+:func:`dynalg.reps.nest_rep_exists`, whose options may overlap in any
+way.  It needs no search: it fixes one position at a time by augmenting
+paths.  The conjugacy deciders need none of this: at their leaves the
+colour masks are pairwise equal or disjoint, and a greedy pass reads the
+least choice off them.
 """
 
 from __future__ import annotations

@@ -585,6 +585,31 @@ def relabelled_pair(
     return a, relabelled(a, rng)
 
 
+def repeated_map_system(rng: random.Random, size: int, arity: int) -> FiniteSystem:
+    """A random system in which two or three of the maps (arity >= 2) are equal, at shuffled indices."""
+    copies = rng.randint(2, min(3, arity))
+    tables = [tuple(rng.randrange(size) for _ in range(size)) for _ in range(arity - copies + 1)]
+    tables += [tables[0]] * (copies - 1)
+    rng.shuffle(tables)
+    return FiniteSystem(size=size, tables=tuple(tables))
+
+
+def repeated_map_pair(
+    rng: random.Random, size: int, arity: int, related: bool = True
+) -> tuple[FiniteSystem, FiniteSystem]:
+    """A :func:`repeated_map_system` and, when ``related``, its relabelled copy
+    with the maps shuffled, so a --recolor witness exists and beta may send
+    the equal maps of a to the equal maps of b in either order; else a
+    second such system drawn independently.
+    """
+    a = repeated_map_system(rng, size, arity)
+    if not related:
+        return a, repeated_map_system(rng, size, arity)
+    tables = list(relabelled(a, rng).tables)
+    rng.shuffle(tables)
+    return a, FiniteSystem(size=size, tables=tuple(tables))
+
+
 def disjoint_union(*systems: FiniteSystem) -> FiniteSystem:
     """The systems side by side, each shifted past the points of those before it."""
     offsets = list(itertools.accumulate((s.size for s in systems), initial=0))

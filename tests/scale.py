@@ -244,6 +244,13 @@ def classed_200_arity_8() -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=None)
+def classed_2_maps(size: int, classes: int, seed: int) -> dict[str, str]:
+    """Two maps in classes, where map i of b joins other colours than map i of a: only --recolor matches."""
+    a, b, _, _ = classed_pair(random.Random(seed), size, 2, classes)
+    return dumped(a, b)
+
+
+@functools.lru_cache(maxsize=None)
 def indegree_shifted_100000() -> dict[str, str]:
     a, b = indegree_shifted_pair(make_rng(100000), 100000, 2)
     expect(sorted(indegrees(a)) != sorted(indegrees(b)), "the in-degrees balance")
@@ -367,6 +374,14 @@ ROWS: tuple[Row, ...] = (
     # unseeded, the search entered 10.6 M nodes
     Row("classed 8 maps n=200: check --mode conjugate --recolor", cli("check", "--mode", "conjugate", "--recolor",
         "{a}", "{b}"), classed_200_arity_8, exit=1, timeout=10, checks=(refuted,)),
+    # without --recolor, map i of a may only go to map i of b, whose colour pairs differ, so the pair is refuted
+    # at the root; before plain conjugacy seeded its masks too, the first pair ran past 200 s
+    *(Row(f"classed 2 maps n={size} classes {classes} seed {seed}: check --mode conjugate",
+          cli("check", "--mode", "conjugate", "{a}", "{b}"), functools.partial(classed_2_maps, size, classes, seed),
+          exit=1, timeout=10, checks=(refuted,)) for size, classes, seed in ((25, 4, 0), (23, 3, 0), (23, 3, 14))),
+    Row("classed 2 maps n=25 classes 4 seed 0: check --mode conjugate --recolor",
+        cli("check", "--mode", "conjugate", "--recolor", "{a}", "{b}"), functools.partial(classed_2_maps, 25, 4, 0),
+        timeout=10, checks=(replay,)),
     # 12! = 479,001,600 colour permutations, which no mode lists
     *(Row(f"arity 12: {flags(args)}", cli(*args), arity_12, timeout=10, checks=(replay,))
       for args in (("check", "--mode", "piecewise", "{a}", "{b}"), ("check", "--mode", "partition", "{a}", "{b}"),

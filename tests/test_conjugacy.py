@@ -52,6 +52,7 @@ from oracles import (
     random_mapping_pair,
     random_system,
     relabelled_pair,
+    repeated_map_pair,
     restricted_local_signature,
     scrambled_pair,
     stable_refined_colours,
@@ -248,6 +249,23 @@ def test_conjugate_witness_is_the_oracles_first():
             assert got == brute_force_conjugate(a, b, allow_recolor=allow)
             found[allow] += got is not None
     assert found[False] > 10 and found[True] > 30
+
+
+def test_equal_maps_take_the_oracles_least_recolouring():
+    # a has two or three equal maps beside the others, so at a leaf their
+    # shared masks are equal and hold as many bits; b is either a's
+    # relabelled copy with its maps shuffled, or a second system of that shape
+    rng = random.Random(227)
+    found = Counter()
+    for trial in range(90):
+        size, arity = rng.randint(1, 6), rng.randint(2, 4)
+        a, b = repeated_map_pair(rng, size, arity, related=trial % 3 != 2)
+        for allow in (False, True):
+            witness = decide_conjugate(a, b, allow_recolor=allow)
+            got = None if witness is None else (witness.gamma, witness.recolor)
+            assert got == brute_force_conjugate(a, b, allow_recolor=allow)
+            found[allow, got is not None] += 1
+    assert len(found) == 4 and min(found.values()) > 10, found
 
 
 # ---- sizes the oracles cannot reach -------------------------------------------
@@ -914,9 +932,8 @@ def test_a_refused_partition_leaf_passes_to_the_next_gamma(monkeypatch):
     # gamma = (1, 0, 2) passes every pair check, but no colour field meets
     # the preimage conditions there, so its leaf refuses it and the search
     # goes on to (2, 0, 1), which has one.  A partition leaf stands in for
-    # a --recolor one: at a recolor leaf the shared masks are pairwise equal
-    # or disjoint, and the count kept as they narrow has checked each class,
-    # so no seeded pair was found whose first leaf admits no beta.
+    # a --recolor one: no seeded pair was found whose refused recolor leaf
+    # is followed by a witness.
     a = FiniteSystem(size=3, tables=((2, 2, 2), (1, 0, 1), (0, 1, 0)))
     b = FiniteSystem(size=3, tables=((0, 2, 2), (1, 1, 1), (2, 0, 0)))
     leaf = dynalg.conjugacy._partition_alpha_field
@@ -926,6 +943,44 @@ def test_a_refused_partition_leaf_passes_to_the_next_gamma(monkeypatch):
     witness = decide_partition(a, b)
     assert leaves[0] is None and len(leaves) == 2
     assert (witness.gamma, witness.alpha) == brute_force_partition(a, b) == ((2, 0, 1), ((1, 2, 0),) * 3)
+
+
+def test_a_leaf_whose_equal_maps_outnumber_their_match_is_passed_over(monkeypatch):
+    # a = (f, f, g, g) and b = (f, g, e, e') with e and e' each f at some
+    # points and g at the others, so every point has the same images on
+    # both sides and every pair check passes.  The seeds and the narrowing
+    # leave map 0 and map 1 of a each one bit (map 0 of b), and maps 2 and
+    # 3 each one bit (map 1 of b): two maps hold each one-bit mask, so the
+    # least fit leaves a -1 and the leaf admits no beta.
+    a = FiniteSystem(size=4, tables=((3, 1, 0, 3), (3, 1, 0, 3), (3, 0, 2, 0), (3, 0, 2, 0)))
+    b = FiniteSystem(size=4, tables=((3, 1, 0, 3), (3, 0, 2, 0), (3, 1, 2, 3), (3, 0, 0, 0)))
+    fit = dynalg.conjugacy._least_fit
+    leaves = []
+    monkeypatch.setattr(dynalg.conjugacy, "_least_fit", lambda masks: leaves.append(fit(masks)) or leaves[-1])
+    assert decide_conjugate(a, b, allow_recolor=True) is None
+    assert brute_force_conjugate(a, b, allow_recolor=True) is None
+    assert leaves and all(-1 in beta for beta in leaves)
+
+
+def _map_kinds(system, colours):
+    """For each map, the sorted (colour, image colour) pairs it joins."""
+    return [sorted(zip(colours, map(colours.__getitem__, table))) for table in system.tables]
+
+
+@pytest.mark.parametrize("size, classes, seed", [(25, 4, 0), (23, 3, 0), (23, 3, 14)])
+def test_classed_pairs_whose_maps_join_other_colours_are_refuted_at_once(size, classes, seed):
+    # Without recolouring, map i of a may only go to map i of b, which
+    # here joins other colours, so the seeded masks refute the pair at the
+    # root; unseeded, plain conjugacy ran past 200 s on the first pair.
+    a, b, _, _ = classed_pair(random.Random(seed), size, 2, classes)
+    colours = stable_refined_colours(a, b, [0] * (2 * size))
+    assert colours is not None
+    assert any(p != q for p, q in zip(_map_kinds(a, colours[0]), _map_kinds(b, colours[1])))
+    started = time.perf_counter()
+    assert decide_conjugate(a, b) is None
+    assert time.perf_counter() - started < 1
+    witness = decide_conjugate(a, b, allow_recolor=True)
+    assert witness is not None and verify_witness(a, b, witness).passed
 
 
 # ---- one map: every notion is isomorphism of functional digraphs ------------

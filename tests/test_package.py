@@ -76,7 +76,7 @@ def test_submodules_load_on_attribute_access():
         "dynalg", "dynalg.dynsys", "dynalg.quotient", "dynalg.scalars", "dynalg.wordpoly",
     }
     assert loaded_after("import dynalg\ndynalg.decide_partition") == {
-        "dynalg", "dynalg.conjugacy", "dynalg.dynsys", "dynalg.matching",
+        "dynalg", "dynalg.conjugacy", "dynalg.dynsys",
     }
 
 
