@@ -34,7 +34,6 @@ _EXPORTS = {
         "evaluate_word",
         "full_subsystem",
         "local_signature",
-        "local_signatures",
         "map_range",
         "ranges_pairwise_disjoint",
         "restrict",

@@ -21,23 +21,23 @@ conjugacy witness is moreover an isomorphism of the graph whose edges are
 keyed by map index.  The search uses these facts three times.
 
 * Colour refinement: the points of both systems are refined jointly
-  (1-dimensional Weisfeiler-Leman on the disjoint union), cheapest
-  invariant first.  Stage one colours every point by its in-degree, one
-  count over the tables, which every witness preserves; a pair whose
-  sorted in-degrees differ is refuted before anything else is built.
-  The partition decider then adds, in order, two stages that every
-  partition witness preserves: the sorted sizes of the fibres through
-  each point (:func:`dynalg.dynsys.fibre_sizes`), then the per-point
-  entry signatures (:func:`dynalg.dynsys.local_signatures`).  Each stage
-  is computed only for a pair whose colours balance after the stage
-  before it.  Each later round keys a point by its colour and the colour
-  multisets of its images and preimages.  Point x may only be sent to a
-  point of the same refined colour, and differing colour multisets at
-  any stage refute the pair without any search.  Refinement stops early
-  once every class holds one point of each side, since the search then
-  has a single candidate per level.  Any equitable partition is constant
-  on in-degree, so stage one leaves the stable partition, and with it
-  the search, as the later stages alone would give.
+  (1-dimensional Weisfeiler-Leman on the disjoint union) by one rule.
+  Every point is first coloured by its in-degree, one count over the
+  tables, which every witness preserves; a pair whose sorted in-degrees
+  differ is refuted before anything else is built.  The partition
+  decider then recolours once by the sorted sizes of the fibres through
+  each point (:func:`dynalg.dynsys.fibre_sizes`), which every partition
+  witness preserves, computed only for a pair whose in-degrees balance.
+  Each later round keys a point by its colour, the colours of its images
+  and the sorted colours of its preimages.  Plain conjugacy keeps the
+  image colours in map order, which refines the graph keyed by map index;
+  every other mode sorts them.  Point x may only be sent to a point of
+  the same refined colour, and differing colour multisets at any round
+  refute the pair without any search.  Refinement stops early once every
+  class holds one point of each side, since the search then has a single
+  candidate per level.  Any equitable partition is constant on in-degree,
+  so the in-degree colouring leaves the stable partition, and with it the
+  search, as the later rounds alone would give.
 * The pair check: assigning x completes every pair (p, y) that some map
   of a joins, with max(p, y) = x.  The maps of b joining gamma(p) to
   gamma(y), read as one bit mask per pair of points, must be as many as
@@ -51,9 +51,11 @@ keyed by map index.  The search uses these facts three times.
   every map of b, and plain conjugacy from map i alone, so there every
   map joining p to y must join gamma(p) to gamma(y) under its own index,
   and the search finds isomorphisms of the graph keyed by map index.
-  Where refinement leaves a class of two or more points, the masks start
-  only from the maps of b joining the same sorted (colour, image colour)
-  pairs, and an empty one refutes the pair before any level.
+  Under recolouring, where refinement leaves a class of two or more
+  points, the masks start only from the maps of b joining the same sorted
+  (colour, image colour) pairs, and an empty one refutes the pair before
+  any level.  Plain conjugacy needs no such seed: once index-keyed
+  refinement balances, map i joins the same colour pairs on both sides.
 * Looking one edge ahead, also only where some class holds two or more
   points: gamma(x) = v is refused when a later neighbour y of x has no
   free point of its colour among the images of v (y an image of x) or the
@@ -88,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, NoReturn, Optional, Sequence, TypeVar
 
-from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes, local_signatures
+from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes
 
 Permutation = tuple[int, ...]
 W = TypeVar("W")
@@ -168,32 +170,28 @@ def _invert(perm: Permutation) -> Permutation:
     return tuple(inv)
 
 
-Stage = Callable[[FiniteSystem], Sequence[Hashable]]
-
-
-def _refined_colours(
-    a: FiniteSystem, b: FiniteSystem, stages: tuple[Stage, ...] = ()
-) -> Optional[tuple[list[int], list[int]]]:
-    """Joint colour refinement of the points of ``a`` and ``b``, cheapest stage first.
+def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tuple[list[int], list[int]]]:
+    """Joint colour refinement of the points of ``a`` and ``b`` on the graph of ``mode``.
 
     The points form one disjoint union (those of ``b`` shifted by
     ``a.size``), so colour ids, numbered by first occurrence, are
     comparable across the systems.  Every witness preserves in-degree, so
-    stage one colours each point by its in-degree, one count over the
-    tables, and a pair whose sorted in-degrees differ is refuted before
-    any palette is built.  Each of ``stages`` in turn, as long as the
-    colours before it balance, maps a system to the starting colours of
-    its points, and the points are recoloured by (colour, stage colour).
-    Each later round keys a point by its colour and the sorted colours of
-    its images and of its preimages, counted with multiplicity; the joint
-    tables and the preimage lists are built for the first round.  Returns
-    the colours of each side, or None as soon as the two colour multisets
-    differ.  It stops when a round adds no class, or once the balanced
-    partition is discrete (n classes of one point per side): a further
-    round could then only refute, and the search, with one candidate per
-    level, refutes such a pair by itself.  Any equitable partition is
-    constant on in-degree, so the stable partition is the one the stages
-    alone refine to.
+    the first colours are the in-degrees, one count over the tables, and a
+    pair whose sorted in-degrees differ is refuted before anything else is
+    built.  In partition mode, once these balance, the points are
+    recoloured once by (colour, :func:`dynalg.dynsys.fibre_sizes`).  Each
+    later round keys a point by its colour, the colours of its images and
+    the sorted colours of its preimages; the joint tables and the preimage
+    lists are built for the first round.  Plain conjugacy keeps the image
+    colours in map order, refining the graph keyed by map index whose
+    isomorphisms are its witnesses, and every other mode sorts them, with
+    the map colours forgotten.  Returns the colours of each side, or None
+    as soon as the two colour multisets differ.  It stops when a round adds
+    no class, or once the balanced partition is discrete (n classes of one
+    point per side): a further round could then only refute, and the
+    search, with one candidate per level, refutes such a pair by itself.
+    Any equitable partition is constant on in-degree, so the stable
+    partition is the one the later keys alone refine to.
     """
     n = a.size
     degrees = []
@@ -206,7 +204,7 @@ def _refined_colours(
     if sorted(degrees[0]) != sorted(degrees[1]):
         return None
     keys: list = degrees[0] + degrees[1]
-    stages = iter(stages)
+    seed = mode == "partition"  # the fibre sizes still to be keyed in
     classes = 0  # before the last round; 0 until the first
     while True:
         palette: dict[Hashable, int] = {}
@@ -215,9 +213,9 @@ def _refined_colours(
             return None
         if len(palette) in (n, classes):
             return colour[:n], colour[n:]
-        stage = next(stages, None)
-        if stage is not None:
-            keys = list(zip(colour, [*stage(a), *stage(b)]))
+        if seed:
+            seed = False
+            keys = list(zip(colour, fibre_sizes(a) + fibre_sizes(b)))
             continue
         if not classes:
             tables = [ta + tuple(map(n.__add__, tb)) for ta, tb in zip(a.tables, b.tables)]
@@ -227,7 +225,9 @@ def _refined_colours(
                     into[v].append(u)
         classes = len(palette)
         get = colour.__getitem__
-        images = [tuple(sorted(targets)) for targets in zip(*[map(get, table) for table in tables])]
+        images = zip(*[map(get, table) for table in tables])
+        if mode != "conjugate":
+            images = [tuple(sorted(targets)) for targets in images]
         keys = list(zip(colour, images, [tuple(sorted(map(get, sources))) for sources in into]))
 
 
@@ -249,9 +249,10 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
 
     ``mode`` is "conjugate", "recolor", "piecewise" or "partition".  The
     candidates of each point are the points of ``b`` of its colour in
-    :func:`_refined_colours`, which splits by in-degree and, in partition
-    mode, then by fibre sizes and local signatures; a pair that
-    refinement refutes returns None before any level.
+    :func:`_refined_colours` on the mode's graph, which splits by
+    in-degree, in partition mode then by fibre sizes, and then by image and
+    preimage colours, the image colours in map order in conjugate mode; a
+    pair that refinement refutes returns None before any level.
 
     Level x gives gamma(x) its least free candidate left.  Each pair
     (p, y) joined by some map of ``a`` is checked at level max(p, y): the
@@ -263,12 +264,12 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     level pops its records off an undo trail.  The shared mask of map i
     starts as every map of ``b`` in recolor mode and as map i alone in
     conjugate mode, which the check then holds to the same mask as the
-    maps from p to y.  Where some class holds two or more points, the
-    shared masks start only from the maps of ``b`` with the same sorted
-    (colour, image colour) pairs, and an empty one refutes the pair;
-    there too a value v is refused for x when a later neighbour of x has
-    no free point of its colour among the images of v (an out-neighbour)
-    or its preimages (an in-neighbour).
+    maps from p to y.  Where some class holds two or more points, recolor
+    mode's shared masks start only from the maps of ``b`` with the same
+    sorted (colour, image colour) pairs, and an empty one refutes the
+    pair; in every mode a value v is refused there for x when a later
+    neighbour of x has no free point of its colour among the images of v
+    (an out-neighbour) or its preimages (an in-neighbour).
 
     The levels are one explicit stack of candidate iterators, so no size
     reaches the recursion limit, and a refused value or leaf is taken back
@@ -277,7 +278,7 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     branches without a witness are pruned, so the first witness is the
     least.
     """
-    colours = _refined_colours(a, b, (fibre_sizes, local_signatures) if mode == "partition" else ())
+    colours = _refined_colours(a, b, mode)
     if colours is None:
         return None
     ca, cb = colours
@@ -301,13 +302,12 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
                 pairs[p if p > y else y].append((p, y, mask.bit_count(), 0))
     # beta(i) may be any map of b under recolouring, and only i without it
     shared = [(1 << a.arity) - 1 if mode == "recolor" else 1 << i for i in range(a.arity)] if conjugacy else []
-    if conjugacy and branching:
+    if mode == "recolor" and branching:  # beta(i) only among the maps joining map i's colour pairs
         kinds: dict[tuple, int] = {}
         for j, table in enumerate(b.tables):
             kind = tuple(sorted(zip(cb, map(cb.__getitem__, table))))
             kinds[kind] = kinds.get(kind, 0) | 1 << j
-        shared = [seed & kinds.get(tuple(sorted(zip(ca, map(ca.__getitem__, table)))), 0)
-                  for seed, table in zip(shared, a.tables)]
+        shared = [kinds.get(tuple(sorted(zip(ca, map(ca.__getitem__, table)))), 0) for table in a.tables]
         if not all(shared):
             return None
     # near[v][out, c]: the images (out) or preimages of v in b of colour c; ahead[x]:
@@ -479,10 +479,9 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     """Search for a preimage-saturated pointwise witness.
 
     A partition witness sends every point to one with the same sorted
-    fibre sizes (:func:`dynalg.dynsys.fibre_sizes`) and the same local
-    entry signature, so these are the second and third stages of the
-    colour refinement, each computed only once the stage before it
-    balances.  Each bijection that survives the search is completed by
+    fibre sizes (:func:`dynalg.dynsys.fibre_sizes`), so the colour
+    refinement recolours by them once the in-degrees balance, before its
+    rounds on images and preimages.  Each bijection that survives the search is completed by
     the least preimage-saturated colour field, read off the fibre groups
     of both systems (:func:`_partition_alpha_field`), if one exists.
     Returns the lexicographically least witness (gamma first, then alpha)

@@ -17,13 +17,11 @@ The `entry signature` of a subset is the multiset of in-degrees per
 (colour, target vertex) of its transition graph, counted straight off
 the tables.  Equal signatures are necessary for the compressions of two
 systems to correspond under any partition-style matching of points,
-which is what makes the per-point signature a sound colour for the
-partition search's colour refinement and a cheap separating invariant
-in its own right.  :func:`local_signatures` gives every point's
-signature in one pass over the tables; the partition decider calls it
-as the third stage of its refinement, once the two systems' in-degrees
-and then their :func:`fibre_sizes` (the sorted sizes of the fibres
-through each point, which every partition witness also keeps) balance.
+which makes the per-point signature (:func:`local_signature`) a cheap
+separating invariant.  The partition decider's colour refinement starts
+instead from :func:`fibre_sizes`, the sorted sizes of the fibres through
+each point, which every partition witness also keeps, computed once the
+two systems' in-degrees balance.
 
 Every int that must lie in a range (a size, a point, a colour, and
 elsewhere a block size, a degree, an order or a depth) is read by one
@@ -319,12 +317,6 @@ def local_signature(sys: FiniteSystem, x: int) -> EntrySignature:
     tables = sys.tables
     x = check_point(sys, x)
     return _signature(tables, {x, *[table[x] for table in tables]})
-
-
-def local_signatures(system: FiniteSystem) -> list[EntrySignature]:
-    """The local signature of every point, in point order, in one pass."""
-    tables = system.tables
-    return [_signature(tables, {x, *[table[x] for table in tables]}) for x in range(system.size)]
 
 
 def fibre_sizes(system: FiniteSystem) -> list[tuple[int, ...]]:

@@ -252,8 +252,12 @@ def restricted_local_signature(sys: FiniteSystem, x: int) -> tuple[int, ...]:
     return entry_signature(restrict(sys, {x} | {table[x] for table in sys.tables}))
 
 
-def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds):
-    """Joint colour refinement with sorted palettes, run until the classes stop growing."""
+def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds, ordered=False):
+    """Joint colour refinement with sorted palettes, run until the classes stop growing.
+
+    Each round keys a point by its colour, its image colours, sorted, or
+    in map order when ``ordered``, and its sorted preimage colours.
+    """
     n = a.size
     out = [[t[x] for t in a.tables] for x in range(n)]
     out += [[t[x] + n for t in b.tables] for x in range(n)]
@@ -274,7 +278,7 @@ def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds):
         keys = [
             (
                 colour[u],
-                tuple(sorted(colour[v] for v in out[u])),
+                tuple(colour[v] for v in out[u]) if ordered else tuple(sorted(colour[v] for v in out[u])),
                 tuple(sorted(colour[v] for v in into[u])),
             )
             for u in range(2 * n)

@@ -22,7 +22,7 @@ from dynalg.conjugacy import (
     decide_piecewise,
     verify_witness,
 )
-from dynalg.dynsys import FiniteSystem, equivalence_classes, fibre_sizes, local_signature, local_signatures
+from dynalg.dynsys import FiniteSystem, equivalence_classes, fibre_sizes, local_signature
 from dynalg.fixtures import (
     FOUR_POINT_SPLIT_A,
     FOUR_POINT_SPLIT_B,
@@ -440,8 +440,9 @@ def test_signature_necessity_for_found_witnesses():
 
 
 def test_signature_seeds_prune_tiled_piecewise_pairs():
-    # Piecewise matched but not partition matched: the local signatures
-    # differ at every point, so the partition search refutes at the root.
+    # Piecewise matched but not partition matched: the fibre sizes, like
+    # the local signatures, differ at every point, so the partition search
+    # refutes at the root.
     a, b = disjoint_union(*[TWO_POINT_MIXED] * 6), disjoint_union(*[TWO_POINT_CONSTANT] * 6)
     started = time.perf_counter()
     assert decide_partition(a, b) is None
@@ -468,7 +469,6 @@ def test_local_signatures_match_restricted_oracle():
     for a, b in _kernel_pairs(rng, 120):
         for system in (a, b):
             expected = [restricted_local_signature(system, x) for x in range(system.size)]
-            assert local_signatures(system) == expected
             assert [local_signature(system, x) for x in range(system.size)] == expected
 
 
@@ -479,18 +479,19 @@ def _blocks(colours):
 
 
 def test_refinement_matches_run_to_stability_oracle():
+    # the graph with map colours forgotten, the graph keyed by map index,
+    # and the forgotten one seeded by fibre sizes
     rng = make_rng(67)
     for a, b in _kernel_pairs(rng, 300):
         n = a.size
-        signatures = local_signatures(a) + local_signatures(b)
         fibres = fibre_sizes(a) + fibre_sizes(b)
-        for seeds, stages in (
-            ([0] * (2 * n), ()),
-            (signatures, (local_signatures,)),
-            (list(zip(fibres, signatures)), (fibre_sizes, local_signatures)),
+        for mode, seeds, ordered in (
+            ("piecewise", [0] * (2 * n), False),
+            ("conjugate", [0] * (2 * n), True),
+            ("partition", fibres, False),
         ):
-            colours = _refined_colours(a, b, stages)
-            stable = stable_refined_colours(a, b, seeds)
+            colours = _refined_colours(a, b, mode)
+            stable = stable_refined_colours(a, b, seeds, ordered)
             if colours is None:
                 assert stable is None
             elif stable is None:
@@ -500,13 +501,13 @@ def test_refinement_matches_run_to_stability_oracle():
 
 
 def test_refinement_stops_at_a_discrete_partition_the_next_round_refutes():
-    # Seeds pair a0 with b0 and a1 with b1; the identity and the swap then
-    # differ in the first round, which the discrete stop never runs.
-    a = FiniteSystem(size=2, tables=((0, 1),))
-    b = FiniteSystem(size=2, tables=((1, 0),))
-    seeds = ["p", "q", "p", "q"]
-    assert stable_refined_colours(a, b, seeds) is None
-    assert _refined_colours(a, b, (lambda system: seeds[:2],)) == ([0, 1], [0, 1])
+    # In-degrees 3 and 1 pair a0 with b0 and a1 with b1; the images of a0
+    # (0 twice) and of b0 (0 and 1) then differ in the first round, which
+    # the discrete stop never runs.
+    a = FiniteSystem(size=2, tables=((0, 0), (0, 1)))
+    b = FiniteSystem(size=2, tables=((0, 0), (1, 0)))
+    assert stable_refined_colours(a, b, indegrees(a) + indegrees(b)) is None
+    assert _refined_colours(a, b, "piecewise") == ([0, 1], [0, 1])
     assert decide_piecewise(a, b) is None
 
 
@@ -516,7 +517,8 @@ def test_indegree_in_the_seeds_leaves_the_stable_partition_unchanged():
     rng = make_rng(71)
     for a, b in _kernel_pairs(rng, 300):
         degree = indegrees(a) + indegrees(b)
-        for seeds in ([0] * (2 * a.size), local_signatures(a) + local_signatures(b)):
+        signatures = [local_signature(system, x) for system in (a, b) for x in range(a.size)]
+        for seeds in ([0] * (2 * a.size), signatures):
             plain = stable_refined_colours(a, b, seeds)
             with_degree = stable_refined_colours(a, b, list(zip(seeds, degree)))
             if plain is None or with_degree is None:
@@ -525,23 +527,22 @@ def test_indegree_in_the_seeds_leaves_the_stable_partition_unchanged():
                 assert _blocks(plain) == _blocks(with_degree)
 
 
-def test_signatures_are_computed_only_for_pairs_whose_indegrees_balance(monkeypatch):
+def test_fibre_sizes_are_computed_only_for_pairs_whose_indegrees_balance(monkeypatch):
     calls = []
 
     def counted(system):
         calls.append(system)
-        return local_signatures(system)
+        return fibre_sizes(system)
 
-    monkeypatch.setattr(dynalg.conjugacy, "local_signatures", counted)
+    monkeypatch.setattr(dynalg.conjugacy, "fibre_sizes", counted)
     rng = make_rng(79)
     seen = Counter()
     for a, b in _kernel_pairs(rng, 300):
         calls.clear()
         witness = decide_partition(a, b)
-        # the stages before the signatures: in-degree, then fibre sizes
-        degree = list(zip(indegrees(a), fibre_sizes(a)))
-        balanced = sorted(degree) == sorted(zip(indegrees(b), fibre_sizes(b)))
-        # those stages alone may already pair every point, which stops refinement
+        degree = indegrees(a)
+        balanced = sorted(degree) == sorted(indegrees(b))
+        # in-degree alone may already pair every point, which stops refinement
         kind = "refuted" if not balanced else "discrete" if len(set(degree)) == a.size else "balanced"
         seen[kind] += 1
         if kind == "balanced":
@@ -921,7 +922,7 @@ def test_two_colours_cannot_share_one_matching_colour(monkeypatch):
     b = FiniteSystem(size=2, tables=((0, 1), (1, 0)))
     read = []
     monkeypatch.setattr(dynalg.conjugacy, "_least_fit", lambda masks: read.append(masks) or (0, 1))
-    assert _refined_colours(a, b) == ([0, 0], [0, 0])
+    assert _refined_colours(a, b, "piecewise") == ([0, 0], [0, 0])
     assert brute_force_piecewise(a, b) is None
     assert decide_piecewise(a, b) is None
     assert read == []
@@ -970,17 +971,46 @@ def _map_kinds(system, colours):
 @pytest.mark.parametrize("size, classes, seed", [(25, 4, 0), (23, 3, 0), (23, 3, 14)])
 def test_classed_pairs_whose_maps_join_other_colours_are_refuted_at_once(size, classes, seed):
     # Without recolouring, map i of a may only go to map i of b, which
-    # here joins other colours, so the seeded masks refute the pair at the
-    # root; unseeded, plain conjugacy ran past 200 s on the first pair.
+    # here joins other colours, so refinement on the graph keyed by map
+    # index refutes the pair at the root, while refinement with the map
+    # colours forgotten balances; refuting only in the search, plain
+    # conjugacy ran past 200 s on the first pair.
     a, b, _, _ = classed_pair(random.Random(seed), size, 2, classes)
     colours = stable_refined_colours(a, b, [0] * (2 * size))
     assert colours is not None
     assert any(p != q for p, q in zip(_map_kinds(a, colours[0]), _map_kinds(b, colours[1])))
+    assert _refined_colours(a, b, "conjugate") is None
     started = time.perf_counter()
     assert decide_conjugate(a, b) is None
     assert time.perf_counter() - started < 1
     witness = decide_conjugate(a, b, allow_recolor=True)
     assert witness is not None and verify_witness(a, b, witness).passed
+
+
+def test_index_keyed_refinement_refutes_only_non_conjugate_pairs():
+    # Refinement keyed by map index refutes no conjugate pair, and refines
+    # at least as far as with the map colours forgotten, so it refutes
+    # every pair that one refutes.
+    rng = make_rng(89)
+    stronger = 0  # pairs refuted with the map indices kept, but not with them forgotten
+    for trial in range(600):
+        size, arity = rng.randint(1, 6), rng.randint(2, 3)
+        kind = trial % 4
+        if kind == 0:
+            a, b = random_system(rng, size, arity), random_system(rng, size, arity)
+        elif kind == 1:
+            a, b = scrambled_pair(rng, size, arity)
+        elif kind == 2:
+            a, b, _, _ = classed_pair(rng, size, arity, min(size, 2))
+        else:
+            a, b = repeated_map_pair(rng, size, arity)
+        forgotten = _refined_colours(a, b, "piecewise")
+        if _refined_colours(a, b, "conjugate") is None:
+            assert brute_force_conjugate(a, b) is None
+            stronger += forgotten is not None
+        else:
+            assert forgotten is not None
+    assert stronger > 0
 
 
 # ---- one map: every notion is isomorphism of functional digraphs ------------
