@@ -30,29 +30,33 @@ keyed by map index.  The search uses these facts three times.
   witness preserves, computed only for a pair whose in-degrees balance.
   Each later round keys a point by its colour, the colours of its images
   and the sorted colours of its preimages.  Plain conjugacy keeps the
-  image colours in map order, which refines the graph keyed by map index;
-  every other mode sorts them.  Point x may only be sent to a point of
-  the same refined colour, and differing colour multisets at any round
-  refute the pair without any search.  Refinement stops early once every
-  class holds one point of each side, since the search then has a single
-  candidate per level.  Any equitable partition is constant on in-degree,
-  so the in-degree colouring leaves the stable partition, and with it the
-  search, as the later rounds alone would give.
+  image colours in map order and pairs each preimage colour with the
+  index of the map joining it, which refines the graph keyed by map
+  index; every other mode sorts the plain colours.  Point x may only be
+  sent to a point of the same refined colour, and differing colour
+  multisets at any round refute the pair without any search.  Refinement
+  stops early once every class holds one point of each side, since the
+  search then has a single candidate per level.  Any equitable partition
+  is constant on in-degree, so the in-degree colouring leaves the stable
+  partition, and with it the search, as the later rounds alone would
+  give.
 * The pair check: assigning x completes every pair (p, y) that some map
-  of a joins, with max(p, y) = x.  The maps of b joining gamma(p) to
-  gamma(y), read as one bit mask per pair of points, must be as many as
-  the maps joining p to y.  At a leaf, where every pair is complete and
-  every point has as many images on both sides, gamma is then exactly an
-  isomorphism of the out-multigraph.  Both conjugacy modes also keep one
-  mask per map i of the maps j that beta(i) may still be, shared by all
-  points and narrowed by every pair the search completes, with an undo
-  trail; a branch dies once a mask is empty or more maps hold one mask
-  than it has bits.  Conjugacy with recolouring starts each mask from
-  every map of b, and plain conjugacy from map i alone, so there every
-  map joining p to y must join gamma(p) to gamma(y) under its own index,
-  and the search finds isomorphisms of the graph keyed by map index.
-  Under recolouring, where refinement leaves a class of two or more
-  points, the masks start only from the maps of b joining the same sorted
+  of a joins, with max(p, y) = x; every mode lists the pair once per map
+  i joining it, and piecewise and partition mode read the entry without
+  i.  The maps of b joining gamma(p) to gamma(y), read as one bit mask
+  per pair of points, must be as many as the maps joining p to y.  At a
+  leaf, where every pair is complete and every point has as many images
+  on both sides, gamma is then exactly an isomorphism of the
+  out-multigraph.  Both conjugacy modes also keep one mask per map i of
+  the maps j that beta(i) may still be, shared by all points and
+  narrowed by every pair the search completes, with an undo trail; a
+  branch dies once a mask is empty or more maps hold one mask than it
+  has bits.  Conjugacy with recolouring starts each mask from every map
+  of b, and plain conjugacy from map i alone, so there every map joining
+  p to y must join gamma(p) to gamma(y) under its own index, and the
+  search finds isomorphisms of the graph keyed by map index.  Under
+  recolouring, where refinement leaves a class of two or more points,
+  the masks start only from the maps of b joining the same sorted
   (colour, image colour) pairs, and an empty one refutes the pair before
   any level.  Plain conjugacy needs no such seed: once index-keyed
   refinement balances, map i joins the same colour pairs on both sides.
@@ -71,10 +75,10 @@ map i is exactly the set of maps of b equal to sigma_i under gamma, so
 the masks are pairwise equal or disjoint and this greedy choice is the
 least beta; the leaf fails, and the search goes on, when more maps hold
 one mask than it has bits.  No colour permutation is listed, so no arity
-is refused.  The partition leaf reads
-no masks: with gamma fixed, the colours i that share a point z and a
-fibre F = sigma_i^-1(z) must take the colours of b's group at gamma(z)
-with fibre gamma(F), and the groups are independent, so one pass over
+is refused.  The partition leaf reads no masks: with gamma fixed, the
+colours i that share a point z and a fibre F = sigma_i^-1(z) must take
+the colours of b's own group at gamma(z) with fibre gamma(F), looked up
+with gamma(F) sorted, and the groups are independent, so one pass over
 them gives the least field or shows there is none
 (:func:`_partition_alpha_field`).  :func:`verify_witness` tests each
 preimage condition once, by comparing every point with the first point of
@@ -183,15 +187,18 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
     later round keys a point by its colour, the colours of its images and
     the sorted colours of its preimages; the joint tables and the preimage
     lists are built for the first round.  Plain conjugacy keeps the image
-    colours in map order, refining the graph keyed by map index whose
-    isomorphisms are its witnesses, and every other mode sorts them, with
-    the map colours forgotten.  Returns the colours of each side, or None
-    as soon as the two colour multisets differ.  It stops when a round adds
-    no class, or once the balanced partition is discrete (n classes of one
-    point per side): a further round could then only refute, and the
-    search, with one candidate per level, refutes such a pair by itself.
-    Any equitable partition is constant on in-degree, so the stable
-    partition is the one the later keys alone refine to.
+    colours in map order and keys each preimage colour by the map i
+    joining it, read as colour + 2n * i, so its sorted preimage keys are
+    the sorted (map, colour) pairs; it refines the graph keyed by map index
+    whose isomorphisms are its witnesses.  Every other mode sorts the plain
+    colours, with the map colours forgotten.  Returns the colours of
+    each side, or None as soon as the two colour multisets differ.  It
+    stops when a round adds no class, or once the balanced partition is
+    discrete (n classes of one point per side): a further round could then
+    only refute, and the search, with one candidate per level, refutes
+    such a pair by itself.  Any equitable partition is constant on
+    in-degree, so the stable partition is the one the later keys alone
+    refine to.
     """
     n = a.size
     degrees = []
@@ -219,16 +226,20 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
             continue
         if not classes:
             tables = [ta + tuple(map(n.__add__, tb)) for ta, tb in zip(a.tables, b.tables)]
+            # the preimages of each point, in conjugate mode each u under map i listed as u + 2n * i
             into: list[list[int]] = [[] for _ in range(2 * n)]
-            for table in tables:
-                for u, v in enumerate(table):
+            for i, table in enumerate(tables):
+                for u, v in enumerate(table, 2 * n * i if mode == "conjugate" else 0):
                     into[v].append(u)
         classes = len(palette)
         get = colour.__getitem__
         images = zip(*[map(get, table) for table in tables])
-        if mode != "conjugate":
+        if mode == "conjugate":  # u + 2n * i reads colour(u) + 2n * i
+            read = (colour + [c + 2 * n * i for i in range(1, a.arity) for c in colour]).__getitem__
+        else:
             images = [tuple(sorted(targets)) for targets in images]
-        keys = list(zip(colour, images, [tuple(sorted(map(get, sources))) for sources in into]))
+            read = get
+        keys = list(zip(colour, images, [tuple(sorted(map(read, sources))) for sources in into]))
 
 
 def _joins(tables: Sequence[Sequence[int]]) -> list[dict[int, int]]:
@@ -251,25 +262,25 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     candidates of each point are the points of ``b`` of its colour in
     :func:`_refined_colours` on the mode's graph, which splits by
     in-degree, in partition mode then by fibre sizes, and then by image and
-    preimage colours, the image colours in map order in conjugate mode; a
-    pair that refinement refutes returns None before any level.
+    preimage colours, both keyed by map index in conjugate mode; a pair
+    that refinement refutes returns None before any level.
 
-    Level x gives gamma(x) its least free candidate left.  Each pair
-    (p, y) joined by some map of ``a`` is checked at level max(p, y): the
-    mask of the maps of ``b`` joining gamma(p) to gamma(y) (:func:`_joins`)
-    must have as many bits as the mask from p to y.  In the two conjugacy
-    modes the pair is checked once per map i joining p to y, and ANDs map
-    i's shared mask with that mask, in place; a mask that empties, or that
-    more maps hold than it has bits, refuses the value, and leaving a
-    level pops its records off an undo trail.  The shared mask of map i
-    starts as every map of ``b`` in recolor mode and as map i alone in
-    conjugate mode, which the check then holds to the same mask as the
-    maps from p to y.  Where some class holds two or more points, recolor
-    mode's shared masks start only from the maps of ``b`` with the same
-    sorted (colour, image colour) pairs, and an empty one refutes the
-    pair; in every mode a value v is refused there for x when a later
-    neighbour of x has no free point of its colour among the images of v
-    (an out-neighbour) or its preimages (an in-neighbour).
+    Level x gives gamma(x) its least free candidate left.  Each pair (p, y)
+    joined by some map of ``a`` is checked at level max(p, y), in every
+    mode once per map i joining p to y: the mask of the maps of ``b``
+    joining gamma(p) to gamma(y) (:func:`_joins`) must have as many bits as
+    the mask from p to y.  Piecewise and partition mode stop there; the two
+    conjugacy modes also AND map i's shared mask with that mask, in place;
+    a mask that empties, or that more maps hold than it has bits, refuses
+    the value, and leaving a level pops its records off an undo trail.  The
+    shared mask of map i starts as every map of ``b`` in recolor mode and
+    as map i alone in conjugate mode, which the check then holds to the
+    same mask as the maps from p to y.  Where some class holds two or more
+    points, recolor mode's shared masks start only from the maps of ``b``
+    with the same sorted (colour, image colour) pairs, and an empty one
+    refutes the pair; in every mode a value v is refused there for x when a
+    later neighbour of x has no free point of its colour among the images
+    of v (an out-neighbour) or its preimages (an in-neighbour).
 
     The levels are one explicit stack of candidate iterators, so no size
     reaches the recursion limit, and a refused value or leaf is taken back
@@ -289,17 +300,12 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     branching = len(by_colour) < n
     conjugacy = mode in ("conjugate", "recolor")
     joins, joins_a = _joins(b.tables), _joins(a.tables)
-    # each pair (p, y) joined by a map of a, at its level max(p, y), with the number of the maps
-    # joining it; in a conjugacy mode once per map i, whose shared mask it narrows
+    # each pair (p, y) that a map i of a joins, once per such map, at its level max(p, y), with
+    # the number of the maps joining it; a conjugacy mode narrows map i's shared mask by it
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    if conjugacy:
-        for i, table in enumerate(a.tables):
-            for p, y in enumerate(table):
-                pairs[p if p > y else y].append((p, y, joins_a[p][y].bit_count(), i))
-    else:
-        for p, joined in enumerate(joins_a):
-            for y, mask in joined.items():
-                pairs[p if p > y else y].append((p, y, mask.bit_count(), 0))
+    for i, table in enumerate(a.tables):
+        for p, y in enumerate(table):
+            pairs[p if p > y else y].append((p, y, joins_a[p][y].bit_count(), i))
     # beta(i) may be any map of b under recolouring, and only i without it
     shared = [(1 << a.arity) - 1 if mode == "recolor" else 1 << i for i in range(a.arity)] if conjugacy else []
     if mode == "recolor" and branching:  # beta(i) only among the maps joining map i's colour pairs
@@ -459,14 +465,15 @@ def _partition_alpha_field(a: FiniteSystem, b: FiniteSystem, gamma: Permutation)
     share a group, so the groups are independent.  Each group gives its
     colours, in increasing order, the least colours of its image group, on
     every point of F, and gamma has no field when an image group has fewer
-    colours.  b's groups are read on b pulled back along gamma, whose group
-    (z, F) is b's (gamma(z), gamma(F)).
+    colours.  b's own groups are read once, and a's group (z, F) looks up
+    (gamma(z), gamma(F)) with gamma(F) sorted, as :func:`_fibre_groups`
+    lists each fibre in increasing order.
     """
-    inverse = _invert(gamma)
-    images = _fibre_groups([[inverse[table[g]] for g in gamma] for table in b.tables])
+    images = _fibre_groups(b.tables)
+    get = gamma.__getitem__
     alpha = [[0] * a.arity for _ in gamma]
     for (z, fibre), colours in _fibre_groups(a.tables).items():
-        image = images.get((z, fibre), ())
+        image = images.get((get(z), tuple(sorted(map(get, fibre)))), ())
         if len(image) < len(colours):
             return None
         for x in fibre:

@@ -252,19 +252,23 @@ def restricted_local_signature(sys: FiniteSystem, x: int) -> tuple[int, ...]:
     return entry_signature(restrict(sys, {x} | {table[x] for table in sys.tables}))
 
 
-def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds, ordered=False):
+def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds, ordered=False, keyed_preimages=None):
     """Joint colour refinement with sorted palettes, run until the classes stop growing.
 
     Each round keys a point by its colour, its image colours, sorted, or
-    in map order when ``ordered``, and its sorted preimage colours.
+    in map order when ``ordered``, and its sorted preimage colours, each
+    paired with the index of the map that joins it when
+    ``keyed_preimages`` (by default, when ``ordered``).
     """
     n = a.size
+    if keyed_preimages is None:
+        keyed_preimages = ordered
     out = [[t[x] for t in a.tables] for x in range(n)]
     out += [[t[x] + n for t in b.tables] for x in range(n)]
-    into: list[list[int]] = [[] for _ in range(2 * n)]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]  # (map, preimage)
     for u, targets in enumerate(out):
-        for v in targets:
-            into[v].append(u)
+        for i, v in enumerate(targets):
+            into[v].append((i, u))
     keys = seeds
     classes = 0
     while True:
@@ -279,7 +283,7 @@ def stable_refined_colours(a: FiniteSystem, b: FiniteSystem, seeds, ordered=Fals
             (
                 colour[u],
                 tuple(colour[v] for v in out[u]) if ordered else tuple(sorted(colour[v] for v in out[u])),
-                tuple(sorted(colour[v] for v in into[u])),
+                tuple(sorted((i, colour[v]) if keyed_preimages else colour[v] for i, v in into[u])),
             )
             for u in range(2 * n)
         ]

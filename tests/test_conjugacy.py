@@ -946,6 +946,17 @@ def test_a_refused_partition_leaf_passes_to_the_next_gamma(monkeypatch):
     assert (witness.gamma, witness.alpha) == brute_force_partition(a, b) == ((2, 0, 1), ((1, 2, 0),) * 3)
 
 
+def test_the_partition_leaf_sorts_the_image_of_each_fibre():
+    # Both maps of a fix 0 and both maps of b fix 1, so gamma(0) = 1 and
+    # the least witness has gamma = (1, 0, 2).  It lists the fibre
+    # (0, 1, 2) of a in the order (1, 0, 2), which b's group at 1 lists
+    # as (0, 1, 2): a lookup that kept gamma's order would refuse it.
+    a = FiniteSystem(size=3, tables=((0, 0, 0), (0, 0, 0)))
+    b = FiniteSystem(size=3, tables=((1, 1, 1), (1, 1, 1)))
+    witness = decide_partition(a, b)
+    assert (witness.gamma, witness.alpha) == brute_force_partition(a, b) == ((1, 0, 2), ((0, 1),) * 3)
+
+
 def test_a_leaf_whose_equal_maps_outnumber_their_match_is_passed_over(monkeypatch):
     # a = (f, f, g, g) and b = (f, g, e, e') with e and e' each f at some
     # points and g at the others, so every point has the same images on
@@ -990,9 +1001,12 @@ def test_classed_pairs_whose_maps_join_other_colours_are_refuted_at_once(size, c
 def test_index_keyed_refinement_refutes_only_non_conjugate_pairs():
     # Refinement keyed by map index refutes no conjugate pair, and refines
     # at least as far as with the map colours forgotten, so it refutes
-    # every pair that one refutes.
+    # every pair that one refutes.  Keying the preimage colours by map
+    # index too refutes some pairs that sorted preimage colours, run to
+    # stability, leave balanced.
     rng = make_rng(89)
     stronger = 0  # pairs refuted with the map indices kept, but not with them forgotten
+    by_map = 0  # pairs refuted with map-keyed preimages, but not with sorted preimage colours
     for trial in range(600):
         size, arity = rng.randint(1, 6), rng.randint(2, 3)
         kind = trial % 4
@@ -1008,9 +1022,11 @@ def test_index_keyed_refinement_refutes_only_non_conjugate_pairs():
         if _refined_colours(a, b, "conjugate") is None:
             assert brute_force_conjugate(a, b) is None
             stronger += forgotten is not None
+            seeds = indegrees(a) + indegrees(b)
+            by_map += stable_refined_colours(a, b, seeds, ordered=True, keyed_preimages=False) is not None
         else:
             assert forgotten is not None
-    assert stronger > 0
+    assert stronger > 0 and by_map > 0, (stronger, by_map)
 
 
 # ---- one map: every notion is isomorphism of functional digraphs ------------
