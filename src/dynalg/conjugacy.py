@@ -14,11 +14,12 @@ Three nested notions are decided here, each with a witness that
 All three deciders share one depth-first search, :func:`_lex_search`, a
 single loop over an explicit stack of levels.  Level x assigns gamma(x)
 in increasing order, so bijections are met in lexicographic
-one-line-notation order.  Every witness of every notion makes gamma an
-isomorphism of the out-multigraphs with map colours forgotten: gamma maps
-the multiset {sigma_i(x)} onto {tau_j(gamma x)} at every point.  A
-conjugacy witness is moreover an isomorphism of the graph whose edges are
-keyed by map index.  The search uses these facts three times.
+one-line-notation order.  Each notion has its own leaf, a complete check
+of one bijection that reads gamma and the two systems alone.  Every
+witness of every notion makes gamma an isomorphism of the out-multigraphs
+with map colours forgotten: gamma maps the multiset {sigma_i(x)} onto
+{tau_j(gamma x)} at every point.  A conjugacy witness is moreover an
+isomorphism of the graph whose edges are keyed by map index.  The search uses these facts three times.
 
 * Colour refinement: the points of both systems are refined jointly
   (1-dimensional Weisfeiler-Leman on the disjoint union) by one rule.
@@ -35,31 +36,28 @@ keyed by map index.  The search uses these facts three times.
   index; every other mode sorts the plain colours.  Point x may only be
   sent to a point of the same refined colour, and differing colour
   multisets at any round refute the pair without any search.  Refinement
-  stops early once every class holds one point of each side, since the
-  search then has a single candidate per level.  Any equitable partition
-  is constant on in-degree, so the in-degree colouring leaves the stable
-  partition, and with it the search, as the later rounds alone would
-  give.
-* The pair check: assigning x completes every pair (p, y) that some map
-  of a joins, with max(p, y) = x; every mode lists the pair once per map
-  i joining it, and piecewise and partition mode read the entry without
-  i.  The maps of b joining gamma(p) to gamma(y), read as one bit mask
-  per pair of points, must be as many as the maps joining p to y.  At a
-  leaf, where every pair is complete and every point has as many images
-  on both sides, gamma is then exactly an isomorphism of the
-  out-multigraph.  Both conjugacy modes also keep one mask per map i of
-  the maps j that beta(i) may still be, shared by all points and
-  narrowed by every pair the search completes, with an undo trail; a
-  branch dies once a mask is empty or more maps hold one mask than it
-  has bits.  Conjugacy with recolouring starts each mask from every map
-  of b, and plain conjugacy from map i alone, so there every map joining
-  p to y must join gamma(p) to gamma(y) under its own index, and the
-  search finds isomorphisms of the graph keyed by map index.  Under
-  recolouring, where refinement leaves a class of two or more points,
-  the masks start only from the maps of b joining the same sorted
-  (colour, image colour) pairs, and an empty one refutes the pair before
-  any level.  Plain conjugacy needs no such seed: once index-keyed
-  refinement balances, map i joins the same colour pairs on both sides.
+  stops early once every class holds one point of each side: gamma is
+  then forced, and its leaf alone decides the pair, with no search state
+  built.  Any equitable partition is constant on in-degree, so the
+  in-degree colouring leaves the stable partition, and with it the
+  search, as the later rounds alone would give.
+* The pair check, only where some class holds two or more points:
+  assigning x completes every pair (p, y) that some map of a joins, with
+  max(p, y) = x; every mode lists the pair once per map i joining it,
+  and piecewise and partition mode read the entry without i.  The maps
+  of b joining gamma(p) to gamma(y), read as one bit mask per pair of
+  points, must be as many as the maps joining p to y.  Both conjugacy
+  modes also keep one mask per map i of the maps j that beta(i) may
+  still be, shared by all points and narrowed by every pair the search
+  completes, with an undo trail; a branch dies once a mask is empty or
+  more maps hold one mask than it has bits.  Plain conjugacy starts map
+  i's mask from map i alone, so there every map joining p to y must
+  join gamma(p) to gamma(y) under its own index.  Conjugacy with
+  recolouring starts it from the maps of b joining the same sorted
+  (colour, image colour) pairs as map i, and an empty one refutes the
+  pair before any level.  Plain conjugacy needs no such seed: once
+  index-keyed refinement balances, map i joins the same colour pairs on
+  both sides.
 * Looking one edge ahead, also only where some class holds two or more
   points: gamma(x) = v is refused when a later neighbour y of x has no
   free point of its colour among the images of v (y an image of x) or the
@@ -67,26 +65,30 @@ keyed by map index.  The search uses these facts three times.
 
 Each only removes branches that contain no witness, so the first leaf
 accepted is the lexicographically least witness, exactly as a plain walk
-over all n! bijections would find.  The leaf reads the witness off the
-masks: at each point, each colour in turn takes the least colour of b's
-mask left (piecewise), and each map in turn the least map of its shared
-mask left (both conjugacy modes).  At a conjugacy leaf the shared mask of
-map i is exactly the set of maps of b equal to sigma_i under gamma, so
-the masks are pairwise equal or disjoint and this greedy choice is the
-least beta; the leaf fails, and the search goes on, when more maps hold
-one mask than it has bits.  No colour permutation is listed, so no arity
-is refused.  The partition leaf reads no masks: with gamma fixed, the
-colours i that share a point z and a fibre F = sigma_i^-1(z) must take
-the colours of b's own group at gamma(z) with fibre gamma(F), looked up
-with gamma(F) sorted, and the groups are independent, so one pass over
-them gives the least field or shows there is none
-(:func:`_partition_alpha_field`).  :func:`verify_witness` tests each
-preimage condition once, by comparing every point with the first point of
-its fibre under sigma_i and under tau_j o gamma (:func:`_bucket_heads`).
-So outside the search tree a decider call does linear work, and so does
-verifying any witness, good or bad.  The worst case is still exponential:
-on highly symmetric systems refinement separates nothing and many
-branches survive to the leaves.
+over all n! bijections would find.  The conjugacy leaf gives map i the
+mask of the maps tau_j with tau_j o gamma = gamma o sigma_i, compared as
+whole tables, and only map i's own bit without recolouring.  The
+piecewise leaf gives colour i at point x the mask of b's maps joining
+gamma(x) to gamma(sigma_i(x)), 0 where none does, read off b's join
+masks (:func:`_joins`), which the search and the leaf build once
+between them.  Either way the masks are pairwise equal or disjoint, so
+taking, in turn, the least bit of each mask left gives the least beta or
+alpha_x (:func:`_least_fit`), and the leaf fails, and the search goes
+on, when more maps hold one mask than it has bits.  No colour
+permutation is listed, so no arity is refused.  The partition leaf
+reads no masks: with gamma fixed, the colours i that share a point z and
+a fibre F = sigma_i^-1(z) must take the colours of b's own group at
+gamma(z) with fibre gamma(F), looked up with gamma(F) sorted, and the
+groups are independent, so one pass over them gives the least field or
+shows there is none (:func:`_partition_alpha_field`); the groups of both
+systems are built once per call, at the first leaf.
+:func:`verify_witness` tests each preimage condition once, by comparing
+every point with the first point of its fibre under sigma_i and under
+tau_j o gamma (:func:`_bucket_heads`).  So outside the search tree a
+decider call does linear work, and so does verifying any witness, good
+or bad.  The worst case is still exponential: on highly symmetric
+systems refinement separates nothing and many branches survive to the
+leaves.
 """
 
 from __future__ import annotations
@@ -195,8 +197,8 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
     each side, or None as soon as the two colour multisets differ.  It
     stops when a round adds no class, or once the balanced partition is
     discrete (n classes of one point per side): a further round could then
-    only refute, and the search, with one candidate per level, refutes
-    such a pair by itself.  Any equitable partition is constant on
+    only refute, and the leaf of the forced gamma refutes such a pair by
+    itself.  Any equitable partition is constant on
     in-degree, so the stable partition is the one the later keys alone
     refine to.
     """
@@ -252,10 +254,13 @@ def _joins(tables: Sequence[Sequence[int]]) -> list[dict[int, int]]:
     return joins
 
 
-Leaf = Callable[[Permutation, list[dict[int, int]], list[int]], Optional[W]]
+Leaf = Callable[[Permutation], Optional[W]]
 
 
-def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> Optional[W]:
+def _lex_search(
+    a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W],
+    b_joins: Optional[Callable[[], list[dict[int, int]]]] = None,
+) -> Optional[W]:
     """Depth-first search for the least gamma whose leaf yields a witness.
 
     ``mode`` is "conjugate", "recolor", "piecewise" or "partition".  The
@@ -263,52 +268,54 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
     :func:`_refined_colours` on the mode's graph, which splits by
     in-degree, in partition mode then by fibre sizes, and then by image and
     preimage colours, both keyed by map index in conjugate mode; a pair
-    that refinement refutes returns None before any level.
+    that refinement refutes returns None before any level.  ``leaf`` is a
+    complete check of one bijection: it reads gamma and the two systems
+    alone.  So when every class holds one point of each side, gamma is
+    forced, and its leaf decides the pair before anything else is built.
 
-    Level x gives gamma(x) its least free candidate left.  Each pair (p, y)
-    joined by some map of ``a`` is checked at level max(p, y), in every
-    mode once per map i joining p to y: the mask of the maps of ``b``
-    joining gamma(p) to gamma(y) (:func:`_joins`) must have as many bits as
-    the mask from p to y.  Piecewise and partition mode stop there; the two
-    conjugacy modes also AND map i's shared mask with that mask, in place;
-    a mask that empties, or that more maps hold than it has bits, refuses
-    the value, and leaving a level pops its records off an undo trail.  The
-    shared mask of map i starts as every map of ``b`` in recolor mode and
-    as map i alone in conjugate mode, which the check then holds to the
-    same mask as the maps from p to y.  Where some class holds two or more
-    points, recolor mode's shared masks start only from the maps of ``b``
-    with the same sorted (colour, image colour) pairs, and an empty one
-    refutes the pair; in every mode a value v is refused there for x when a
-    later neighbour of x has no free point of its colour among the images
-    of v (an out-neighbour) or its preimages (an in-neighbour).
+    Otherwise level x gives gamma(x) its least free candidate left.  Each
+    pair (p, y) joined by some map of ``a`` is checked at level max(p, y),
+    in every mode once per map i joining p to y: the mask of the maps of
+    ``b`` joining gamma(p) to gamma(y) (:func:`_joins`, read from
+    ``b_joins`` when given) must have as many bits as the mask from p to
+    y.  Piecewise and partition mode stop there; the two conjugacy modes
+    also AND map i's shared mask with that mask, in place; a mask that
+    empties, or that more maps hold than it has bits, refuses the value,
+    and leaving a level pops its records off an undo trail.  The shared
+    mask of map i starts as map i alone in conjugate mode, which the check
+    then holds to the same mask as the maps from p to y, and in recolor
+    mode as the maps of ``b`` with the same sorted (colour, image colour)
+    pairs, where an empty one refutes the pair.  In every mode a value v is
+    refused for x when a later neighbour of x has no free point of its
+    colour among the images of v (an out-neighbour) or its preimages (an
+    in-neighbour).
 
     The levels are one explicit stack of candidate iterators, so no size
     reaches the recursion limit, and a refused value or leaf is taken back
-    at the top of the loop.  ``leaf`` receives gamma, the masks of ``b``'s
-    joins, and the shared masks (empty outside the conjugacy modes).  Only
-    branches without a witness are pruned, so the first witness is the
-    least.
+    at the top of the loop.  Only branches without a witness are pruned, so
+    the first witness is the least.
     """
     colours = _refined_colours(a, b, mode)
     if colours is None:
         return None
     ca, cb = colours
     n = a.size
+    where = dict(zip(cb, range(n)))
+    if len(where) == n:  # one point of each side per class
+        return leaf(tuple(map(where.__getitem__, ca)))
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
-    branching = len(by_colour) < n
     conjugacy = mode in ("conjugate", "recolor")
-    joins, joins_a = _joins(b.tables), _joins(a.tables)
+    joins, joins_a = b_joins() if b_joins else _joins(b.tables), _joins(a.tables)
     # each pair (p, y) that a map i of a joins, once per such map, at its level max(p, y), with
     # the number of the maps joining it; a conjugacy mode narrows map i's shared mask by it
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for i, table in enumerate(a.tables):
         for p, y in enumerate(table):
             pairs[p if p > y else y].append((p, y, joins_a[p][y].bit_count(), i))
-    # beta(i) may be any map of b under recolouring, and only i without it
-    shared = [(1 << a.arity) - 1 if mode == "recolor" else 1 << i for i in range(a.arity)] if conjugacy else []
-    if mode == "recolor" and branching:  # beta(i) only among the maps joining map i's colour pairs
+    shared = [1 << i for i in range(a.arity)] if mode == "conjugate" else []
+    if mode == "recolor":  # beta(i) only among the maps joining map i's colour pairs
         kinds: dict[tuple, int] = {}
         for j, table in enumerate(b.tables):
             kind = tuple(sorted(zip(cb, map(cb.__getitem__, table))))
@@ -318,20 +325,19 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
             return None
     # near[v][out, c]: the images (out) or preimages of v in b of colour c; ahead[x]:
     # the keys (out, colour) of the later neighbours of x in a
+    near: list[dict[tuple[bool, int], list[int]]] = [{} for _ in range(n)]
+    for u, joined in enumerate(joins):
+        for w in joined:
+            near[u].setdefault((True, cb[w]), []).append(w)
+            near[w].setdefault((False, cb[u]), []).append(u)
     ahead: list[list[tuple[bool, int]]] = [[] for _ in range(n)]
-    if branching:
-        near: list[dict[tuple[bool, int], list[int]]] = [{} for _ in range(n)]
-        for u, joined in enumerate(joins):
-            for w in joined:
-                near[u].setdefault((True, cb[w]), []).append(w)
-                near[w].setdefault((False, cb[u]), []).append(u)
-        for p, joined in enumerate(joins_a):
-            for y in joined:
-                if y > p:
-                    ahead[p].append((True, ca[y]))
-                elif y < p:
-                    ahead[y].append((False, ca[p]))
-        ahead = [list(dict.fromkeys(keys)) for keys in ahead]
+    for p, joined in enumerate(joins_a):
+        for y in joined:
+            if y > p:
+                ahead[p].append((True, ca[y]))
+            elif y < p:
+                ahead[y].append((False, ca[p]))
+    ahead = [list(dict.fromkeys(keys)) for keys in ahead]
     gamma = [-1] * n
     used = [False] * n
     trail: list[tuple[int, int]] = []  # (map, previous mask) for each narrowing of the shared masks
@@ -369,7 +375,7 @@ def _lex_search(a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W]) -> O
             else:
                 if x + 1 < n:
                     stack.append(iter(by_colour[ca[x + 1]]))
-                elif (found := leaf(tuple(gamma), joins, shared)) is not None:
+                elif (found := leaf(tuple(gamma))) is not None:
                     return found
     return None
 
@@ -381,19 +387,30 @@ def decide_conjugate(
 
     With ``allow_recolor`` a single global colour permutation beta is
     also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Both run one
-    search, which keeps one mask per map i of the maps of b that beta(i)
-    may still be, shared by every point; without recolouring, map i's mask
-    starts as i alone.  At a leaf each mask is exactly the set of maps of
-    b that equal sigma_i under gamma, so the masks are pairwise equal or
-    disjoint, and beta is the least fit of them (:func:`_least_fit`); a
-    gamma for which some class of equal maps of a outnumbers its class in
-    b is passed over.  Returns the lexicographically least witness (gamma
-    first, then beta) or None.
+    search, which prunes by one mask per map i of the maps of b that
+    beta(i) may still be, shared by every point.  The leaf checks gamma
+    alone: the mask of map i is the set of maps tau_j with tau_j o gamma =
+    gamma o sigma_i, compared as whole tables, and only map i is tried
+    without recolouring.  These masks are pairwise equal or disjoint, and
+    beta is the least fit of them (:func:`_least_fit`); a gamma for which
+    some class of equal maps of a outnumbers its class in b is passed
+    over.  Returns the lexicographically least witness (gamma first, then
+    beta) or None.
     """
     _check_compatible(a, b)
 
-    def witness(gamma: Permutation, _: list[dict[int, int]], shared: list[int]) -> Optional[ConjugacyWitness]:
-        beta = _least_fit(shared)
+    def witness(gamma: Permutation) -> Optional[ConjugacyWitness]:
+        get = gamma.__getitem__
+        if allow_recolor:
+            maps: dict[tuple[int, ...], int] = {}  # each table tau_j o gamma, with the maps j giving it
+            for j, table in enumerate(b.tables):
+                key = tuple(map(table.__getitem__, gamma))
+                maps[key] = maps.get(key, 0) | 1 << j
+            masks = [maps.get(tuple(map(get, table)), 0) for table in a.tables]
+        else:
+            masks = [1 << i if tuple(map(get, ta)) == tuple(map(tb.__getitem__, gamma)) else 0
+                     for i, (ta, tb) in enumerate(zip(a.tables, b.tables))]
+        beta = _least_fit(masks)
         return None if -1 in beta else ConjugacyWitness(gamma=gamma, recolor=beta if allow_recolor else None)
 
     return _lex_search(a, b, "recolor" if allow_recolor else "conjugate", witness)
@@ -422,18 +439,34 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     At every point x the colour permutation alpha_x must satisfy
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) for all i.  In a
     finite discrete space that pointwise condition is the whole of
-    piecewise matching.  At a leaf the masks of the maps of b joining
-    gamma(x) to gamma(sigma_i(x)) allow exactly the admissible alpha_x,
-    and the leaf takes the least of each (:func:`_least_fit`).  Returns
-    the lexicographically least witness or None.
+    piecewise matching.  The leaf checks gamma alone: the masks of the
+    maps of b joining gamma(x) to gamma(sigma_i(x)) (:func:`_joins`, 0
+    where none does) allow exactly the admissible alpha_x, and the leaf
+    takes the least of each (:func:`_least_fit`), or refuses gamma where
+    a point has none.  b's join masks are built once, by the search when
+    it runs, or else by the leaf.  Returns the lexicographically least
+    witness or None.
     """
     _check_compatible(a, b)
+    built: list[list[dict[int, int]]] = []  # b's join masks, once the search or the leaf needs them
 
-    def witness(gamma: Permutation, joins: list[dict[int, int]], _: list[int]) -> PiecewiseWitness:
-        alpha = tuple(_least_fit([joins[g][gamma[t[x]]] for t in a.tables]) for x, g in enumerate(gamma))
-        return PiecewiseWitness(gamma=gamma, alpha=alpha)
+    def joins() -> list[dict[int, int]]:
+        if not built:
+            built.append(_joins(b.tables))
+        return built[0]
 
-    return _lex_search(a, b, "piecewise", witness)
+    def witness(gamma: Permutation) -> Optional[PiecewiseWitness]:
+        masks = joins()
+        alpha = []
+        for x, g in enumerate(gamma):
+            joined = masks[g]
+            fit = _least_fit([joined.get(gamma[table[x]], 0) for table in a.tables])
+            if -1 in fit:
+                return None
+            alpha.append(fit)
+        return PiecewiseWitness(gamma=gamma, alpha=tuple(alpha))
+
+    return _lex_search(a, b, "piecewise", witness, joins)
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -454,26 +487,32 @@ def _fibre_groups(tables: Sequence[Sequence[int]]) -> dict[tuple[int, tuple[int,
     return groups
 
 
-def _partition_alpha_field(a: FiniteSystem, b: FiniteSystem, gamma: Permutation) -> Optional[PartitionWitness]:
+def _partition_alpha_field(
+    groups: dict[tuple[int, tuple[int, ...]], list[int]],
+    images: dict[tuple[int, tuple[int, ...]], list[int]],
+    gamma: Permutation,
+    arity: int,
+) -> Optional[PartitionWitness]:
     """Complete gamma by the least colour field that meets the preimage conditions, or None.
 
-    The sigma_i-condition makes alpha_x(i) one colour j on the whole fibre
+    ``groups`` and ``images`` are the fibre groups of a and b
+    (:func:`_fibre_groups`), and ``arity`` is their number of maps.  The
+    sigma_i-condition makes alpha_x(i) one colour j on the whole fibre
     F = sigma_i^-1(z) through x, and intertwining with the tau_j-condition
     makes tau_j^-1(gamma(z)) exactly gamma(F).  So the colours of a's group
-    (z, F) (:func:`_fibre_groups`) may take exactly the colours of b's group
-    (gamma(z), gamma(F)), one each; two colours that take one j at a point
-    share a group, so the groups are independent.  Each group gives its
-    colours, in increasing order, the least colours of its image group, on
-    every point of F, and gamma has no field when an image group has fewer
-    colours.  b's own groups are read once, and a's group (z, F) looks up
-    (gamma(z), gamma(F)) with gamma(F) sorted, as :func:`_fibre_groups`
-    lists each fibre in increasing order.
+    (z, F) may take exactly the colours of b's group (gamma(z), gamma(F)),
+    one each; two colours that take one j at a point share a group, so the
+    groups are independent.  Each group gives its colours, in increasing
+    order, the least colours of its image group, on every point of F, and
+    gamma has no field when an image group has fewer colours.  a's group
+    (z, F) looks up (gamma(z), gamma(F)) with gamma(F) sorted, as
+    :func:`_fibre_groups` lists each fibre in increasing order; a fibre of
+    one point needs no sort.
     """
-    images = _fibre_groups(b.tables)
     get = gamma.__getitem__
-    alpha = [[0] * a.arity for _ in gamma]
-    for (z, fibre), colours in _fibre_groups(a.tables).items():
-        image = images.get((get(z), tuple(sorted(map(get, fibre)))), ())
+    alpha = [[0] * arity for _ in gamma]
+    for (z, fibre), colours in groups.items():
+        image = images.get((get(z), (get(fibre[0]),) if len(fibre) == 1 else tuple(sorted(map(get, fibre)))), ())
         if len(image) < len(colours):
             return None
         for x in fibre:
@@ -488,14 +527,22 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     A partition witness sends every point to one with the same sorted
     fibre sizes (:func:`dynalg.dynsys.fibre_sizes`), so the colour
     refinement recolours by them once the in-degrees balance, before its
-    rounds on images and preimages.  Each bijection that survives the search is completed by
-    the least preimage-saturated colour field, read off the fibre groups
-    of both systems (:func:`_partition_alpha_field`), if one exists.
-    Returns the lexicographically least witness (gamma first, then alpha)
-    or None.
+    rounds on images and preimages.  The leaf checks gamma alone: it
+    completes gamma by the least preimage-saturated colour field, read off
+    the fibre groups of both systems (:func:`_partition_alpha_field`), if
+    one exists.  The groups do not depend on gamma, so they are built once,
+    at the first leaf.  Returns the lexicographically least witness (gamma
+    first, then alpha) or None.
     """
     _check_compatible(a, b)
-    return _lex_search(a, b, "partition", lambda gamma, *_: _partition_alpha_field(a, b, gamma))
+    groups: list[dict[tuple[int, tuple[int, ...]], list[int]]] = []  # a's and b's, built at the first leaf
+
+    def witness(gamma: Permutation) -> Optional[PartitionWitness]:
+        if not groups:
+            groups.extend((_fibre_groups(a.tables), _fibre_groups(b.tables)))
+        return _partition_alpha_field(*groups, gamma, a.arity)
+
+    return _lex_search(a, b, "partition", witness)
 
 
 def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:

@@ -359,6 +359,8 @@ ROWS: tuple[Row, ...] = (
     hash_seeded(("signature", "{named}")),
     hash_seeded(("tensor-vs-semicrossed", "{named}"), exit=1),
     *decided("relabelled n=10000", relabelled_10000),
+    Row("relabelled n=10000: check --mode conjugate --recolor",
+        cli("check", "--mode", "conjugate", "--recolor", "{a}", "{b}"), relabelled_10000, timeout=10, checks=(replay,)),
     *decided("random mapping n=400", random_mapping_400),
     *checked("random mapping n=1000", random_mapping_1000),
     *checked("3-cycles against 3-cycles n=192", cycles_192),

@@ -816,6 +816,20 @@ def test_system_files_are_read_as_strict_utf8(tmp_path):
     assert code == 2 and "utf-8" in report["error"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ('\ufeff{"points": 2, "maps": [[1, 0]]}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('{"points": 2, "maps": [[1, 0]]} {}', "Extra data"),
+], ids=["byte order mark", "text after the object"])
+def test_system_files_json_loads_refuses_exit_2_with_its_message(tmp_path, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as refused:
+        json.loads(text)
+    assert refused.value.msg == message
+    report, code = run_command(["signature", str(path)])
+    assert code == 2 and report["error"] == f"not valid structured text: {refused.value}"
+
+
 def test_unreadable_inputs_exit_2_naming_the_path(tmp_path):
     missing, folder, latin = tmp_path / "missing.json", tmp_path / "folder", tmp_path / "latin.json"
     folder.mkdir()

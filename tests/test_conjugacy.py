@@ -15,6 +15,7 @@ from dynalg.conjugacy import (
     MalformedWitnessError,
     PartitionWitness,
     PiecewiseWitness,
+    _fibre_groups as fibre_groups,
     _partition_alpha_field,
     _refined_colours,
     decide_conjugate,
@@ -630,7 +631,7 @@ def test_bucketed_colour_field_matches_pairwise_oracle():
         witness = decide_piecewise(a, b)
         for g in {tuple(gamma), witness.gamma if witness else tuple(gamma)}:
             # the oracle searches every field that intertwines, the leaf reads its groups
-            field = _partition_alpha_field(a, b, g)
+            field = _partition_alpha_field(fibre_groups(a.tables), fibre_groups(b.tables), g, a.arity)
             expected = pairwise_alpha_field(a, b, g, [_allowed(perms, row) for row in _admissible_masks(a, b, g)])
             assert (field.alpha if field else None) == expected
             assert field is None or field.gamma == g
@@ -944,6 +945,89 @@ def test_a_refused_partition_leaf_passes_to_the_next_gamma(monkeypatch):
     witness = decide_partition(a, b)
     assert leaves[0] is None and len(leaves) == 2
     assert (witness.gamma, witness.alpha) == brute_force_partition(a, b) == ((2, 0, 1), ((1, 2, 0),) * 3)
+
+
+def _counted(monkeypatch, name):
+    """Replace the conjugacy helper ``name`` by one that lists the first argument of each call."""
+    helper = getattr(dynalg.conjugacy, name)
+    calls = []
+    monkeypatch.setattr(dynalg.conjugacy, name, lambda first, *rest: calls.append(first) or helper(first, *rest))
+    return calls
+
+
+def test_the_fibre_groups_are_built_once_per_partition_call(monkeypatch):
+    # The pair of the test above reaches two leaves; the groups of a and b
+    # are built at the first and read again at the second.
+    a = FiniteSystem(size=3, tables=((2, 2, 2), (1, 0, 1), (0, 1, 0)))
+    b = FiniteSystem(size=3, tables=((0, 2, 2), (1, 1, 1), (2, 0, 0)))
+    leaves = _counted(monkeypatch, "_partition_alpha_field")
+    built = _counted(monkeypatch, "_fibre_groups")
+    assert decide_partition(a, b).gamma == (2, 0, 1)
+    assert len(leaves) == 2 and built == [a.tables, b.tables]
+
+
+def test_a_pair_refuted_before_any_leaf_builds_no_fibre_groups(monkeypatch):
+    built = _counted(monkeypatch, "_fibre_groups")
+    a, b = indegree_shifted_pair(make_rng(43), 30, 2)
+    assert sorted(indegrees(a)) != sorted(indegrees(b))
+    assert decide_partition(a, b) is None
+    assert built == []
+
+
+def test_a_discretely_refined_pair_goes_straight_to_its_leaf(monkeypatch):
+    # Refinement leaves one point of each side per class in every mode, so
+    # gamma is forced: no search state is built on a's side, and only the
+    # piecewise leaf reads b's join masks.
+    a, b = relabelled_pair(make_rng(47), 60, 2)
+    joined = _counted(monkeypatch, "_joins")
+    for mode, decide in (
+        ("conjugate", decide_conjugate),
+        ("recolor", partial(decide_conjugate, allow_recolor=True)),
+        ("piecewise", decide_piecewise),
+        ("partition", decide_partition),
+    ):
+        _, colours = _refined_colours(a, b, mode)
+        assert len(set(colours)) == a.size, mode
+        joined.clear()
+        witness = decide(a, b)
+        assert witness is not None and verify_witness(a, b, witness).passed, mode
+        assert joined == ([b.tables] if mode == "piecewise" else []), mode
+
+
+def test_the_piecewise_search_and_leaf_share_b_s_join_masks(monkeypatch):
+    # Refinement separates nothing on 3-cycles, so the search runs, and its
+    # leaf reads the masks the search built.
+    a, b = cycle_pair(12, 3, 3, seed=12)
+    joined = _counted(monkeypatch, "_joins")
+    witness = decide_piecewise(a, b)
+    assert witness is not None and verify_witness(a, b, witness).passed
+    assert sorted(map(id, joined)) == sorted(map(id, (a.tables, b.tables)))
+
+
+# Both pairs are piecewise matched by construction, refined to one point of
+# each side per class in every mode, and neither conjugate, recolour
+# conjugate nor partition matched, so each leaf must refuse its forced
+# gamma by itself.  Found by a scan over scrambled_pair(rng, size, arity),
+# rng = make_rng(seed), size, arity = rng.randint(2, 5), rng.randint(2, 3),
+# at seeds 0-399 with SEED unset: seed 3 is the first that is not recolour
+# conjugate, and seed 4 the next that is not partition matched.
+FORCED_REFUSALS = {
+    "seed 3": (((1, 2, 1), (2, 2, 0)), ((2, 2, 0), (2, 0, 1))),
+    "seed 4": (((0, 2, 1), (1, 0, 0), (0, 0, 1)), ((0, 2, 0), (1, 0, 1), (0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("tables", FORCED_REFUSALS.values(), ids=list(FORCED_REFUSALS))
+def test_each_leaf_refuses_a_forced_gamma_that_fails_its_notion(tables):
+    a, b = (FiniteSystem(size=3, tables=t) for t in tables)
+    for mode in ("conjugate", "recolor", "piecewise", "partition"):
+        _, colours = _refined_colours(a, b, mode)
+        assert len(set(colours)) == a.size, mode
+    piecewise = decide_piecewise(a, b)
+    assert (piecewise.gamma, piecewise.alpha) == brute_force_piecewise(a, b)
+    assert decide_conjugate(a, b) is brute_force_conjugate(a, b) is None
+    assert decide_conjugate(a, b, allow_recolor=True) is brute_force_conjugate(a, b, allow_recolor=True) is None
+    assert decide_partition(a, b) is brute_force_partition(a, b) is None
 
 
 def test_the_partition_leaf_sorts_the_image_of_each_fibre():
