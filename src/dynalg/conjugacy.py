@@ -11,15 +11,17 @@ Three nested notions are decided here, each with a witness that
   in addition saturated under preimages on both sides, i.e. points with
   a common image under a map must agree on that map's recolouring.
 
-All three deciders share one depth-first search, :func:`_lex_search`, a
-single loop over an explicit stack of levels.  Level x assigns gamma(x)
-in increasing order, so bijections are met in lexicographic
-one-line-notation order.  Each notion has its own leaf, a complete check
-of one bijection that reads gamma and the two systems alone.  Every
-witness of every notion makes gamma an isomorphism of the out-multigraphs
-with map colours forgotten: gamma maps the multiset {sigma_i(x)} onto
-{tau_j(gamma x)} at every point.  A conjugacy witness is moreover an
-isomorphism of the graph whose edges are keyed by map index.  The search uses these facts three times.
+All three deciders walk the bijections of one depth-first search,
+:func:`_gammas`, a generator over a single loop on an explicit stack of
+levels.  Level x assigns gamma(x) in increasing order, so bijections are
+yielded in lexicographic one-line-notation order.  The search knows
+nothing of witnesses: each decider checks every yielded gamma in its own
+loop, completely, from gamma and the two systems alone, and returns the
+first witness.  Every witness of every notion makes gamma an isomorphism
+of the out-multigraphs with map colours forgotten: gamma maps the
+multiset {sigma_i(x)} onto {tau_j(gamma x)} at every point.  A conjugacy
+witness is moreover an isomorphism of the graph whose edges are keyed by
+map index.  The search uses these facts three times.
 
 * Colour refinement: the points of both systems are refined jointly
   (1-dimensional Weisfeiler-Leman on the disjoint union) by one rule.
@@ -37,10 +39,11 @@ isomorphism of the graph whose edges are keyed by map index.  The search uses th
   sent to a point of the same refined colour, and differing colour
   multisets at any round refute the pair without any search.  Refinement
   stops early once every class holds one point of each side: gamma is
-  then forced, and its leaf alone decides the pair, with no search state
-  built.  Any equitable partition is constant on in-degree, so the
-  in-degree colouring leaves the stable partition, and with it the
-  search, as the later rounds alone would give.
+  then forced, it is the only bijection yielded, and the decider's check
+  alone decides the pair, with no search state built.  Any equitable
+  partition is constant on in-degree, so the in-degree colouring leaves
+  the stable partition, and with it the search, as the later rounds
+  alone would give.
 * The pair check, only where some class holds two or more points:
   assigning x completes every pair (p, y) that some map of a joins, with
   max(p, y) = x; every mode lists the pair once per map i joining it,
@@ -63,25 +66,29 @@ isomorphism of the graph whose edges are keyed by map index.  The search uses th
   free point of its colour among the images of v (y an image of x) or the
   preimages of v (x an image of y).
 
-Each only removes branches that contain no witness, so the first leaf
-accepted is the lexicographically least witness, exactly as a plain walk
-over all n! bijections would find.  The conjugacy leaf gives map i the
-mask of the maps tau_j with tau_j o gamma = gamma o sigma_i, compared as
-whole tables, and only map i's own bit without recolouring.  The
-piecewise leaf gives colour i at point x the mask of b's maps joining
-gamma(x) to gamma(sigma_i(x)), 0 where none does, read off b's join
-masks (:func:`_joins`), which the search and the leaf build once
-between them.  Either way the masks are pairwise equal or disjoint, so
-taking, in turn, the least bit of each mask left gives the least beta or
-alpha_x (:func:`_least_fit`), and the leaf fails, and the search goes
-on, when more maps hold one mask than it has bits.  No colour
-permutation is listed, so no arity is refused.  The partition leaf
+Each only removes branches that contain no witness, so the first gamma
+that its decider accepts gives the lexicographically least witness,
+exactly as a plain walk over all n! bijections would find.  The
+conjugacy decider gives map i the mask of the maps tau_j with
+tau_j o gamma = gamma o sigma_i, compared as whole tables, cut to map
+i's own bit without recolouring.  The piecewise decider gives colour i at
+point x the mask of b's maps joining gamma(x) to gamma(sigma_i(x)), 0
+where none does, read off b's join masks (:func:`_joins`).  Either way
+the masks are pairwise equal or disjoint, so taking, in turn, the least
+bit of each mask left gives the least beta or alpha_x
+(:func:`_least_fit`), and gamma is refused, and the search goes on,
+when more maps hold one mask than it has bits.  In plain conjugate and
+piecewise mode a searched gamma always passes, as the pair check has
+already held each mask to as many bits as the maps it serves, so there
+only a forced gamma can fail; with recolouring the shared masks need not
+be pairwise equal or disjoint, and a searched gamma can.  No colour
+permutation is listed, so no arity is refused.  The partition decider
 reads no masks: with gamma fixed, the colours i that share a point z and
 a fibre F = sigma_i^-1(z) must take the colours of b's own group at
 gamma(z) with fibre gamma(F), looked up with gamma(F) sorted, and the
 groups are independent, so one pass over them gives the least field or
 shows there is none (:func:`_partition_alpha_field`); the groups of both
-systems are built once per call, at the first leaf.
+systems are built once per call, for the first gamma.
 :func:`verify_witness` tests each preimage condition once, by comparing
 every point with the first point of its fibre under sigma_i and under
 tau_j o gamma (:func:`_bucket_heads`).  So outside the search tree a
@@ -94,12 +101,11 @@ leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, NoReturn, Optional, Sequence, TypeVar
+from typing import Hashable, Iterator, NoReturn, Optional, Sequence
 
 from .dynsys import FiniteSystem, _int_in, _is_int, _is_permutation, _shown, fibre_sizes
 
 Permutation = tuple[int, ...]
-W = TypeVar("W")
 
 
 class IncompatibleSystemsError(ValueError):
@@ -197,8 +203,8 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
     each side, or None as soon as the two colour multisets differ.  It
     stops when a round adds no class, or once the balanced partition is
     discrete (n classes of one point per side): a further round could then
-    only refute, and the leaf of the forced gamma refutes such a pair by
-    itself.  Any equitable partition is constant on
+    only refute, and the decider's check of the forced gamma refutes such
+    a pair by itself.  Any equitable partition is constant on
     in-degree, so the stable partition is the one the later keys alone
     refine to.
     """
@@ -246,68 +252,66 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
 
 def _joins(tables: Sequence[Sequence[int]]) -> list[dict[int, int]]:
     """For each point u, the maps joining u to each of its images v, as a bit mask of their indices."""
-    joins: list[dict[int, int]] = [{} for _ in tables[0]]
-    for j, table in enumerate(tables):
+    joins: list[dict[int, int]] = [{v: 1} for v in tables[0]]
+    for j, table in enumerate(tables[1:], 1):
         bit = 1 << j
         for joined, v in zip(joins, table):
             joined[v] = joined.get(v, 0) | bit
     return joins
 
 
-Leaf = Callable[[Permutation], Optional[W]]
+def _gammas(a: FiniteSystem, b: FiniteSystem, mode: str) -> Iterator[Permutation]:
+    """The bijections gamma that survive the search, in lexicographic order.
 
-
-def _lex_search(
-    a: FiniteSystem, b: FiniteSystem, mode: str, leaf: Leaf[W],
-    b_joins: Optional[Callable[[], list[dict[int, int]]]] = None,
-) -> Optional[W]:
-    """Depth-first search for the least gamma whose leaf yields a witness.
-
-    ``mode`` is "conjugate", "recolor", "piecewise" or "partition".  The
-    candidates of each point are the points of ``b`` of its colour in
-    :func:`_refined_colours` on the mode's graph, which splits by
-    in-degree, in partition mode then by fibre sizes, and then by image and
-    preimage colours, both keyed by map index in conjugate mode; a pair
-    that refinement refutes returns None before any level.  ``leaf`` is a
-    complete check of one bijection: it reads gamma and the two systems
-    alone.  So when every class holds one point of each side, gamma is
-    forced, and its leaf decides the pair before anything else is built.
+    ``mode`` is "conjugate", "recolor", "piecewise" or "partition", and
+    systems that differ in size or arity raise
+    :class:`IncompatibleSystemsError`.  The candidates of each point are
+    the points of ``b`` of its colour in :func:`_refined_colours` on the
+    mode's graph, which splits by in-degree, in partition mode then by
+    fibre sizes, and then by image and preimage colours, both keyed by map
+    index in conjugate mode; a pair that refinement refutes yields
+    nothing.  When every class holds one point of each side, gamma is
+    forced, and it is the only one yielded, before anything else is built.
 
     Otherwise level x gives gamma(x) its least free candidate left.  Each
     pair (p, y) joined by some map of ``a`` is checked at level max(p, y),
     in every mode once per map i joining p to y: the mask of the maps of
-    ``b`` joining gamma(p) to gamma(y) (:func:`_joins`, read from
-    ``b_joins`` when given) must have as many bits as the mask from p to
-    y.  Piecewise and partition mode stop there; the two conjugacy modes
-    also AND map i's shared mask with that mask, in place; a mask that
-    empties, or that more maps hold than it has bits, refuses the value,
-    and leaving a level pops its records off an undo trail.  The shared
-    mask of map i starts as map i alone in conjugate mode, which the check
-    then holds to the same mask as the maps from p to y, and in recolor
-    mode as the maps of ``b`` with the same sorted (colour, image colour)
-    pairs, where an empty one refutes the pair.  In every mode a value v is
-    refused for x when a later neighbour of x has no free point of its
-    colour among the images of v (an out-neighbour) or its preimages (an
-    in-neighbour).
+    ``b`` joining gamma(p) to gamma(y) (:func:`_joins`) must have as many
+    bits as the mask from p to y.  Piecewise and partition mode stop
+    there; the two conjugacy modes also AND map i's shared mask with that
+    mask, in place; a mask that empties, or that more maps hold than it
+    has bits, refuses the value, and leaving a level pops its records off
+    an undo trail.  The shared mask of map i starts as map i alone in
+    conjugate mode, which the check then holds to the same mask as the
+    maps from p to y, and in recolor mode as the maps of ``b`` with the
+    same sorted (colour, image colour) pairs, where an empty one refutes
+    the pair.  In every mode a value v is refused for x when a later
+    neighbour of x has no free point of its colour among the images of v
+    (an out-neighbour) or its preimages (an in-neighbour).  Each full
+    assignment left is yielded, and the search goes on from it when the
+    caller asks for the next.
 
     The levels are one explicit stack of candidate iterators, so no size
-    reaches the recursion limit, and a refused value or leaf is taken back
-    at the top of the loop.  Only branches without a witness are pruned, so
-    the first witness is the least.
+    reaches the recursion limit, and a refused value is taken back at the
+    top of the loop.  Only bijections that are no witness of the mode's
+    notion are passed over, so the first gamma whose check in the caller
+    gives a witness gives the least witness.
     """
+    _check_compatible(a, b)
     colours = _refined_colours(a, b, mode)
     if colours is None:
-        return None
+        return
     ca, cb = colours
     n = a.size
     where = dict(zip(cb, range(n)))
     if len(where) == n:  # one point of each side per class
-        return leaf(tuple(map(where.__getitem__, ca)))
+        yield tuple(map(where.__getitem__, ca))
+        return
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
     conjugacy = mode in ("conjugate", "recolor")
-    joins, joins_a = b_joins() if b_joins else _joins(b.tables), _joins(a.tables)
+    joins, joins_a = _joins(b.tables), _joins(a.tables)
     # each pair (p, y) that a map i of a joins, once per such map, at its level max(p, y), with
     # the number of the maps joining it; a conjugacy mode narrows map i's shared mask by it
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
@@ -322,7 +326,7 @@ def _lex_search(
             kinds[kind] = kinds.get(kind, 0) | 1 << j
         shared = [kinds.get(tuple(sorted(zip(ca, map(ca.__getitem__, table)))), 0) for table in a.tables]
         if not all(shared):
-            return None
+            return
     # near[v][out, c]: the images (out) or preimages of v in b of colour c; ahead[x]:
     # the keys (out, colour) of the later neighbours of x in a
     near: list[dict[tuple[bool, int], list[int]]] = [{} for _ in range(n)]
@@ -375,9 +379,8 @@ def _lex_search(
             else:
                 if x + 1 < n:
                     stack.append(iter(by_colour[ca[x + 1]]))
-                elif (found := leaf(tuple(gamma))) is not None:
-                    return found
-    return None
+                else:
+                    yield tuple(gamma)
 
 
 def decide_conjugate(
@@ -386,34 +389,28 @@ def decide_conjugate(
     """Search for gamma with gamma o sigma_i = tau_i o gamma for all i.
 
     With ``allow_recolor`` a single global colour permutation beta is
-    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Both run one
-    search, which prunes by one mask per map i of the maps of b that
-    beta(i) may still be, shared by every point.  The leaf checks gamma
-    alone: the mask of map i is the set of maps tau_j with tau_j o gamma =
-    gamma o sigma_i, compared as whole tables, and only map i is tried
-    without recolouring.  These masks are pairwise equal or disjoint, and
-    beta is the least fit of them (:func:`_least_fit`); a gamma for which
-    some class of equal maps of a outnumbers its class in b is passed
-    over.  Returns the lexicographically least witness (gamma first, then
-    beta) or None.
+    also searched: gamma o sigma_i = tau_{beta(i)} o gamma.  Both walk
+    the bijections of one search (:func:`_gammas`), which prunes by one
+    mask per map i of the maps of b that beta(i) may still be, shared by
+    every point.  Each gamma is then checked alone: the mask of map i is
+    the set of maps tau_j with tau_j o gamma = gamma o sigma_i, compared
+    as whole tables, cut to map i's own bit without recolouring.  These
+    masks are pairwise equal or disjoint, and beta is the least fit of
+    them (:func:`_least_fit`); a gamma for which some class of equal maps
+    of a outnumbers its class in b is passed over.  Returns the
+    lexicographically least witness (gamma first, then beta) or None.
     """
-    _check_compatible(a, b)
-
-    def witness(gamma: Permutation) -> Optional[ConjugacyWitness]:
+    for gamma in _gammas(a, b, "recolor" if allow_recolor else "conjugate"):
+        maps: dict[tuple[int, ...], int] = {}  # each table tau_j o gamma, with the maps j giving it
+        for j, table in enumerate(b.tables):
+            key = tuple(map(table.__getitem__, gamma))
+            maps[key] = maps.get(key, 0) | 1 << j
         get = gamma.__getitem__
-        if allow_recolor:
-            maps: dict[tuple[int, ...], int] = {}  # each table tau_j o gamma, with the maps j giving it
-            for j, table in enumerate(b.tables):
-                key = tuple(map(table.__getitem__, gamma))
-                maps[key] = maps.get(key, 0) | 1 << j
-            masks = [maps.get(tuple(map(get, table)), 0) for table in a.tables]
-        else:
-            masks = [1 << i if tuple(map(get, ta)) == tuple(map(tb.__getitem__, gamma)) else 0
-                     for i, (ta, tb) in enumerate(zip(a.tables, b.tables))]
-        beta = _least_fit(masks)
-        return None if -1 in beta else ConjugacyWitness(gamma=gamma, recolor=beta if allow_recolor else None)
-
-    return _lex_search(a, b, "recolor" if allow_recolor else "conjugate", witness)
+        beta = _least_fit([maps.get(tuple(map(get, table)), 0) & (-1 if allow_recolor else 1 << i)
+                           for i, table in enumerate(a.tables)])
+        if -1 not in beta:
+            return ConjugacyWitness(gamma=gamma, recolor=beta if allow_recolor else None)
+    return None
 
 
 def _least_fit(masks: list[int]) -> Permutation:
@@ -439,34 +436,28 @@ def decide_piecewise(a: FiniteSystem, b: FiniteSystem) -> Optional[PiecewiseWitn
     At every point x the colour permutation alpha_x must satisfy
     gamma(sigma_i(x)) = tau_{alpha_x(i)}(gamma(x)) for all i.  In a
     finite discrete space that pointwise condition is the whole of
-    piecewise matching.  The leaf checks gamma alone: the masks of the
-    maps of b joining gamma(x) to gamma(sigma_i(x)) (:func:`_joins`, 0
-    where none does) allow exactly the admissible alpha_x, and the leaf
-    takes the least of each (:func:`_least_fit`), or refuses gamma where
-    a point has none.  b's join masks are built once, by the search when
-    it runs, or else by the leaf.  Returns the lexicographically least
-    witness or None.
+    piecewise matching.  Each gamma of the search (:func:`_gammas`) is
+    checked alone: the masks of the maps of b joining gamma(x) to
+    gamma(sigma_i(x)) (:func:`_joins`, 0 where none does) allow exactly
+    the admissible alpha_x, and the check takes the least of each
+    (:func:`_least_fit`), or refuses gamma where a point has none.  The
+    search's pair check already holds every such mask to as many bits as
+    the maps it serves, so only a forced gamma can be refused, and this
+    loop builds b's join masks at most once per call.  Returns the
+    lexicographically least witness or None.
     """
-    _check_compatible(a, b)
-    built: list[list[dict[int, int]]] = []  # b's join masks, once the search or the leaf needs them
-
-    def joins() -> list[dict[int, int]]:
-        if not built:
-            built.append(_joins(b.tables))
-        return built[0]
-
-    def witness(gamma: Permutation) -> Optional[PiecewiseWitness]:
-        masks = joins()
+    for gamma in _gammas(a, b, "piecewise"):
+        joins = _joins(b.tables)
         alpha = []
         for x, g in enumerate(gamma):
-            joined = masks[g]
+            joined = joins[g]
             fit = _least_fit([joined.get(gamma[table[x]], 0) for table in a.tables])
             if -1 in fit:
-                return None
+                break
             alpha.append(fit)
-        return PiecewiseWitness(gamma=gamma, alpha=tuple(alpha))
-
-    return _lex_search(a, b, "piecewise", witness, joins)
+        else:
+            return PiecewiseWitness(gamma=gamma, alpha=tuple(alpha))
+    return None
 
 
 def _bucket_heads(keys: Sequence[int]) -> list[int]:
@@ -527,22 +518,21 @@ def decide_partition(a: FiniteSystem, b: FiniteSystem) -> Optional[PartitionWitn
     A partition witness sends every point to one with the same sorted
     fibre sizes (:func:`dynalg.dynsys.fibre_sizes`), so the colour
     refinement recolours by them once the in-degrees balance, before its
-    rounds on images and preimages.  The leaf checks gamma alone: it
-    completes gamma by the least preimage-saturated colour field, read off
-    the fibre groups of both systems (:func:`_partition_alpha_field`), if
-    one exists.  The groups do not depend on gamma, so they are built once,
-    at the first leaf.  Returns the lexicographically least witness (gamma
-    first, then alpha) or None.
+    rounds on images and preimages.  Each gamma of the search
+    (:func:`_gammas`) is checked alone: it is completed by the least
+    preimage-saturated colour field, read off the fibre groups of both
+    systems (:func:`_partition_alpha_field`), if one exists.  The groups
+    do not depend on gamma, so they are built once, for the first gamma.
+    Returns the lexicographically least witness (gamma first, then alpha)
+    or None.
     """
-    _check_compatible(a, b)
-    groups: list[dict[tuple[int, tuple[int, ...]], list[int]]] = []  # a's and b's, built at the first leaf
-
-    def witness(gamma: Permutation) -> Optional[PartitionWitness]:
-        if not groups:
-            groups.extend((_fibre_groups(a.tables), _fibre_groups(b.tables)))
-        return _partition_alpha_field(*groups, gamma, a.arity)
-
-    return _lex_search(a, b, "partition", witness)
+    groups: tuple = ()  # a's and b's fibre groups, once a gamma needs them
+    for gamma in _gammas(a, b, "partition"):
+        groups = groups or (_fibre_groups(a.tables), _fibre_groups(b.tables))
+        witness = _partition_alpha_field(*groups, gamma, a.arity)
+        if witness is not None:
+            return witness
+    return None
 
 
 def _check_fields(witness, size: Optional[int] = None, arity: Optional[int] = None) -> tuple[Permutation, ...]:

@@ -217,6 +217,12 @@ def cycles_192() -> dict[str, str]:
 
 
 @functools.lru_cache(maxsize=None)
+def cycles_3000() -> dict[str, str]:
+    """1,000 3-cycles against a relabelled copy: refinement separates nothing, so every mode searches at scale."""
+    return dumped(*cycle_pair(3000, 3, 3, seed=3000))
+
+
+@functools.lru_cache(maxsize=None)
 def one_map_classed_200(seed: int) -> dict[str, str]:
     """One map on 200 points in three classes, partition-matched by construction."""
     a, b, _, _ = classed_pair(random.Random(seed), 200, 1, 3)
@@ -364,6 +370,9 @@ ROWS: tuple[Row, ...] = (
     *decided("random mapping n=400", random_mapping_400),
     *checked("random mapping n=1000", random_mapping_1000),
     *checked("3-cycles against 3-cycles n=192", cycles_192),
+    *checked("3-cycles against 3-cycles n=3000", cycles_3000),
+    Row("3-cycles against 3-cycles n=3000: check --mode conjugate --recolor",
+        cli("check", "--mode", "conjugate", "--recolor", "{a}", "{b}"), cycles_3000, timeout=10, checks=(replay,)),
     *(row for seed in (3, 12) for row in checked(f"classed 1 map n=200 seed {seed}",
                                                  functools.partial(one_map_classed_200, seed), ("partition",))),
     *checked("classed 3 maps n=200", classed_200, ("partition",)),

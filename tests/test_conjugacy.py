@@ -994,14 +994,36 @@ def test_a_discretely_refined_pair_goes_straight_to_its_leaf(monkeypatch):
         assert joined == ([b.tables] if mode == "piecewise" else []), mode
 
 
-def test_the_piecewise_search_and_leaf_share_b_s_join_masks(monkeypatch):
-    # Refinement separates nothing on 3-cycles, so the search runs, and its
-    # leaf reads the masks the search built.
-    a, b = cycle_pair(12, 3, 3, seed=12)
-    joined = _counted(monkeypatch, "_joins")
-    witness = decide_piecewise(a, b)
-    assert witness is not None and verify_witness(a, b, witness).passed
-    assert sorted(map(id, joined)) == sorted(map(id, (a.tables, b.tables)))
+def test_each_searched_gamma_passes_the_plain_conjugacy_and_piecewise_checks(monkeypatch):
+    # The pair check holds the mask of b's maps joining gamma(p) to gamma(y)
+    # to as many bits as the maps of a joining p to y, and plain conjugacy's
+    # shared masks keep map i's own bit on every such pair, which is all the
+    # two deciders then ask of gamma.  So each call in these modes yields
+    # exactly one gamma, even where refinement leaves the search to run.
+    gammas = dynalg.conjugacy._gammas
+    yielded = []
+
+    def counted(*args):
+        for gamma in gammas(*args):
+            yielded.append(gamma)
+            yield gamma
+
+    monkeypatch.setattr(dynalg.conjugacy, "_gammas", counted)
+    # Each point of {0, 1} sends two maps to itself and one to the other,
+    # each point of {2, 3} one to itself and two to the other, and b holds
+    # the two blocks the other way round: the supports agree and
+    # refinement separates nothing, so only the bit count of the pair
+    # check keeps the search from yielding gamma = (0, 1, 2, 3).
+    blocks = (FiniteSystem(size=4, tables=((0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))),
+              FiniteSystem(size=4, tables=((0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 3, 2))))
+    for a, b in (cycle_pair(12, 3, 3, seed=12), cycle_pair(48, 3, 3, seed=48), random_mapping_pair(200), blocks):
+        for mode, decide in (("conjugate", decide_conjugate), ("piecewise", decide_piecewise)):
+            _, colours = _refined_colours(a, b, mode)
+            assert len(set(colours)) < a.size, (a.size, mode)
+            yielded.clear()
+            witness = decide(a, b)
+            assert witness is not None and verify_witness(a, b, witness).passed, (a.size, mode)
+            assert yielded == [witness.gamma], (a.size, mode)
 
 
 # Both pairs are piecewise matched by construction, refined to one point of
