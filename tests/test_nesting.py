@@ -40,22 +40,17 @@ STALLS = {
 }
 
 
-def seeded_pair(s: int):
-    """Seed s's pair and the generator that drew it: a classed pair for even s, a scrambled one for odd s."""
+def drawn_pair(s: int, classed: bool):
+    """Seed s's pair, classed or scrambled, and the generator that drew it.
+
+    The range draws a classed pair for even s and a scrambled one for odd s.
+    """
     rng = random.Random(s)
     n = rng.choice([20, 50, 100, 200])
     d = rng.randint(1, 4)
-    if s % 2 == 0:
+    if classed:
         return (*classed_pair(rng, n, d, rng.randint(1, 4))[:2], rng)
     return (*scrambled_pair(rng, n, d), rng)
-
-
-def roadmap_seed_261_pair():
-    """The one-map classed pair of ROADMAP item 26's first scan, by that scan's recipe: n = 200, 2 classes."""
-    rng = random.Random(261)
-    n = rng.choice([20, 50, 100, 200])
-    d = rng.randint(1, 4)
-    return (*classed_pair(rng, n, d, rng.randint(1, 4))[:2], rng)
 
 
 class Rang(TimeoutError):
@@ -115,7 +110,7 @@ def test_the_notions_nest_on_every_seeded_pair():
     for s in SEEDS:
         if s in STALLS:
             continue
-        a, b, rng = seeded_pair(s)
+        a, b, rng = drawn_pair(s, classed=s % 2 == 0)
         try:
             with alarm(2):
                 found = nesting_faults(a, b, rng, relabel=s % 5 == 0)
@@ -129,14 +124,15 @@ def test_the_notions_nest_on_every_seeded_pair():
 @pytest.mark.xfail(raises=TimeoutError, strict=True, reason=ITEM_2)
 @pytest.mark.parametrize("s", list(STALLS), ids=[f"seed {s}" for s in STALLS])
 def test_a_stalled_seeded_pair_nests(s):
-    a, b, rng = seeded_pair(s)
+    a, b, rng = drawn_pair(s, classed=s % 2 == 0)
     with alarm(0.5):
         assert nesting_faults(a, b, rng, relabel=s % 5 == 0) == []
 
 
 @pytest.mark.xfail(raises=TimeoutError, strict=True, reason=ITEM_2)
 def test_the_roadmap_seed_261_one_map_classed_pair_nests():
-    a, b, rng = roadmap_seed_261_pair()
+    # item 26's first scan drew a classed pair at every seed, so its seed 261 is classed, unlike the range's
+    a, b, rng = drawn_pair(261, classed=True)
     assert (a.size, a.arity) == (200, 1)
     with alarm(0.5):
         assert nesting_faults(a, b, rng, relabel=False) == []
