@@ -27,16 +27,17 @@ map index.  The search uses these facts three times.
   (1-dimensional Weisfeiler-Leman on the disjoint union) by one rule.
   Every point is first coloured by its in-degree, one count over the
   tables, which every witness preserves; a pair whose sorted in-degrees
-  differ is refuted before anything else is built.  The partition
-  decider then recolours once by the sorted sizes of the fibres through
-  each point (:func:`dynalg.dynsys.fibre_sizes`), which every partition
-  witness preserves, computed only for a pair whose in-degrees balance.
-  Each later round keys a point by its colour, the colours of its images
-  and the sorted colours of its preimages.  Plain conjugacy keeps the
-  image colours in map order and pairs each preimage colour with the
-  index of the map joining it, which refines the graph keyed by map
-  index; every other mode sorts the plain colours.  Point x may only be
-  sent to a point of the same refined colour, and differing colour
+  differ is refuted before anything else is built.  Where the in-degrees
+  balance and leave some class of two or more points, the partition
+  decider keys its first round by the in-degree together with the sorted
+  sizes of the fibres through each point
+  (:func:`dynalg.dynsys.fibre_sizes`), which every partition witness
+  preserves.  Each later round keys a point by its colour, the colours of
+  its images and the sorted colours of its preimages.  Plain conjugacy
+  keeps the image colours in map order and pairs each preimage colour
+  with the index of the map joining it, which refines the graph keyed by
+  map index; every other mode sorts the plain colours.  Point x may only
+  be sent to a point of the same refined colour, and differing colour
   multisets at any round refute the pair without any search.  Refinement
   stops early once every class holds one point of each side: gamma is
   then forced, it is the only bijection yielded, and the decider's check
@@ -51,14 +52,17 @@ map index.  The search uses these facts three times.
   of b joining gamma(p) to gamma(y), read as one bit mask per pair of
   points, must be as many as the maps joining p to y.  Both conjugacy
   modes also keep one mask per map i of the maps j that beta(i) may
-  still be, shared by all points and narrowed by every pair the search
-  completes, with an undo trail; a branch dies once a mask is empty or
-  more maps hold one mask than it has bits.  Plain conjugacy starts map
-  i's mask from map i alone, so there every map joining p to y must
-  join gamma(p) to gamma(y) under its own index.  Conjugacy with
-  recolouring starts it from the maps of b joining the same sorted
-  (colour, image colour) pairs as map i, and an empty one refutes the
-  pair before any level.  Plain conjugacy needs no such seed: once
+  still be, shared by all points: each pair the search completes ANDs
+  it with the pair's mask, and a branch dies once a mask is empty or
+  more maps hold one mask than it has bits.  Each level keeps the masks
+  as the level above left them and starts from them again for every
+  value it tries, so nothing is undone.  Plain conjugacy starts map i's
+  mask from map i alone, so a pair there only keeps or empties that one
+  bit: every map joining p to y must join gamma(p) to gamma(y) under its
+  own index.  Conjugacy with recolouring starts it from the maps of b
+  joining the same sorted (colour, image colour) pairs as map i, and an
+  empty one refutes the pair before any level; only there does a pair
+  narrow a mask.  Plain conjugacy needs no such start: once
   index-keyed refinement balances, map i joins the same colour pairs on
   both sides.
 * Looking one edge ahead, also only where some class holds two or more
@@ -190,23 +194,24 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
     comparable across the systems.  Every witness preserves in-degree, so
     the first colours are the in-degrees, one count over the tables, and a
     pair whose sorted in-degrees differ is refuted before anything else is
-    built.  In partition mode, once these balance, the points are
-    recoloured once by (colour, :func:`dynalg.dynsys.fibre_sizes`).  Each
-    later round keys a point by its colour, the colours of its images and
-    the sorted colours of its preimages; the joint tables and the preimage
-    lists are built for the first round.  Plain conjugacy keeps the image
-    colours in map order and keys each preimage colour by the map i
-    joining it, read as colour + 2n * i, so its sorted preimage keys are
-    the sorted (map, colour) pairs; it refines the graph keyed by map index
-    whose isomorphisms are its witnesses.  Every other mode sorts the plain
-    colours, with the map colours forgotten.  Returns the colours of
-    each side, or None as soon as the two colour multisets differ.  It
-    stops when a round adds no class, or once the balanced partition is
+    built.  In partition mode, where these balance and leave some class of
+    two or more points, the first round keys each point by (in-degree,
+    :func:`dynalg.dynsys.fibre_sizes`) instead; in-degrees that separate
+    every point need no fibre sizes.  Each later round keys a point by its
+    colour, the colours of its images and the sorted colours of its
+    preimages; the joint tables and the preimage lists are built for the
+    first round.  Plain conjugacy keeps the image colours in map order and
+    keys each preimage colour by the map i joining it, read as
+    colour + 2n * i, so its sorted preimage keys are the sorted
+    (map, colour) pairs; it refines the graph keyed by map index whose
+    isomorphisms are its witnesses.  Every other mode sorts the plain
+    colours, with the map colours forgotten.  Returns the colours of each
+    side, or None as soon as the two colour multisets differ.  It stops
+    when a round adds no class, or once the balanced partition is
     discrete (n classes of one point per side): a further round could then
     only refute, and the decider's check of the forced gamma refutes such
-    a pair by itself.  Any equitable partition is constant on
-    in-degree, so the stable partition is the one the later keys alone
-    refine to.
+    a pair by itself.  Any equitable partition is constant on in-degree,
+    so the stable partition is the one the later keys alone refine to.
     """
     n = a.size
     degrees = []
@@ -219,7 +224,8 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
     if sorted(degrees[0]) != sorted(degrees[1]):
         return None
     keys: list = degrees[0] + degrees[1]
-    seed = mode == "partition"  # the fibre sizes still to be keyed in
+    if mode == "partition" and len(set(keys)) < n:  # some in-degree class has two or more points
+        keys = list(zip(keys, fibre_sizes(a) + fibre_sizes(b)))
     classes = 0  # before the last round; 0 until the first
     while True:
         palette: dict[Hashable, int] = {}
@@ -228,10 +234,6 @@ def _refined_colours(a: FiniteSystem, b: FiniteSystem, mode: str) -> Optional[tu
             return None
         if len(palette) in (n, classes):
             return colour[:n], colour[n:]
-        if seed:
-            seed = False
-            keys = list(zip(colour, fibre_sizes(a) + fibre_sizes(b)))
-            continue
         if not classes:
             tables = [ta + tuple(map(n.__add__, tb)) for ta, tb in zip(a.tables, b.tables)]
             # the preimages of each point, in conjugate mode each u under map i listed as u + 2n * i
@@ -278,24 +280,26 @@ def _gammas(a: FiniteSystem, b: FiniteSystem, mode: str) -> Iterator[Permutation
     in every mode once per map i joining p to y: the mask of the maps of
     ``b`` joining gamma(p) to gamma(y) (:func:`_joins`) must have as many
     bits as the mask from p to y.  Piecewise and partition mode stop
-    there; the two conjugacy modes also AND map i's shared mask with that
-    mask, in place; a mask that empties, or that more maps hold than it
-    has bits, refuses the value, and leaving a level pops its records off
-    an undo trail.  The shared mask of map i starts as map i alone in
-    conjugate mode, which the check then holds to the same mask as the
-    maps from p to y, and in recolor mode as the maps of ``b`` with the
-    same sorted (colour, image colour) pairs, where an empty one refutes
-    the pair.  In every mode a value v is refused for x when a later
-    neighbour of x has no free point of its colour among the images of v
-    (an out-neighbour) or its preimages (an in-neighbour).  Each full
-    assignment left is yielded, and the search goes on from it when the
-    caller asks for the next.
+    there, with no shared masks; the two conjugacy modes also AND map i's
+    shared mask with that mask, and a mask that empties, or that more
+    maps hold than it has bits, refuses the value.  The shared mask of
+    map i starts as map i alone in conjugate mode, which a pair can only
+    keep or empty, and in recolor mode as the maps of ``b`` with the same
+    sorted (colour, image colour) pairs, where an empty one refutes the
+    pair and a pair can narrow it.  In every mode a value v is refused
+    for x when a later neighbour of x has no free point of its colour
+    among the images of v (an out-neighbour) or its preimages (an
+    in-neighbour).  Each full assignment left is yielded, and the search
+    goes on from it when the caller asks for the next.
 
-    The levels are one explicit stack of candidate iterators, so no size
-    reaches the recursion limit, and a refused value is taken back at the
-    top of the loop.  Only bijections that are no witness of the mode's
-    notion are passed over, so the first gamma whose check in the caller
-    gives a witness gives the least witness.
+    The levels are one explicit stack, so no size reaches the recursion
+    limit.  Each entry holds a level's candidate iterator and the shared
+    masks as the level above left them.  No mask list is changed in
+    place, as a narrowing builds a new one, so returning to a level, after
+    a refused value, a spent deeper level or a yield, takes its value back
+    and reads its masks off the stack again.  Only bijections that are no
+    witness of the mode's notion are passed over, so the first gamma whose
+    check in the caller gives a witness gives the least witness.
     """
     _check_compatible(a, b)
     colours = _refined_colours(a, b, mode)
@@ -310,10 +314,9 @@ def _gammas(a: FiniteSystem, b: FiniteSystem, mode: str) -> Iterator[Permutation
     by_colour: dict[int, list[int]] = {}
     for v in range(n):
         by_colour.setdefault(cb[v], []).append(v)
-    conjugacy = mode in ("conjugate", "recolor")
     joins, joins_a = _joins(b.tables), _joins(a.tables)
     # each pair (p, y) that a map i of a joins, once per such map, at its level max(p, y), with
-    # the number of the maps joining it; a conjugacy mode narrows map i's shared mask by it
+    # the number of the maps joining it; a conjugacy mode ANDs map i's shared mask with it
     pairs: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for i, table in enumerate(a.tables):
         for p, y in enumerate(table):
@@ -344,17 +347,14 @@ def _gammas(a: FiniteSystem, b: FiniteSystem, mode: str) -> Iterator[Permutation
     ahead = [list(dict.fromkeys(keys)) for keys in ahead]
     gamma = [-1] * n
     used = [False] * n
-    trail: list[tuple[int, int]] = []  # (map, previous mask) for each narrowing of the shared masks
-    marks: list[int] = []  # the trail's length on entering each assigned level
-    stack = [iter(by_colour[ca[0]])]
+    stack = [(iter(by_colour[ca[0]]), shared)]  # each level's candidates and shared masks on entry
     while stack:
         x = len(stack) - 1
-        if len(marks) > x:  # back at level x: take its value back
+        candidates, shared = stack[x]
+        if gamma[x] >= 0:  # back at level x: take its value back
             used[gamma[x]] = False
-            mark = marks.pop()
-            while len(trail) > mark:
-                i, shared[i] = trail.pop()
-        for v in stack[x]:
+            gamma[x] = -1
+        for v in candidates:
             if not used[v]:
                 break
         else:
@@ -362,23 +362,21 @@ def _gammas(a: FiniteSystem, b: FiniteSystem, mode: str) -> Iterator[Permutation
             continue
         gamma[x] = v
         used[v] = True
-        marks.append(len(trail))
         for p, y, want, i in pairs[x]:
             got = joins[gamma[p]].get(gamma[y], 0)
             if got.bit_count() != want:
                 break
-            if conjugacy and (narrowed := shared[i] & got) != shared[i]:
+            if shared and (narrowed := shared[i] & got) != shared[i]:
                 if not narrowed or shared.count(narrowed) >= narrowed.bit_count():
                     break
-                trail.append((i, shared[i]))
-                shared[i] = narrowed
+                shared = shared[:i] + [narrowed] + shared[i + 1:]  # a new list: the stacked ones stay
         else:
             for key in ahead[x]:
                 if all(used[w] for w in near[v].get(key, ())):
                     break  # a later neighbour of x has no free candidate left
             else:
                 if x + 1 < n:
-                    stack.append(iter(by_colour[ca[x + 1]]))
+                    stack.append((iter(by_colour[ca[x + 1]]), shared))
                 else:
                     yield tuple(gamma)
 

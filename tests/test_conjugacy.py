@@ -58,6 +58,7 @@ from oracles import (
     scrambled_pair,
     stable_refined_colours,
 )
+from test_nesting import drawn_pair
 
 
 def test_incompatible_systems_raise():
@@ -1024,6 +1025,28 @@ def test_each_searched_gamma_passes_the_plain_conjugacy_and_piecewise_checks(mon
             witness = decide(a, b)
             assert witness is not None and verify_witness(a, b, witness).passed, (a.size, mode)
             assert yielded == [witness.gamma], (a.size, mode)
+
+
+def test_recolouring_narrows_the_shared_masks_to_the_first_witness(monkeypatch):
+    # Nesting seed 6 (n = 20, 4 maps) is recolour conjugate.  Each pair the
+    # search completes cuts map i's shared mask to the maps of b joining
+    # the pair's image, so the first gamma yielded is already a witness; a
+    # search that only asked the two masks to meet yielded 4,321 gammas
+    # before it.
+    gammas = dynalg.conjugacy._gammas
+    yielded = []
+
+    def counted(*args):
+        for gamma in gammas(*args):
+            yielded.append(gamma)
+            yield gamma
+
+    monkeypatch.setattr(dynalg.conjugacy, "_gammas", counted)
+    a, b, _ = drawn_pair(6, True)
+    assert (a.size, a.arity) == (20, 4)
+    witness = decide_conjugate(a, b, allow_recolor=True)
+    assert witness is not None and verify_witness(a, b, witness).passed
+    assert yielded == [witness.gamma]
 
 
 # Both pairs are piecewise matched by construction, refined to one point of
