@@ -207,15 +207,12 @@ def dump_u1n(x: dynalg.freeprod.U1nMatrix) -> str:
 # ---- witness serialization ----------------------------------------------------
 
 
-def _scalar_json(value) -> list[str]:
-    return list(value.as_strings())
-
-
 def _element_json(element: dynalg.semicrossed.SemicrossedElement) -> list[list[Any]]:
-    out = []
+    # Each value's parts printed straight off its (a, b, d) triple.
+    text, out = dynalg.scalars._ratio_text, []
     for word in sorted(element.terms, key=lambda w: (len(w), w)):
         coeff = element.terms[word]
-        out.append([list(word), [_scalar_json(v) for v in coeff.values]])
+        out.append([list(word), [[text(a, d), text(b, d)] for a, b, d in coeff._triples]])
     return out
 
 
@@ -342,7 +339,7 @@ def _cmd_tensor(args) -> tuple[bool, Any]:
     decision = dynalg.reps.decide_tensor_vs_semicrossed(system)
     if decision.isomorphic:
         bumps = [
-            [1 if not v.is_zero() else 0 for v in bump.values]
+            [1 if a or b else 0 for a, b, _ in bump._triples]
             for bump in decision.bump_functions
         ]
         return True, {"bumps": bumps}

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynsys import Edge, SubSystem, _is_int
-from .scalars import ONE, RationalComplex, RationalLike
+from .scalars import ONE, RationalComplex, RationalLike, _ZERO_T, _wrap
 from .wordpoly import WordPoly
 
 
@@ -139,9 +139,10 @@ def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
     inside = set(sub.points)
     cells: dict[tuple[int, int], dict[EdgeWord, RationalComplex]] = {}
     for word, coeff in element.terms.items():
+        triples = coeff._triples
         for x in sub.points:
-            value = coeff.values[x]
-            if value.is_zero():
+            value = triples[x]
+            if value == _ZERO_T:
                 continue
             y, edges = x, []
             for letter in reversed(word):
@@ -153,7 +154,7 @@ def quotient_map(sub: SubSystem, element) -> QuotientMatrix:
             else:
                 # The edge word fixes both the letters and the source, so
                 # no two (term, source) pairs land on the same word.
-                cells.setdefault((y, x), {})[tuple(reversed(edges))] = value
+                cells.setdefault((y, x), {})[tuple(reversed(edges))] = _wrap(value)
     # Every word is a walk of the subset's edges and every value nonzero:
     # nothing for FreeEdgePoly.make to check.
     return QuotientMatrix(

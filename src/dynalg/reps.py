@@ -119,7 +119,7 @@ class NestRep:
 
         if f.size != self.system.size:
             _size_differs(f, self.system)
-        values = [complex(f.values[p]) for p in self.points]
+        values = [complex(a / d, b / d) for a, b, d in map(f._triples.__getitem__, self.points)]
         return np.diag(np.array(values, dtype=complex))
 
     def generator_image(self, colour: int) -> np.ndarray:

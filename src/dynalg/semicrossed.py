@@ -2,8 +2,9 @@
 
 An element is a finite sum  sum_w s_w f_w  where w runs over words in
 the colour generators s_0, ..., s_{n-1} of a finite system and each f_w
-is a function on the points with exact complex-rational values.  The
-defining rewriting rule
+is a function on the points with exact complex-rational values, held as
+one normal-form ``(a, b, d)`` int triple per point (see
+:mod:`dynalg.scalars`).  The defining rewriting rule
 
     f * s_i  =  s_i * (f o sigma_i)
 
@@ -21,11 +22,13 @@ kernel of :mod:`dynalg.wordpoly`; this module adds the function
 coefficients and the covariance rule.  That rule enters the product
 once per right term s_w g: the word w is walked once over all points to
 the list of its end points sigma_w(x), and each product coefficient is
-then read off in one pass, f(sigma_w(x)) g(x) at x.  The degree-k component map and its
-Cesaro means (re-exported here) are computed by exact combinatorial
-selection of the words of length k.  The circle-average description of those
-projections motivates the definitions but plays no computational role
-here; everything below is exact rational arithmetic.
+then read off in one pass, f(sigma_w(x)) g(x) at x, by the scalars'
+triple product mapped over the two rows, with no scalar object built.
+The degree-k component map and its Cesaro means (re-exported here) are
+computed by exact combinatorial selection of the words of length k.  The
+circle-average description of those projections motivates the
+definitions but plays no computational role here; everything below is
+exact rational arithmetic.
 
 A homomorphism between two such algebras is its partition witness:
 :class:`CovariantHom` holds (gamma, alpha), and :func:`apply_hom` reads
@@ -35,76 +38,101 @@ each term's image off a walk of its word, multiplying nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import add, mul, sub
+from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 from .conjugacy import PartitionWitness, _invert, verify_witness
 from .dynsys import FiniteSystem, Word, _distinct, _int_in, check_colour, validate_word
-from .scalars import ONE, ZERO, RationalComplex, _product
+from .scalars import ONE, RationalComplex, RationalLike, _ZERO_T, _add, _mul, _neg, _sub, _wrap
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
 
 
-@dataclass(frozen=True)
 class FunctionCoeff:
-    """A function on the points of a system, as a tuple of exact scalars."""
+    """A function on the points of a system: one normal-form triple per point.
 
-    values: tuple[RationalComplex, ...]
+    ``values`` reads each as a :class:`RationalComplex`; the constructor
+    reads any exact scalar by ``RationalComplex.coerce``.  Equality,
+    hashing and truth compare the tuples of triples.
+    """
 
-    def __post_init__(self) -> None:
-        values = self.values
-        if type(values) is not tuple or any(type(v) is not RationalComplex for v in values):
-            object.__setattr__(self, "values", tuple(RationalComplex.coerce(v) for v in values))
+    __slots__ = ("_triples",)
+
+    def __init__(self, values: Iterable[RationalLike]) -> None:
+        self._triples = tuple(RationalComplex.coerce(v)._t for v in values)
+
+    def __reduce__(self):
+        return FunctionCoeff, (self.values,)
 
     @staticmethod
-    def constant(size: int, value: RationalComplex | int | Fraction) -> "FunctionCoeff":
-        return FunctionCoeff((RationalComplex.coerce(value),) * _int_in(size, "size", 0))
+    def constant(size: int, value: RationalLike) -> "FunctionCoeff":
+        return _coeff((RationalComplex.coerce(value)._t,) * _int_in(size, "size", 0))
 
     @staticmethod
     def indicator(size: int, subset: Iterable[int]) -> "FunctionCoeff":
         """1 on the subset, whose items must be distinct int points of 0..size-1, else 0."""
         _int_in(size, "size", 0)
         inside = _distinct([_int_in(x, "subset item", 0, size) for x in subset], "subset item")
-        return FunctionCoeff(tuple(ONE if x in inside else ZERO for x in range(size)))
+        one = ONE._t
+        return _coeff(tuple(one if x in inside else _ZERO_T for x in range(size)))
 
     @staticmethod
     def one(size: int) -> "FunctionCoeff":
         return FunctionCoeff.constant(size, ONE)
 
     @property
+    def values(self) -> tuple[RationalComplex, ...]:
+        return tuple(map(_wrap, self._triples))
+
+    @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self._triples)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not FunctionCoeff:
+            return NotImplemented
+        return self._triples == other._triples
+
+    def __hash__(self) -> int:
+        return hash(self._triples)
+
+    def __repr__(self) -> str:
+        return f"FunctionCoeff(values={self.values!r})"
 
     def __add__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        if len(self.values) != len(other.values):
+        if type(other) is not FunctionCoeff:
+            return NotImplemented
+        if len(self._triples) != len(other._triples):
             _sizes_differ(self, other)
-        return _coeff(tuple(map(add, self.values, other.values)))
+        return _coeff(tuple(map(_add, self._triples, other._triples)))
 
     def __sub__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        if len(self.values) != len(other.values):
+        if type(other) is not FunctionCoeff:
+            return NotImplemented
+        if len(self._triples) != len(other._triples):
             _sizes_differ(self, other)
-        return _coeff(tuple(map(sub, self.values, other.values)))
+        return _coeff(tuple(map(_sub, self._triples, other._triples)))
 
-    def __mul__(self, other: "FunctionCoeff | RationalComplex | int | Fraction") -> "FunctionCoeff":
+    def __mul__(self, other: "FunctionCoeff | RationalLike") -> "FunctionCoeff":
         """Pointwise product; a scalar multiplies every value."""
-        if not isinstance(other, FunctionCoeff):
+        if type(other) is not FunctionCoeff:
             return self.scale(other)
-        if len(self.values) != len(other.values):
+        if len(self._triples) != len(other._triples):
             _sizes_differ(self, other)
-        return _coeff(tuple(map(mul, self.values, other.values)))
+        return _coeff(tuple(map(_mul, self._triples, other._triples)))
 
     def __neg__(self) -> "FunctionCoeff":
-        return _coeff(tuple(-a for a in self.values))
+        return _coeff(tuple(map(_neg, self._triples)))
 
-    def scale(self, value: RationalComplex | int | Fraction) -> "FunctionCoeff":
-        c = RationalComplex.coerce(value)
-        return _coeff(tuple(a * c for a in self.values))
+    def scale(self, value: RationalLike) -> "FunctionCoeff":
+        c = RationalComplex.coerce(value)._t
+        return _coeff(tuple(map(_mul, self._triples, repeat(c))))
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return self._triples == _zeros(len(self._triples))
 
     def __bool__(self) -> bool:
-        return any(self.values)
+        return self._triples != _zeros(len(self._triples))
 
 
 def _sizes_differ(f: FunctionCoeff, g: FunctionCoeff) -> None:
@@ -116,14 +144,19 @@ def _size_differs(f: FunctionCoeff, system: FiniteSystem) -> None:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
-def _coeff(values: tuple[RationalComplex, ...]) -> FunctionCoeff:
-    """A :class:`FunctionCoeff` of values already a tuple of scalars, unscanned."""
+def _coeff(triples: tuple) -> FunctionCoeff:
+    """A :class:`FunctionCoeff` of a tuple of normal-form triples, unscanned."""
     f = _new(FunctionCoeff)
-    _set(f, "values", values)
+    f._triples = triples
     return f
+
+
+@lru_cache(maxsize=8)
+def _zeros(size: int) -> tuple:
+    """The all-zero row of a size, shared, which truth compares against."""
+    return (_ZERO_T,) * size
 
 
 def _ends(sys: FiniteSystem, word: Word) -> Sequence[int]:
@@ -139,7 +172,7 @@ def pullback(f: FunctionCoeff, word: Sequence[int], sys: FiniteSystem) -> Functi
     """f o sigma_w, the composition with the word's map (rightmost letter first)."""
     if f.size != sys.size:
         _size_differs(f, sys)
-    return _coeff(tuple(f.values[y] for y in _ends(sys, validate_word(sys, word))))
+    return _coeff(tuple(map(f._triples.__getitem__, _ends(sys, validate_word(sys, word)))))
 
 
 @dataclass(frozen=True, eq=True)
@@ -170,14 +203,14 @@ class SemicrossedElement(WordPoly):
 
     def _times(self, other: "SemicrossedElement") -> Callable[[FunctionCoeff], list[FunctionCoeff]]:
         # (c o sigma_w) d is c(sigma_w(x)) d(x) at x; the kernel passes only valid words.
-        right = [(_ends(self.system, w), d.values) for w, d in other.terms.items()]
+        right = [(_ends(self.system, w), d._triples) for w, d in other.terms.items()]
 
         def times(c: FunctionCoeff) -> list[FunctionCoeff]:
             # _coeff inlined: one frame per left term, none per term pair.
-            at, out = c.values.__getitem__, []
+            at, out = c._triples.__getitem__, []
             for ends, d in right:
                 f = _new(FunctionCoeff)
-                _set(f, "values", tuple(map(_product, map(at, ends), d)))
+                f._triples = tuple(map(_mul, map(at, ends), d))
                 out.append(f)
             return out
 
@@ -275,7 +308,7 @@ class CovariantHom:
         """f o gamma^-1, for f on the source's points."""
         if f.size != self.source.size:
             _size_differs(f, self.source)
-        return _coeff(tuple(f.values[x] for x in _invert(self.witness.gamma)))
+        return _coeff(tuple(map(f._triples.__getitem__, _invert(self.witness.gamma))))
 
 
 def identity_hom(system: FiniteSystem) -> CovariantHom:
@@ -295,10 +328,10 @@ def apply_hom(hom: CovariantHom, a: SemicrossedElement) -> SemicrossedElement:
         raise ValueError("element lives over a different system than the hom's source")
     tables = hom.source.tables
     gamma, alpha = hom.witness.gamma, hom.witness.alpha
-    cells: dict[Word, list[RationalComplex]] = {}
+    cells: dict[Word, list] = {}
     for word, coeff in a.terms.items():
-        for x, value in enumerate(coeff.values):
-            if value.is_zero():
+        for x, value in enumerate(coeff._triples):
+            if value == _ZERO_T:
                 continue
             y, letters = x, []
             for letter in reversed(word):
@@ -309,7 +342,7 @@ def apply_hom(hom: CovariantHom, a: SemicrossedElement) -> SemicrossedElement:
             # A row is built only for a new word, so the walk stays linear.
             image = tuple(reversed(letters))
             if image not in cells:
-                cells[image] = [ZERO] * hom.target.size
+                cells[image] = [_ZERO_T] * hom.target.size
             cells[image][gamma[x]] = value
     # Each alpha_y permutes the colours, so every word is valid over the
     # target, and every cell holds a nonzero value: nothing to re-check.

@@ -377,6 +377,22 @@ def test_large_witnesses_take_the_least_admissible_permutations():
     assert ties > 0
 
 
+def test_equal_maps_take_the_least_admissible_recolouring_at_large_sizes():
+    # Beta ties only where maps coincide, so the brute-force test of the
+    # least recolouring on such pairs stops at n = 6; here they run past it.
+    rng = random.Random(409)
+    ties = 0
+    for trial in range(24):
+        size, arity = rng.randint(20, 200), rng.randint(2, 4)
+        a, b = repeated_map_pair(rng, size, arity)
+        witness = decide_conjugate(a, b, allow_recolor=True)
+        assert verify_witness(a, b, witness).passed
+        admissible = _admissible(a, b, witness.gamma, range(size))
+        assert witness.recolor == admissible[0]
+        ties += len(admissible) > 1
+    assert ties > 0
+
+
 def test_inverse_witness_verifies_backwards():
     found = 0
     for _, a, b in _large_pairs(332):

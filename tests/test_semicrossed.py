@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import enum
 import operator
+import pickle
 import re
 import random
 import time
@@ -279,6 +281,32 @@ def test_pointwise_operations_name_both_sizes():
             with pytest.raises(ValueError, match=f"coefficients have {left.size} and {right.size} values"):
                 op(left, right)
     assert f * qc(2) == f + f and (f - f).is_zero()
+
+
+def test_coefficient_sums_take_only_coefficients():
+    # A scalar is added point by point only through a constant coefficient;
+    # any other operand is a TypeError, as a scalar on the left of * is.
+    f = FunctionCoeff((1,))
+    for other in (1, Fraction(1, 2), ONE, None, "1", (ONE,)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(f, other)
+            with pytest.raises(TypeError):
+                op(other, f)
+    with pytest.raises(TypeError):
+        2 * f
+    assert f + FunctionCoeff.constant(1, 1) == f * 2 == FunctionCoeff((2,))
+
+
+def test_coefficients_are_values():
+    f = FunctionCoeff((qc("1/2", 1), 0, Fraction(-3, 4)))
+    for name in ("values", "size", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, ())
+    for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert clone == f and hash(clone) == hash(f) and clone.values == f.values
+    assert f.values == (qc("1/2", 1), qc(0), qc("-3/4")) and type(f.values) is tuple
+    assert repr(f) == "FunctionCoeff(values=((1/2+1i), 0, -3/4))"
 
 
 def test_partition_isomorphism_requires_valid_witness():

@@ -13,13 +13,16 @@ from fractions import Fraction
 
 import pytest
 
+from dynalg.conjugacy import PartitionWitness
 from dynalg.freeprod import FPPoly, fp_gauge
 from dynalg.quotient import FreeEdgePoly
 from dynalg.scalars import ONE, ZERO, RationalComplex
-from dynalg.semicrossed import FunctionCoeff, SemicrossedElement, gauge, pullback, sc_multiply
+from dynalg.semicrossed import (
+    CovariantHom, FunctionCoeff, SemicrossedElement, apply_hom, gauge, pullback, sc_multiply,
+)
 from dynalg.wordpoly import cesaro_mean, fourier_component
 
-from oracles import pulled_product, random_dyadic_poly, random_element, random_system
+from oracles import classed_pair, pulled_product, random_dyadic_poly, random_element, random_system
 
 
 def remade(p):
@@ -54,8 +57,20 @@ def random_edge_poly(rng):
     return FreeEdgePoly.make(terms)
 
 
+def assert_exact_coefficients(coeffs):
+    """Public-API checks on exact function coefficients: each is remade
+    from its values, with an equal hash, and each value from its parts."""
+    for f in coeffs:
+        again = FunctionCoeff(f.values)
+        assert again == f and hash(again) == hash(f)
+        assert all(v == RationalComplex(v.re, v.im) for v in f.values)
+
+
 def test_kernel_results_are_in_normal_form():
     rng = random.Random(61)
+    # The homs and their elements come from a second stream, so the first
+    # draws the same inputs as it did before they were added.
+    hom_rng = random.Random(66)
     exact = (ZERO, ONE, RationalComplex(-1), RationalComplex(Fraction(1, 2), 3), 2)
     for _ in range(30):
         system = random_system(rng, rng.randint(1, 4), rng.randint(1, 3))
@@ -64,6 +79,17 @@ def test_kernel_results_are_in_normal_form():
         for z in (ONE, ZERO, RationalComplex(0, 1)):
             results.append(gauge(p, [z] * system.arity))
 
+        a, b, gamma, alpha = classed_pair(hom_rng, hom_rng.randint(4, 6), hom_rng.randint(1, 3), hom_rng.randint(1, 3))
+        hom = CovariantHom(a, b, PartitionWitness(gamma=gamma, alpha=alpha))
+        u, v = (random_element(hom_rng, a, 3) for _ in range(2))
+        images = [apply_hom(hom, r) for r in kernel_results(u, v, exact)]
+        pulled = [pullback(c, w, system) for r in results for w, c in r.terms.items()]
+        for r in results + images:
+            # An exact cancellation leaves no zero coefficient behind.
+            assert all(r.terms.values())
+            assert_exact_coefficients(r.terms.values())
+        assert_exact_coefficients(pulled)
+
         signature = rng.choice(((1,), (2, 1), (1, 1, 2)))
         f, g = (random_dyadic_poly(rng, signature, 3) for _ in range(2))
         results += kernel_results(f, g, (0, 1, -1.5, 0.25j, Fraction(1, 3)))
@@ -71,7 +97,9 @@ def test_kernel_results_are_in_normal_form():
             results.append(fp_gauge(f, [[value] * n for n in signature]))
 
         e, h = random_edge_poly(rng), random_edge_poly(rng)
-        results += kernel_results(e, h, exact)
+        edge_results = list(kernel_results(e, h, exact))
+        assert all(c == RationalComplex(c.re, c.im) for r in edge_results for c in r.terms.values())
+        results += edge_results
 
         for r in results:
             assert r == remade(r)
