@@ -73,7 +73,8 @@ _BLANK = " \t\n\r"  # the whitespace JSON allows around a value
 
 
 def _load_json(text: str) -> Any:
-    """The parsed text; malformed or too deeply nested text is a :class:`FormatError`.
+    """The parsed text; malformed or too deeply nested text is a :class:`FormatError`,
+    and so is an integer past the interpreter's digit limit for conversion.
 
     One scan by the decoder's ``raw_decode``, which refuses what
     :func:`json.loads` refuses with the same message, without its two
@@ -86,19 +87,12 @@ def _load_json(text: str) -> Any:
         if end != len(text) and (rest := text[end:].lstrip(_BLANK)):
             raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
         return data
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"not valid structured text: {exc}") from None
 
 
 def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
     data = _load_json(text)
-    # A count of points and no labels: FiniteSystem alone checks the tables.
-    # Anything it refuses goes the general way below, which names the fault.
-    if type(data) is dict and type(data.get("points")) is int and "labels" not in data:
-        try:
-            return FiniteSystem(size=data["points"], tables=data.get("maps")), None
-        except (TypeError, ValueError):
-            pass
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     if "points" not in data or "maps" not in data:
@@ -106,11 +100,11 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
 
     points, labels, maps = data["points"], data.get("labels"), data["maps"]
     names: Optional[list[str]] = None
-    if isinstance(points, list):
+    if type(points) is int or _is_int(points):  # a plain int spares the call
+        size = points
+    elif isinstance(points, list):
         names = _distinct_strings("points", points)
         size = len(names)
-    elif _is_int(points):
-        size = points
     else:
         raise FormatError("field 'points' must be a count or a list of names")
     if labels is not None:
@@ -119,18 +113,22 @@ def parse_system_record(text: str) -> tuple[FiniteSystem, Optional[list[str]]]:
         names = _distinct_strings("labels", labels)
         if len(names) != size:
             raise FormatError(f"field 'labels' must list {size} names")
+
+    index = {} if names is None else {name: k for k, name in enumerate(names)}
+    try:  # without point names, FiniteSystem alone checks the tables
+        tables = maps if names is None else [_resolved(i, table, index) for i, table in enumerate(_lists(maps))]
+        return FiniteSystem(size=size, tables=tables), names
+    except (TypeError, ValueError) as exc:
+        # Only a refusal is diagnosed: the maps' shape, then a string entry, then the table error.
+        for i, table in enumerate(_lists(maps)):
+            _resolved(i, table, index)
+        raise FormatError(str(exc)) from None
+
+
+def _lists(maps: Any) -> list:
     if not (isinstance(maps, list) and all(isinstance(table, list) for table in maps)):
         raise FormatError("field 'maps' must be a list of lists")
-
-    index = {name: k for k, name in enumerate(names or ())}
-    tables = maps if names is None else [_resolved(i, table, index) for i, table in enumerate(maps)]
-    try:
-        return FiniteSystem(size=size, tables=tables), names
-    except ValueError as exc:
-        if names is None:  # a string entry is reported first, as before any table check
-            for i, table in enumerate(maps):
-                _resolved(i, table, index)
-        raise FormatError(str(exc)) from None
+    return maps
 
 
 def _resolved(i: int, table: list, index: dict[str, int]) -> list:

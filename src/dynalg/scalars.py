@@ -9,23 +9,24 @@ extras the algebra needs (conjugation, exact squared modulus).
 The one exact value format is a plain tuple of three ints ``(a, b, d)``
 meaning ``(a + b*i)/d``, with ``d > 0`` and ``gcd(a, b, d) = 1``; zero is
 ``(0, 0, 1)``.  This normal form is unique, so equality and hashing
-compare the triples.  The private helpers below reduce, multiply and add
-triples and return triples, from integer formulas with no ``Fraction`` in
-between, and every result passes through the one reduction rule,
-:func:`_reduce`.  A ``RationalComplex`` wraps one triple, and each of its
-operators wraps one helper call; the function coefficients of
-:mod:`dynalg.semicrossed` hold tuples of triples and call the same
-helpers point by point, building no scalar object.  ``re`` and ``im`` are
-reduced ``Fraction`` views.  Inputs are exact only: ints (not bools),
-``Fraction``s and, where a constructor takes them, "p/q" strings; an
-exponent is an int, not a bool.
+compare the triples.  Each exact operation is written once, as a private
+helper below that takes triples and returns a triple, from integer
+formulas with no ``Fraction`` in between, and every result passes through
+the one reduction rule, :func:`_reduce`.  A ``RationalComplex`` wraps one
+triple, and one rule, :func:`_lifted`, builds each of its binary
+operators from a helper; the function coefficients of
+:mod:`dynalg.semicrossed` hold tuples of triples and lift the same
+helpers point by point by one rule of their own, building no scalar
+object.  ``re`` and ``im`` are reduced ``Fraction`` views.  Inputs are
+exact only: ints (not bools), ``Fraction``s and, where a constructor
+takes them, "p/q" strings; an exponent is an int, not a bool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Callable, Union
 
 from .dynsys import _is_int
 
@@ -80,9 +81,32 @@ def _sub(s: _Triple, t: _Triple) -> _Triple:
     return _reduce(a * f - c * d, b * f - e * d, d * f)
 
 
+def _div(s: _Triple, t: _Triple) -> _Triple:
+    """s / t; ZeroDivisionError when t is zero."""
+    # (a + bi)/d over (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2)).
+    c, e, f = t
+    norm = c * c + e * e
+    if norm == 0:
+        raise ZeroDivisionError("division by zero scalar")
+    a, b, d = s
+    return _reduce((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
+
+
 def _neg(s: _Triple) -> _Triple:
     a, b, d = s
     return -a, -b, d
+
+
+def _lifted(op: Callable[[_Triple, _Triple], _Triple]) -> Callable:
+    """The ``RationalComplex`` operator of a triple helper: the operand is
+    read by ``RationalComplex.coerce`` and the helper's triple is wrapped."""
+
+    def operator(self: "RationalComplex", other: RationalLike) -> "RationalComplex":
+        if type(other) is not RationalComplex:
+            other = RationalComplex.coerce(other)
+        return _wrap(op(self._t, other._t))
+
+    return operator
 
 
 class RationalComplex:
@@ -127,38 +151,14 @@ class RationalComplex:
 
     # ---- field operations -------------------------------------------------
 
-    def __add__(self, other: RationalLike) -> "RationalComplex":
-        if type(other) is not RationalComplex:
-            other = RationalComplex.coerce(other)
-        return _wrap(_add(self._t, other._t))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: RationalLike) -> "RationalComplex":
-        if type(other) is not RationalComplex:
-            other = RationalComplex.coerce(other)
-        return _wrap(_sub(self._t, other._t))
+    __add__ = __radd__ = _lifted(_add)
+    __sub__ = _lifted(_sub)
 
     def __rsub__(self, other: RationalLike) -> "RationalComplex":
         return RationalComplex.coerce(other) - self
 
-    def __mul__(self, other: RationalLike) -> "RationalComplex":
-        if type(other) is not RationalComplex:
-            other = RationalComplex.coerce(other)
-        return _wrap(_mul(self._t, other._t))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalLike) -> "RationalComplex":
-        # (a + bi)/d over (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2)).
-        if type(other) is not RationalComplex:
-            other = RationalComplex.coerce(other)
-        c, e, f = other._t
-        norm = c * c + e * e
-        if norm == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        a, b, d = self._t
-        return _wrap(_reduce((a * c + b * e) * f, (b * c - a * e) * f, d * norm))
+    __mul__ = __rmul__ = _lifted(_mul)
+    __truediv__ = _lifted(_div)
 
     def __rtruediv__(self, other: RationalLike) -> "RationalComplex":
         return RationalComplex.coerce(other) / self
@@ -195,11 +195,6 @@ class RationalComplex:
         """|z|^2, exactly."""
         a, b, d = self._t
         return Fraction(a * a + b * b, d * d)
-
-    def as_strings(self) -> tuple[str, str]:
-        """The real and imaginary parts as ``str(Fraction)`` prints them: "p/q", or "p"."""
-        a, b, d = self._t
-        return _ratio_text(a, d), _ratio_text(b, d)
 
     def is_zero(self) -> bool:
         return self._t == _ZERO_T

@@ -4,7 +4,9 @@ An element is a finite sum  sum_w s_w f_w  where w runs over words in
 the colour generators s_0, ..., s_{n-1} of a finite system and each f_w
 is a function on the points with exact complex-rational values, held as
 one normal-form ``(a, b, d)`` int triple per point (see
-:mod:`dynalg.scalars`).  The defining rewriting rule
+:mod:`dynalg.scalars`, where each exact operation is one triple helper).
+One rule, :func:`_pointwise`, lifts a helper to a coefficient operator
+that maps it over two rows.  The defining rewriting rule
 
     f * s_i  =  s_i * (f o sigma_i)
 
@@ -40,12 +42,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .conjugacy import PartitionWitness, _invert, verify_witness
 from .dynsys import FiniteSystem, Word, _distinct, _int_in, check_colour, validate_word
 from .scalars import ONE, RationalComplex, RationalLike, _ZERO_T, _add, _mul, _neg, _sub, _wrap
 from .wordpoly import WordPoly, cesaro_mean, fourier_component, reweight_letters
+
+
+def _pointwise(op: Callable, otherwise: Optional[Callable] = None) -> Callable:
+    """The ``FunctionCoeff`` operator applying a triple helper point by point.
+
+    An operand that is not a coefficient goes to ``otherwise``, or is
+    ``NotImplemented``; coefficients of two sizes are a ValueError.
+    """
+
+    def operator(self: "FunctionCoeff", other):
+        if type(other) is not FunctionCoeff:
+            return NotImplemented if otherwise is None else otherwise(self, other)
+        if len(self._triples) != len(other._triples):
+            _sizes_differ(self, other)
+        return _coeff(tuple(map(op, self._triples, other._triples)))
+
+    return operator
 
 
 class FunctionCoeff:
@@ -99,34 +118,17 @@ class FunctionCoeff:
     def __repr__(self) -> str:
         return f"FunctionCoeff(values={self.values!r})"
 
-    def __add__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        if type(other) is not FunctionCoeff:
-            return NotImplemented
-        if len(self._triples) != len(other._triples):
-            _sizes_differ(self, other)
-        return _coeff(tuple(map(_add, self._triples, other._triples)))
-
-    def __sub__(self, other: "FunctionCoeff") -> "FunctionCoeff":
-        if type(other) is not FunctionCoeff:
-            return NotImplemented
-        if len(self._triples) != len(other._triples):
-            _sizes_differ(self, other)
-        return _coeff(tuple(map(_sub, self._triples, other._triples)))
-
-    def __mul__(self, other: "FunctionCoeff | RationalLike") -> "FunctionCoeff":
-        """Pointwise product; a scalar multiplies every value."""
-        if type(other) is not FunctionCoeff:
-            return self.scale(other)
-        if len(self._triples) != len(other._triples):
-            _sizes_differ(self, other)
-        return _coeff(tuple(map(_mul, self._triples, other._triples)))
-
     def __neg__(self) -> "FunctionCoeff":
         return _coeff(tuple(map(_neg, self._triples)))
 
     def scale(self, value: RationalLike) -> "FunctionCoeff":
         c = RationalComplex.coerce(value)._t
         return _coeff(tuple(map(_mul, self._triples, repeat(c))))
+
+    __add__ = _pointwise(_add)
+    __sub__ = _pointwise(_sub)
+    # a scalar multiplies every value
+    __mul__ = _pointwise(_mul, scale)
 
     def is_zero(self) -> bool:
         return self._triples == _zeros(len(self._triples))

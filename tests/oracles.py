@@ -526,6 +526,22 @@ def cycle_pair(n: int, k: int, l: int, seed: int) -> tuple[FiniteSystem, FiniteS
     return cycles(k), cycles(l)
 
 
+def chain_pair(n: int, seed: int, refuted: bool = False) -> tuple[FiniteSystem, FiniteSystem]:
+    """The chain x -> min(x + 1, n - 1) against its copy relabelled by a shuffle of
+    random.Random(seed), or, when ``refuted``, against a relabelled chain whose last
+    point is sent back to n - 2.
+
+    For one map every notion is conjugacy.  The chain ends in a fixed point and
+    the control in a 2-cycle, so the pair is matched in every mode exactly when
+    not ``refuted``.  Both sides have the sorted in-degrees 0, 1, ..., 1, 2, so
+    that count never refutes the control.  Refinement separates only a point or
+    two per round here, so its round count grows with n.
+    """
+    chain = [min(x + 1, n - 1) for x in range(n)]
+    tail = chain[:-1] + [n - 2] if refuted else chain
+    return FiniteSystem(n, (tuple(chain),)), relabelled(FiniteSystem(n, (tuple(tail),)), random.Random(seed))
+
+
 def one_map_conjugate(a: FiniteSystem, b: FiniteSystem) -> bool:
     """Whether two one-map systems are conjugate, by their canonical forms."""
     ids: dict = {}

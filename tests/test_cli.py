@@ -805,6 +805,18 @@ def test_deeply_nested_files_exit_2(tmp_path):
         assert code == 2 and report["error"].startswith("not valid structured text"), argv
 
 
+def test_integers_past_the_conversion_limit_exit_2_as_malformed_text(tmp_path):
+    # 5,000 digits is past the interpreter's 4,300-digit limit for reading an int
+    huge = "1" * 5000
+    system = tmp_path / "system.json"
+    system.write_text('{"points": 2, "maps": [[1, %s]]}' % huge)
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"n": %s, "matrix": [[[1, 0]]]}' % huge)
+    for argv in (["signature", str(system)], ["lift", "--degree", "2", "--samples", "2", "--u1n", str(matrix)]):
+        report, code = run_command(argv)
+        assert code == 2 and report["error"].startswith("not valid structured text"), (argv, report["error"])
+
+
 def test_system_files_are_read_as_strict_utf8(tmp_path):
     crlf = tmp_path / "crlf.json"
     crlf.write_bytes(b'{"points": 2,\r\n "maps": [[1, 0]]}\r\n')

@@ -35,6 +35,7 @@ from oracles import (
     brute_force_conjugate,
     brute_force_partition,
     brute_force_piecewise,
+    chain_pair,
     classed_pair,
     cycle_pair,
     disjoint_union,
@@ -828,6 +829,17 @@ def test_padded_cycle_pair_is_refuted_and_its_control_found(mode):
     a, b = padded_pair(TWO_TRIANGLES, TWO_TRIANGLES, c, random.Random(1))
     witness = _MODES[mode](a, b)
     assert witness is not None and verify_witness(a, b, witness).passed
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("mode", _MODES)
+def test_chain_pair_is_found_and_its_control_refuted(mode, n):
+    a, b = chain_pair(n, seed=n)
+    witness = _MODES[mode](a, b)
+    assert witness is not None and verify_witness(a, b, witness).passed
+    a, b = chain_pair(n, seed=n, refuted=True)
+    assert sorted(indegrees(a)) == sorted(indegrees(b))
+    assert _MODES[mode](a, b) is None
 
 
 # ---- colour masks: no colour permutation is listed -----------------------------

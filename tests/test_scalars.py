@@ -254,7 +254,6 @@ def test_serialization_prints_parts_as_fractions_do():
     for z in (ZERO, ONE, qc(-3), qc(0, -5), qc("1/6", "1/2"), qc("1/3", "1/2"),
               qc("-7/6", "5/4"), qc(-1, "1/2"), qc("6/4", "-10/4"), qc(10**30, "-1/3")):
         assert printed(z) == [str(z.re), str(z.im)]
-        assert z.as_strings() == (str(z.re), str(z.im))
 
 
 def test_semicrossed_hash_agrees_with_equality_across_routes():
